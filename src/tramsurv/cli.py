@@ -14,6 +14,7 @@ INFO, WARNING).
 import argparse
 import csv
 import dataclasses
+from itertools import repeat
 import json
 import logging
 import os
@@ -55,6 +56,7 @@ logger = logging.getLogger(__name__)
 RESERVED_COLUMNS = ("time", "time2", "status")
 _STATUS_TO_KIND = {k.value: k for k in CensoringKind}
 CDF_GRID_POINTS = 200
+CDF_GRID_CHUNK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +281,24 @@ def _load_model(path):
 
 
 def write_cdf_grid(model, dataset: SurvivalDataset, path):
-    """Per-subject conditional CDF on a fixed grid spanning the training range."""
+    """Per-subject conditional CDF on a fixed grid spanning the training range.
+
+    Subjects are evaluated ``CDF_GRID_CHUNK`` at a time, so memory is bounded
+    by the chunk size rather than by the dataset.
+    """
     scaler = model.scaler
     grid = np.exp(np.linspace(scaler.a_lo, scaler.b_hi, CDF_GRID_POINTS))
+    grid_text = [_format_value(t) for t in grid]
+    x = dataset.covariate_matrix()
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["subject", "time", "cdf"])
-        for i, obs in enumerate(dataset.observations):
-            dist = conditional_distribution(model, obs.covariates)
-            values = dist.cdf(grid)
-            for t, v in zip(grid, values):
-                writer.writerow([i, _format_value(t), _format_value(v)])
+        for start in range(0, dataset.n, CDF_GRID_CHUNK):
+            chunk = x[start : start + CDF_GRID_CHUNK]
+            dist = conditional_distribution(model, chunk)
+            values = dist.cdf(np.broadcast_to(grid, (chunk.shape[0], CDF_GRID_POINTS)))
+            for i, row in enumerate(values.tolist(), start=start):
+                writer.writerows(zip(repeat(i), grid_text, map(_format_value, row)))
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,12 @@ class QuadratureNonConvergence(TramsurvError):
     code = "E_QUADRATURE_NON_CONVERGENCE"
 
 
+class BisectionNonConvergence(TramsurvError):
+    """A quantile bisection ran out of bracket expansions or halvings."""
+
+    code = "E_BISECTION_NON_CONVERGENCE"
+
+
 # -- sampling -----------------------------------------------------------------
 
 class SchemaMismatch(TramsurvError):

@@ -41,6 +41,7 @@ from .errors import (
 from .numerics import logsumexp
 from .transform import (
     _bisect_increasing,
+    _leading_index,
     conditional_distribution,
     eval_transform,
     grad_transform,
@@ -48,7 +49,6 @@ from .transform import (
     head_size,
     head_to_flat,
     init_head,
-    transform_at_log_time,
 )
 
 logger = logging.getLogger(__name__)
@@ -432,16 +432,25 @@ class EnsembleModel:
     pool_validation_nlls: np.ndarray | None = None
 
     def conditional_distribution(self, x) -> "EnsembleDistribution":
+        """Mixture for one covariate vector (p,) or for n subjects (n, p)."""
         return EnsembleDistribution([conditional_distribution(m, x) for m in self.members])
 
 
 class EnsembleDistribution:
-    """Pointwise mixture (equal weights) of member conditional distributions."""
+    """Pointwise mixture (equal weights) of member conditional distributions.
+
+    Members describe the same subject, or the same batch of subjects, and the
+    mixture follows their shape rules (see :class:`ConditionalDistribution`).
+    """
 
     def __init__(self, members: list):
         if not members:
             raise ValueError("ensemble distribution needs at least one member")
         self.members = members
+
+    def subject(self, i: int) -> "EnsembleDistribution":
+        """Single-subject mixture of row ``i`` of a batch."""
+        return EnsembleDistribution([m.subject(i) for m in self.members])
 
     def cdf(self, t):
         return np.mean([m.cdf(t) for m in self.members], axis=0)
@@ -468,25 +477,25 @@ class EnsembleDistribution:
         )
 
     def quantile(self, p):
-        """Inverse of the averaged CDF by bisection in log-time."""
+        """Inverse of the averaged CDF by one vectorized bisection in log-time."""
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         if np.any(~((p_arr > 0.0) & (p_arr < 1.0))):
             raise ProbabilityOutOfRange("quantile requires probabilities in (0, 1)")
+        for m in self.members:
+            m.check_subjects(p_arr)
+        subjects = _leading_index(p_arr.shape)
 
-        def mean_cdf_at_log_time(u):
+        def mean_cdf_at_log_time(u, rows):
             vals = [
-                target.cdf(
-                    m.spec.family,
-                    transform_at_log_time(m.spec, m.head, m.features, u, m.scaler),
-                )
+                target.cdf(m.spec.family, m.h_at_log_time(u, subjects[rows]))
                 for m in self.members
             ]
             return np.mean(vals, axis=0)
 
         lo = min(m.scaler.a_lo for m in self.members)
         hi = max(m.scaler.b_hi for m in self.members)
-        u = _bisect_increasing(mean_cdf_at_log_time, p_arr, lo, hi)
-        t = np.exp(u)
+        u = _bisect_increasing(mean_cdf_at_log_time, p_arr.ravel(), lo, hi)
+        t = np.exp(u).reshape(p_arr.shape)
         return float(t[0]) if np.ndim(p) == 0 else t
 
 

@@ -22,13 +22,13 @@ from .quadrature import simpson_doubling
 from .transform import conditional_distribution
 
 
-def c_index(times, events, risks) -> float:
-    """Concordance between risk scores and observed event order.
+def concordance_counts(times, events, risks) -> tuple[float, int]:
+    """Harrell's concordance numerator and the number of comparable pairs.
 
     A pair (j, i) is comparable when subject j has an exact event strictly
     before time i; it counts fully when the earlier subject has the higher
-    risk score and half when the scores tie.  Raises
-    :class:`NoComparablePairs` when no pair is comparable.
+    risk score and half when the scores tie.  Memory stays linear in n: the
+    pairs are compared in row chunks.
     """
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=bool)
@@ -36,19 +36,28 @@ def c_index(times, events, risks) -> float:
     if not times.shape == events.shape == risks.shape or times.ndim != 1:
         raise ValueError("times, events, and risks must be equal-length vectors")
     numerator = 0.0
-    denominator = 0
-    # chunk the pairwise comparison to keep memory linear in the chunk size
+    pairs = 0
     chunk = 1024
     for start in range(0, times.size, chunk):
         sl = slice(start, start + chunk)
         earlier = (times[sl, None] < times[None, :]) & events[sl, None]
         higher = risks[sl, None] > risks[None, :]
         tied = risks[sl, None] == risks[None, :]
-        denominator += int(np.sum(earlier))
+        pairs += int(np.sum(earlier))
         numerator += float(np.sum(earlier & higher)) + 0.5 * float(np.sum(earlier & tied))
-    if denominator == 0:
+    return numerator, pairs
+
+
+def c_index(times, events, risks) -> float:
+    """Concordance between risk scores and observed event order.
+
+    See :func:`concordance_counts` for the pair rules.  Raises
+    :class:`NoComparablePairs` when no pair is comparable.
+    """
+    numerator, pairs = concordance_counts(times, events, risks)
+    if pairs == 0:
         raise NoComparablePairs("no comparable pair has an exact earlier event")
-    return numerator / denominator
+    return numerator / pairs
 
 
 def log_score(dist, obs) -> float:
@@ -117,10 +126,6 @@ class EvaluationReport:
         return json.dumps(doc, indent=2, allow_nan=False)
 
 
-def _comparable_pairs(times: np.ndarray, events: np.ndarray) -> int:
-    return int(np.sum(events[:, None] & (times[:, None] < times[None, :])))
-
-
 def evaluate(model, dataset: SurvivalDataset, t_max: float | None = None) -> EvaluationReport:
     """Score a fitted model or ensemble on exact/right-censored data.
 
@@ -146,28 +151,25 @@ def evaluate(model, dataset: SurvivalDataset, t_max: float | None = None) -> Eva
     if t_max is None:
         t_max = max(math.exp(scaler.b_hi), float(np.max(times)))
 
+    if isinstance(model, EnsembleModel):
+        batch = model.conditional_distribution(dataset.covariate_matrix())
+    else:
+        batch = conditional_distribution(model, dataset.covariate_matrix())
     per_subject = []
-    risks = np.empty(dataset.n)
     for i, obs in enumerate(dataset.observations):
-        if isinstance(model, EnsembleModel):
-            dist = model.conditional_distribution(obs.covariates)
-        else:
-            dist = conditional_distribution(model, obs.covariates)
+        dist = batch.subject(i)
         nll = log_score(dist, obs)
         subject_crps = crps(dist, obs.time_lower, bool(obs.event), t_max)
         per_subject.append(SubjectScore(nll=nll, crps=subject_crps))
-        risks[i] = -dist.quantile(0.5)
+    risks = -batch.quantile(np.full(dataset.n, 0.5))
 
-    try:
-        concordance = c_index(times, events, risks)
-    except NoComparablePairs:
-        concordance = None
+    numerator, pairs = concordance_counts(times, events, risks)
     return EvaluationReport(
         per_subject=per_subject,
         mean_nll=float(np.mean([s.nll for s in per_subject])),
         mean_crps=float(np.mean([s.crps for s in per_subject])),
-        c_index=concordance,
+        c_index=numerator / pairs if pairs else None,
         n_subjects=dataset.n,
-        n_comparable_pairs=_comparable_pairs(times, events),
+        n_comparable_pairs=pairs,
         t_max=t_max,
     )

@@ -68,6 +68,9 @@ def generate_semisynthetic(
 ) -> SurvivalDataset:
     """Replicate each subject, redrawing times from the fitted model.
 
+    Every subject keeps its own block of uniforms; all draws are then solved
+    in one batched quantile call.
+
     Parameters
     ----------
     model : FittedModel
@@ -92,13 +95,15 @@ def generate_semisynthetic(
             f"dataset has {dataset.p}"
         )
     t_cap = max_observed_time(dataset)
+    dist = conditional_distribution(model, dataset.covariate_matrix())
+    u = np.array(
+        [_subject_uniforms(config.seed, i, config.replication) for i in range(dataset.n)]
+    )
+    # random() lives in [0, 1); lift an exact zero to the smallest draw
+    times = sample_time(dist, np.maximum(u, 2.0**-53))
     observations = []
-    for i, obs in enumerate(dataset.observations):
-        dist = conditional_distribution(model, obs.covariates)
-        u = _subject_uniforms(config.seed, i, config.replication)
-        # random() lives in [0, 1); lift an exact zero to the smallest draw
-        times = sample_time(dist, np.maximum(u, 2.0**-53))
-        for t in times:
+    for obs, subject_times in zip(dataset.observations, times):
+        for t in subject_times:
             if config.censor_at_max and t > t_cap:
                 observations.append(Observation.right_censored(t_cap, obs.covariates))
             else:

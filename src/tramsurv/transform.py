@@ -25,7 +25,12 @@ from .basis import (
     monotone_reparam_vjp,
 )
 from .core import FittedModel, ModelSpec, Parameterization
-from .errors import DimensionMismatch, NonPositiveTime, ProbabilityOutOfRange
+from .errors import (
+    BisectionNonConvergence,
+    DimensionMismatch,
+    NonPositiveTime,
+    ProbabilityOutOfRange,
+)
 from .numerics import sigmoid, softplus, softplus_inv
 
 
@@ -301,45 +306,70 @@ def transform_at_log_time(
 # ---------------------------------------------------------------------------
 # Conditional distributions
 
+BISECTION_STEPS = 200
+
 
 def _bisect_increasing(fn, targets: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Solve fn(u) = target for each target; fn is increasing and vectorized.
+    """Solve fn(u, rows) = targets[rows] for every row; fn is increasing in u.
 
-    Brackets are expanded geometrically from [lo, hi], then refined by plain
-    bisection until the bracket width is at machine-level resolution.
+    ``fn`` receives log-times together with the indices of the rows they
+    belong to, and is asked only about rows still in play.  Brackets are
+    expanded geometrically from [lo, hi], then refined by bisection.  Each row
+    stops as soon as its own bracket is narrower than
+    ``1e-12 * max(1, |u|)``, so a row's result depends only on its target and
+    on fn for that row, not on the other rows solved with it.
+
+    Raises :class:`BisectionNonConvergence` when a row is still unbracketed
+    after ``BISECTION_STEPS`` expansions, or unconverged after as many
+    halvings.
     """
     targets = np.asarray(targets, dtype=float)
     lo = np.full_like(targets, lo)
     hi = np.full_like(targets, hi)
-    step = np.maximum(hi - lo, 1.0)
-    for _ in range(200):
-        need = fn(lo) > targets
-        if not np.any(need):
-            break
-        lo = np.where(need, lo - step, lo)
-        step = np.where(need, step * 2.0, step)
-    step = np.maximum(hi - lo, 1.0)
-    for _ in range(200):
-        need = fn(hi) < targets
-        if not np.any(need):
-            break
-        hi = np.where(need, hi + step, hi)
-        step = np.where(need, step * 2.0, step)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        below = fn(mid) < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.all(hi - lo <= 1e-12 * np.maximum(1.0, np.abs(mid))):
-            break
-    return 0.5 * (lo + hi)
+    for bound, outside, sign in ((lo, np.greater, -1.0), (hi, np.less, 1.0)):
+        step = np.maximum(hi - lo, 1.0)
+        rows = np.arange(targets.size)
+        for expansion in range(BISECTION_STEPS + 1):
+            rows = rows[outside(fn(bound[rows], rows), targets[rows])]
+            if rows.size == 0:
+                break
+            if expansion == BISECTION_STEPS:
+                raise BisectionNonConvergence(
+                    f"{rows.size} quantile target(s) still unbracketed after "
+                    f"{BISECTION_STEPS} expansions"
+                )
+            bound[rows] += sign * step[rows]
+            step[rows] *= 2.0
+    rows = np.arange(targets.size)
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo[rows] + hi[rows])
+        below = fn(mid, rows) < targets[rows]
+        lo[rows[below]] = mid[below]
+        hi[rows[~below]] = mid[~below]
+        done = hi[rows] - lo[rows] <= 1e-12 * np.maximum(1.0, np.abs(mid))
+        rows = rows[~done]
+        if rows.size == 0:
+            return 0.5 * (lo + hi)
+    raise BisectionNonConvergence(
+        f"{rows.size} quantile target(s) unconverged after {BISECTION_STEPS} halvings"
+    )
+
+
+def _leading_index(shape) -> np.ndarray:
+    """First-axis index of each element of an array of ``shape``, in C order."""
+    return np.nonzero(np.ones(shape, dtype=bool))[0]
 
 
 class ConditionalDistribution:
-    """Time-to-event distribution of a single subject under a fitted model.
+    """Time-to-event distribution of one subject, or of n subjects at once.
 
-    All evaluators accept scalars or arrays of times; boundary inputs t = 0
-    and t = +inf map to the exact distribution limits.
+    ``features`` is one subject's extractor output (a vector), a matrix with
+    one row per subject, or None when the parameterization ignores
+    covariates.  For one subject (or none) the evaluators accept scalars or
+    arrays of times of any shape.  For a matrix, the first axis of the times,
+    and of the probabilities given to :meth:`quantile`, indexes subjects:
+    shape (n,) holds one value per subject, shape (n, m) m values per subject.
+    Boundary inputs t = 0 and t = +inf map to the exact distribution limits.
     """
 
     def __init__(
@@ -354,14 +384,41 @@ class ConditionalDistribution:
         self.features = None if features is None else np.asarray(features, dtype=float)
         self.scaler = scaler
 
+    @property
+    def n_subjects(self) -> int | None:
+        """Number of subjects of a batch; None when one distribution serves every row."""
+        if self.features is None or self.features.ndim == 1:
+            return None
+        return self.features.shape[0]
+
+    def subject(self, i: int) -> "ConditionalDistribution":
+        """Single-subject distribution of row ``i`` of a batch."""
+        features = self.features if self.n_subjects is None else self.features[i]
+        return ConditionalDistribution(self.spec, self.head, features, self.scaler)
+
+    def check_subjects(self, values: np.ndarray):
+        """For a batch, require the leading axis of ``values`` to index its subjects."""
+        n = self.n_subjects
+        if n is not None and values.shape[:1] != (n,):
+            raise DimensionMismatch(
+                f"expected a leading axis of {n} subjects, got shape {values.shape}"
+            )
+
     def transform(self, t) -> tuple[np.ndarray, np.ndarray]:
         return eval_transform(self.spec, self.head, self.features, t, self.scaler)
 
-    def _h(self, t: np.ndarray) -> np.ndarray:
-        return self.transform(t)[0]
+    def h_at_log_time(self, u, subjects: np.ndarray) -> np.ndarray:
+        """h at log-times ``u`` of the batch rows ``subjects``, element by element.
 
-    def _apply(self, t, interior, at_zero: float, at_inf: float):
+        A single subject's distribution ignores ``subjects``.
+        """
+        features = self.features if self.n_subjects is None else self.features[subjects]
+        return transform_at_log_time(self.spec, self.head, features, u, self.scaler)
+
+    def _apply(self, t, of_transform, at_zero: float, at_inf: float):
+        """Evaluate ``of_transform(h, dh/dt)`` at the positive, finite times."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        self.check_subjects(t_arr)
         out = np.empty_like(t_arr)
         zero = t_arr <= 0.0
         infinite = np.isposinf(t_arr)
@@ -369,67 +426,75 @@ class ConditionalDistribution:
         out[zero] = at_zero
         out[infinite] = at_inf
         if np.any(inside):
-            out[inside] = interior(t_arr[inside])
+            features = self.features
+            if self.n_subjects is not None:
+                features = features[np.nonzero(inside)[0]]
+            h, dh_dt = eval_transform(self.spec, self.head, features, t_arr[inside], self.scaler)
+            out[inside] = of_transform(h, dh_dt)
         return float(out[0]) if np.ndim(t) == 0 else out
 
+    def _log_pdf_of(self, h, dh_dt):
+        return target.log_density(self.spec.family, h) + np.log(dh_dt)
+
     def cdf(self, t):
-        return self._apply(
-            t, lambda v: target.cdf(self.spec.family, self._h(v)), 0.0, 1.0
-        )
+        return self._apply(t, lambda h, _: target.cdf(self.spec.family, h), 0.0, 1.0)
 
     def survivor(self, t):
-        return self._apply(
-            t, lambda v: target.survivor(self.spec.family, self._h(v)), 1.0, 0.0
-        )
+        return self._apply(t, lambda h, _: target.survivor(self.spec.family, h), 1.0, 0.0)
 
     def log_cdf(self, t):
-        return self._apply(
-            t, lambda v: target.log_cdf(self.spec.family, self._h(v)), -np.inf, 0.0
-        )
+        return self._apply(t, lambda h, _: target.log_cdf(self.spec.family, h), -np.inf, 0.0)
 
     def log_survivor(self, t):
         return self._apply(
-            t, lambda v: target.log_survivor(self.spec.family, self._h(v)), 0.0, -np.inf
+            t, lambda h, _: target.log_survivor(self.spec.family, h), 0.0, -np.inf
         )
 
     def log_pdf(self, t):
-        def interior(v):
-            h, dh_dt = self.transform(v)
-            return target.log_density(self.spec.family, h) + np.log(dh_dt)
-
-        return self._apply(t, interior, -np.inf, -np.inf)
+        return self._apply(t, self._log_pdf_of, -np.inf, -np.inf)
 
     def pdf(self, t):
-        return self._apply(
-            t, lambda v: np.exp(self.log_pdf(v)), 0.0, 0.0
-        )
+        return self._apply(t, lambda h, d: np.exp(self._log_pdf_of(h, d)), 0.0, 0.0)
 
     def quantile(self, p):
-        """Inverse CDF by bracketed bisection on h(t) = F_Z^{-1}(p) in log-time."""
+        """Inverse CDF by bracketed bisection on h(t) = F_Z^{-1}(p) in log-time.
+
+        All probabilities are solved in one vectorized bisection.
+        """
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        z_target = target.quantile(self.spec.family, p_arr)
+        self.check_subjects(p_arr)
+        z_target = target.quantile(self.spec.family, p_arr).ravel()
+        subjects = _leading_index(p_arr.shape)
         u = _bisect_increasing(
-            lambda v: transform_at_log_time(
-                self.spec, self.head, self.features, v, self.scaler
-            ),
+            lambda v, rows: self.h_at_log_time(v, subjects[rows]),
             z_target,
             self.scaler.a_lo,
             self.scaler.b_hi,
         )
-        t = np.exp(u)
+        t = np.exp(u).reshape(p_arr.shape)
         return float(t[0]) if np.ndim(p) == 0 else t
 
 
 def conditional_distribution(model: FittedModel, x) -> ConditionalDistribution:
-    """Build the conditional distribution of one subject from a fitted model."""
+    """Build the conditional distribution of one subject or of n subjects.
+
+    ``x`` is one covariate vector of shape (p,), or a matrix of shape (n, p)
+    with one subject per row.  Features are computed one subject at a time
+    and stacked, so a subject's numbers do not depend on which other subjects
+    share the batch.
+    """
     spec = model.spec
     head = head_from_flat(spec, model.head_params)
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise DimensionMismatch(
+            f"expected a covariate vector or an (n, p) matrix, got shape {x.shape}"
+        )
     if not spec.uses_extractor:
         return ConditionalDistribution(spec, head, None, model.scaler)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.extractor.input_dim,):
+    if x.shape[-1] != spec.extractor.input_dim:
         raise DimensionMismatch(
-            f"expected covariate vector of length {spec.extractor.input_dim}, got {x.shape}"
+            f"expected covariates of length {spec.extractor.input_dim}, got shape {x.shape}"
         )
     if (
         spec.parameterization == Parameterization.BERNSTEIN_FLEXIBLE
@@ -438,5 +503,14 @@ def conditional_distribution(model: FittedModel, x) -> ConditionalDistribution:
         raise DimensionMismatch(
             "flexible parameterization needs extractor output of dimension order + 1"
         )
-    features, _ = feature.forward(spec.extractor, model.extractor_params, x)
+
+    def forward(row):
+        return feature.forward(spec.extractor, model.extractor_params, row)[0]
+
+    if x.ndim == 1:
+        features = forward(x)
+    else:
+        features = np.array([forward(row) for row in x]).reshape(
+            x.shape[0], spec.extractor.output_dim
+        )
     return ConditionalDistribution(spec, head, features, model.scaler)

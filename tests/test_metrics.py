@@ -16,7 +16,14 @@ from tramsurv.errors import (
 )
 from tramsurv.feature import ExtractorSpec, identity_params
 from tramsurv.fit import nll_observation
-from tramsurv.metrics import EvaluationReport, c_index, crps, evaluate, log_score
+from tramsurv.metrics import (
+    EvaluationReport,
+    c_index,
+    concordance_counts,
+    crps,
+    evaluate,
+    log_score,
+)
 from tramsurv.numerics import softplus_inv
 from tramsurv.target import TargetFamily
 from tramsurv.transform import conditional_distribution
@@ -67,6 +74,22 @@ class TestCIndex:
             c_index([1.0], [1], [0.5])
         with pytest.raises(NoComparablePairs):
             c_index([1, 2], [0, 0], [0.1, 0.2])
+
+    def test_chunked_counts_match_dense_reference(self):
+        """Across several row chunks, with tied times and tied risks, the
+        chunked count equals the dense n x n formula."""
+        rng = np.random.default_rng(505)
+        n = 2500
+        times = np.round(rng.uniform(0.1, 5.0, n), 1)
+        events = rng.random(n) < 0.7
+        risks = np.round(rng.normal(size=n), 1)
+        earlier = events[:, None] & (times[:, None] < times[None, :])
+        pairs = int(np.sum(earlier))
+        numerator = float(np.sum(earlier & (risks[:, None] > risks[None, :]))) + 0.5 * float(
+            np.sum(earlier & (risks[:, None] == risks[None, :]))
+        )
+        assert concordance_counts(times, events, risks) == (numerator, pairs)
+        assert c_index(times, events, risks) == numerator / pairs
 
 
 def _exponential_model(w=(0.0,)):
@@ -245,6 +268,7 @@ class TestEvaluate:
         ds = SurvivalDataset([Observation.exact(1.0, [0.0])])
         report = evaluate(_exponential_model(), ds)
         assert report.c_index is None
+        assert report.n_comparable_pairs == 0
         assert report.n_subjects == 1
         assert len(report.per_subject) == 1
         assert np.isfinite(report.per_subject[0].nll)

@@ -11,7 +11,7 @@ from tramsurv.core import (
     SurvivalDataset,
 )
 from tramsurv.errors import ProbabilityOutOfRange, SchemaMismatch
-from tramsurv.feature import ExtractorSpec, identity_params
+from tramsurv.feature import ExtractorSpec, identity_params, init_params
 from tramsurv.numerics import softplus_inv
 from tramsurv.sample import (
     SynthConfig,
@@ -33,6 +33,20 @@ def _exponential_model(w=(0.0,)):
         spec=spec, scaler=LogTimeScaler(0.0, 1.0),
         head_params=np.concatenate([[0.0, softplus_inv(1.0)], w]),
         extractor_params=identity_params(spec.extractor),
+        train_nll=0.0, validation_nll=0.0,
+    )
+
+
+def _flexible_model():
+    """Bernstein-flexible model whose coefficients vary with the covariate."""
+    spec = ModelSpec(
+        family=TargetFamily.LOGISTIC, parameterization=Parameterization.BERNSTEIN_FLEXIBLE,
+        bernstein_order=4,
+        extractor=ExtractorSpec(input_dim=1, hidden_dims=(4,), output_dim=5),
+    )
+    return FittedModel(
+        spec=spec, scaler=LogTimeScaler(np.log(0.3), np.log(3.0)),
+        head_params=np.zeros(0), extractor_params=init_params(spec.extractor, 17),
         train_nll=0.0, validation_nll=0.0,
     )
 
@@ -128,16 +142,17 @@ class TestGenerateSemisynthetic:
         assert times_a != times_b
 
     def test_subject_draws_independent_of_dataset_size(self):
-        """Counter-based keying: a subject's draws do not depend on how many
-        other subjects are sampled."""
+        """Counter-based keying and per-row bisection: a subject's draws do not
+        depend on how many other subjects are sampled."""
         rng = np.random.default_rng(815)
         ds = _base_dataset(rng, 10)
         head = SurvivalDataset(ds.observations[:3], feature_names=ds.feature_names)
         cfg = SynthConfig(replication=5, seed=3, censor_at_max=False)
-        full = generate_semisynthetic(_exponential_model(), ds, cfg)
-        part = generate_semisynthetic(_exponential_model(), head, cfg)
-        for i in range(3 * 5):
-            assert full.observations[i].time_lower == part.observations[i].time_lower
+        for model in (_exponential_model(), _flexible_model()):
+            full = generate_semisynthetic(model, ds, cfg)
+            part = generate_semisynthetic(model, head, cfg)
+            for i in range(3 * 5):
+                assert full.observations[i].time_lower == part.observations[i].time_lower
 
     def test_times_beyond_max_right_censored(self):
         rng = np.random.default_rng(817)

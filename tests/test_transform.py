@@ -3,12 +3,18 @@ import pytest
 
 from tramsurv.basis import LogTimeScaler
 from tramsurv.core import FittedModel, ModelSpec, Parameterization
-from tramsurv.errors import DimensionMismatch, NonPositiveTime, ProbabilityOutOfRange
+from tramsurv.errors import (
+    BisectionNonConvergence,
+    DimensionMismatch,
+    NonPositiveTime,
+    ProbabilityOutOfRange,
+)
 from tramsurv.feature import ExtractorSpec, identity_params, init_params, param_count
 from tramsurv.numerics import softplus_inv
 from tramsurv.target import TargetFamily
 from tramsurv.transform import (
     ConditionalDistribution,
+    _bisect_increasing,
     conditional_distribution,
     eval_transform,
     grad_transform,
@@ -314,3 +320,112 @@ class TestClosedFormFamilies:
         t = np.geomspace(0.01, 40.0, 1000)
         loglogistic_cdf = 1.0 / (1.0 + (t / alpha) ** (-b))
         np.testing.assert_allclose(dist.cdf(t), loglogistic_cdf, rtol=0, atol=1e-10)
+
+
+def _random_model(parameterization, family, rng, p=3, order=4):
+    """A model with perturbed head and a one-hidden-layer extractor."""
+    extractor = None
+    if parameterization != Parameterization.BASELINE:
+        d = order + 1 if parameterization == Parameterization.BERNSTEIN_FLEXIBLE else 2
+        extractor = ExtractorSpec(input_dim=p, hidden_dims=(5,), output_dim=d)
+    spec = ModelSpec(
+        family=family, parameterization=parameterization, bernstein_order=order,
+        extractor=extractor,
+    )
+    return FittedModel(
+        spec=spec, scaler=LogTimeScaler(np.log(0.2), np.log(12.0)),
+        head_params=init_head(spec) + 0.3 * rng.normal(size=head_size(spec)),
+        extractor_params=(
+            init_params(extractor, int(rng.integers(1000))) if extractor else np.zeros(0)
+        ),
+        train_nll=0.0, validation_nll=0.0,
+    )
+
+
+class TestBatchedDistribution:
+    """One distribution over n subjects against the per-subject loop."""
+
+    N_SUBJECTS = 23
+
+    @pytest.mark.parametrize("family", list(TargetFamily))
+    @pytest.mark.parametrize("parameterization", list(Parameterization))
+    def test_matches_per_subject_loop(self, parameterization, family):
+        rng = np.random.default_rng(131)
+        model = _random_model(parameterization, family, rng)
+        x = rng.normal(size=(self.N_SUBJECTS, 3))
+        batch = conditional_distribution(model, x)
+        singles = [conditional_distribution(model, row) for row in x]
+
+        medians = batch.quantile(np.full(self.N_SUBJECTS, 0.5))
+        np.testing.assert_array_equal(medians, [d.quantile(0.5) for d in singles])
+
+        grid = np.exp(np.linspace(model.scaler.a_lo, model.scaler.b_hi, 200))
+        cdf = batch.cdf(np.broadcast_to(grid, (self.N_SUBJECTS, grid.size)))
+        np.testing.assert_allclose(cdf, [d.cdf(grid) for d in singles], rtol=0, atol=1e-15)
+
+        u = rng.uniform(0.001, 0.999, size=(self.N_SUBJECTS, 10))
+        np.testing.assert_allclose(
+            batch.quantile(u), [d.quantile(row) for d, row in zip(singles, u)], rtol=1e-11
+        )
+
+    def test_ensemble_median_matches_per_subject_loop(self):
+        from tramsurv.fit import EnsembleModel
+
+        rng = np.random.default_rng(137)
+        members = [
+            _random_model(Parameterization.BERNSTEIN_SHIFT_SCALE, TargetFamily.MEV, rng)
+            for _ in range(3)
+        ]
+        ensemble = EnsembleModel(members=members, member_validation_nlls=np.zeros(3))
+        x = rng.normal(size=(self.N_SUBJECTS, 3))
+        medians = ensemble.conditional_distribution(x).quantile(np.full(self.N_SUBJECTS, 0.5))
+        loop = [ensemble.conditional_distribution(row).quantile(0.5) for row in x]
+        np.testing.assert_array_equal(medians, loop)
+
+    def test_subject_slices_a_batch(self):
+        rng = np.random.default_rng(139)
+        model = _random_model(Parameterization.LINEAR_SCALE, TargetFamily.LOGISTIC, rng)
+        x = rng.normal(size=(4, 3))
+        t = np.geomspace(0.3, 10.0, 7)
+        batch = conditional_distribution(model, x)
+        for i in range(4):
+            np.testing.assert_array_equal(
+                batch.subject(i).log_pdf(t), conditional_distribution(model, x[i]).log_pdf(t)
+            )
+
+    @pytest.mark.parametrize("shape", [(2, 4, 3), (4, 2), (4, 4)])
+    def test_bad_covariate_shape_rejected(self, shape):
+        model = _random_model(Parameterization.LINEAR_SHIFT, TargetFamily.LOGISTIC,
+                              np.random.default_rng(141))
+        with pytest.raises(DimensionMismatch) as info:
+            conditional_distribution(model, np.zeros(shape))
+        assert info.value.code == "E_DIMENSION_MISMATCH"
+
+    def test_times_must_match_subjects(self):
+        model = _random_model(Parameterization.LINEAR_SHIFT, TargetFamily.LOGISTIC,
+                              np.random.default_rng(143))
+        batch = conditional_distribution(model, np.zeros((4, 3)))
+        with pytest.raises(DimensionMismatch):
+            batch.cdf(np.ones(3))
+        with pytest.raises(DimensionMismatch):
+            batch.quantile(0.5)
+
+
+class TestBisection:
+    def test_unbracketed_target_raises(self):
+        with pytest.raises(BisectionNonConvergence) as info:
+            _bisect_increasing(lambda u, rows: np.tanh(u), np.array([0.0, 2.0]), -1.0, 1.0)
+        assert info.value.code == "E_BISECTION_NON_CONVERGENCE"
+
+    def test_unconverged_bracket_raises(self):
+        # 1e300 wide around a root at 0 needs about 1000 halvings
+        with pytest.raises(BisectionNonConvergence):
+            _bisect_increasing(lambda u, rows: u, np.zeros(1), -1e300, 1e300)
+
+    def test_rows_solved_independently(self):
+        targets = np.array([-3.0, 0.1, 7.5])
+        alone = [_bisect_increasing(lambda u, rows: u**3, targets[i : i + 1], -1.0, 1.0)[0]
+                 for i in range(3)]
+        np.testing.assert_array_equal(
+            _bisect_increasing(lambda u, rows: u**3, targets, -1.0, 1.0), alone
+        )
