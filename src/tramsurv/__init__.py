@@ -28,7 +28,6 @@ from .fit import (
     EnsembleModel,
     ModelState,
     TrainConfig,
-    ensemble_cdf,
     fit,
     fit_ensemble,
     nll_batch,
@@ -60,7 +59,6 @@ __all__ = [
     "crps",
     "default_learning_rates",
     "deserialize_model",
-    "ensemble_cdf",
     "evaluate",
     "fit",
     "fit_ensemble",

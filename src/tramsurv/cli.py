@@ -14,7 +14,6 @@ INFO, WARNING).
 import argparse
 import csv
 import dataclasses
-from itertools import repeat
 import json
 import logging
 import os
@@ -288,17 +287,17 @@ def write_cdf_grid(model, dataset: SurvivalDataset, path):
     """
     scaler = model.scaler
     grid = np.exp(np.linspace(scaler.a_lo, scaler.b_hi, CDF_GRID_POINTS))
-    grid_text = [_format_value(t) for t in grid]
+    # The lines csv.writer would write, joined per subject: no field needs quoting.
+    time_fields = [f",{_format_value(t)}," for t in grid]
     x = dataset.covariate_matrix()
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["subject", "time", "cdf"])
+        handle.write("subject,time,cdf\r\n")
         for start in range(0, dataset.n, CDF_GRID_CHUNK):
             chunk = x[start : start + CDF_GRID_CHUNK]
             dist = conditional_distribution(model, chunk)
             values = dist.cdf(np.broadcast_to(grid, (chunk.shape[0], CDF_GRID_POINTS)))
             for i, row in enumerate(values.tolist(), start=start):
-                writer.writerows(zip(repeat(i), grid_text, map(_format_value, row)))
+                handle.write("".join([f"{i}{t}{v!r}\r\n" for t, v in zip(time_fields, row)]))
 
 
 # ---------------------------------------------------------------------------

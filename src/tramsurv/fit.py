@@ -448,8 +448,8 @@ class EnsembleDistribution:
             raise ValueError("ensemble distribution needs at least one member")
         self.members = members
 
-    def subject(self, i: int) -> "EnsembleDistribution":
-        """Single-subject mixture of row ``i`` of a batch."""
+    def subject(self, i) -> "EnsembleDistribution":
+        """Mixture of row ``i`` of a batch, or of the rows an index array ``i`` selects."""
         return EnsembleDistribution([m.subject(i) for m in self.members])
 
     def cdf(self, t):
@@ -497,11 +497,6 @@ class EnsembleDistribution:
         u = _bisect_increasing(mean_cdf_at_log_time, p_arr.ravel(), lo, hi)
         t = np.exp(u).reshape(p_arr.shape)
         return float(t[0]) if np.ndim(p) == 0 else t
-
-
-def ensemble_cdf(ensemble: EnsembleModel, x, t):
-    """Pointwise mean of member conditional CDFs."""
-    return ensemble.conditional_distribution(x).cdf(t)
 
 
 def _bootstrap_indices(rng, events: np.ndarray, n: int) -> np.ndarray:

@@ -21,6 +21,8 @@ from .fit import EnsembleModel, censored_nll
 from .quadrature import simpson_doubling
 from .transform import conditional_distribution
 
+SCORE_SLICE = 64  # subjects per CRPS call in evaluate
+
 
 def concordance_counts(times, events, risks) -> tuple[float, int]:
     """Harrell's concordance numerator and the number of comparable pairs.
@@ -73,7 +75,7 @@ def log_score(dist, obs) -> float:
     return censored_nll(dist, obs)
 
 
-def crps(dist, t: float, event: bool, t_max: float) -> float:
+def crps(dist, t, event, t_max: float):
     """Censoring-adjusted continuous ranked probability score.
 
     Integrates the squared CDF over (0, t) plus, for exact observations, the
@@ -85,24 +87,30 @@ def crps(dist, t: float, event: bool, t_max: float) -> float:
     Parameters
     ----------
     dist
-        Predicted distribution exposing vectorized ``cdf`` and ``survivor``.
-    t : float
-        Observed (or censoring) time; must not exceed ``t_max``.
-    event : bool
+        Predicted distribution exposing vectorized ``cdf`` and ``survivor``;
+        for arrays ``t`` and ``event``, a batch with one subject per entry
+        that also exposes ``subject(rows)``.
+    t : float or array
+        Observed (or censoring) times; none may exceed ``t_max``.  A scalar
+        gives a float, an array one score per entry.
+    event : bool or array
         True for an exact observation, False for right-censored.
     t_max : float
         Upper integration limit.
     """
-    if not t > 0.0:
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(times > 0.0):
         raise ValueError("CRPS requires a positive observation time")
-    if t > t_max:
-        raise ValueError(f"observation time {t} exceeds the integration limit {t_max}")
-    score = simpson_doubling(lambda u: np.square(dist.cdf(u)), 0.0, np.nextafter(t, 0.0))
-    if event:
-        score += simpson_doubling(
-            lambda u: np.square(dist.survivor(u)), np.nextafter(t, np.inf), t_max
-        )
-    return score
+    if np.any(times > t_max):
+        raise ValueError(f"observation time {times.max()} exceeds the integration limit {t_max}")
+    at = (lambda rows: dist) if np.ndim(t) == 0 else dist.subject
+    score = simpson_doubling(lambda u, rows: np.square(at(rows).cdf(u)),
+                             np.zeros_like(times), np.nextafter(times, 0.0))
+    # censored entries get an empty upper range, which integrates to 0.0
+    above = np.nextafter(times, np.inf)
+    score += simpson_doubling(lambda u, rows: np.square(at(rows).survivor(u)),
+                              above, np.where(event, t_max, above))
+    return float(score[0]) if np.ndim(t) == 0 else score
 
 
 @dataclass
@@ -155,19 +163,19 @@ def evaluate(model, dataset: SurvivalDataset, t_max: float | None = None) -> Eva
         batch = model.conditional_distribution(dataset.covariate_matrix())
     else:
         batch = conditional_distribution(model, dataset.covariate_matrix())
-    per_subject = []
-    for i, obs in enumerate(dataset.observations):
-        dist = batch.subject(i)
-        nll = log_score(dist, obs)
-        subject_crps = crps(dist, obs.time_lower, bool(obs.event), t_max)
-        per_subject.append(SubjectScore(nll=nll, crps=subject_crps))
+    nll = np.empty(dataset.n)
+    nll[events] = -batch.subject(events).log_pdf(times[events])
+    nll[~events] = -batch.subject(~events).log_survivor(times[~events])
+    # Slices bound the work done before a subject whose CRPS fails is reached.
+    slices = np.array_split(np.arange(dataset.n), range(SCORE_SLICE, dataset.n, SCORE_SLICE))
+    scores = np.concatenate([crps(batch.subject(r), times[r], events[r], t_max) for r in slices])
     risks = -batch.quantile(np.full(dataset.n, 0.5))
 
     numerator, pairs = concordance_counts(times, events, risks)
     return EvaluationReport(
-        per_subject=per_subject,
-        mean_nll=float(np.mean([s.nll for s in per_subject])),
-        mean_crps=float(np.mean([s.crps for s in per_subject])),
+        per_subject=list(map(SubjectScore, nll.tolist(), scores.tolist())),
+        mean_nll=float(np.mean(nll)),
+        mean_crps=float(np.mean(scores)),
         c_index=numerator / pairs if pairs else None,
         n_subjects=dataset.n,
         n_comparable_pairs=pairs,

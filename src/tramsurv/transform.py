@@ -391,8 +391,8 @@ class ConditionalDistribution:
             return None
         return self.features.shape[0]
 
-    def subject(self, i: int) -> "ConditionalDistribution":
-        """Single-subject distribution of row ``i`` of a batch."""
+    def subject(self, i) -> "ConditionalDistribution":
+        """Row ``i`` of a batch, or the batch of the rows an index array ``i`` selects."""
         features = self.features if self.n_subjects is None else self.features[i]
         return ConditionalDistribution(self.spec, self.head, features, self.scaler)
 

@@ -1,10 +1,26 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from tramsurv.cli import main, parse_dataset_csv, write_dataset_csv
-from tramsurv.core import CensoringKind, Observation, SurvivalDataset
+from tramsurv.basis import LogTimeScaler
+from tramsurv.cli import (
+    CDF_GRID_CHUNK,
+    CDF_GRID_POINTS,
+    main,
+    parse_dataset_csv,
+    write_cdf_grid,
+    write_dataset_csv,
+)
+from tramsurv.core import (
+    CensoringKind,
+    FittedModel,
+    ModelSpec,
+    Observation,
+    Parameterization,
+    SurvivalDataset,
+)
 from tramsurv.errors import (
     BadConfig,
     BadStatusValue,
@@ -12,6 +28,9 @@ from tramsurv.errors import (
     MissingColumn,
     NonNumericCovariate,
 )
+from tramsurv.feature import ExtractorSpec, init_params
+from tramsurv.target import TargetFamily
+from tramsurv.transform import conditional_distribution, head_size, init_head
 
 
 def _write(path, text):
@@ -95,6 +114,39 @@ class TestParseDatasetCsv:
         write_dataset_csv(ds, str(p1))
         write_dataset_csv(parse_dataset_csv(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestWriteCdfGrid:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(907)
+        spec = ModelSpec(
+            family=TargetFamily.LOGISTIC, parameterization=Parameterization.BERNSTEIN_SHIFT,
+            bernstein_order=4, extractor=ExtractorSpec(input_dim=2, hidden_dims=(4,), output_dim=2),
+        )
+        model = FittedModel(
+            spec=spec, scaler=LogTimeScaler(np.log(0.1), np.log(20.0)),
+            head_params=init_head(spec) + 0.3 * rng.normal(size=head_size(spec)),
+            extractor_params=init_params(spec.extractor, 5),
+            train_nll=0.0, validation_nll=0.0,
+        )
+        n = 130
+        assert n % CDF_GRID_CHUNK  # the last chunk is partial
+        x = rng.normal(size=(n, 2))
+        write_cdf_grid(model, SurvivalDataset([Observation.exact(1.0, row) for row in x]),
+                       tmp_path / "grid.csv")
+
+        grid = np.exp(np.linspace(model.scaler.a_lo, model.scaler.b_hi, CDF_GRID_POINTS))
+        with open(tmp_path / "reference.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["subject", "time", "cdf"])
+            for start in range(0, n, CDF_GRID_CHUNK):
+                chunk = x[start : start + CDF_GRID_CHUNK]
+                values = conditional_distribution(model, chunk).cdf(
+                    np.broadcast_to(grid, (chunk.shape[0], CDF_GRID_POINTS))
+                )
+                for i, row in enumerate(values, start=start):
+                    writer.writerows([i, repr(float(t)), repr(float(v))] for t, v in zip(grid, row))
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 @pytest.fixture

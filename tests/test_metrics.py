@@ -14,8 +14,8 @@ from tramsurv.errors import (
     QuadratureNonConvergence,
     UnsupportedCensoringKind,
 )
-from tramsurv.feature import ExtractorSpec, identity_params
-from tramsurv.fit import nll_observation
+from tramsurv.feature import ExtractorSpec, identity_params, init_params
+from tramsurv.fit import EnsembleModel, nll_observation
 from tramsurv.metrics import (
     EvaluationReport,
     c_index,
@@ -26,7 +26,7 @@ from tramsurv.metrics import (
 )
 from tramsurv.numerics import softplus_inv
 from tramsurv.target import TargetFamily
-from tramsurv.transform import conditional_distribution
+from tramsurv.transform import conditional_distribution, head_size, init_head
 
 
 class TestCIndex:
@@ -338,3 +338,78 @@ class TestPropriety:
             if score_true <= score_wrong:
                 wins += 1
         assert wins >= 15
+
+
+def _random_model(parameterization, family, rng, p=3, order=4):
+    """A model with perturbed head and a one-hidden-layer extractor."""
+    extractor = None
+    if parameterization != Parameterization.BASELINE:
+        d = order + 1 if parameterization == Parameterization.BERNSTEIN_FLEXIBLE else 2
+        extractor = ExtractorSpec(input_dim=p, hidden_dims=(5,), output_dim=d)
+    spec = ModelSpec(
+        family=family, parameterization=parameterization, bernstein_order=order,
+        extractor=extractor,
+    )
+    return FittedModel(
+        spec=spec, scaler=LogTimeScaler(np.log(0.2), np.log(12.0)),
+        head_params=init_head(spec) + 0.3 * rng.normal(size=head_size(spec)),
+        extractor_params=(
+            init_params(extractor, int(rng.integers(1000))) if extractor else np.zeros(0)
+        ),
+        train_nll=0.0, validation_nll=0.0,
+    )
+
+
+def _per_subject_reference(model, dataset):
+    """The per-subject scoring loop: log_score and scalar crps, one subject at a time."""
+    x = dataset.covariate_matrix()
+    if isinstance(model, EnsembleModel):
+        batch, scaler = model.conditional_distribution(x), model.members[0].scaler
+    else:
+        batch, scaler = conditional_distribution(model, x), model.scaler
+    times = dataset.times_lower()
+    t_max = max(np.exp(scaler.b_hi), float(np.max(times)))
+    nll, scores, risks = [], [], []
+    for i, obs in enumerate(dataset.observations):
+        dist = batch.subject(i)
+        nll.append(log_score(dist, obs))
+        scores.append(crps(dist, obs.time_lower, bool(obs.event), t_max))
+        risks.append(-dist.quantile(0.5))
+    return np.array(nll), np.array(scores), concordance_counts(
+        times, dataset.event_indicator().astype(bool), np.array(risks)
+    )
+
+
+class TestBatchedScoring:
+    """evaluate's sliced scoring against the per-subject loop."""
+
+    N_SUBJECTS = 130  # crosses two slice boundaries, the last slice partial
+
+    def _check(self, model, rng):
+        x = rng.normal(size=(self.N_SUBJECTS, 3))
+        times = rng.uniform(0.3, 10.0, self.N_SUBJECTS)
+        exact = rng.random(self.N_SUBJECTS) < 0.7
+        dataset = SurvivalDataset([
+            (Observation.exact if e else Observation.right_censored)(float(t), row)
+            for t, e, row in zip(times, exact, x)
+        ])
+        report = evaluate(model, dataset)
+        nll, scores, (numerator, pairs) = _per_subject_reference(model, dataset)
+        np.testing.assert_allclose([s.nll for s in report.per_subject], nll, rtol=1e-14)
+        np.testing.assert_allclose([s.crps for s in report.per_subject], scores, rtol=1e-12)
+        assert report.c_index == numerator / pairs
+        assert report.n_comparable_pairs == pairs
+
+    @pytest.mark.parametrize("family", list(TargetFamily))
+    @pytest.mark.parametrize("parameterization", list(Parameterization))
+    def test_matches_per_subject_loop(self, parameterization, family):
+        rng = np.random.default_rng(151)
+        self._check(_random_model(parameterization, family, rng), rng)
+
+    def test_ensemble_matches_per_subject_loop(self):
+        rng = np.random.default_rng(157)
+        members = [
+            _random_model(Parameterization.BERNSTEIN_SHIFT_SCALE, TargetFamily.MEV, rng)
+            for _ in range(3)
+        ]
+        self._check(EnsembleModel(members=members, member_validation_nlls=np.zeros(3)), rng)
