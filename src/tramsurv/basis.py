@@ -30,19 +30,13 @@ class LogTimeScaler:
     def scale(self, u):
         return (np.asarray(u, dtype=float) - self.a_lo) / self.span
 
-    def scale_time(self, t):
-        return self.scale(np.log(t))
 
-
-def fit_scaler(dataset, margin: float = 0.0) -> LogTimeScaler:
+def fit_scaler(dataset) -> LogTimeScaler:
     """Fit the log-time scaler to the finite observation times of a dataset.
 
-    The range is [min log t, max log t] widened on both sides by
-    ``margin * range``.  A degenerate range (all times identical) is resolved
-    by widening to +-0.5 around the common value.
+    The range is [min log t, max log t].  A degenerate range (all times
+    identical) is resolved by widening to +-0.5 around the common value.
     """
-    if margin < 0.0:
-        raise ValueError("margin must be non-negative")
     logs = []
     for obs in dataset.observations:
         logs.append(math.log(obs.time_lower))
@@ -51,8 +45,7 @@ def fit_scaler(dataset, margin: float = 0.0) -> LogTimeScaler:
     lo, hi = min(logs), max(logs)
     if hi == lo:
         return LogTimeScaler(a_lo=lo - 0.5, b_hi=hi + 0.5)
-    width = hi - lo
-    return LogTimeScaler(a_lo=lo - margin * width, b_hi=hi + margin * width)
+    return LogTimeScaler(a_lo=lo, b_hi=hi)
 
 
 def _basis_matrix(order: int, u: np.ndarray) -> np.ndarray:
@@ -63,18 +56,6 @@ def _basis_matrix(order: int, u: np.ndarray) -> np.ndarray:
     return coef * u**k * (1.0 - u) ** (order - k)
 
 
-def bernstein_eval(order: int, u) -> np.ndarray:
-    """Evaluate the Bernstein basis of the given order at u in [0, 1].
-
-    Returns an array with a trailing axis of length ``order + 1``.  The basis
-    is non-negative on [0, 1] and sums to one.
-    """
-    if order < 1:
-        raise InvalidOrder(f"Bernstein order must be >= 1, got {order}")
-    u = np.asarray(u, dtype=float)
-    return _basis_matrix(order, u)
-
-
 def _deriv_vectors(order: int, u: np.ndarray) -> np.ndarray:
     """Coefficient vectors c(u) with d/du [b(u)^T theta] = c(u)^T theta."""
     lower = _basis_matrix(order - 1, u)
@@ -82,22 +63,6 @@ def _deriv_vectors(order: int, u: np.ndarray) -> np.ndarray:
     out[..., 1:] += order * lower
     out[..., :-1] -= order * lower
     return out
-
-
-def bernstein_deriv(order: int, u, theta) -> np.ndarray:
-    """Derivative of b(u)^T theta with respect to u.
-
-    Uses the degree-lowering identity: the derivative is ``order`` times a
-    Bernstein expansion of the forward differences of theta in the basis of
-    order - 1.
-    """
-    if order < 1:
-        raise InvalidOrder(f"Bernstein order must be >= 1, got {order}")
-    u = np.asarray(u, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    diffs = theta[..., 1:] - theta[..., :-1]
-    lower = _basis_matrix(order - 1, u)
-    return order * np.sum(lower * diffs, axis=-1)
 
 
 def bernstein_vectors(order: int, u) -> tuple[np.ndarray, np.ndarray]:

@@ -20,6 +20,7 @@ import numpy as np
 from .basis import LogTimeScaler
 from .errors import (
     AllCensored,
+    DimensionMismatch,
     EmptyDataset,
     InvertedInterval,
     MalformedArtifact,
@@ -213,6 +214,17 @@ class ModelSpec:
             object.__setattr__(self, "lr_head", lr_head)
         if self.lr_extractor <= 0.0 or self.lr_head <= 0.0:
             raise ValueError("learning rates must be positive")
+        if self.uses_extractor and self.extractor is None:
+            raise DimensionMismatch(
+                f"parameterization {self.parameterization.value} requires an extractor spec"
+            )
+        if (
+            self.parameterization == Parameterization.BERNSTEIN_FLEXIBLE
+            and self.extractor.output_dim != self.bernstein_order + 1
+        ):
+            raise DimensionMismatch(
+                "flexible parameterization needs extractor output of dimension order + 1"
+            )
 
     @property
     def uses_extractor(self) -> bool:

@@ -1,11 +1,13 @@
 """Censoring-aware likelihood, SGD training, and deep ensembles.
 
-The negative log-likelihood sums one term per observation according to its
-censoring kind: exact times contribute the log-density of the transformed
-value plus the log-derivative of the transformation, right-censored times the
-log-survivor, left-censored times the log-CDF, and interval-censored times
-the log of the CDF difference across the interval (clamped when the mass
-underflows).
+The likelihood gives one negative log-likelihood term per observation,
+according to its censoring kind: exact times contribute the log-density of
+the transformed value plus the log-derivative of the transformation,
+right-censored times the log-survivor, left-censored times the log-CDF, and
+interval-censored times the log of the CDF difference across the interval
+(clamped when the mass underflows).  Training sums the terms, and
+``nll_observation`` is its one-row case; the exact-row term is the same
+expression as the conditional log-density that scoring reads.
 
 Training is plain minibatch SGD with separate learning rates for the
 transformation head and the feature extractor, gradient clipping at a global
@@ -27,7 +29,6 @@ from .core import (
     CensoringKind,
     FittedModel,
     ModelSpec,
-    Parameterization,
     SurvivalDataset,
     validate_dataset,
 )
@@ -36,6 +37,7 @@ from .errors import (
     DegenerateIntervalWarning,
     DimensionMismatch,
     NonFiniteLoss,
+    NonPositiveTime,
     ProbabilityOutOfRange,
 )
 from .numerics import logsumexp
@@ -44,11 +46,10 @@ from .transform import (
     _leading_index,
     conditional_distribution,
     eval_transform,
-    grad_transform,
     head_from_flat,
-    head_size,
     head_to_flat,
     init_head,
+    transformed_log_pdf,
 )
 
 logger = logging.getLogger(__name__)
@@ -155,56 +156,33 @@ def _interval_mass(family, h_lower, h_upper):
 
 
 def _nll_core(state: ModelState, st: _Stacked, want_grad: bool):
-    """Summed NLL over a stacked batch, optionally with its full gradient."""
+    """Per-row NLL terms of a stacked batch, optionally with the gradient of their sum.
+
+    One transformation call covers every row at its lower time; interval rows
+    take a second at their upper time.
+    """
+    if not np.all(st.t_lower > 0.0):
+        raise NonPositiveTime("observation times must be positive")
     spec = state.spec
     fam = spec.family
     head = head_from_flat(spec, state.head_params)
     if spec.uses_extractor:
         feats, tape = feature.forward(spec.extractor, state.extractor_params, st.x)
-        d_feats = np.zeros_like(feats) if want_grad else None
     else:
-        feats = tape = d_feats = None
-    nll = 0.0
-    head_grad = np.zeros(head_size(spec)) if want_grad else None
-
-    def feats_at(idx):
-        return None if feats is None else feats[idx]
-
-    def backprop(idx, t, up_h, up_dhdt):
-        g, dfg = grad_transform(spec, head, feats_at(idx), t, state.scaler, up_h, up_dhdt)
-        np.add(head_grad, head_to_flat(spec, g), out=head_grad)
-        if d_feats is not None:
-            d_feats[idx] += dfg
-
-    exact = np.nonzero(st.kind == 0)[0]
-    if exact.size:
-        t = st.t_lower[exact]
-        h, dh_dt = eval_transform(spec, head, feats_at(exact), t, state.scaler)
-        nll -= float(np.sum(target.log_density(fam, h)) + np.sum(np.log(dh_dt)))
-        if want_grad:
-            backprop(exact, t, -target.log_density_dz(fam, h), -1.0 / dh_dt)
-
-    right = np.nonzero(st.kind == 1)[0]
-    if right.size:
-        t = st.t_lower[right]
-        h, _ = eval_transform(spec, head, feats_at(right), t, state.scaler)
-        nll -= float(np.sum(target.log_survivor(fam, h)))
-        if want_grad:
-            backprop(right, t, target.neg_log_survivor_dz(fam, h), 0.0)
-
-    left = np.nonzero(st.kind == 2)[0]
-    if left.size:
-        t = st.t_lower[left]
-        h, _ = eval_transform(spec, head, feats_at(left), t, state.scaler)
-        nll -= float(np.sum(target.log_cdf(fam, h)))
-        if want_grad:
-            backprop(left, t, target.neg_log_cdf_dz(fam, h), 0.0)
-
-    interval = np.nonzero(st.kind == 3)[0]
-    if interval.size:
-        t_lo, t_hi = st.t_lower[interval], st.t_upper[interval]
-        h_lo, _ = eval_transform(spec, head, feats_at(interval), t_lo, state.scaler)
-        h_hi, _ = eval_transform(spec, head, feats_at(interval), t_hi, state.scaler)
+        feats = tape = None
+    exact, right, left, interval = (st.kind == code for code in range(4))
+    log_t = np.log(st.t_lower)
+    h, dh, pullback = eval_transform(spec, head, feats, log_t, state.scaler)
+    terms = np.empty(st.n)
+    terms[exact] = -transformed_log_pdf(fam, h[exact], dh[exact], log_t[exact])
+    terms[right] = -target.log_survivor(fam, h[right])
+    terms[left] = -target.log_cdf(fam, h[left])
+    if interval.any():
+        h_lo = h[interval]
+        h_hi, _, pullback_hi = eval_transform(
+            spec, head, None if feats is None else feats[interval],
+            np.log(st.t_upper[interval]), state.scaler,
+        )
         mass = _interval_mass(fam, h_lo, h_hi)
         degenerate = mass < INTERVAL_MASS_FLOOR
         if np.any(degenerate):
@@ -214,85 +192,47 @@ def _nll_core(state: ModelState, st: _Stacked, want_grad: bool):
                 DegenerateIntervalWarning,
                 stacklevel=3,
             )
-        nll += float(np.sum(-np.log(np.maximum(mass, INTERVAL_MASS_FLOOR))))
-        if want_grad:
-            inv = np.where(mass >= INTERVAL_MASS_FLOOR, 1.0 / np.maximum(mass, INTERVAL_MASS_FLOOR), 0.0)
-            backprop(interval, t_lo, target.density(fam, h_lo) * inv, 0.0)
-            backprop(interval, t_hi, -target.density(fam, h_hi) * inv, 0.0)
-
+        terms[interval] = -np.log(np.maximum(mass, INTERVAL_MASS_FLOOR))
     if not want_grad:
-        return nll, None
+        return terms, None
+
+    up_h, up_dh = np.zeros(st.n), np.zeros(st.n)
+    up_h[exact] = -target.log_density_dz(fam, h[exact])
+    up_dh[exact] = -1.0 / dh[exact]
+    up_h[right] = target.neg_log_survivor_dz(fam, h[right])
+    up_h[left] = target.neg_log_cdf_dz(fam, h[left])
+    if interval.any():
+        inv = np.where(degenerate, 0.0, 1.0 / np.maximum(mass, INTERVAL_MASS_FLOOR))
+        up_h[interval] = target.density(fam, h_lo) * inv
+    grad, d_feats = pullback(up_h, up_dh)
+    head_grad = head_to_flat(spec, grad)
+    if interval.any():
+        grad_hi, d_feats_hi = pullback_hi(-target.density(fam, h_hi) * inv, 0.0)
+        head_grad += head_to_flat(spec, grad_hi)
+        d_feats[interval] += d_feats_hi
     if spec.uses_extractor:
         ext_grad, _ = feature.backward(spec.extractor, state.extractor_params, tape, d_feats)
     else:
         ext_grad = np.zeros(0)
-    return nll, np.concatenate([head_grad, ext_grad])
+    return terms, np.concatenate([head_grad, ext_grad])
 
 
 def nll_batch(state: ModelState, observations) -> tuple[float, np.ndarray]:
     """Summed NLL of a batch and its gradient w.r.t. (head, extractor) parameters."""
-    nll, grad = _nll_core(state, _Stacked.from_observations(observations), want_grad=True)
-    return nll, grad
+    terms, grad = _nll_core(state, _Stacked.from_observations(observations), want_grad=True)
+    return float(np.sum(terms)), grad
 
 
-def censored_nll(dist, obs) -> float:
-    """NLL contribution of one observation under a conditional distribution.
-
-    This is the single source of truth shared by training-time evaluation and
-    the log-score.  Interval censoring needs a distribution exposing
-    ``transform`` (single-model distributions do).
-    """
-    kind = obs.censoring
-    if kind == CensoringKind.EXACT:
-        return float(-dist.log_pdf(obs.time_lower))
-    if kind == CensoringKind.RIGHT:
-        return float(-dist.log_survivor(obs.time_lower))
-    if kind == CensoringKind.LEFT:
-        return float(-dist.log_cdf(obs.time_lower))
-    h_lo, _ = dist.transform(obs.time_lower)
-    h_hi, _ = dist.transform(obs.time_upper)
-    mass = _interval_mass(dist.spec.family, h_lo, h_hi)
-    if np.any(mass < INTERVAL_MASS_FLOOR):
-        warnings.warn(
-            "interval observation carries no probability mass; clamped",
-            DegenerateIntervalWarning,
-            stacklevel=2,
-        )
-    return float(np.sum(-np.log(np.maximum(mass, INTERVAL_MASS_FLOOR))))
+def nll_observation(state: ModelState, obs) -> float:
+    """NLL of one observation: the one-row case of the training likelihood."""
+    terms, _ = _nll_core(state, _Stacked.from_observations([obs]), want_grad=False)
+    return float(terms[0])
 
 
-def nll_observation(model, obs) -> float:
-    """Per-observation NLL of a fitted model (or training state)."""
-    if isinstance(model, ModelState):
-        model = FittedModel(
-            spec=model.spec,
-            scaler=model.scaler,
-            head_params=model.head_params,
-            extractor_params=model.extractor_params,
-            train_nll=0.0,
-            validation_nll=0.0,
-        )
-    dist = conditional_distribution(model, obs.covariates)
-    return censored_nll(dist, obs)
-
-
-def _check_spec_shapes(spec: ModelSpec, p: int):
-    if not spec.uses_extractor:
-        return
-    if spec.extractor is None:
-        raise DimensionMismatch(
-            f"parameterization {spec.parameterization.value} requires an extractor spec"
-        )
-    if spec.extractor.input_dim != p:
+def _check_input_dim(spec: ModelSpec, p: int):
+    if spec.uses_extractor and spec.extractor.input_dim != p:
         raise DimensionMismatch(
             f"extractor expects {spec.extractor.input_dim} covariates, dataset has {p}"
-        )
-    if (
-        spec.parameterization == Parameterization.BERNSTEIN_FLEXIBLE
-        and spec.extractor.output_dim != spec.bernstein_order + 1
-    ):
-        raise DimensionMismatch(
-            "flexible parameterization needs extractor output of dimension order + 1"
         )
 
 
@@ -324,8 +264,8 @@ def _run_sgd(
         clipped = 0
         for start in range(0, train_st.n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            nll, grad = _nll_core(state, train_st.take(idx), want_grad=True)
-            if not np.isfinite(nll):
+            terms, grad = _nll_core(state, train_st.take(idx), want_grad=True)
+            if not np.isfinite(np.sum(terms)):
                 raise NonFiniteLoss(f"non-finite loss in epoch {epoch}")
             g = grad / idx.size
             norm = float(np.linalg.norm(g))
@@ -335,8 +275,8 @@ def _run_sgd(
                 clipped += 1
             state.head_params = state.head_params - config.lr_head * g[:n_head]
             state.extractor_params = state.extractor_params - config.lr_extractor * g[n_head:]
-        train_nll = _nll_core(state, train_st, want_grad=False)[0] / train_st.n
-        val_nll = _nll_core(state, val_st, want_grad=False)[0] / val_st.n
+        train_nll = np.sum(_nll_core(state, train_st, want_grad=False)[0]) / train_st.n
+        val_nll = np.sum(_nll_core(state, val_st, want_grad=False)[0]) / val_st.n
         if not (np.isfinite(train_nll) and np.isfinite(val_nll)):
             raise NonFiniteLoss(f"non-finite loss in epoch {epoch}")
         stats = EpochStats(epoch, train_nll, val_nll, float(np.mean(norms)), clipped)
@@ -360,7 +300,7 @@ def _run_sgd(
     # The recorded train NLL covers the whole fitting dataset at the returned
     # parameters, so re-evaluating that dataset reproduces it exactly.
     record = train_st if record_st is None else record_st
-    train_nll = _nll_core(best_state, record, want_grad=False)[0] / record.n
+    train_nll = np.sum(_nll_core(best_state, record, want_grad=False)[0]) / record.n
     return FittedModel(
         spec=spec,
         scaler=scaler,
@@ -395,7 +335,7 @@ def fit(
         Called with an :class:`EpochStats` after every epoch.
     """
     validate_dataset(dataset, for_fitting=True)
-    _check_spec_shapes(spec, dataset.p)
+    _check_input_dim(spec, dataset.p)
     if config is None:
         config = TrainConfig.from_model_spec(spec)
     if scaler is None:
@@ -543,7 +483,7 @@ def fit_ensemble(
     if not 1 <= top_m <= n_members:
         raise ValueError("need 1 <= top_m <= n_members")
     validate_dataset(dataset, for_fitting=True)
-    _check_spec_shapes(spec, dataset.p)
+    _check_input_dim(spec, dataset.p)
     if config is None:
         config = TrainConfig.from_model_spec(spec)
     scaler = fit_scaler(dataset)

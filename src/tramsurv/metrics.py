@@ -1,6 +1,7 @@
 """Evaluation of fitted models: concordance, log-score, and survival CRPS.
 
-The log-score re-exports the training likelihood term, so model comparison by
+The log-score reads the training likelihood term of exact and right-censored
+observations from the predicted distribution, so model comparison by
 log-score and by held-out NLL are the same thing.  The CRPS follows the
 censoring-adjusted form: the squared CDF below the observed time always
 counts; the squared survivor above it counts only for exact observations.
@@ -17,7 +18,7 @@ from .errors import (
     NoComparablePairs,
     UnsupportedCensoringKind,
 )
-from .fit import EnsembleModel, censored_nll
+from .fit import EnsembleModel
 from .quadrature import simpson_doubling
 from .transform import conditional_distribution
 
@@ -65,14 +66,16 @@ def c_index(times, events, risks) -> float:
 def log_score(dist, obs) -> float:
     """Negative log-likelihood score of a predicted distribution at one observation.
 
-    Identical to the training NLL term; defined for exact and right-censored
-    observations only.
+    ``-log_pdf`` at an exact time, ``-log_survivor`` at a right-censored one:
+    the training NLL terms of those kinds.  Other kinds are rejected.
     """
-    if obs.censoring not in (CensoringKind.EXACT, CensoringKind.RIGHT):
-        raise UnsupportedCensoringKind(
-            f"log-score is undefined for {obs.censoring.value}-censored observations"
-        )
-    return censored_nll(dist, obs)
+    if obs.censoring == CensoringKind.EXACT:
+        return float(-dist.log_pdf(obs.time_lower))
+    if obs.censoring == CensoringKind.RIGHT:
+        return float(-dist.log_survivor(obs.time_lower))
+    raise UnsupportedCensoringKind(
+        f"log-score is undefined for {obs.censoring.value}-censored observations"
+    )
 
 
 def crps(dist, t, event, t_max: float):

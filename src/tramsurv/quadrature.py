@@ -9,27 +9,6 @@ from .errors import QuadratureNonConvergence
 MAX_NODES_PER_CALL = 2**13
 
 
-def simpson(fn, a: float, b: float, panels: int) -> float:
-    """Composite Simpson estimate of the integral of fn over [a, b]."""
-    if panels < 2 or panels % 2:
-        raise ValueError("Simpson's rule needs an even number of panels")
-    if b <= a:
-        return 0.0
-    nodes = np.linspace(a, b, panels + 1)
-    values = np.asarray(fn(nodes), dtype=float)
-    h = (b - a) / panels
-    return (
-        h
-        / 3.0
-        * float(
-            values[0]
-            + values[-1]
-            + 4.0 * np.sum(values[1:-1:2])
-            + 2.0 * np.sum(values[2:-1:2])
-        )
-    )
-
-
 def _grid_values(fn, rows, a, h, offsets, b=None):
     """Yield ``(part, fn at a + h * offsets)`` for groups ``part`` of rows, last nodes on ``b``."""
     per_call = max(1, MAX_NODES_PER_CALL // offsets.size)

@@ -7,13 +7,18 @@ enter through extractor features, either as an additive shift, a positive
 scale, or (for the flexible variant) as the Bernstein coefficients
 themselves.
 
-``eval_transform``/``grad_transform`` are the two halves of a hand-written
-reverse-mode pass: the gradient call chains upstream sensitivities of h and
-dh/dt into head-parameter gradients and feature sensitivities, the latter to
-be fed to the extractor's backward pass.
+``eval_transform`` is the one place the parameterizations are written out.
+It works in log-time, where the Bernstein part lives and where the quantile
+bisection can expand its bracket without overflow, and returns h, dh/dlog t
+and their pullback: a hand-written reverse-mode step that reuses the
+forward's basis rows to turn upstream sensitivities of (h, dh/dlog t) into
+head-parameter gradients and per-row feature sensitivities, the latter to be
+fed to the extractor's backward pass.  The density follows from the chain
+rule, log f(t | x) = log f_Z(h) + log(dh/dlog t) - log t.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,8 +33,6 @@ from .core import FittedModel, ModelSpec, Parameterization
 from .errors import (
     BisectionNonConvergence,
     DimensionMismatch,
-    NonPositiveTime,
-    ProbabilityOutOfRange,
 )
 from .numerics import sigmoid, softplus, softplus_inv
 
@@ -118,189 +121,110 @@ def init_head(spec: ModelSpec) -> np.ndarray:
     return head_to_flat(spec, head)
 
 
-def _check_times(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise NonPositiveTime("transformation times must be positive")
-    return t
-
-
-def _features_2d(features, t: np.ndarray) -> np.ndarray:
+def _features_2d(features, log_t: np.ndarray) -> np.ndarray:
     """Broadcast features against times: one subject at many times, or rowwise."""
     f = np.asarray(features, dtype=float)
     if f.ndim == 1:
-        return np.broadcast_to(f, (t.shape[0], f.shape[0]))
-    if f.shape[0] != t.shape[0]:
+        return np.broadcast_to(f, (log_t.shape[0], f.shape[0]))
+    if f.shape[0] != log_t.shape[0]:
         raise DimensionMismatch(
-            f"{f.shape[0]} feature rows for {t.shape[0]} times"
+            f"{f.shape[0]} feature rows for {log_t.shape[0]} times"
         )
     return f
 
 
-def eval_transform(
-    spec: ModelSpec,
-    head: HeadParams,
-    features,
-    t,
-    scaler: LogTimeScaler,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate h(t | x) and its time derivative dh/dt.
+def eval_transform(spec: ModelSpec, head: HeadParams, features, log_t, scaler: LogTimeScaler):
+    """h(t | x) and dh/dlog t at log-times ``log_t``, with their pullback.
 
     ``features`` may be a single vector (evaluated at every time) or a matrix
-    matched row by row against ``t``; the baseline parameterization ignores
-    it.  Returns arrays shaped like ``t``.
+    matched row by row against ``log_t``; the baseline parameterization
+    ignores it.  Returns ``(h, dh_dlog_t, pullback)``, the first two shaped
+    like ``log_t``.  ``pullback(upstream_h, upstream_dh)`` chains upstream
+    sensitivities of h and dh/dlog t into head gradients (summed over rows,
+    in a :class:`HeadParams`) and per-row feature sensitivities for the
+    extractor's backward pass; it reuses the basis rows of this call.
     """
-    t = _check_times(np.atleast_1d(t))
+    log_t = np.atleast_1d(np.asarray(log_t, dtype=float))
     p = spec.parameterization
-    log_t = np.log(t)
+    f = None if p == Parameterization.BASELINE else _features_2d(features, log_t)
 
     if p == Parameterization.LINEAR_SHIFT:
-        f = _features_2d(features, t)
         b = softplus(head.b_raw)
-        h = head.a + b * log_t + f @ head.w
-        return h, np.full_like(t, b) / t
+
+        def vjp(uh, ud):
+            grad = HeadParams(a=float(np.sum(uh)), w=f.T @ uh)
+            grad.b_raw = float(sigmoid(head.b_raw) * np.sum(uh * log_t + ud))
+            return grad, np.outer(uh, head.w)
+
+        return head.a + b * log_t + f @ head.w, np.full_like(log_t, b), _pullback(vjp, log_t)
 
     if p == Parameterization.LINEAR_SCALE:
-        f = _features_2d(features, t)
-        c = softplus(f @ head.w)
-        return head.a + c * log_t, c / t
-
-    u = scaler.scale(log_t)
-    basis_v, deriv_v = bernstein_vectors(spec.bernstein_order, u)
-    du_dt = 1.0 / (scaler.span * t)
-
-    if p == Parameterization.BASELINE:
-        theta = monotone_reparam(head.gamma)
-        return basis_v @ theta, (deriv_v @ theta) * du_dt
-
-    if p == Parameterization.BERNSTEIN_SHIFT:
-        f = _features_2d(features, t)
-        theta = monotone_reparam(head.gamma)
-        return basis_v @ theta + f @ head.w, (deriv_v @ theta) * du_dt
-
-    if p == Parameterization.BERNSTEIN_SHIFT_SCALE:
-        f = _features_2d(features, t)
-        theta = monotone_reparam(head.gamma)
-        scale = softplus(f @ head.beta)
-        return scale * (basis_v @ theta) + f @ head.w, scale * (deriv_v @ theta) * du_dt
-
-    # bernstein_flexible: extractor output becomes the coefficient vector per subject
-    f = _features_2d(features, t)
-    if f.shape[1] != spec.bernstein_order + 1:
-        raise DimensionMismatch(
-            "flexible parameterization needs extractor output of dimension order + 1"
-        )
-    theta = monotone_reparam(f)
-    return np.sum(basis_v * theta, axis=-1), np.sum(deriv_v * theta, axis=-1) * du_dt
-
-
-def grad_transform(
-    spec: ModelSpec,
-    head: HeadParams,
-    features,
-    t,
-    scaler: LogTimeScaler,
-    upstream_h,
-    upstream_dhdt,
-) -> tuple[HeadParams, np.ndarray]:
-    """Chain upstream sensitivities of (h, dh/dt) into parameter gradients.
-
-    Returns head gradients (summed over the batch, in a :class:`HeadParams`
-    container) and per-row feature sensitivities ready for the extractor's
-    backward pass.  Linear in the upstream arguments.
-    """
-    t = _check_times(np.atleast_1d(t))
-    uh = np.broadcast_to(np.asarray(upstream_h, dtype=float), t.shape)
-    ud = np.broadcast_to(np.asarray(upstream_dhdt, dtype=float), t.shape)
-    p = spec.parameterization
-    log_t = np.log(t)
-    grad = HeadParams()
-
-    if p == Parameterization.LINEAR_SHIFT:
-        f = _features_2d(features, t)
-        grad.a = float(np.sum(uh))
-        grad.b_raw = float(sigmoid(head.b_raw) * np.sum(uh * log_t + ud / t))
-        grad.w = f.T @ uh
-        return grad, np.outer(uh, head.w)
-
-    if p == Parameterization.LINEAR_SCALE:
-        f = _features_2d(features, t)
         r = f @ head.w
-        d_r = sigmoid(r) * (uh * log_t + ud / t)
-        grad.a = float(np.sum(uh))
-        grad.w = f.T @ d_r
-        return grad, np.outer(d_r, head.w)
+        c = softplus(r)
 
-    u = scaler.scale(log_t)
-    basis_v, deriv_v = bernstein_vectors(spec.bernstein_order, u)
-    du_dt = 1.0 / (scaler.span * t)
+        def vjp(uh, ud):
+            d_r = sigmoid(r) * (uh * log_t + ud)
+            return HeadParams(a=float(np.sum(uh)), w=f.T @ d_r), np.outer(d_r, head.w)
 
-    if p == Parameterization.BASELINE:
-        d_theta = basis_v.T @ uh + deriv_v.T @ (ud * du_dt)
-        grad.gamma = monotone_reparam_vjp(head.gamma, d_theta)
-        return grad, np.zeros((t.shape[0], 0))
+        return head.a + c * log_t, c, _pullback(vjp, log_t)
 
-    if p == Parameterization.BERNSTEIN_SHIFT:
-        f = _features_2d(features, t)
-        d_theta = basis_v.T @ uh + deriv_v.T @ (ud * du_dt)
-        grad.gamma = monotone_reparam_vjp(head.gamma, d_theta)
+    basis_v, deriv_v = bernstein_vectors(spec.bernstein_order, scaler.scale(log_t))
+    span = scaler.span
+
+    if p == Parameterization.BERNSTEIN_FLEXIBLE:
+        # the extractor output is each row's coefficient vector
+        if f.shape[1] != spec.bernstein_order + 1:
+            raise DimensionMismatch(
+                "flexible parameterization needs extractor output of dimension order + 1"
+            )
+        theta = monotone_reparam(f)
+
+        def vjp(uh, ud):
+            d_theta = basis_v * uh[:, None] + deriv_v * (ud / span)[:, None]
+            return HeadParams(), monotone_reparam_vjp(f, d_theta)
+
+        h = np.sum(basis_v * theta, axis=-1)
+        return h, np.sum(deriv_v * theta, axis=-1) / span, _pullback(vjp, log_t)
+
+    # baseline, bernstein_shift and bernstein_shift_scale: scale * b(u)^T theta + shift
+    theta = monotone_reparam(head.gamma)
+    base = basis_v @ theta
+    base_d = (deriv_v @ theta) / span
+    r = f @ head.beta if p == Parameterization.BERNSTEIN_SHIFT_SCALE else None
+    scale = 1.0 if r is None else softplus(r)
+    shift = 0.0 if f is None else f @ head.w
+
+    def vjp(uh, ud):
+        d_theta = basis_v.T @ (uh * scale) + deriv_v.T @ (ud * scale / span)
+        grad = HeadParams(gamma=monotone_reparam_vjp(head.gamma, d_theta))
+        if f is None:
+            return grad, np.zeros((log_t.shape[0], 0))
         grad.w = f.T @ uh
-        return grad, np.outer(uh, head.w)
+        d_feats = np.outer(uh, head.w)
+        if r is not None:
+            d_r = sigmoid(r) * (uh * base + ud * base_d)
+            grad.beta = f.T @ d_r
+            d_feats += np.outer(d_r, head.beta)
+        return grad, d_feats
 
-    if p == Parameterization.BERNSTEIN_SHIFT_SCALE:
-        f = _features_2d(features, t)
-        theta = monotone_reparam(head.gamma)
-        base = basis_v @ theta
-        base_deriv = (deriv_v @ theta) * du_dt
-        r = f @ head.beta
-        scale = softplus(r)
-        d_theta = basis_v.T @ (uh * scale) + deriv_v.T @ (ud * scale * du_dt)
-        d_r = sigmoid(r) * (uh * base + ud * base_deriv)
-        grad.gamma = monotone_reparam_vjp(head.gamma, d_theta)
-        grad.w = f.T @ uh
-        grad.beta = f.T @ d_r
-        return grad, np.outer(uh, head.w) + np.outer(d_r, head.beta)
-
-    # bernstein_flexible
-    f = _features_2d(features, t)
-    d_theta = basis_v * uh[:, None] + deriv_v * (ud * du_dt)[:, None]
-    return grad, monotone_reparam_vjp(f, d_theta)
+    return scale * base + shift, scale * base_d, _pullback(vjp, log_t)
 
 
-def transform_at_log_time(
-    spec: ModelSpec,
-    head: HeadParams,
-    features,
-    u,
-    scaler: LogTimeScaler,
-) -> np.ndarray:
-    """h as a function of log-time u = log t, for any real u.
+def _pullback(vjp, log_t: np.ndarray):
+    """``vjp`` taking upstream sensitivities broadcast to one per row."""
 
-    Working in log-time avoids exp overflow when the quantile bisection
-    expands its bracket far beyond the observed range.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    p = spec.parameterization
+    def pullback(upstream_h, upstream_dh):
+        return vjp(
+            np.broadcast_to(np.asarray(upstream_h, dtype=float), log_t.shape),
+            np.broadcast_to(np.asarray(upstream_dh, dtype=float), log_t.shape),
+        )
 
-    if p == Parameterization.LINEAR_SHIFT:
-        f = _features_2d(features, u)
-        return head.a + softplus(head.b_raw) * u + f @ head.w
-    if p == Parameterization.LINEAR_SCALE:
-        f = _features_2d(features, u)
-        return head.a + softplus(f @ head.w) * u
+    return pullback
 
-    basis_v, _ = bernstein_vectors(spec.bernstein_order, scaler.scale(u))
-    if p == Parameterization.BASELINE:
-        return basis_v @ monotone_reparam(head.gamma)
-    if p == Parameterization.BERNSTEIN_SHIFT:
-        f = _features_2d(features, u)
-        return basis_v @ monotone_reparam(head.gamma) + f @ head.w
-    if p == Parameterization.BERNSTEIN_SHIFT_SCALE:
-        f = _features_2d(features, u)
-        scale = softplus(f @ head.beta)
-        return scale * (basis_v @ monotone_reparam(head.gamma)) + f @ head.w
-    f = _features_2d(features, u)
-    return np.sum(basis_v * monotone_reparam(f), axis=-1)
+
+def transformed_log_pdf(family, h, dh_dlog_t, log_t):
+    """log f(t | x) = log f_Z(h) + log(dh/dlog t) - log t, the exact-row likelihood term."""
+    return target.log_density(family, h) + np.log(dh_dlog_t) - log_t
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +328,16 @@ class ConditionalDistribution:
                 f"expected a leading axis of {n} subjects, got shape {values.shape}"
             )
 
-    def transform(self, t) -> tuple[np.ndarray, np.ndarray]:
-        return eval_transform(self.spec, self.head, self.features, t, self.scaler)
-
     def h_at_log_time(self, u, subjects: np.ndarray) -> np.ndarray:
         """h at log-times ``u`` of the batch rows ``subjects``, element by element.
 
         A single subject's distribution ignores ``subjects``.
         """
         features = self.features if self.n_subjects is None else self.features[subjects]
-        return transform_at_log_time(self.spec, self.head, features, u, self.scaler)
+        return eval_transform(self.spec, self.head, features, u, self.scaler)[0]
 
     def _apply(self, t, of_transform, at_zero: float, at_inf: float):
-        """Evaluate ``of_transform(h, dh/dt)`` at the positive, finite times."""
+        """Evaluate ``of_transform(h, dh/dlog t, log t)`` at the positive, finite times."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         self.check_subjects(t_arr)
         out = np.empty_like(t_arr)
@@ -429,32 +350,32 @@ class ConditionalDistribution:
             features = self.features
             if self.n_subjects is not None:
                 features = features[np.nonzero(inside)[0]]
-            h, dh_dt = eval_transform(self.spec, self.head, features, t_arr[inside], self.scaler)
-            out[inside] = of_transform(h, dh_dt)
+            log_t = np.log(t_arr[inside])
+            h, dh, _ = eval_transform(self.spec, self.head, features, log_t, self.scaler)
+            out[inside] = of_transform(h, dh, log_t)
         return float(out[0]) if np.ndim(t) == 0 else out
 
-    def _log_pdf_of(self, h, dh_dt):
-        return target.log_density(self.spec.family, h) + np.log(dh_dt)
+    def _of_h(self, fn):
+        return lambda h, dh, log_t: fn(self.spec.family, h)
 
     def cdf(self, t):
-        return self._apply(t, lambda h, _: target.cdf(self.spec.family, h), 0.0, 1.0)
+        return self._apply(t, self._of_h(target.cdf), 0.0, 1.0)
 
     def survivor(self, t):
-        return self._apply(t, lambda h, _: target.survivor(self.spec.family, h), 1.0, 0.0)
+        return self._apply(t, self._of_h(target.survivor), 1.0, 0.0)
 
     def log_cdf(self, t):
-        return self._apply(t, lambda h, _: target.log_cdf(self.spec.family, h), -np.inf, 0.0)
+        return self._apply(t, self._of_h(target.log_cdf), -np.inf, 0.0)
 
     def log_survivor(self, t):
-        return self._apply(
-            t, lambda h, _: target.log_survivor(self.spec.family, h), 0.0, -np.inf
-        )
+        return self._apply(t, self._of_h(target.log_survivor), 0.0, -np.inf)
 
     def log_pdf(self, t):
-        return self._apply(t, self._log_pdf_of, -np.inf, -np.inf)
+        return self._apply(t, partial(transformed_log_pdf, self.spec.family), -np.inf, -np.inf)
 
     def pdf(self, t):
-        return self._apply(t, lambda h, d: np.exp(self._log_pdf_of(h, d)), 0.0, 0.0)
+        log_pdf = partial(transformed_log_pdf, self.spec.family)
+        return self._apply(t, lambda *args: np.exp(log_pdf(*args)), 0.0, 0.0)
 
     def quantile(self, p):
         """Inverse CDF by bracketed bisection on h(t) = F_Z^{-1}(p) in log-time.
@@ -495,13 +416,6 @@ def conditional_distribution(model: FittedModel, x) -> ConditionalDistribution:
     if x.shape[-1] != spec.extractor.input_dim:
         raise DimensionMismatch(
             f"expected covariates of length {spec.extractor.input_dim}, got shape {x.shape}"
-        )
-    if (
-        spec.parameterization == Parameterization.BERNSTEIN_FLEXIBLE
-        and spec.extractor.output_dim != spec.bernstein_order + 1
-    ):
-        raise DimensionMismatch(
-            "flexible parameterization needs extractor output of dimension order + 1"
         )
 
     def forward(row):

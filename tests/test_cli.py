@@ -20,6 +20,7 @@ from tramsurv.core import (
     Observation,
     Parameterization,
     SurvivalDataset,
+    serialize_model,
 )
 from tramsurv.errors import (
     BadConfig,
@@ -269,6 +270,29 @@ class TestEvaluateCommand:
              "--out", str(ev)]
         )
         assert not (ev / "error.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sample"])
+def test_model_without_its_extractor_fails_with_code(tmp_path, training_csv, command):
+    """A non-baseline artifact with a null extractor and a matching head size."""
+    spec = ModelSpec(
+        family=TargetFamily.MEV, parameterization=Parameterization.LINEAR_SHIFT,
+        extractor=ExtractorSpec(input_dim=2, output_dim=2),
+    )
+    model = FittedModel(
+        spec=spec, scaler=LogTimeScaler(-3.0, 2.0), head_params=init_head(spec),
+        extractor_params=init_params(spec.extractor, 1), train_nll=0.0, validation_nll=0.0,
+    )
+    doc = json.loads(serialize_model(model))
+    doc["spec"]["extractor"] = None
+    doc["head_params"] = doc["head_params"][:2]
+    doc["extractor_params"] = []
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main([command, "--data", training_csv, "--model", str(tmp_path / "model.json"),
+                 "--out", str(out)])
+    assert code == 1
+    assert json.loads((out / "error.json").read_text())["error"] == "E_DIMENSION_MISMATCH"
 
 
 class TestSampleCommand:

@@ -16,6 +16,7 @@ from tramsurv.core import (
 )
 from tramsurv.errors import (
     AllCensored,
+    DimensionMismatch,
     EmptyDataset,
     InvertedInterval,
     MalformedArtifact,
@@ -149,6 +150,24 @@ class TestModelSpec:
             family=TargetFamily.LOGISTIC, parameterization=Parameterization.BASELINE
         )
         assert not spec.uses_extractor
+
+    @pytest.mark.parametrize(
+        "parameterization", [p for p in Parameterization if p != Parameterization.BASELINE]
+    )
+    def test_covariate_parameterizations_need_an_extractor(self, parameterization):
+        with pytest.raises(DimensionMismatch):
+            ModelSpec(family=TargetFamily.LOGISTIC, parameterization=parameterization)
+
+    def test_flexible_needs_one_output_per_coefficient(self):
+        def spec(output_dim):
+            return ModelSpec(
+                family=TargetFamily.LOGISTIC, parameterization=Parameterization.BERNSTEIN_FLEXIBLE,
+                bernstein_order=3, extractor=ExtractorSpec(input_dim=2, output_dim=output_dim),
+            )
+
+        assert spec(4).uses_extractor
+        with pytest.raises(DimensionMismatch):
+            spec(3)
 
 
 def _random_model(rng):

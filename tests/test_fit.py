@@ -5,106 +5,124 @@ import pytest
 
 from tramsurv.basis import LogTimeScaler, fit_scaler
 from tramsurv.core import (
-    FittedModel,
     ModelSpec,
     Observation,
     Parameterization,
     SurvivalDataset,
     serialize_model,
 )
-from tramsurv.errors import AllCensored, DegenerateIntervalWarning, NonFiniteLoss
+from tramsurv.errors import (
+    AllCensored,
+    DegenerateIntervalWarning,
+    NonFiniteLoss,
+    NonPositiveTime,
+)
 from tramsurv.feature import ExtractorSpec, identity_params, init_params, param_count
 from tramsurv.fit import (
     EnsembleModel,
     ModelState,
     TrainConfig,
-    censored_nll,
     fit,
     fit_ensemble,
     nll_batch,
     nll_observation,
 )
+from tramsurv.metrics import log_score
 from tramsurv.numerics import softplus, softplus_inv
 from tramsurv.target import TargetFamily
 from tramsurv.transform import conditional_distribution, head_size, init_head
 
 
 def _linear_shift_model(family, a=0.0, b=1.0, w=(0.0,)):
+    """Training state of a linear-shift model with an identity extractor."""
     w = np.asarray(w, dtype=float)
     spec = ModelSpec(
         family=family, parameterization=Parameterization.LINEAR_SHIFT,
         extractor=ExtractorSpec(input_dim=w.size, output_dim=w.size),
     )
-    return FittedModel(
-        spec=spec, scaler=LogTimeScaler(0.0, 1.0),
-        head_params=np.concatenate([[a, softplus_inv(b)], w]),
-        extractor_params=identity_params(spec.extractor),
-        train_nll=0.0, validation_nll=0.0,
+    return ModelState(
+        spec, LogTimeScaler(0.0, 1.0), np.concatenate([[a, softplus_inv(b)], w]),
+        identity_params(spec.extractor),
     )
 
 
 class TestNllObservation:
     def test_logistic_exact_reference(self):
         # h = 0 and dh/dt = 1 at t = 1: -log f_Z(0) - log 1 = log 4
-        model = _linear_shift_model(TargetFamily.LOGISTIC)
+        state = _linear_shift_model(TargetFamily.LOGISTIC)
         obs = Observation.exact(1.0, [0.0])
-        np.testing.assert_allclose(nll_observation(model, obs), np.log(4.0), rtol=1e-12)
+        np.testing.assert_allclose(nll_observation(state, obs), np.log(4.0), rtol=1e-12)
 
     def test_logistic_right_censored_reference(self):
-        model = _linear_shift_model(TargetFamily.LOGISTIC)
+        state = _linear_shift_model(TargetFamily.LOGISTIC)
         obs = Observation.right_censored(1.0, [0.0])
-        np.testing.assert_allclose(nll_observation(model, obs), np.log(2.0), rtol=1e-12)
+        np.testing.assert_allclose(nll_observation(state, obs), np.log(2.0), rtol=1e-12)
 
     def test_mev_right_censored_reference(self):
-        model = _linear_shift_model(TargetFamily.MEV)
+        state = _linear_shift_model(TargetFamily.MEV)
         obs = Observation.right_censored(1.0, [0.0])
-        np.testing.assert_allclose(nll_observation(model, obs), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(nll_observation(state, obs), 1.0, rtol=1e-12)
 
     def test_logistic_interval_reference(self):
         """Interval with h(t_l) = -1 and h(t_u) = 1 has mass sigma(1) - sigma(-1)."""
-        model = _linear_shift_model(TargetFamily.LOGISTIC)
+        state = _linear_shift_model(TargetFamily.LOGISTIC)
         obs = Observation.interval(float(np.exp(-1.0)), float(np.e), [0.0])
         sig = lambda z: 1.0 / (1.0 + np.exp(-z))
         expected = -np.log(sig(1.0) - sig(-1.0))
-        np.testing.assert_allclose(nll_observation(model, obs), expected, rtol=1e-12)
-        np.testing.assert_allclose(nll_observation(model, obs), 0.7719368329053048, rtol=1e-12)
+        np.testing.assert_allclose(nll_observation(state, obs), expected, rtol=1e-12)
+        np.testing.assert_allclose(nll_observation(state, obs), 0.7719368329053048, rtol=1e-12)
 
     def test_left_censored_uses_cdf(self):
-        model = _linear_shift_model(TargetFamily.MEV)
+        state = _linear_shift_model(TargetFamily.MEV)
         obs = Observation.left_censored(1.0, [0.0])
         np.testing.assert_allclose(
-            nll_observation(model, obs), -np.log(1.0 - np.exp(-1.0)), rtol=1e-12
+            nll_observation(state, obs), -np.log(1.0 - np.exp(-1.0)), rtol=1e-12
         )
 
     def test_degenerate_interval_warns_and_clamps(self):
-        model = _linear_shift_model(TargetFamily.LOGISTIC, a=0.0, b=30.0)
+        state = _linear_shift_model(TargetFamily.LOGISTIC, a=0.0, b=30.0)
         t = 40.0  # far above the range: both endpoints deep in the upper tail
         obs = Observation.interval(t, t * (1.0 + 1e-15), [0.0])
         with pytest.warns(DegenerateIntervalWarning):
-            val = nll_observation(model, obs)
+            val = nll_observation(state, obs)
         assert np.isfinite(val)
         assert val <= -np.log(1e-12) + 1e-9
 
+    @pytest.mark.parametrize("make", [
+        lambda x: Observation.exact(1.3, x),
+        lambda x: Observation.right_censored(0.7, x),
+        lambda x: Observation.left_censored(2.1, x),
+        lambda x: Observation.interval(0.6, 1.9, x),
+    ], ids=["exact", "right", "left", "interval"])
+    def test_equals_singleton_batch(self, make):
+        state = _linear_shift_model(TargetFamily.MEV, a=0.2, b=1.3, w=(0.6,))
+        obs = make([0.4])
+        assert nll_observation(state, obs) == nll_batch(state, [obs])[0]
+
 
 class TestNllBatch:
-    def _state(self, model):
-        return ModelState(model.spec, model.scaler, model.head_params, model.extractor_params)
-
     def test_singleton_equals_observation(self):
-        model = _linear_shift_model(TargetFamily.LOGISTIC)
+        state = _linear_shift_model(TargetFamily.LOGISTIC)
         obs = Observation.exact(1.3, [0.4])
-        total, _ = nll_batch(self._state(model), [obs])
-        np.testing.assert_allclose(total, nll_observation(model, obs), rtol=1e-14)
+        total, _ = nll_batch(state, [obs])
+        np.testing.assert_allclose(total, nll_observation(state, obs), rtol=1e-14)
+
+    def test_rejects_non_positive_time(self):
+        state = _linear_shift_model(TargetFamily.LOGISTIC)
+        for time in (0.0, -1.0):
+            batch = [Observation.exact(1.0, [0.0]), Observation.right_censored(time, [0.0])]
+            with pytest.raises(NonPositiveTime) as info:
+                nll_batch(state, batch)
+            assert info.value.code == "E_NON_POSITIVE_TIME"
 
     def test_duplicated_batch_doubles(self):
-        model = _linear_shift_model(TargetFamily.MEV, a=0.1, b=1.2, w=(0.3,))
+        state = _linear_shift_model(TargetFamily.MEV, a=0.1, b=1.2, w=(0.3,))
         batch = [
             Observation.exact(0.8, [0.5]),
             Observation.right_censored(1.5, [-0.2]),
             Observation.left_censored(0.6, [0.1]),
             Observation.interval(0.5, 1.1, [0.9]),
         ]
-        state = self._state(model)
         total1, grad1 = nll_batch(state, batch)
         total2, grad2 = nll_batch(state, batch + batch)
         np.testing.assert_allclose(total2, 2.0 * total1, rtol=1e-14)
@@ -112,22 +130,20 @@ class TestNllBatch:
 
     def test_order_invariant(self):
         rng = np.random.default_rng(211)
-        model = _linear_shift_model(TargetFamily.LOGISTIC, a=-0.2, b=0.9, w=(0.4,))
+        state = _linear_shift_model(TargetFamily.LOGISTIC, a=-0.2, b=0.9, w=(0.4,))
         batch = [
             Observation.exact(float(t), [float(x)])
             for t, x in zip(rng.uniform(0.3, 3.0, 12), rng.normal(size=12))
         ]
-        state = self._state(model)
         total, _ = nll_batch(state, batch)
         perm = [batch[i] for i in rng.permutation(12)]
         total_p, _ = nll_batch(state, perm)
         np.testing.assert_allclose(total_p, total, rtol=1e-12)
 
     def test_additive_over_disjoint_batches(self):
-        model = _linear_shift_model(TargetFamily.MEV, a=0.2, b=1.1, w=(-0.3,))
+        state = _linear_shift_model(TargetFamily.MEV, a=0.2, b=1.1, w=(-0.3,))
         part_a = [Observation.exact(0.7, [0.2]), Observation.right_censored(2.0, [1.0])]
         part_b = [Observation.left_censored(0.9, [-0.5])]
-        state = self._state(model)
         total_a, grad_a = nll_batch(state, part_a)
         total_b, grad_b = nll_batch(state, part_b)
         total, grad = nll_batch(state, part_a + part_b)
@@ -373,7 +389,7 @@ class TestFitEnsemble:
 
         def mean_nll(dist_for):
             return float(
-                np.mean([censored_nll(dist_for(o), o) for o in held_out.observations])
+                np.mean([log_score(dist_for(o), o) for o in held_out.observations])
             )
 
         ens_nll = mean_nll(lambda o: ens.conditional_distribution(o.covariates))

@@ -15,7 +15,7 @@ from tramsurv.errors import (
     UnsupportedCensoringKind,
 )
 from tramsurv.feature import ExtractorSpec, identity_params, init_params
-from tramsurv.fit import EnsembleModel, nll_observation
+from tramsurv.fit import EnsembleModel, ModelState, nll_observation
 from tramsurv.metrics import (
     EvaluationReport,
     c_index,
@@ -131,6 +131,7 @@ class TestLogScore:
     def test_bitwise_equal_to_training_nll(self):
         rng = np.random.default_rng(509)
         model = _exponential_model(w=(0.4,))
+        state = ModelState(model.spec, model.scaler, model.head_params, model.extractor_params)
         for _ in range(20):
             x = rng.normal(size=1)
             t = float(rng.uniform(0.2, 4.0))
@@ -139,7 +140,7 @@ class TestLogScore:
                 else Observation.right_censored(t, x)
             )
             dist = conditional_distribution(model, x)
-            assert log_score(dist, obs) == nll_observation(model, obs)
+            assert log_score(dist, obs) == nll_observation(state, obs)
 
     @pytest.mark.parametrize(
         "obs",

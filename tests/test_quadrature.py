@@ -2,26 +2,28 @@ import numpy as np
 import pytest
 
 from tramsurv.errors import QuadratureNonConvergence
-from tramsurv.quadrature import MAX_NODES_PER_CALL, simpson, simpson_doubling
+from tramsurv.quadrature import MAX_NODES_PER_CALL, simpson_doubling
 
 
 class TestSimpson:
+    """Oracles of Simpson's rule, through the doubling integrator."""
+
     def test_exact_for_cubic(self):
         # Simpson integrates polynomials through degree 3 exactly
         f = lambda u: u**3 - 2.0 * u**2 + 0.5
         exact = 1.0 / 4.0 - 2.0 / 3.0 + 0.5
-        np.testing.assert_allclose(simpson(f, 0.0, 1.0, 2), exact, rtol=1e-14)
+        np.testing.assert_allclose(simpson_doubling(f, 0.0, 1.0, base_panels=2), exact, rtol=1e-14)
 
     def test_empty_range(self):
-        assert simpson(np.exp, 1.0, 1.0, 16) == 0.0
-        assert simpson(np.exp, 2.0, 1.0, 16) == 0.0
+        assert simpson_doubling(np.exp, 1.0, 1.0, base_panels=16) == 0.0
+        assert simpson_doubling(np.exp, 2.0, 1.0, base_panels=16) == 0.0
 
     def test_odd_panels_rejected(self):
         with pytest.raises(ValueError):
-            simpson(np.exp, 0.0, 1.0, 3)
+            simpson_doubling(np.exp, 0.0, 1.0, base_panels=3)
 
     def test_converges_on_smooth_function(self):
-        val = simpson(np.sin, 0.0, np.pi, 64)
+        val = simpson_doubling(np.sin, 0.0, np.pi, base_panels=64)
         np.testing.assert_allclose(val, 2.0, rtol=1e-7)
 
 

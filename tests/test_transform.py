@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -6,23 +8,20 @@ from tramsurv.core import FittedModel, ModelSpec, Parameterization
 from tramsurv.errors import (
     BisectionNonConvergence,
     DimensionMismatch,
-    NonPositiveTime,
     ProbabilityOutOfRange,
 )
 from tramsurv.feature import ExtractorSpec, identity_params, init_params, param_count
-from tramsurv.numerics import softplus_inv
+from tramsurv.numerics import softplus, softplus_inv
 from tramsurv.target import TargetFamily
 from tramsurv.transform import (
     ConditionalDistribution,
     _bisect_increasing,
     conditional_distribution,
     eval_transform,
-    grad_transform,
     head_from_flat,
     head_size,
     head_to_flat,
     init_head,
-    transform_at_log_time,
 )
 
 SCALER01 = LogTimeScaler(0.0, 1.0)
@@ -41,11 +40,53 @@ def _spec(parameterization, family=TargetFamily.LOGISTIC, order=2, d=2, p=None):
     )
 
 
+def _core(spec, head, features, t, scaler):
+    """h and dh/dlog t at times t."""
+    h, dh, _ = eval_transform(spec, head, features, np.log(t), scaler)
+    return h, dh
+
+
+def _reference_h(spec, head, f, t, scaler):
+    """h(t | x) written from the definitions, in time, one row at a time."""
+    order = spec.bernstein_order
+
+    def bernstein(theta, u):
+        # b(u)^T theta on [0, 1], extended linearly with the endpoint slope
+        uc = min(max(u, 0.0), 1.0)
+        value = sum(comb(order, k) * uc**k * (1 - uc) ** (order - k) * theta[k]
+                    for k in range(order + 1))
+        slope = order * sum(comb(order - 1, k) * uc**k * (1 - uc) ** (order - 1 - k)
+                            * (theta[k + 1] - theta[k]) for k in range(order))
+        return value + (u - uc) * slope
+
+    def theta_of(gamma):
+        return np.concatenate([[gamma[0]], gamma[0] + np.cumsum(softplus(gamma[1:]))])
+
+    p = spec.parameterization
+    out = []
+    for ti, fi in zip(t, f):
+        u = (np.log(ti) - scaler.a_lo) / (scaler.b_hi - scaler.a_lo)
+        if p == Parameterization.LINEAR_SHIFT:
+            out.append(head.a + softplus(head.b_raw) * np.log(ti) + fi @ head.w)
+        elif p == Parameterization.LINEAR_SCALE:
+            out.append(head.a + softplus(fi @ head.w) * np.log(ti))
+        elif p == Parameterization.BASELINE:
+            out.append(bernstein(theta_of(head.gamma), u))
+        elif p == Parameterization.BERNSTEIN_SHIFT:
+            out.append(bernstein(theta_of(head.gamma), u) + fi @ head.w)
+        elif p == Parameterization.BERNSTEIN_SHIFT_SCALE:
+            scale = softplus(fi @ head.beta)
+            out.append(scale * bernstein(theta_of(head.gamma), u) + fi @ head.w)
+        else:
+            out.append(bernstein(theta_of(fi), u))
+    return np.array(out)
+
+
 class TestEvalTransform:
     def test_linear_shift_reference_point(self):
         spec = _spec(Parameterization.LINEAR_SHIFT)
         head = head_from_flat(spec, np.array([0.0, softplus_inv(1.0), 0.0, 0.0]))
-        h, dh = eval_transform(spec, head, np.zeros(2), 1.0, SCALER01)
+        h, dh = _core(spec, head, np.zeros(2), 1.0, SCALER01)
         np.testing.assert_allclose(h, [0.0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(dh, [1.0], rtol=1e-12)
 
@@ -53,10 +94,10 @@ class TestEvalTransform:
         # softplus(0) = ln 2 scales log-time; at t = e that gives h = ln 2
         spec = _spec(Parameterization.LINEAR_SCALE)
         head = head_from_flat(spec, np.array([0.0, 0.0, 0.0]))
-        h, dh = eval_transform(spec, head, np.zeros(2), np.e, SCALER01)
+        h, dh = _core(spec, head, np.zeros(2), np.e, SCALER01)
         np.testing.assert_allclose(h, [np.log(2.0)], rtol=1e-12)
-        np.testing.assert_allclose(dh, [np.log(2.0) / np.e], rtol=1e-12)
-        np.testing.assert_allclose(dh, [0.25499459743395353], rtol=1e-12)
+        np.testing.assert_allclose(dh, [np.log(2.0)], rtol=1e-12)
+        np.testing.assert_allclose(dh / np.e, [0.25499459743395353], rtol=1e-12)
 
     def test_bernstein_shift_reference_point(self):
         # gamma chosen so the coefficients are (0, 1, 2), a linear map 2u
@@ -64,25 +105,19 @@ class TestEvalTransform:
         gamma = np.array([0.0, softplus_inv(1.0), softplus_inv(1.0)])
         head = head_from_flat(spec, np.concatenate([gamma, [0.0, 0.0]]))
         t = float(np.exp(0.5))
-        h, dh = eval_transform(spec, head, np.zeros(2), t, SCALER01)
+        h, dh = _core(spec, head, np.zeros(2), t, SCALER01)
         np.testing.assert_allclose(h, [1.0], rtol=1e-12)
-        np.testing.assert_allclose(dh, [2.0 / t], rtol=1e-12)
-        np.testing.assert_allclose(dh, [1.2130613194252668], rtol=1e-12)
-
-    def test_rejects_non_positive_time(self):
-        spec = _spec(Parameterization.LINEAR_SHIFT)
-        head = head_from_flat(spec, init_head(spec))
-        with pytest.raises(NonPositiveTime):
-            eval_transform(spec, head, np.zeros(2), 0.0, SCALER01)
+        np.testing.assert_allclose(dh, [2.0], rtol=1e-12)
+        np.testing.assert_allclose(dh / t, [1.2130613194252668], rtol=1e-12)
 
     def test_flexible_rejects_wrong_output_dim(self):
         spec = _spec(Parameterization.BERNSTEIN_FLEXIBLE, order=3)
         head = head_from_flat(spec, init_head(spec))
         with pytest.raises(DimensionMismatch):
-            eval_transform(spec, head, np.zeros(2), 1.0, SCALER01)
+            eval_transform(spec, head, np.zeros(2), 0.0, SCALER01)
 
     def test_monotone_in_time_all_parameterizations(self):
-        """dh/dt stays positive for random parameters, inside and outside range."""
+        """dh/dlog t stays positive for random parameters, inside and outside range."""
         rng = np.random.default_rng(101)
         scaler = LogTimeScaler(np.log(0.2), np.log(9.0))
         t = np.geomspace(0.01, 80.0, 60)  # spans well beyond the scaler range
@@ -93,11 +128,12 @@ class TestEvalTransform:
                 head = head_from_flat(spec, flat)
                 d = spec.extractor.output_dim if spec.extractor else 0
                 features = rng.normal(size=d)
-                h, dh = eval_transform(spec, head, features, t, scaler)
+                h, dh = _core(spec, head, features, t, scaler)
                 assert np.all(dh > 0.0), parameterization
                 assert np.all(np.diff(h) > 0.0), parameterization
 
     def test_matches_log_time_form(self):
+        """h of log t agrees with the definitions written in t, inside and outside range."""
         rng = np.random.default_rng(103)
         scaler = LogTimeScaler(np.log(0.5), np.log(4.0))
         t = np.geomspace(0.05, 40.0, 25)
@@ -106,10 +142,11 @@ class TestEvalTransform:
             flat = init_head(spec) + rng.normal(scale=0.5, size=head_size(spec))
             head = head_from_flat(spec, flat)
             d = spec.extractor.output_dim if spec.extractor else 0
-            features = rng.normal(size=d)
-            h, _ = eval_transform(spec, head, features, t, scaler)
+            features = rng.normal(size=(t.size, d))
+            h, _ = _core(spec, head, features, t, scaler)
             np.testing.assert_allclose(
-                transform_at_log_time(spec, head, features, np.log(t), scaler), h, rtol=1e-12
+                h, _reference_h(spec, head, features, t, scaler), rtol=1e-12, atol=1e-12,
+                err_msg=str(parameterization),
             )
 
 
@@ -118,8 +155,8 @@ class TestGradTransform:
         spec = _spec(Parameterization.LINEAR_SHIFT)
         head = head_from_flat(spec, np.array([0.3, 0.4, 0.5, -0.2]))
         features = np.array([[1.5, -0.7]])
-        t = np.array([2.0])
-        grad, _ = grad_transform(spec, head, features, t, SCALER01, 1.0, 0.0)
+        _, _, pullback = eval_transform(spec, head, features, np.log([2.0]), SCALER01)
+        grad, _ = pullback(1.0, 0.0)
         np.testing.assert_allclose(grad.a, 1.0)
         np.testing.assert_allclose(grad.w, features[0])
         sig = 1.0 / (1.0 + np.exp(-0.4))
@@ -132,57 +169,58 @@ class TestGradTransform:
             head = head_from_flat(spec, init_head(spec))
             d = spec.extractor.output_dim if spec.extractor else 0
             features = rng.normal(size=(4, d))
-            t = rng.uniform(0.5, 3.0, size=4)
-            grad, dfeat = grad_transform(spec, head, features, t, SCALER01, 0.0, 0.0)
+            log_t = np.log(rng.uniform(0.5, 3.0, size=4))
+            _, _, pullback = eval_transform(spec, head, features, log_t, SCALER01)
+            grad, dfeat = pullback(0.0, 0.0)
             np.testing.assert_array_equal(head_to_flat(spec, grad), np.zeros(head_size(spec)))
-            np.testing.assert_array_equal(dfeat, np.zeros_like(dfeat))
+            np.testing.assert_array_equal(dfeat, np.zeros((4, d)))
 
     def test_matches_finite_differences(self):
-        """Head and feature gradients of c_h h + c_d dh/dt for every parameterization."""
+        """dh/dlog t, and the pullback of c_h h + c_d dh/dlog t, against central
+        differences for every parameterization, at log-times inside and outside
+        the scaler range."""
         rng = np.random.default_rng(109)
         scaler = LogTimeScaler(np.log(0.3), np.log(6.0))
+        log_t = np.log([0.05, 0.4, 2.0, 5.0, 40.0])
+
+        def central(fn, x, i):
+            step = 1e-6 * (1.0 + abs(x.flat[i]))
+            hi, lo = x.copy(), x.copy()
+            hi.flat[i] += step
+            lo.flat[i] -= step
+            return (fn(hi) - fn(lo)) / (2 * step)
+
         for parameterization in Parameterization:
             spec = _spec(parameterization, order=3)
             flat = init_head(spec) + rng.normal(scale=0.5, size=head_size(spec))
             d = spec.extractor.output_dim if spec.extractor else 0
-            features = rng.normal(size=(3, d))
-            t = rng.uniform(0.4, 5.0, size=3)
-            uh = rng.normal(size=3)
-            ud = rng.normal(size=3)
+            features = rng.normal(size=(5, d))
+            uh = rng.normal(size=5)
+            ud = rng.normal(size=5)
+
+            def core(flat_head, feats, at=log_t):
+                return eval_transform(spec, head_from_flat(spec, flat_head), feats, at, scaler)
 
             def objective(flat_head, feats):
-                h, dh = eval_transform(
-                    spec, head_from_flat(spec, flat_head), feats, t, scaler
-                )
+                h, dh, _ = core(flat_head, feats)
                 return float(np.sum(uh * h + ud * dh))
 
-            grad, dfeat = grad_transform(
-                spec, head_from_flat(spec, flat), features, t, scaler, uh, ud
-            )
+            _, dh, pullback = core(flat, features)
+            for r in range(log_t.size):
+                fd = central(lambda v: core(flat, features[r], v)[0][0], log_t[r : r + 1], 0)
+                np.testing.assert_allclose(
+                    dh[r], fd, rtol=1e-5, err_msg=f"{parameterization} dh/dlog t row {r}"
+                )
+            grad, dfeat = pullback(uh, ud)
             grad_flat = head_to_flat(spec, grad)
             for i in range(flat.size):
-                step = 1e-6 * (1.0 + abs(flat[i]))
-                hi = flat.copy()
-                hi[i] += step
-                lo = flat.copy()
-                lo[i] -= step
-                fd = (objective(hi, features) - objective(lo, features)) / (2 * step)
-                np.testing.assert_allclose(
-                    grad_flat[i], fd, rtol=1e-5, atol=1e-7,
-                    err_msg=f"{parameterization} head[{i}]",
-                )
-            for r in range(features.shape[0]):
-                for j in range(d):
-                    step = 1e-6 * (1.0 + abs(features[r, j]))
-                    hi = features.copy()
-                    hi[r, j] += step
-                    lo = features.copy()
-                    lo[r, j] -= step
-                    fd = (objective(flat, hi) - objective(flat, lo)) / (2 * step)
-                    np.testing.assert_allclose(
-                        dfeat[r, j], fd, rtol=1e-5, atol=1e-7,
-                        err_msg=f"{parameterization} features[{r},{j}]",
-                    )
+                fd = central(lambda v: objective(v, features), flat, i)
+                np.testing.assert_allclose(grad_flat[i], fd, rtol=1e-5, atol=1e-7,
+                                           err_msg=f"{parameterization} head[{i}]")
+            for i in range(features.size):
+                fd = central(lambda v: objective(flat, v), features, i)
+                np.testing.assert_allclose(dfeat.flat[i], fd, rtol=1e-5, atol=1e-7,
+                                           err_msg=f"{parameterization} features.flat[{i}]")
 
 
 def _exponential_model():
