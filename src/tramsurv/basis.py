@@ -37,12 +37,11 @@ def fit_scaler(dataset) -> LogTimeScaler:
     The range is [min log t, max log t].  A degenerate range (all times
     identical) is resolved by widening to +-0.5 around the common value.
     """
-    logs = []
-    for obs in dataset.observations:
-        logs.append(math.log(obs.time_lower))
-        if math.isfinite(obs.time_upper) and obs.time_upper != obs.time_lower:
-            logs.append(math.log(obs.time_upper))
-    lo, hi = min(logs), max(logs)
+    lower, upper = dataset.t_lower, dataset.t_upper
+    times = np.concatenate([lower, upper[np.isfinite(upper) & (upper != lower)]])
+    # math.log keeps the endpoints bitwise equal to the log of each time;
+    # np.log may differ in the last place.
+    lo, hi = math.log(times.min()), math.log(times.max())
     if hi == lo:
         return LogTimeScaler(a_lo=lo - 0.5, b_hi=hi + 0.5)
     return LogTimeScaler(a_lo=lo, b_hi=hi)

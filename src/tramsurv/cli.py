@@ -12,6 +12,7 @@ INFO, WARNING).
 """
 
 import argparse
+from array import array
 import csv
 import dataclasses
 import json
@@ -24,10 +25,10 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    KINDS,
     SCHEMA_VERSION,
     CensoringKind,
     ModelSpec,
-    Observation,
     Parameterization,
     SurvivalDataset,
     deserialize_model,
@@ -53,7 +54,8 @@ from .transform import conditional_distribution
 logger = logging.getLogger(__name__)
 
 RESERVED_COLUMNS = ("time", "time2", "status")
-_STATUS_TO_KIND = {k.value: k for k in CensoringKind}
+_STATUS_CODE = {k.value: k.code for k in CensoringKind}
+_RIGHT, _INTERVAL = CensoringKind.RIGHT.code, CensoringKind.INTERVAL.code
 CDF_GRID_POINTS = 200
 CDF_GRID_CHUNK = 64
 
@@ -70,11 +72,14 @@ def parse_dataset_csv(path) -> SurvivalDataset:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = [column.strip() for column in next(reader)]
         except StopIteration:
             raise MissingColumn(f"{path}: file is empty") from None
-        rows = list(reader)
-    header = [column.strip() for column in header]
+        return _dataset_from_rows(path, header, reader)
+
+
+def _dataset_from_rows(path, header, rows) -> SurvivalDataset:
+    """Fill the dataset columns in one pass over the rows after the header."""
     for required in ("time", "status"):
         if required not in header:
             raise MissingColumn(f"{path}: required column {required!r} is missing")
@@ -84,55 +89,49 @@ def parse_dataset_csv(path) -> SurvivalDataset:
     feature_cols = [i for i, name in enumerate(header) if name not in RESERVED_COLUMNS]
     feature_names = [header[i] for i in feature_cols]
 
-    observations = []
+    # Typed buffers hold 8 bytes per value, where lists would hold float objects.
+    t_lower, t_upper, x, kind = array("d"), array("d"), array("d"), array("b")
     for r, row in enumerate(rows, start=2):  # header is line 1
-        status = row[status_col].strip().lower()
-        if status not in _STATUS_TO_KIND:
+        if len(row) < len(header):
+            raise MissingColumn(f"{path}: line {r}: {len(row)} cells for {len(header)} columns")
+        code = _STATUS_CODE.get(row[status_col].strip().lower())
+        if code is None:
             raise BadStatusValue(
                 f"{path}: line {r}: status {row[status_col]!r} is not one of "
-                f"{sorted(_STATUS_TO_KIND)}"
+                f"{sorted(_STATUS_CODE)}"
             )
-        kind = _STATUS_TO_KIND[status]
-        try:
-            t = float(row[time_col])
-        except ValueError:
-            raise NonNumericCovariate(
-                f"{path}: line {r}: time value {row[time_col]!r} is not numeric"
-            ) from None
-        if kind == CensoringKind.INTERVAL:
+        t = _number(path, r, "time", row[time_col])
+        t2 = np.inf if code == _RIGHT else t
+        if code == _INTERVAL:
             raw_t2 = row[time2_col].strip() if time2_col is not None else ""
-            if time2_col is None or not raw_t2:
+            if not raw_t2:
                 raise MissingColumn(
                     f"{path}: line {r}: interval-censored row needs a time2 value"
                 )
-            try:
-                t2 = float(raw_t2)
-            except ValueError:
-                raise NonNumericCovariate(
-                    f"{path}: line {r}: time2 value {raw_t2!r} is not numeric"
-                ) from None
-            obs = Observation.interval(t, t2, _covariates(path, r, header, row, feature_cols))
-        elif kind == CensoringKind.RIGHT:
-            obs = Observation.right_censored(t, _covariates(path, r, header, row, feature_cols))
-        elif kind == CensoringKind.LEFT:
-            obs = Observation.left_censored(t, _covariates(path, r, header, row, feature_cols))
-        else:
-            obs = Observation.exact(t, _covariates(path, r, header, row, feature_cols))
-        observations.append(obs)
-    return SurvivalDataset(observations, feature_names=feature_names)
-
-
-def _covariates(path, line, header, row, feature_cols):
-    values = []
-    for i in feature_cols:
+            t2 = _number(path, r, "time2", raw_t2)
         try:
-            values.append(float(row[i]))
-        except (ValueError, IndexError):
-            cell = row[i] if i < len(row) else ""
-            raise NonNumericCovariate(
-                f"{path}: line {line}: column {header[i]!r} value {cell!r} is not numeric"
-            ) from None
-    return np.array(values)
+            x.extend([float(row[i]) for i in feature_cols])
+        except ValueError:
+            for i in feature_cols:  # name the first bad cell
+                _number(path, r, f"column {header[i]!r}", row[i])
+        t_lower.append(t)
+        t_upper.append(t2)
+        kind.append(code)
+    return SurvivalDataset(
+        x=np.frombuffer(x, dtype=float).reshape(len(t_lower), len(feature_cols)),
+        t_lower=np.frombuffer(t_lower, dtype=float),
+        t_upper=np.frombuffer(t_upper, dtype=float),
+        kind=np.frombuffer(kind, dtype=np.int8),
+        feature_names=feature_names,
+    )
+
+
+def _number(path, line, name, cell) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        message = f"{path}: line {line}: {name} value {cell!r} is not numeric"
+        raise NonNumericCovariate(message) from None
 
 
 def _format_value(x: float) -> str:
@@ -144,18 +143,9 @@ def write_dataset_csv(dataset: SurvivalDataset, path):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["time", "time2", "status", *dataset.feature_names])
-        for obs in dataset.observations:
-            time2 = ""
-            if obs.censoring == CensoringKind.INTERVAL:
-                time2 = _format_value(obs.time_upper)
-            writer.writerow(
-                [
-                    _format_value(obs.time_lower),
-                    time2,
-                    obs.censoring.value,
-                    *(_format_value(v) for v in obs.covariates),
-                ]
-            )
+        for t, t2, code, row in zip(dataset.t_lower, dataset.t_upper, dataset.kind, dataset.x):
+            time2 = _format_value(t2) if code == _INTERVAL else ""
+            writer.writerow([_format_value(t), time2, KINDS[code].value, *map(_format_value, row)])
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +279,10 @@ def write_cdf_grid(model, dataset: SurvivalDataset, path):
     grid = np.exp(np.linspace(scaler.a_lo, scaler.b_hi, CDF_GRID_POINTS))
     # The lines csv.writer would write, joined per subject: no field needs quoting.
     time_fields = [f",{_format_value(t)}," for t in grid]
-    x = dataset.covariate_matrix()
     with open(path, "w", newline="") as handle:
         handle.write("subject,time,cdf\r\n")
         for start in range(0, dataset.n, CDF_GRID_CHUNK):
-            chunk = x[start : start + CDF_GRID_CHUNK]
+            chunk = dataset.x[start : start + CDF_GRID_CHUNK]
             dist = conditional_distribution(model, chunk)
             values = dist.cdf(np.broadcast_to(grid, (chunk.shape[0], CDF_GRID_POINTS)))
             for i, row in enumerate(values.tolist(), start=start):

@@ -1,10 +1,12 @@
 """Domain types for censored time-to-event data and model artifacts.
 
-Observations carry one time (exact, right- or left-censored) or two times
-(interval-censored).  A left-censored time means the event happened at or
-before the recorded time, i.e. on the interval from the lower support bound
-(zero) up to it; the likelihood uses the CDF at that time directly, so no
-explicit lower interval endpoint is ever formed.
+A :class:`SurvivalDataset` holds subjects as columns, which every layer reads;
+:class:`Observation` is its row type.  A subject carries one time (exact,
+right- or left-censored) or two times (interval-censored).  A left-censored
+time means the event happened at or before the recorded time, i.e. on the
+interval from the lower support bound (zero) up to it; the likelihood uses the
+CDF at that time directly, so no explicit lower interval endpoint is ever
+formed.
 
 Fitted models serialize to a versioned JSON artifact that round-trips at
 full float precision.
@@ -12,6 +14,7 @@ full float precision.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 import json
 import math
 
@@ -20,6 +23,7 @@ import numpy as np
 from .basis import LogTimeScaler
 from .errors import (
     AllCensored,
+    BadStatusValue,
     DimensionMismatch,
     EmptyDataset,
     InvertedInterval,
@@ -40,6 +44,14 @@ class CensoringKind(str, Enum):
     RIGHT = "right"
     LEFT = "left"
     INTERVAL = "interval"
+
+    @property
+    def code(self) -> int:
+        """This kind's int8 code in :attr:`SurvivalDataset.kind`: its position in ``KINDS``."""
+        return KINDS.index(self)
+
+
+KINDS = tuple(CensoringKind)
 
 
 class Parameterization(str, Enum):
@@ -88,75 +100,110 @@ class Observation:
         return self.censoring == CensoringKind.EXACT
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SurvivalDataset:
-    observations: list
+    """Covariates ``x`` (n, p), times and censoring-kind codes (n,), one row per subject.
+
+    ``t_upper`` is ``+inf`` on right-censored rows and ``t_lower`` on exact and
+    left-censored ones; ``kind`` holds each row's :attr:`CensoringKind.code`.
+    """
+
+    x: np.ndarray
+    t_lower: np.ndarray
+    t_upper: np.ndarray
+    kind: np.ndarray
     feature_names: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.feature_names and self.observations:
-            p = len(self.observations[0].covariates)
-            self.feature_names = [f"x{i}" for i in range(p)]
+        for name in ("x", "t_lower", "t_upper", "kind"):
+            dtype = np.int8 if name == "kind" else float
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        shapes = {column.shape for column in (self.t_lower, self.t_upper, self.kind)}
+        if self.x.ndim != 2 or shapes != {(self.n,)}:
+            raise ValueError("columns need shapes x (n, p) and t_lower, t_upper, kind (n,)")
+        if not self.feature_names:
+            object.__setattr__(self, "feature_names", [f"x{i}" for i in range(self.p)])
+        elif len(self.feature_names) != self.p:
+            raise RaggedCovariates(
+                f"{len(self.feature_names)} feature names for {self.p} covariates"
+            )
+
+    @classmethod
+    def from_observations(cls, rows, feature_names=None) -> "SurvivalDataset":
+        """Stack :class:`Observation` rows; every row needs the same covariate count."""
+        rows = list(rows)
+        p = rows[0].covariates.size if rows else len(feature_names or ())
+        for i, obs in enumerate(rows):
+            if obs.covariates.shape != (p,):
+                raise RaggedCovariates(
+                    f"observation {i}: expected {p} covariates, got shape {obs.covariates.shape}"
+                )
+        return cls(
+            x=np.array([obs.covariates for obs in rows], dtype=float).reshape(len(rows), p),
+            t_lower=[obs.time_lower for obs in rows],
+            t_upper=[obs.time_upper for obs in rows],
+            kind=[obs.censoring.code for obs in rows],
+            feature_names=list(feature_names or ()),
+        )
 
     @property
     def n(self) -> int:
-        return len(self.observations)
+        return self.x.shape[0]
 
     @property
     def p(self) -> int:
-        return len(self.feature_names)
+        return self.x.shape[1]
 
-    def covariate_matrix(self) -> np.ndarray:
-        return np.array([obs.covariates for obs in self.observations], dtype=float)
+    @cached_property
+    def observations(self) -> tuple:
+        """The rows as :class:`Observation` objects, built on first access."""
+        columns = (self.t_lower.tolist(), self.t_upper.tolist(), self.kind.tolist(), self.x)
+        return tuple(Observation(lo, hi, KINDS[k], x) for lo, hi, k, x in zip(*columns))
 
     def times_lower(self) -> np.ndarray:
-        return np.array([obs.time_lower for obs in self.observations], dtype=float)
+        return self.t_lower
 
-    def event_indicator(self) -> np.ndarray:
-        return np.array([obs.event for obs in self.observations], dtype=float)
+    def take(self, idx) -> "SurvivalDataset":
+        """The rows an index array (or boolean mask) selects, in its order."""
+        columns = (self.x, self.t_lower, self.t_upper, self.kind)
+        return SurvivalDataset(*(column[idx] for column in columns), list(self.feature_names))
 
 
 def validate_dataset(dataset: SurvivalDataset, for_fitting: bool = False) -> SurvivalDataset:
     """Check dataset invariants; returns the dataset unchanged (idempotent).
 
-    Reports the index and reason of the first violation.  In fitting mode the
-    dataset must contain at least one exact observation, since censored kinds
-    contribute no density term to the likelihood.
+    Reports the index and reason of the first violation: the lowest violating
+    row, and for that row the first failing check in the order listed below.
+    In fitting mode the dataset must contain at least one exact observation,
+    since censored kinds contribute no density term to the likelihood.
     """
-    if not dataset.observations:
+    if dataset.n == 0:
         raise EmptyDataset("dataset contains no observations")
-    p = len(dataset.observations[0].covariates)
-    if dataset.feature_names and len(dataset.feature_names) != p:
-        raise RaggedCovariates(
-            f"{len(dataset.feature_names)} feature names for {p} covariates"
-        )
-    for i, obs in enumerate(dataset.observations):
-        if not (obs.time_lower > 0.0) or math.isinf(obs.time_lower):
-            raise NonPositiveTime(f"observation {i}: time {obs.time_lower} is not positive and finite")
-        if obs.censoring == CensoringKind.INTERVAL:
-            if obs.time_upper < obs.time_lower:
-                raise InvertedInterval(
-                    f"observation {i}: interval ({obs.time_lower}, {obs.time_upper}) is inverted"
-                )
-            if math.isinf(obs.time_upper):
-                raise InvertedInterval(f"observation {i}: interval upper bound must be finite")
-        elif obs.censoring == CensoringKind.RIGHT:
-            if not math.isinf(obs.time_upper):
-                raise InvertedInterval(
-                    f"observation {i}: right-censored upper bound must be +inf"
-                )
-        else:
-            if obs.time_upper != obs.time_lower:
-                raise InvertedInterval(
-                    f"observation {i}: {obs.censoring.value} observations carry a single time"
-                )
-        if obs.covariates.ndim != 1 or len(obs.covariates) != p:
-            raise RaggedCovariates(
-                f"observation {i}: expected {p} covariates, got shape {obs.covariates.shape}"
-            )
-        if not np.all(np.isfinite(obs.covariates)):
-            raise NonFiniteCovariate(f"observation {i}: covariates must be finite")
-    if for_fitting and not any(obs.event for obs in dataset.observations):
+    lo, hi, kind = dataset.t_lower, dataset.t_upper, dataset.kind
+    interval = kind == CensoringKind.INTERVAL.code
+    right = kind == CensoringKind.RIGHT.code
+    checks = (
+        ((kind < 0) | (kind >= len(KINDS)), BadStatusValue,
+         lambda i: f"censoring-kind code {kind[i]} is not one of 0..{len(KINDS) - 1}"),
+        (~(lo > 0.0) | np.isinf(lo), NonPositiveTime,
+         lambda i: f"time {lo[i]} is not positive and finite"),
+        (interval & ~(hi >= lo), InvertedInterval,
+         lambda i: f"interval ({lo[i]}, {hi[i]}) is inverted"),
+        (interval & np.isinf(hi), InvertedInterval,
+         lambda i: "interval upper bound must be finite"),
+        (right & ~np.isinf(hi), InvertedInterval,
+         lambda i: "right-censored upper bound must be +inf"),
+        (~(interval | right) & (hi != lo), InvertedInterval,
+         lambda i: f"{KINDS[kind[i]].value} observations carry a single time"),
+        (~np.isfinite(dataset.x).all(axis=1), NonFiniteCovariate,
+         lambda i: "covariates must be finite"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        error, message = next((e, m) for mask, e, m in checks if mask[i])
+        raise error(f"observation {i}: {message(i)}")
+    if for_fitting and not np.any(kind == CensoringKind.EXACT.code):
         raise AllCensored("fitting requires at least one exact (non-censored) observation")
     return dataset
 

@@ -56,13 +56,6 @@ logger = logging.getLogger(__name__)
 
 INTERVAL_MASS_FLOOR = 1e-12
 
-_KIND_CODE = {
-    CensoringKind.EXACT: 0,
-    CensoringKind.RIGHT: 1,
-    CensoringKind.LEFT: 2,
-    CensoringKind.INTERVAL: 3,
-}
-
 
 @dataclass
 class TrainConfig:
@@ -121,32 +114,6 @@ class EpochStats:
     clipped: int
 
 
-@dataclass
-class _Stacked:
-    """Columnar view of an observation list."""
-
-    x: np.ndarray
-    t_lower: np.ndarray
-    t_upper: np.ndarray
-    kind: np.ndarray
-
-    @classmethod
-    def from_observations(cls, observations) -> "_Stacked":
-        return cls(
-            x=np.array([o.covariates for o in observations], dtype=float),
-            t_lower=np.array([o.time_lower for o in observations], dtype=float),
-            t_upper=np.array([o.time_upper for o in observations], dtype=float),
-            kind=np.array([_KIND_CODE[o.censoring] for o in observations], dtype=np.int8),
-        )
-
-    def take(self, idx: np.ndarray) -> "_Stacked":
-        return _Stacked(self.x[idx], self.t_lower[idx], self.t_upper[idx], self.kind[idx])
-
-    @property
-    def n(self) -> int:
-        return self.t_lower.shape[0]
-
-
 def _interval_mass(family, h_lower, h_upper):
     """CDF difference over an interval, computed from the better-conditioned tail."""
     upper_tail = h_lower > 0.0
@@ -155,8 +122,8 @@ def _interval_mass(family, h_lower, h_upper):
     return np.where(upper_tail, diff_s, diff_f)
 
 
-def _nll_core(state: ModelState, st: _Stacked, want_grad: bool):
-    """Per-row NLL terms of a stacked batch, optionally with the gradient of their sum.
+def _nll_core(state: ModelState, st: SurvivalDataset, want_grad: bool):
+    """Per-row NLL terms of a dataset, optionally with the gradient of their sum.
 
     One transformation call covers every row at its lower time; interval rows
     take a second at their upper time.
@@ -219,13 +186,14 @@ def _nll_core(state: ModelState, st: _Stacked, want_grad: bool):
 
 def nll_batch(state: ModelState, observations) -> tuple[float, np.ndarray]:
     """Summed NLL of a batch and its gradient w.r.t. (head, extractor) parameters."""
-    terms, grad = _nll_core(state, _Stacked.from_observations(observations), want_grad=True)
+    batch = SurvivalDataset.from_observations(observations)
+    terms, grad = _nll_core(state, batch, want_grad=True)
     return float(np.sum(terms)), grad
 
 
 def nll_observation(state: ModelState, obs) -> float:
     """NLL of one observation: the one-row case of the training likelihood."""
-    terms, _ = _nll_core(state, _Stacked.from_observations([obs]), want_grad=False)
+    terms, _ = _nll_core(state, SurvivalDataset.from_observations([obs]), want_grad=False)
     return float(terms[0])
 
 
@@ -239,11 +207,11 @@ def _check_input_dim(spec: ModelSpec, p: int):
 def _run_sgd(
     spec: ModelSpec,
     scaler: LogTimeScaler,
-    train_st: _Stacked,
-    val_st: _Stacked,
+    train_st: SurvivalDataset,
+    val_st: SurvivalDataset,
     config: TrainConfig,
     callback=None,
-    record_st: _Stacked | None = None,
+    record_st: SurvivalDataset | None = None,
 ) -> FittedModel:
     head = init_head(spec)
     if spec.uses_extractor:
@@ -345,16 +313,15 @@ def fit(
     n_val = min(max(int(round(config.validation_fraction * n)), 1), n - 1)
     perm = np.random.default_rng([config.seed, 0]).permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    events = np.array([o.event for o in dataset.observations])
+    events = dataset.kind == CensoringKind.EXACT.code
     if not events[train_idx].any():
         # move one exact observation into the training split
         swap = val_idx[events[val_idx]][0]
         val_idx = np.where(val_idx == swap, train_idx[0], val_idx)
         train_idx = np.concatenate([[swap], train_idx[1:]])
-    full = _Stacked.from_observations(dataset.observations)
     return _run_sgd(
-        spec, scaler, full.take(train_idx), full.take(val_idx), config, callback,
-        record_st=full,
+        spec, scaler, dataset.take(train_idx), dataset.take(val_idx), config, callback,
+        record_st=dataset,
     )
 
 
@@ -450,7 +417,7 @@ def _bootstrap_indices(rng, events: np.ndarray, n: int) -> np.ndarray:
 def _fit_member(args):
     dataset, spec, config, scaler, member = args
     n = dataset.n
-    events = np.array([o.event for o in dataset.observations])
+    events = dataset.kind == CensoringKind.EXACT.code
     rng = np.random.default_rng([config.seed, 3, member])
     boot = _bootstrap_indices(rng, events, n)
     oob = np.setdiff1d(np.arange(n), boot)
@@ -458,8 +425,7 @@ def _fit_member(args):
         oob = np.arange(n)
     member_seed = int(np.random.default_rng([config.seed, 4, member]).integers(2**63))
     member_config = replace(config, seed=member_seed)
-    full = _Stacked.from_observations(dataset.observations)
-    model = _run_sgd(spec, scaler, full.take(boot), full.take(oob), member_config)
+    model = _run_sgd(spec, scaler, dataset.take(boot), dataset.take(oob), member_config)
     return member, member_seed, model
 
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import CensoringKind, SurvivalDataset, validate_dataset
+from .core import KINDS, CensoringKind, SurvivalDataset, validate_dataset
 from .errors import (
     NoComparablePairs,
     UnsupportedCensoringKind,
@@ -150,22 +150,23 @@ def evaluate(model, dataset: SurvivalDataset, t_max: float | None = None) -> Eva
     further.
     """
     validate_dataset(dataset)
-    for i, obs in enumerate(dataset.observations):
-        if obs.censoring not in (CensoringKind.EXACT, CensoringKind.RIGHT):
-            raise UnsupportedCensoringKind(
-                f"observation {i} is {obs.censoring.value}-censored; scoring supports "
-                "exact and right-censored data only"
-            )
+    events = dataset.kind == CensoringKind.EXACT.code
+    unsupported = ~events & (dataset.kind != CensoringKind.RIGHT.code)
+    if unsupported.any():
+        i = int(np.argmax(unsupported))
+        raise UnsupportedCensoringKind(
+            f"observation {i} is {KINDS[dataset.kind[i]].value}-censored; scoring supports "
+            "exact and right-censored data only"
+        )
     scaler = model.members[0].scaler if isinstance(model, EnsembleModel) else model.scaler
-    times = dataset.times_lower()
-    events = dataset.event_indicator().astype(bool)
+    times = dataset.t_lower
     if t_max is None:
         t_max = max(math.exp(scaler.b_hi), float(np.max(times)))
 
     if isinstance(model, EnsembleModel):
-        batch = model.conditional_distribution(dataset.covariate_matrix())
+        batch = model.conditional_distribution(dataset.x)
     else:
-        batch = conditional_distribution(model, dataset.covariate_matrix())
+        batch = conditional_distribution(model, dataset.x)
     nll = np.empty(dataset.n)
     nll[events] = -batch.subject(events).log_pdf(times[events])
     nll[~events] = -batch.subject(~events).log_survivor(times[~events])

@@ -9,11 +9,10 @@ censoring mechanism.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
-from .core import FittedModel, Observation, SurvivalDataset, validate_dataset
+from .core import CensoringKind, FittedModel, SurvivalDataset, validate_dataset
 from .errors import ProbabilityOutOfRange, SchemaMismatch
 from .transform import conditional_distribution
 
@@ -53,12 +52,8 @@ def _subject_uniforms(seed: int, subject: int, count: int) -> np.ndarray:
 
 def max_observed_time(dataset: SurvivalDataset) -> float:
     """Largest finite time in the dataset (lower or upper interval endpoint)."""
-    best = 0.0
-    for obs in dataset.observations:
-        best = max(best, obs.time_lower)
-        if math.isfinite(obs.time_upper):
-            best = max(best, obs.time_upper)
-    return best
+    upper = dataset.t_upper
+    return float(np.concatenate([dataset.t_lower, upper[np.isfinite(upper)]]).max(initial=0.0))
 
 
 def generate_semisynthetic(
@@ -95,17 +90,17 @@ def generate_semisynthetic(
             f"dataset has {dataset.p}"
         )
     t_cap = max_observed_time(dataset)
-    dist = conditional_distribution(model, dataset.covariate_matrix())
+    dist = conditional_distribution(model, dataset.x)
     u = np.array(
         [_subject_uniforms(config.seed, i, config.replication) for i in range(dataset.n)]
     )
     # random() lives in [0, 1); lift an exact zero to the smallest draw
-    times = sample_time(dist, np.maximum(u, 2.0**-53))
-    observations = []
-    for obs, subject_times in zip(dataset.observations, times):
-        for t in subject_times:
-            if config.censor_at_max and t > t_cap:
-                observations.append(Observation.right_censored(t_cap, obs.covariates))
-            else:
-                observations.append(Observation.exact(float(t), obs.covariates))
-    return SurvivalDataset(observations, feature_names=list(dataset.feature_names))
+    times = sample_time(dist, np.maximum(u, 2.0**-53)).ravel()
+    censored = config.censor_at_max & (times > t_cap)
+    return SurvivalDataset(
+        x=np.repeat(dataset.x, config.replication, axis=0),
+        t_lower=np.where(censored, t_cap, times),
+        t_upper=np.where(censored, np.inf, times),
+        kind=np.where(censored, CensoringKind.RIGHT.code, CensoringKind.EXACT.code),
+        feature_names=list(dataset.feature_names),
+    )

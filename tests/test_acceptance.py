@@ -98,7 +98,7 @@ def _exponential_dataset(rng, n, w_true=(0.5, -0.3), x_range=1.0):
             obs.append(Observation.right_censored(c, x))
         else:
             obs.append(Observation.exact(t, x))
-    return SurvivalDataset(obs)
+    return SurvivalDataset.from_observations(obs)
 
 
 def _mean_nll(model, observations):
@@ -266,12 +266,12 @@ def test_heldout_nll_improves_with_flexibility():
         times = rng.uniform(0.5, 15.0, size=150)
         base_obs = [Observation.exact(float(t), xi) for t, xi in zip(times, x)]
         base_obs[0] = Observation.exact(15.0, x[0])
-        base = SurvivalDataset(base_obs)
+        base = SurvivalDataset.from_observations(base_obs)
         synth = generate_semisynthetic(
             teacher, base, SynthConfig(replication=10, seed=seed, censor_at_max=True)
         )
         perm = rng.permutation(synth.n)
-        train = SurvivalDataset(
+        train = SurvivalDataset.from_observations(
             [synth.observations[i] for i in perm[:1050]], feature_names=synth.feature_names
         )
         held_out = [synth.observations[i] for i in perm[1050:]]
@@ -304,7 +304,7 @@ def test_covariate_free_c_index_is_exactly_half():
         t = float(rng.uniform(0.2, 5.0))
         x = rng.normal(size=1)
         obs.append(Observation.exact(t, x) if i % 3 else Observation.right_censored(t, x))
-    ds = SurvivalDataset(obs)
+    ds = SurvivalDataset.from_observations(obs)
     spec = ModelSpec(
         family=TargetFamily.LOGISTIC, parameterization=Parameterization.BASELINE,
         bernstein_order=4, epochs=20,
@@ -371,7 +371,7 @@ def test_sampling_tracks_model_distribution():
         Observation.exact(float(t), [float(v)])
         for t, v in zip(rng.uniform(0.2, 3.0, size=120), rng.normal(size=120))
     ]
-    base = SurvivalDataset(base_obs)
+    base = SurvivalDataset.from_observations(base_obs)
     cap = max_observed_time(base)
     capped = generate_semisynthetic(model, base, SynthConfig(replication=7, seed=5))
     free = generate_semisynthetic(
@@ -467,7 +467,8 @@ def test_identical_runs_produce_identical_files(tmp_path):
         else:
             obs.append(Observation.exact(t, x))
     data = tmp_path / "train.csv"
-    write_dataset_csv(SurvivalDataset(obs, feature_names=["age", "dose"]), str(data))
+    dataset = SurvivalDataset.from_observations(obs, feature_names=["age", "dose"])
+    write_dataset_csv(dataset, str(data))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "family": "minimum_extreme_value", "parameterization": "linear_shift",

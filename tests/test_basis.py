@@ -155,7 +155,7 @@ class TestMonotoneReparam:
 
 
 def _dataset(times):
-    return SurvivalDataset([Observation.exact(t, [0.0]) for t in times])
+    return SurvivalDataset.from_observations([Observation.exact(t, [0.0]) for t in times])
 
 
 class TestLogTimeScaler:
@@ -174,7 +174,7 @@ class TestLogTimeScaler:
         np.testing.assert_allclose(scaler.scale(np.log(np.e)), 0.5)
 
     def test_right_censored_times_count(self):
-        ds = SurvivalDataset(
+        ds = SurvivalDataset.from_observations(
             [Observation.exact(1.0, [0.0]), Observation.right_censored(np.e**3, [0.0])]
         )
         scaler = fit_scaler(ds)

@@ -95,7 +95,7 @@ class TestParseDatasetCsv:
             Observation.left_censored(float(rng.uniform(0.1, 5.0)), rng.normal(size=2)),
             Observation.interval(0.5, 1.25, rng.normal(size=2)),
         ]
-        ds = SurvivalDataset(obs, feature_names=["age", "dose"])
+        ds = SurvivalDataset.from_observations(obs, feature_names=["age", "dose"])
         path = tmp_path / "round.csv"
         write_dataset_csv(ds, str(path))
         back = parse_dataset_csv(str(path))
@@ -108,7 +108,7 @@ class TestParseDatasetCsv:
 
     def test_reexport_identical_bytes(self, tmp_path):
         rng = np.random.default_rng(903)
-        ds = SurvivalDataset(
+        ds = SurvivalDataset.from_observations(
             [Observation.exact(float(t), rng.normal(size=1)) for t in rng.uniform(0.1, 9.0, 6)]
         )
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -133,8 +133,8 @@ class TestWriteCdfGrid:
         n = 130
         assert n % CDF_GRID_CHUNK  # the last chunk is partial
         x = rng.normal(size=(n, 2))
-        write_cdf_grid(model, SurvivalDataset([Observation.exact(1.0, row) for row in x]),
-                       tmp_path / "grid.csv")
+        rows = [Observation.exact(1.0, row) for row in x]
+        write_cdf_grid(model, SurvivalDataset.from_observations(rows), tmp_path / "grid.csv")
 
         grid = np.exp(np.linspace(model.scaler.a_lo, model.scaler.b_hi, CDF_GRID_POINTS))
         with open(tmp_path / "reference.csv", "w", newline="") as handle:
@@ -162,7 +162,8 @@ def training_csv(tmp_path):
         else:
             obs.append(Observation.exact(t, x))
     path = tmp_path / "train.csv"
-    write_dataset_csv(SurvivalDataset(obs, feature_names=["age", "dose"]), str(path))
+    dataset = SurvivalDataset.from_observations(obs, feature_names=["age", "dose"])
+    write_dataset_csv(dataset, str(path))
     return str(path)
 
 
@@ -293,6 +294,22 @@ def test_model_without_its_extractor_fails_with_code(tmp_path, training_csv, com
                  "--out", str(out)])
     assert code == 1
     assert json.loads((out / "error.json").read_text())["error"] == "E_DIMENSION_MISMATCH"
+
+
+@pytest.mark.parametrize("bad_row", ["", "2.0,,exact,0.1"], ids=["blank-line", "short-row"])
+def test_incomplete_row_fails_with_code(tmp_path, training_csv, bad_row):
+    """A row with fewer cells than the header is reported with its line."""
+    lines = open(training_csv).read().splitlines()
+    lines.insert(3, bad_row)  # line 4 of the file
+    data = tmp_path / "incomplete.csv"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main(["evaluate", "--data", str(data), "--model", str(tmp_path / "model.json"),
+                 "--out", str(out)])
+    assert code == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "E_MISSING_COLUMN"
+    assert "line 4:" in record["message"]
 
 
 class TestSampleCommand:

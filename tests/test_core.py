@@ -1,3 +1,6 @@
+import math
+
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from tramsurv.core import (
 )
 from tramsurv.errors import (
     AllCensored,
+    BadStatusValue,
     DimensionMismatch,
     EmptyDataset,
     InvertedInterval,
@@ -24,6 +28,7 @@ from tramsurv.errors import (
     NonPositiveTime,
     RaggedCovariates,
     SchemaVersionMismatch,
+    TramsurvError,
 )
 from tramsurv.feature import ExtractorSpec, init_params, param_count
 from tramsurv.target import TargetFamily
@@ -31,7 +36,7 @@ from tramsurv.transform import head_size, init_head
 
 
 def _valid_dataset():
-    return SurvivalDataset(
+    return SurvivalDataset.from_observations(
         [
             Observation.exact(1.0, [0.5, -0.5]),
             Observation.right_censored(2.0, [0.1, 0.2]),
@@ -70,34 +75,49 @@ class TestDatasetValidation:
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            validate_dataset(SurvivalDataset([]))
+            validate_dataset(SurvivalDataset.from_observations([]))
 
     def test_zero_time_reports_index(self):
-        ds = SurvivalDataset([Observation.exact(1.0, [0.0]), Observation.exact(0.0, [0.0])])
+        ds = SurvivalDataset.from_observations(
+            [Observation.exact(1.0, [0.0]), Observation.exact(0.0, [0.0])]
+        )
         with pytest.raises(NonPositiveTime, match="observation 1"):
             validate_dataset(ds)
 
     def test_nan_time(self):
         with pytest.raises(NonPositiveTime):
-            validate_dataset(SurvivalDataset([Observation.exact(np.nan, [0.0])]))
+            validate_dataset(SurvivalDataset.from_observations([Observation.exact(np.nan, [0.0])]))
 
     def test_inverted_interval(self):
-        ds = SurvivalDataset([Observation.interval(2.0, 1.0, [0.0])])
+        ds = SurvivalDataset.from_observations([Observation.interval(2.0, 1.0, [0.0])])
         with pytest.raises(InvertedInterval):
             validate_dataset(ds)
 
-    def test_ragged_covariates(self):
-        ds = SurvivalDataset([Observation.exact(1.0, [0.0]), Observation.exact(2.0, [0.0, 1.0])])
-        with pytest.raises(RaggedCovariates):
+    def test_unknown_kind_code(self):
+        ds = SurvivalDataset(np.zeros((2, 1)), [1.0, 1.0], [1.0, 1.0], [0, len(CensoringKind)])
+        with pytest.raises(BadStatusValue, match="observation 1"):
             validate_dataset(ds)
 
+    def test_nan_interval_upper_bound(self):
+        ds = SurvivalDataset.from_observations(
+            [Observation.exact(1.0, [0.0]), Observation.interval(1.0, np.nan, [0.0])]
+        )
+        with pytest.raises(InvertedInterval, match="observation 1"):
+            validate_dataset(ds)
+
+    def test_ragged_covariates(self):
+        with pytest.raises(RaggedCovariates, match="observation 1"):
+            SurvivalDataset.from_observations(
+                [Observation.exact(1.0, [0.0]), Observation.exact(2.0, [0.0, 1.0])]
+            )
+
     def test_non_finite_covariate(self):
-        ds = SurvivalDataset([Observation.exact(1.0, [np.inf])])
+        ds = SurvivalDataset.from_observations([Observation.exact(1.0, [np.inf])])
         with pytest.raises(NonFiniteCovariate):
             validate_dataset(ds)
 
     def test_all_censored_only_in_fitting_mode(self):
-        ds = SurvivalDataset(
+        ds = SurvivalDataset.from_observations(
             [Observation.right_censored(1.0, [0.0]), Observation.right_censored(2.0, [0.0])]
         )
         validate_dataset(ds)
@@ -112,8 +132,147 @@ class TestDatasetValidation:
 
     def test_covariate_matrix_shape(self):
         ds = _valid_dataset()
-        assert ds.covariate_matrix().shape == (3, 2)
-        np.testing.assert_array_equal(ds.event_indicator(), [1.0, 0.0, 0.0])
+        assert ds.x.shape == (3, 2)
+        kinds = [CensoringKind.EXACT, CensoringKind.RIGHT, CensoringKind.INTERVAL]
+        np.testing.assert_array_equal(ds.kind, [k.code for k in kinds])
+
+
+class TestDatasetColumns:
+    def test_row_view_round_trips(self):
+        rows = _valid_dataset().observations
+        ds = SurvivalDataset.from_observations(rows, feature_names=["a", "b"])
+        assert ds.feature_names == ["a", "b"]
+        for got, want in zip(ds.observations, rows, strict=True):
+            assert (got.time_lower, got.time_upper, got.censoring) == (
+                want.time_lower, want.time_upper, want.censoring
+            )
+            np.testing.assert_array_equal(got.covariates, want.covariates)
+
+    def test_row_view_is_read_only(self):
+        ds = _valid_dataset()
+        with pytest.raises(AttributeError):
+            ds.observations = ()
+
+    def test_take_selects_rows_in_order(self):
+        ds = _valid_dataset().take(np.array([2, 0]))
+        np.testing.assert_array_equal(ds.t_lower, [0.5, 1.0])
+        np.testing.assert_array_equal(ds.x, [[0.0, 0.0], [0.5, -0.5]])
+        assert ds.feature_names == ["x0", "x1"]
+
+    def test_empty_rows_keep_feature_width(self):
+        ds = SurvivalDataset.from_observations([], feature_names=["a", "b"])
+        assert (ds.n, ds.p) == (0, 2)
+
+    def test_mismatched_column_lengths(self):
+        with pytest.raises(ValueError):
+            SurvivalDataset(np.zeros((2, 1)), [1.0], [1.0], [0])
+
+    def test_feature_name_count_must_match(self):
+        with pytest.raises(RaggedCovariates, match="3 feature names for 2 covariates"):
+            SurvivalDataset.from_observations(_valid_dataset().observations, ["a", "b", "c"])
+
+
+def _validate_reference(dataset, for_fitting=False):
+    """The per-row validation loop that the vectorized checks replaced.
+
+    Interval upper bounds that are NaN count as inverted.  The covariate-count
+    checks are left out: a dataset checks them when it is built.
+    """
+    if not dataset.observations:
+        raise EmptyDataset("dataset contains no observations")
+    for i, obs in enumerate(dataset.observations):
+        if not (obs.time_lower > 0.0) or math.isinf(obs.time_lower):
+            raise NonPositiveTime(
+                f"observation {i}: time {obs.time_lower} is not positive and finite"
+            )
+        if obs.censoring == CensoringKind.INTERVAL:
+            if not (obs.time_upper >= obs.time_lower):
+                raise InvertedInterval(
+                    f"observation {i}: interval ({obs.time_lower}, {obs.time_upper}) is inverted"
+                )
+            if math.isinf(obs.time_upper):
+                raise InvertedInterval(f"observation {i}: interval upper bound must be finite")
+        elif obs.censoring == CensoringKind.RIGHT:
+            if not math.isinf(obs.time_upper):
+                raise InvertedInterval(
+                    f"observation {i}: right-censored upper bound must be +inf"
+                )
+        else:
+            if obs.time_upper != obs.time_lower:
+                raise InvertedInterval(
+                    f"observation {i}: {obs.censoring.value} observations carry a single time"
+                )
+        if not np.all(np.isfinite(obs.covariates)):
+            raise NonFiniteCovariate(f"observation {i}: covariates must be finite")
+    if for_fitting and not any(obs.event for obs in dataset.observations):
+        raise AllCensored("fitting requires at least one exact (non-censored) observation")
+    return dataset
+
+
+def _outcome(check, dataset, for_fitting):
+    try:
+        check(dataset, for_fitting)
+    except TramsurvError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_BAD = (0.0, -1.0, math.nan, math.inf, -math.inf)
+_TIMES = (0.5, 1.0, 2.0) * 4 + _BAD
+_COVARIATES = (0.0, 1.5, -2.0) * 6 + (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def _datasets(draw):
+    """Small datasets whose cells are mostly valid, with violations of every kind."""
+    n, p = draw(st.integers(0, 6)), draw(st.integers(0, 2))
+    kinds = draw(st.lists(st.sampled_from(list(CensoringKind)), min_size=n, max_size=n))
+    lower = draw(st.lists(st.sampled_from(_TIMES), min_size=n, max_size=n))
+    upper = []
+    for kind, lo in zip(kinds, lower):
+        if kind == CensoringKind.RIGHT:
+            choices = (math.inf,) * 3 + (3.0, math.nan, -math.inf)
+        elif kind == CensoringKind.INTERVAL:
+            choices = (lo + 1.0,) * 3 + (lo, lo - 0.25, math.nan, math.inf, -math.inf)
+        else:
+            choices = (lo,) * 3 + (lo + 1.0, math.nan)
+        upper.append(draw(st.sampled_from(choices)))
+    rows = draw(st.lists(
+        st.lists(st.sampled_from(_COVARIATES), min_size=p, max_size=p), min_size=n, max_size=n
+    ))
+    return SurvivalDataset(
+        np.array(rows, dtype=float).reshape(n, p), lower, upper, [k.code for k in kinds]
+    )
+
+
+def _rows(*rows, p=1):
+    """A dataset from (kind, lower, upper, covariate) tuples."""
+    kinds, lower, upper, x = zip(*rows)
+    return SurvivalDataset(np.repeat(np.array(x)[:, None], p, axis=1), lower, upper,
+                           [k.code for k in kinds])
+
+
+_E, _R, _I = CensoringKind.EXACT, CensoringKind.RIGHT, CensoringKind.INTERVAL
+
+
+@given(_datasets(), st.booleans())
+@example(_rows((_E, 1.0, 1.0, 0.0), (_E, 0.0, 0.0, 0.0)), False)  # non-positive time
+@example(_rows((_E, 1.0, 1.0, np.inf), (_E, np.nan, np.nan, 0.0)), False)  # covariate first
+@example(_rows((_E, np.inf, np.inf, 0.0)), False)  # infinite time
+@example(_rows((_I, 2.0, 1.0, 0.0)), False)  # inverted interval
+@example(_rows((_I, 1.0, np.nan, 0.0)), False)  # NaN interval bound
+@example(_rows((_I, 1.0, np.inf, 0.0)), False)  # infinite interval bound
+@example(_rows((_R, 1.0, 3.0, 0.0)), False)  # finite right-censored bound
+@example(_rows((_E, 1.0, 2.0, 0.0)), False)  # exact row with two times
+@example(_rows((_E, 1.0, 1.0, -np.inf), p=2), False)  # non-finite covariate
+@example(_rows((_R, 1.0, np.inf, 0.0), (_I, 1.0, 2.0, 0.0)), True)  # all censored
+@example(_rows((_I, 1.0, np.inf, np.nan)), False)  # two violations in one row
+@example(_rows((_R, -1.0, 3.0, np.inf)), False)  # three violations in one row
+@settings(max_examples=400, deadline=None)
+def test_vectorized_validation_matches_per_row_reference(dataset, for_fitting):
+    assert _outcome(validate_dataset, dataset, for_fitting) == _outcome(
+        _validate_reference, dataset, for_fitting
+    )
 
 
 class TestModelSpec:

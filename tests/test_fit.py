@@ -241,12 +241,14 @@ def _exponential_dataset(rng, n, w_true=(0.5, -0.3), x_range=1.0):
             obs.append(Observation.right_censored(c, x))
         else:
             obs.append(Observation.exact(t, x))
-    return SurvivalDataset(obs)
+    return SurvivalDataset.from_observations(obs)
 
 
 class TestFit:
     def test_all_censored_rejected(self):
-        ds = SurvivalDataset([Observation.right_censored(1.0, [0.0]) for _ in range(10)])
+        ds = SurvivalDataset.from_observations(
+            [Observation.right_censored(1.0, [0.0]) for _ in range(10)]
+        )
         spec = ModelSpec(
             family=TargetFamily.LOGISTIC, parameterization=Parameterization.BASELINE,
             epochs=2,

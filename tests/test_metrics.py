@@ -244,7 +244,7 @@ def _scored_dataset(rng, n, p=1):
             obs.append(Observation.right_censored(t, x))
         else:
             obs.append(Observation.exact(t, x))
-    return SurvivalDataset(obs)
+    return SurvivalDataset.from_observations(obs)
 
 
 class TestEvaluate:
@@ -266,7 +266,7 @@ class TestEvaluate:
         assert report.c_index == 0.5
 
     def test_single_subject_scores_without_c_index(self):
-        ds = SurvivalDataset([Observation.exact(1.0, [0.0])])
+        ds = SurvivalDataset.from_observations([Observation.exact(1.0, [0.0])])
         report = evaluate(_exponential_model(), ds)
         assert report.c_index is None
         assert report.n_comparable_pairs == 0
@@ -281,7 +281,7 @@ class TestEvaluate:
         model = _exponential_model(w=(0.5,))
         report = evaluate(model, ds)
         perm = [ds.observations[i] for i in rng.permutation(20)]
-        report_p = evaluate(model, SurvivalDataset(perm))
+        report_p = evaluate(model, SurvivalDataset.from_observations(perm))
         np.testing.assert_allclose(report_p.mean_nll, report.mean_nll, rtol=1e-12)
         np.testing.assert_allclose(report_p.mean_crps, report.mean_crps, rtol=1e-12)
         assert report_p.c_index == report.c_index
@@ -299,7 +299,7 @@ class TestEvaluate:
         )
 
     def test_left_censored_rejected_in_scoring(self):
-        ds = SurvivalDataset(
+        ds = SurvivalDataset.from_observations(
             [Observation.exact(1.0, [0.0]), Observation.left_censored(0.5, [0.0])]
         )
         with pytest.raises(UnsupportedCensoringKind):
@@ -363,7 +363,7 @@ def _random_model(parameterization, family, rng, p=3, order=4):
 
 def _per_subject_reference(model, dataset):
     """The per-subject scoring loop: log_score and scalar crps, one subject at a time."""
-    x = dataset.covariate_matrix()
+    x = dataset.x
     if isinstance(model, EnsembleModel):
         batch, scaler = model.conditional_distribution(x), model.members[0].scaler
     else:
@@ -377,7 +377,7 @@ def _per_subject_reference(model, dataset):
         scores.append(crps(dist, obs.time_lower, bool(obs.event), t_max))
         risks.append(-dist.quantile(0.5))
     return np.array(nll), np.array(scores), concordance_counts(
-        times, dataset.event_indicator().astype(bool), np.array(risks)
+        times, np.array([obs.event for obs in dataset.observations]), np.array(risks)
     )
 
 
@@ -390,7 +390,7 @@ class TestBatchedScoring:
         x = rng.normal(size=(self.N_SUBJECTS, 3))
         times = rng.uniform(0.3, 10.0, self.N_SUBJECTS)
         exact = rng.random(self.N_SUBJECTS) < 0.7
-        dataset = SurvivalDataset([
+        dataset = SurvivalDataset.from_observations([
             (Observation.exact if e else Observation.right_censored)(float(t), row)
             for t, e, row in zip(times, exact, x)
         ])

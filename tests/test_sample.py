@@ -98,7 +98,7 @@ def _base_dataset(rng, n, p=1):
     for _ in range(n):
         x = rng.uniform(-1.0, 1.0, size=p)
         obs.append(Observation.exact(float(rng.uniform(0.3, 3.0)), x))
-    return SurvivalDataset(obs)
+    return SurvivalDataset.from_observations(obs)
 
 
 class TestGenerateSemisynthetic:
@@ -146,7 +146,9 @@ class TestGenerateSemisynthetic:
         depend on how many other subjects are sampled."""
         rng = np.random.default_rng(815)
         ds = _base_dataset(rng, 10)
-        head = SurvivalDataset(ds.observations[:3], feature_names=ds.feature_names)
+        head = SurvivalDataset.from_observations(
+            ds.observations[:3], feature_names=ds.feature_names
+        )
         cfg = SynthConfig(replication=5, seed=3, censor_at_max=False)
         for model in (_exponential_model(), _flexible_model()):
             full = generate_semisynthetic(model, ds, cfg)
@@ -187,7 +189,7 @@ class TestGenerateSemisynthetic:
         base = _base_dataset(rng, 15)
         # add one huge exact time so the cap dwarfs every plausible draw
         obs = list(base.observations) + [Observation.exact(1e9, [0.0])]
-        ds = SurvivalDataset(obs)
+        ds = SurvivalDataset.from_observations(obs)
         synth = generate_semisynthetic(
             _exponential_model(), ds, SynthConfig(replication=1, seed=6)
         )
