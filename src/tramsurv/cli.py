@@ -92,7 +92,7 @@ def _dataset_from_rows(path, header, rows) -> SurvivalDataset:
     # Typed buffers hold 8 bytes per value, where lists would hold float objects.
     t_lower, t_upper, x, kind = array("d"), array("d"), array("d"), array("b")
     for r, row in enumerate(rows, start=2):  # header is line 1
-        if len(row) < len(header):
+        if len(row) != len(header):
             raise MissingColumn(f"{path}: line {r}: {len(row)} cells for {len(header)} columns")
         code = _STATUS_CODE.get(row[status_col].strip().lower())
         if code is None:

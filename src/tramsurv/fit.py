@@ -14,6 +14,16 @@ transformation head and the feature extractor, gradient clipping at a global
 norm, an internal validation split, and early stopping that restores the
 parameters of the best validation epoch.  Everything is deterministic given
 the seed.
+
+The likelihood reads a plan of the dataset, built once after the scaler is
+frozen: log-times, the Bernstein basis and derivative rows at them, and the
+censoring kinds, with the covariates and kinds shared with the dataset
+columns; interval rows, and only those, also carry their upper log-time and
+basis rows.  None of it depends on the parameters, so no SGD step recomputes
+it.  Each epoch gathers the shuffled training rows once and feeds the
+minibatches as contiguous slices of that gather.  The basis is elementwise in
+the rows, so a slice scores bitwise as the same rows computed alone, and the
+epoch NLLs gather their rows in a fixed order, so every sum keeps its order.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -44,6 +54,7 @@ from .numerics import logsumexp
 from .transform import (
     _bisect_increasing,
     _leading_index,
+    basis_rows,
     conditional_distribution,
     eval_transform,
     head_from_flat,
@@ -122,33 +133,97 @@ def _interval_mass(family, h_lower, h_upper):
     return np.where(upper_tail, diff_s, diff_f)
 
 
-def _nll_core(state: ModelState, st: SurvivalDataset, want_grad: bool):
-    """Per-row NLL terms of a dataset, optionally with the gradient of their sum.
+def _gather(column: np.ndarray, rows) -> np.ndarray:
+    """Rows of a column: views for a slice, a copy for an index array."""
+    return column[rows] if isinstance(rows, slice) else column.take(rows, axis=0)
+
+
+def _gather_basis(basis, rows):
+    return None if basis is None else (_gather(basis[0], rows), _gather(basis[1], rows))
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The rows of a dataset as the likelihood reads them (see the module docstring).
+
+    ``basis`` is None for the linear parameterizations.  ``upper_row`` holds
+    the positions of the interval rows, ascending; ``upper_log_t`` and
+    ``upper_basis`` hold one row for each, in the same order.
+    """
+
+    x: np.ndarray
+    kind: np.ndarray
+    log_t: np.ndarray
+    basis: tuple | None
+    upper_row: np.ndarray
+    upper_log_t: np.ndarray
+    upper_basis: tuple | None
+
+    @classmethod
+    def of_dataset(cls, dataset: SurvivalDataset, spec: ModelSpec, scaler: LogTimeScaler):
+        """Plan of a dataset; it shares the ``x`` and ``kind`` columns with the dataset."""
+        if not np.all(dataset.t_lower > 0.0):
+            raise NonPositiveTime("observation times must be positive")
+        log_t = np.log(dataset.t_lower)
+        upper_row = np.flatnonzero(dataset.kind == CensoringKind.INTERVAL.code)
+        upper_log_t = np.log(dataset.t_upper[upper_row])
+        return cls(
+            dataset.x, dataset.kind, log_t, basis_rows(spec, log_t, scaler),
+            upper_row, upper_log_t,
+            basis_rows(spec, upper_log_t, scaler) if upper_row.size else None,
+        )
+
+    @property
+    def n(self) -> int:
+        return self.kind.shape[0]
+
+    def take(self, rows) -> "_Plan":
+        """The rows an index array or a contiguous slice selects, in its order.
+
+        A slice keeps views, and its interval rows are a run of ``upper_row``.
+        """
+        if not self.upper_row.size:
+            upper, upper_row = slice(0, 0), self.upper_row
+        elif isinstance(rows, slice):
+            start, stop, _ = rows.indices(self.n)
+            lo, hi = np.searchsorted(self.upper_row, (start, stop))
+            upper, upper_row = slice(lo, hi), self.upper_row[lo:hi] - start
+        else:
+            upper_row = np.flatnonzero(self.kind.take(rows) == CensoringKind.INTERVAL.code)
+            upper = np.searchsorted(self.upper_row, rows[upper_row])
+        return _Plan(
+            _gather(self.x, rows), _gather(self.kind, rows), _gather(self.log_t, rows),
+            _gather_basis(self.basis, rows),
+            upper_row, _gather(self.upper_log_t, upper), _gather_basis(self.upper_basis, upper),
+        )
+
+
+def _nll_core(state: ModelState, plan: _Plan, want_grad: bool):
+    """Per-row NLL terms of a plan's rows, optionally with the gradient of their sum.
 
     One transformation call covers every row at its lower time; interval rows
     take a second at their upper time.
     """
-    if not np.all(st.t_lower > 0.0):
-        raise NonPositiveTime("observation times must be positive")
     spec = state.spec
     fam = spec.family
     head = head_from_flat(spec, state.head_params)
     if spec.uses_extractor:
-        feats, tape = feature.forward(spec.extractor, state.extractor_params, st.x)
+        feats, tape = feature.forward(spec.extractor, state.extractor_params, plan.x)
     else:
         feats = tape = None
-    exact, right, left, interval = (st.kind == code for code in range(4))
-    log_t = np.log(st.t_lower)
-    h, dh, pullback = eval_transform(spec, head, feats, log_t, state.scaler)
-    terms = np.empty(st.n)
+    exact, right, left = (plan.kind == code for code in range(3))
+    interval = plan.upper_row
+    log_t = plan.log_t
+    h, dh, pullback = eval_transform(spec, head, feats, log_t, state.scaler, basis=plan.basis)
+    terms = np.empty(plan.n)
     terms[exact] = -transformed_log_pdf(fam, h[exact], dh[exact], log_t[exact])
     terms[right] = -target.log_survivor(fam, h[right])
     terms[left] = -target.log_cdf(fam, h[left])
-    if interval.any():
+    if interval.size:
         h_lo = h[interval]
         h_hi, _, pullback_hi = eval_transform(
             spec, head, None if feats is None else feats[interval],
-            np.log(st.t_upper[interval]), state.scaler,
+            plan.upper_log_t, state.scaler, basis=plan.upper_basis,
         )
         mass = _interval_mass(fam, h_lo, h_hi)
         degenerate = mass < INTERVAL_MASS_FLOOR
@@ -163,17 +238,17 @@ def _nll_core(state: ModelState, st: SurvivalDataset, want_grad: bool):
     if not want_grad:
         return terms, None
 
-    up_h, up_dh = np.zeros(st.n), np.zeros(st.n)
+    up_h, up_dh = np.zeros(plan.n), np.zeros(plan.n)
     up_h[exact] = -target.log_density_dz(fam, h[exact])
     up_dh[exact] = -1.0 / dh[exact]
     up_h[right] = target.neg_log_survivor_dz(fam, h[right])
     up_h[left] = target.neg_log_cdf_dz(fam, h[left])
-    if interval.any():
+    if interval.size:
         inv = np.where(degenerate, 0.0, 1.0 / np.maximum(mass, INTERVAL_MASS_FLOOR))
         up_h[interval] = target.density(fam, h_lo) * inv
     grad, d_feats = pullback(up_h, up_dh)
     head_grad = head_to_flat(spec, grad)
-    if interval.any():
+    if interval.size:
         grad_hi, d_feats_hi = pullback_hi(-target.density(fam, h_hi) * inv, 0.0)
         head_grad += head_to_flat(spec, grad_hi)
         d_feats[interval] += d_feats_hi
@@ -184,16 +259,20 @@ def _nll_core(state: ModelState, st: SurvivalDataset, want_grad: bool):
     return terms, np.concatenate([head_grad, ext_grad])
 
 
+def _plan_of_observations(state: ModelState, observations) -> _Plan:
+    dataset = SurvivalDataset.from_observations(observations)
+    return _Plan.of_dataset(dataset, state.spec, state.scaler)
+
+
 def nll_batch(state: ModelState, observations) -> tuple[float, np.ndarray]:
     """Summed NLL of a batch and its gradient w.r.t. (head, extractor) parameters."""
-    batch = SurvivalDataset.from_observations(observations)
-    terms, grad = _nll_core(state, batch, want_grad=True)
+    terms, grad = _nll_core(state, _plan_of_observations(state, observations), want_grad=True)
     return float(np.sum(terms)), grad
 
 
 def nll_observation(state: ModelState, obs) -> float:
     """NLL of one observation: the one-row case of the training likelihood."""
-    terms, _ = _nll_core(state, SurvivalDataset.from_observations([obs]), want_grad=False)
+    terms, _ = _nll_core(state, _plan_of_observations(state, [obs]), want_grad=False)
     return float(terms[0])
 
 
@@ -204,15 +283,28 @@ def _check_input_dim(spec: ModelSpec, p: int):
         )
 
 
+def _mean_nll(state: ModelState, plan: _Plan, rows=None) -> float:
+    """Mean NLL of the plan rows ``rows`` (all of them when None), summed in their order."""
+    if rows is not None:
+        plan = plan.take(rows)
+    return np.sum(_nll_core(state, plan, want_grad=False)[0]) / plan.n
+
+
 def _run_sgd(
     spec: ModelSpec,
     scaler: LogTimeScaler,
-    train_st: SurvivalDataset,
-    val_st: SurvivalDataset,
+    plan: _Plan,
+    train_idx: np.ndarray,
+    val_idx: np.ndarray,
     config: TrainConfig,
     callback=None,
-    record_st: SurvivalDataset | None = None,
+    record_idx: np.ndarray | None = None,
 ) -> FittedModel:
+    """SGD on the plan rows ``train_idx``, early-stopped on the rows ``val_idx``.
+
+    The returned model records the mean NLL of the rows ``record_idx`` (the
+    whole plan when None) at its parameters.
+    """
     head = init_head(spec)
     if spec.uses_extractor:
         ext_seed = int(np.random.default_rng([config.seed, 1]).integers(2**63))
@@ -227,15 +319,16 @@ def _run_sgd(
     best_head, best_ext = head.copy(), ext.copy()
     wait = 0
     for epoch in range(config.epochs):
-        order = rng.permutation(train_st.n)
+        # One gather per epoch; each minibatch is then a slice of views.
+        shuffled = plan.take(train_idx[rng.permutation(train_idx.size)])
         norms = []
         clipped = 0
-        for start in range(0, train_st.n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            terms, grad = _nll_core(state, train_st.take(idx), want_grad=True)
+        for start in range(0, shuffled.n, config.batch_size):
+            batch = shuffled.take(slice(start, start + config.batch_size))
+            terms, grad = _nll_core(state, batch, want_grad=True)
             if not np.isfinite(np.sum(terms)):
                 raise NonFiniteLoss(f"non-finite loss in epoch {epoch}")
-            g = grad / idx.size
+            g = grad / batch.n
             norm = float(np.linalg.norm(g))
             norms.append(norm)
             if norm > config.grad_clip:
@@ -243,8 +336,10 @@ def _run_sgd(
                 clipped += 1
             state.head_params = state.head_params - config.lr_head * g[:n_head]
             state.extractor_params = state.extractor_params - config.lr_extractor * g[n_head:]
-        train_nll = np.sum(_nll_core(state, train_st, want_grad=False)[0]) / train_st.n
-        val_nll = np.sum(_nll_core(state, val_st, want_grad=False)[0]) / val_st.n
+        # Free the shuffled rows before the epoch NLLs gather their own.
+        del shuffled, batch
+        train_nll = _mean_nll(state, plan, train_idx)
+        val_nll = _mean_nll(state, plan, val_idx)
         if not (np.isfinite(train_nll) and np.isfinite(val_nll)):
             raise NonFiniteLoss(f"non-finite loss in epoch {epoch}")
         stats = EpochStats(epoch, train_nll, val_nll, float(np.mean(norms)), clipped)
@@ -264,11 +359,7 @@ def _run_sgd(
             if wait > config.early_stopping_patience:
                 break
 
-    best_state = ModelState(spec, scaler, best_head, best_ext)
-    # The recorded train NLL covers the whole fitting dataset at the returned
-    # parameters, so re-evaluating that dataset reproduces it exactly.
-    record = train_st if record_st is None else record_st
-    train_nll = np.sum(_nll_core(best_state, record, want_grad=False)[0]) / record.n
+    train_nll = _mean_nll(ModelState(spec, scaler, best_head, best_ext), plan, record_idx)
     return FittedModel(
         spec=spec,
         scaler=scaler,
@@ -319,10 +410,11 @@ def fit(
         swap = val_idx[events[val_idx]][0]
         val_idx = np.where(val_idx == swap, train_idx[0], val_idx)
         train_idx = np.concatenate([[swap], train_idx[1:]])
-    return _run_sgd(
-        spec, scaler, dataset.take(train_idx), dataset.take(val_idx), config, callback,
-        record_st=dataset,
-    )
+    # The recorded train NLL covers the whole fitting dataset (the default
+    # record rows) at the returned parameters, so re-evaluating that dataset
+    # reproduces it exactly.
+    plan = _Plan.of_dataset(dataset, spec, scaler)
+    return _run_sgd(spec, scaler, plan, train_idx, val_idx, config, callback)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +517,8 @@ def _fit_member(args):
         oob = np.arange(n)
     member_seed = int(np.random.default_rng([config.seed, 4, member]).integers(2**63))
     member_config = replace(config, seed=member_seed)
-    model = _run_sgd(spec, scaler, dataset.take(boot), dataset.take(oob), member_config)
+    plan = _Plan.of_dataset(dataset, spec, scaler)
+    model = _run_sgd(spec, scaler, plan, boot, oob, member_config, record_idx=boot)
     return member, member_seed, model
 
 

@@ -15,7 +15,9 @@ import numpy as np
 
 from .core import KINDS, CensoringKind, SurvivalDataset, validate_dataset
 from .errors import (
+    InvertedInterval,
     NoComparablePairs,
+    NonPositiveTime,
     UnsupportedCensoringKind,
 )
 from .fit import EnsembleModel
@@ -100,12 +102,18 @@ def crps(dist, t, event, t_max: float):
         True for an exact observation, False for right-censored.
     t_max : float
         Upper integration limit.
+
+    Raises :class:`NonPositiveTime` for a time that is not positive, and
+    :class:`InvertedInterval` for a time above ``t_max``, whose survivor range
+    (t, t_max] is inverted.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(times > 0.0):
-        raise ValueError("CRPS requires a positive observation time")
+        raise NonPositiveTime("CRPS requires a positive observation time")
     if np.any(times > t_max):
-        raise ValueError(f"observation time {times.max()} exceeds the integration limit {t_max}")
+        raise InvertedInterval(
+            f"observation time {times.max()} exceeds the integration limit {t_max}"
+        )
     at = (lambda rows: dist) if np.ndim(t) == 0 else dist.subject
     score = simpson_doubling(lambda u, rows: np.square(at(rows).cdf(u)),
                              np.zeros_like(times), np.nextafter(times, 0.0))

@@ -133,13 +133,28 @@ def _features_2d(features, log_t: np.ndarray) -> np.ndarray:
     return f
 
 
-def eval_transform(spec: ModelSpec, head: HeadParams, features, log_t, scaler: LogTimeScaler):
+def basis_rows(spec: ModelSpec, log_t, scaler: LogTimeScaler):
+    """Bernstein basis and derivative rows that ``eval_transform`` reads at ``log_t``.
+
+    None for the linear parameterizations, which have no basis.  The rows
+    depend on the data and the scaler only, never on the parameters.
+    """
+    if spec.parameterization in (Parameterization.LINEAR_SHIFT, Parameterization.LINEAR_SCALE):
+        return None
+    return bernstein_vectors(spec.bernstein_order, scaler.scale(log_t))
+
+
+def eval_transform(
+    spec: ModelSpec, head: HeadParams, features, log_t, scaler: LogTimeScaler, *, basis=None
+):
     """h(t | x) and dh/dlog t at log-times ``log_t``, with their pullback.
 
     ``features`` may be a single vector (evaluated at every time) or a matrix
     matched row by row against ``log_t``; the baseline parameterization
-    ignores it.  Returns ``(h, dh_dlog_t, pullback)``, the first two shaped
-    like ``log_t``.  ``pullback(upstream_h, upstream_dh)`` chains upstream
+    ignores it.  ``basis`` takes rows precomputed by :func:`basis_rows` at the
+    same log-times and scaler; they are computed here when it is None.
+    Returns ``(h, dh_dlog_t, pullback)``, the first two shaped like
+    ``log_t``.  ``pullback(upstream_h, upstream_dh)`` chains upstream
     sensitivities of h and dh/dlog t into head gradients (summed over rows,
     in a :class:`HeadParams`) and per-row feature sensitivities for the
     extractor's backward pass; it reuses the basis rows of this call.
@@ -168,7 +183,7 @@ def eval_transform(spec: ModelSpec, head: HeadParams, features, log_t, scaler: L
 
         return head.a + c * log_t, c, _pullback(vjp, log_t)
 
-    basis_v, deriv_v = bernstein_vectors(spec.bernstein_order, scaler.scale(log_t))
+    basis_v, deriv_v = basis_rows(spec, log_t, scaler) if basis is None else basis
     span = scaler.span
 
     if p == Parameterization.BERNSTEIN_FLEXIBLE:

@@ -15,9 +15,14 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tramsurv import cli
+from tramsurv import cli, transform
+from tramsurv.core import CensoringKind, ModelSpec, Parameterization, SurvivalDataset
+from tramsurv.feature import ExtractorSpec
+from tramsurv.fit import TrainConfig
+from tramsurv.target import TargetFamily
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -80,6 +85,39 @@ def test_tracer_binds_every_layer_it_wraps():
     ]
 
 
+def test_traced_fit_counts_the_basis_rows_of_its_plan():
+    """A fit computes basis rows once, through the binding the tracer wraps.
+
+    ``basis.rows_per_train_row_epoch`` is read from ``basis.rows_in_fit``; if
+    the basis moved off ``transform.bernstein_vectors`` it would read 0.
+    """
+    rng = np.random.default_rng(11)
+    n = 40
+    t_lower = rng.uniform(0.5, 3.0, n)
+    kind = np.arange(n) % 4
+    t_upper = np.where(kind == CensoringKind.RIGHT.code, np.inf, t_lower)
+    t_upper = np.where(kind == CensoringKind.INTERVAL.code, 1.5 * t_lower, t_upper)
+    dataset = SurvivalDataset(rng.normal(size=(n, 2)), t_lower, t_upper, kind)
+    spec = ModelSpec(
+        family=TargetFamily.LOGISTIC,
+        parameterization=Parameterization.BERNSTEIN_SHIFT_SCALE,
+        bernstein_order=3,
+        extractor=ExtractorSpec(input_dim=2, hidden_dims=(4,), output_dim=2),
+    )
+    spans = _bench_module("spans")
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        tracer.enabled = True
+        cli.fit(dataset, spec, TrainConfig(epochs=2, early_stopping_patience=2))
+    finally:
+        tracer.enabled = False
+        assert tracer.restore() == []
+    n_interval = int(np.sum(kind == CensoringKind.INTERVAL.code))
+    assert tracer.counts["fit.epochs_run"] == 2
+    assert tracer.counts["basis.rows_in_fit"] == n + n_interval
+
+
 def test_parsed_fixture_exposes_what_the_benchmark_reads(tmp_path):
     """Sizes, lower times and rows of a parsed fixture; floats parse as ``float()`` does."""
     path = tmp_path / "fixture.csv"
@@ -100,5 +138,10 @@ def test_traced_arguments_keep_their_positions():
     """The tracer reads these arguments by position, falling back to the name."""
     fit_params = list(inspect.signature(cli.fit).parameters)
     grid_params = list(inspect.signature(cli.write_cdf_grid).parameters)
+    transform_params = list(inspect.signature(transform.eval_transform).parameters)
+    basis_params = list(inspect.signature(transform.bernstein_vectors).parameters)
     assert fit_params[:3] == ["dataset", "spec", "config"]
     assert grid_params[:3] == ["model", "dataset", "path"]
+    # transform.rows counts the log-times, basis.rows the scaled times
+    assert transform_params[3] == "log_t"
+    assert basis_params[1] == "u"

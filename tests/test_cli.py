@@ -296,9 +296,12 @@ def test_model_without_its_extractor_fails_with_code(tmp_path, training_csv, com
     assert json.loads((out / "error.json").read_text())["error"] == "E_DIMENSION_MISMATCH"
 
 
-@pytest.mark.parametrize("bad_row", ["", "2.0,,exact,0.1"], ids=["blank-line", "short-row"])
+@pytest.mark.parametrize(
+    "bad_row", ["", "2.0,,exact,0.1", "2.0,,exact,0.1,0.2,5"],
+    ids=["blank-line", "short-row", "long-row"],
+)
 def test_incomplete_row_fails_with_code(tmp_path, training_csv, bad_row):
-    """A row with fewer cells than the header is reported with its line."""
+    """A row with fewer or more cells than the header is reported with its line."""
     lines = open(training_csv).read().splitlines()
     lines.insert(3, bad_row)  # line 4 of the file
     data = tmp_path / "incomplete.csv"

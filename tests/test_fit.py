@@ -22,6 +22,8 @@ from tramsurv.fit import (
     EnsembleModel,
     ModelState,
     TrainConfig,
+    _nll_core,
+    _Plan,
     fit,
     fit_ensemble,
     nll_batch,
@@ -225,6 +227,45 @@ class TestGradients:
         rng = np.random.default_rng(seed)
         spec = _spec_for(parameterization, family)
         assert _gradient_max_rel_err(spec, rng, draws=3) < 1e-5
+
+
+class TestTrainingPlan:
+    @pytest.mark.parametrize("parameterization", list(Parameterization))
+    @pytest.mark.parametrize("family", list(TargetFamily))
+    def test_sliced_permuted_plan_matches_taken_rows(self, parameterization, family):
+        """Minibatch slices of a permuted plan score exactly as the same rows taken
+        from the dataset, whose basis is computed for that batch alone."""
+        seed = 700 + 10 * list(Parameterization).index(parameterization)
+        rng = np.random.default_rng(seed + list(TargetFamily).index(family))
+        spec = _spec_for(parameterization, family)
+        dataset = SurvivalDataset.from_observations(
+            [obs for _ in range(5) for obs in _random_batch(rng, 2)]
+        )
+        assert set(dataset.kind.tolist()) == {0, 1, 2, 3}
+        scaler = fit_scaler(dataset)
+        head = init_head(spec) + 0.4 * rng.normal(size=head_size(spec))
+        ext = np.zeros(0)
+        if spec.extractor is not None:
+            ext = init_params(spec.extractor, int(rng.integers(1 << 32)))
+        state = ModelState(spec, scaler, head, ext)
+
+        without_intervals = dataset.take(np.flatnonzero(dataset.kind != 3))
+        for data in (dataset, without_intervals):
+            order = rng.permutation(data.n)
+            shuffled = _Plan.of_dataset(data, spec, scaler).take(order)
+            for start in range(0, data.n, 16):  # the last batch is short
+                batch = shuffled.take(slice(start, start + 16))
+                rows = _Plan.of_dataset(data.take(order[start : start + 16]), spec, scaler)
+                terms, grad = _nll_core(state, batch, want_grad=True)
+                ref_terms, ref_grad = _nll_core(state, rows, want_grad=True)
+                assert terms.tobytes() == ref_terms.tobytes()
+                assert grad.tobytes() == ref_grad.tobytes()
+
+        x = dataset.x[0]
+        for bad in (Observation.exact(0.0, x), Observation.interval(-1.0, 2.0, x)):
+            with pytest.raises(NonPositiveTime) as info:
+                nll_batch(state, [Observation.exact(1.0, x), bad])
+            assert info.value.code == "E_NON_POSITIVE_TIME"
 
 
 def _exponential_dataset(rng, n, w_true=(0.5, -0.3), x_range=1.0):

@@ -10,7 +10,9 @@ from tramsurv.core import (
     SurvivalDataset,
 )
 from tramsurv.errors import (
+    InvertedInterval,
     NoComparablePairs,
+    NonPositiveTime,
     QuadratureNonConvergence,
     UnsupportedCensoringKind,
 )
@@ -234,6 +236,17 @@ class TestCrps:
         with pytest.raises(QuadratureNonConvergence):
             crps(_NoisyCdf(), 1.0, True, 50.0)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.array([1.0, 0.0])])
+    def test_non_positive_time_has_code(self, t):
+        with pytest.raises(NonPositiveTime):
+            crps(_ExponentialCdf(), t, True, 50.0)
+
+    @pytest.mark.parametrize("t", [2.0, np.array([1.0, 2.0])])
+    def test_time_above_limit_has_code(self, t):
+        """The survivor range (t, t_max] is inverted."""
+        with pytest.raises(InvertedInterval, match="exceeds the integration limit 1.5"):
+            crps(_ExponentialCdf(), t, True, 1.5)
+
 
 def _scored_dataset(rng, n, p=1):
     obs = []
@@ -297,6 +310,18 @@ class TestEvaluate:
         np.testing.assert_allclose(
             report.mean_crps, np.mean([s.crps for s in report.per_subject]), rtol=1e-12
         )
+
+    def test_t_max_below_an_observed_time_has_code(self):
+        ds = SurvivalDataset.from_observations(
+            [Observation.exact(1.0, [0.0]), Observation.exact(2.0, [0.0])]
+        )
+        with pytest.raises(InvertedInterval, match="time 2.0 exceeds the integration limit 1.5"):
+            evaluate(_exponential_model(), ds, t_max=1.5)
+
+    def test_non_positive_time_has_code(self):
+        ds = SurvivalDataset(x=[[0.0], [0.0]], t_lower=[1.0, 0.0], t_upper=[1.0, 0.0], kind=[0, 0])
+        with pytest.raises(NonPositiveTime):
+            evaluate(_exponential_model(), ds)
 
     def test_left_censored_rejected_in_scoring(self):
         ds = SurvivalDataset.from_observations(
