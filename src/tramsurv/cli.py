@@ -152,21 +152,11 @@ def write_dataset_csv(dataset: SurvivalDataset, path):
 # Run configuration
 
 
-_SPEC_KEYS = {
-    "family": str,
-    "parameterization": str,
-    "bernstein_order": int,
-    "hidden_dims": None,  # list of ints
-    "activation": str,
-    "init_scale": float,
-    "lr_extractor": float,
-    "lr_head": float,
-    "epochs": int,
-    "batch_size": int,
-    "early_stopping_patience": int,
-    "validation_fraction": float,
-    "seed": int,
-}
+_SPEC_KEYS = (
+    "family", "parameterization", "bernstein_order", "hidden_dims", "activation", "init_scale",
+    "lr_extractor", "lr_head", "epochs", "batch_size", "early_stopping_patience",
+    "validation_fraction", "seed",
+)
 
 
 def load_spec_config(path, overrides: dict) -> dict:
@@ -189,6 +179,15 @@ def load_spec_config(path, overrides: dict) -> dict:
     return doc
 
 
+def _spec_value(convert, config: dict, key: str, default):
+    """``convert`` applied to ``config[key]``, or to ``default`` when the key is absent."""
+    value = config.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise BadConfig(f"spec key {key!r} has a malformed value {value!r}") from None
+
+
 def build_model_spec(config: dict, n_features: int) -> ModelSpec:
     try:
         family = TargetFamily(config["family"])
@@ -204,10 +203,10 @@ def build_model_spec(config: dict, n_features: int) -> ModelSpec:
             f"unknown parameterization {config['parameterization']!r}; expected one of "
             f"{[p.value for p in Parameterization]}"
         ) from None
-    order = int(config.get("bernstein_order", 6))
+    order = _spec_value(int, config, "bernstein_order", 6)
     extractor = None
     if parameterization != Parameterization.BASELINE:
-        hidden = tuple(int(h) for h in config.get("hidden_dims", ()))
+        hidden = _spec_value(lambda dims: tuple(map(int, dims)), config, "hidden_dims", ())
         if parameterization == Parameterization.BERNSTEIN_FLEXIBLE:
             output_dim = order + 1
         else:
@@ -217,7 +216,7 @@ def build_model_spec(config: dict, n_features: int) -> ModelSpec:
             hidden_dims=hidden,
             output_dim=output_dim,
             activation=config.get("activation", "tanh"),
-            init_scale=float(config.get("init_scale", 1.0)),
+            init_scale=_spec_value(float, config, "init_scale", 1.0),
         )
     return ModelSpec(
         family=family,
@@ -226,18 +225,18 @@ def build_model_spec(config: dict, n_features: int) -> ModelSpec:
         extractor=extractor,
         lr_extractor=config.get("lr_extractor"),
         lr_head=config.get("lr_head"),
-        epochs=int(config.get("epochs", 200)),
-        early_stopping_patience=int(config.get("early_stopping_patience", 10)),
-        seed=int(config.get("seed", 0)),
+        epochs=_spec_value(int, config, "epochs", 200),
+        early_stopping_patience=_spec_value(int, config, "early_stopping_patience", 10),
+        seed=_spec_value(int, config, "seed", 0),
     )
 
 
 def build_train_config(config: dict, spec: ModelSpec) -> TrainConfig:
     overrides = {}
     if "batch_size" in config:
-        overrides["batch_size"] = int(config["batch_size"])
+        overrides["batch_size"] = _spec_value(int, config, "batch_size", None)
     if "validation_fraction" in config:
-        overrides["validation_fraction"] = float(config["validation_fraction"])
+        overrides["validation_fraction"] = _spec_value(float, config, "validation_fraction", None)
     return TrainConfig.from_model_spec(spec, **overrides)
 
 
@@ -272,19 +271,23 @@ def _load_model(path):
 def write_cdf_grid(model, dataset: SurvivalDataset, path):
     """Per-subject conditional CDF on a fixed grid spanning the training range.
 
-    Subjects are evaluated ``CDF_GRID_CHUNK`` at a time, so memory is bounded
-    by the chunk size rather than by the dataset.
+    One distribution covers every subject; its CDF is evaluated
+    ``CDF_GRID_CHUNK`` subjects at a time, so the grid values in memory are
+    bounded by the chunk size rather than by the dataset.
     """
     scaler = model.scaler
     grid = np.exp(np.linspace(scaler.a_lo, scaler.b_hi, CDF_GRID_POINTS))
     # The lines csv.writer would write, joined per subject: no field needs quoting.
     time_fields = [f",{_format_value(t)}," for t in grid]
+    dist = conditional_distribution(model, dataset.x)
     with open(path, "w", newline="") as handle:
         handle.write("subject,time,cdf\r\n")
         for start in range(0, dataset.n, CDF_GRID_CHUNK):
-            chunk = dataset.x[start : start + CDF_GRID_CHUNK]
-            dist = conditional_distribution(model, chunk)
-            values = dist.cdf(np.broadcast_to(grid, (chunk.shape[0], CDF_GRID_POINTS)))
+            # baseline models have one distribution for all subjects, so the
+            # chunk's size comes from the slice, not from the distribution
+            stop = min(start + CDF_GRID_CHUNK, dataset.n)
+            chunk = dist.subject(slice(start, stop))
+            values = chunk.cdf(np.broadcast_to(grid, (stop - start, CDF_GRID_POINTS)))
             for i, row in enumerate(values.tolist(), start=start):
                 handle.write("".join([f"{i}{t}{v!r}\r\n" for t, v in zip(time_fields, row)]))
 

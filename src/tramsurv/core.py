@@ -17,12 +17,14 @@ from enum import Enum
 from functools import cached_property
 import json
 import math
+from numbers import Real
 
 import numpy as np
 
 from .basis import LogTimeScaler
 from .errors import (
     AllCensored,
+    BadConfig,
     BadStatusValue,
     DimensionMismatch,
     EmptyDataset,
@@ -249,18 +251,18 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.bernstein_order < 1:
-            raise ValueError("bernstein_order must be >= 1")
+            raise BadConfig("bernstein_order must be >= 1")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise BadConfig("epochs must be >= 1")
         if self.early_stopping_patience < 0:
-            raise ValueError("early_stopping_patience must be >= 0")
+            raise BadConfig("early_stopping_patience must be >= 0")
         lr_ext, lr_head = default_learning_rates(self.parameterization, self.family)
         if self.lr_extractor is None:
             object.__setattr__(self, "lr_extractor", lr_ext)
         if self.lr_head is None:
             object.__setattr__(self, "lr_head", lr_head)
-        if self.lr_extractor <= 0.0 or self.lr_head <= 0.0:
-            raise ValueError("learning rates must be positive")
+        if not all(isinstance(lr, Real) and lr > 0.0 for lr in (self.lr_extractor, self.lr_head)):
+            raise BadConfig("learning rates must be positive numbers")
         if self.uses_extractor and self.extractor is None:
             raise DimensionMismatch(
                 f"parameterization {self.parameterization.value} requires an extractor spec"

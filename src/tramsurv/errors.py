@@ -120,7 +120,9 @@ class ModelNotFound(TramsurvError):
     code = "E_MODEL_NOT_FOUND"
 
 
-class BadConfig(TramsurvError):
+class BadConfig(TramsurvError, ValueError):
+    """A configuration value out of its range or of the wrong type."""
+
     code = "E_BAD_CONFIG"
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, TapeMismatch
+from .errors import BadConfig, DimensionMismatch, TapeMismatch
 
 _ACTIVATIONS = ("tanh", "relu")
 
@@ -37,7 +37,7 @@ class ExtractorSpec:
         if any(h < 1 for h in self.hidden_dims):
             raise DimensionMismatch("hidden layer widths must be positive")
         if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+            raise BadConfig(f"activation must be one of {_ACTIVATIONS}")
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:

@@ -10,25 +10,31 @@ interval-censored times the log of the CDF difference across the interval
 expression as the conditional log-density that scoring reads.
 
 Training is plain minibatch SGD with separate learning rates for the
-transformation head and the feature extractor, gradient clipping at a global
-norm, an internal validation split, and early stopping that restores the
-parameters of the best validation epoch.  Everything is deterministic given
-the seed.
+transformation head and the feature extractor, gradient clipping at the
+global norm ``GRAD_CLIP``, an internal validation split, and early stopping
+that restores the parameters of the best validation epoch.  Everything is
+deterministic given the seed.
 
 The likelihood reads a plan of the dataset, built once after the scaler is
 frozen: log-times, the Bernstein basis and derivative rows at them, and the
 censoring kinds, with the covariates and kinds shared with the dataset
-columns; interval rows, and only those, also carry their upper log-time and
-basis rows.  None of it depends on the parameters, so no SGD step recomputes
-it.  Each epoch gathers the shuffled training rows once and feeds the
-minibatches as contiguous slices of that gather.  The basis is elementwise in
-the rows, so a slice scores bitwise as the same rows computed alone, and the
-epoch NLLs gather their rows in a fixed order, so every sum keeps its order.
+columns.  When the dataset has interval rows, every row also carries an upper
+log-time and basis rows, its lower ones outside interval rows, so any
+selection of rows is one uniform gather; basis rows at upper times are
+computed for the interval rows only.  None of it depends on the parameters,
+so no SGD step recomputes it.  The head parameters stay one flat vector
+throughout: ``eval_transform`` reads it and its pullback returns the head
+gradient in the same layout.  Each epoch gathers the shuffled training rows
+once and feeds the minibatches as contiguous slices of that gather.  The
+basis is elementwise in the rows, so a slice scores bitwise as the same rows
+computed alone, and the epoch NLLs gather their rows in a fixed order, so
+every sum keeps its order.
 """
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 import logging
+from typing import NamedTuple
 import warnings
 
 import numpy as np
@@ -44,6 +50,7 @@ from .core import (
 )
 from .errors import (
     AllCensored,
+    BadConfig,
     DegenerateIntervalWarning,
     DimensionMismatch,
     NonFiniteLoss,
@@ -57,8 +64,6 @@ from .transform import (
     basis_rows,
     conditional_distribution,
     eval_transform,
-    head_from_flat,
-    head_to_flat,
     init_head,
     transformed_log_pdf,
 )
@@ -66,6 +71,7 @@ from .transform import (
 logger = logging.getLogger(__name__)
 
 INTERVAL_MASS_FLOOR = 1e-12
+GRAD_CLIP = 10.0  # global norm above which a minibatch gradient is scaled down
 
 
 @dataclass
@@ -79,19 +85,20 @@ class TrainConfig:
     early_stopping_patience: int = 10
     validation_fraction: float = 0.2
     seed: int = 0
-    grad_clip: float = 10.0
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise BadConfig("epochs must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise BadConfig("batch_size must be >= 1")
         if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must lie in (0, 1)")
+            raise BadConfig("validation_fraction must lie in (0, 1)")
         if self.early_stopping_patience < 0:
-            raise ValueError("early_stopping_patience must be >= 0")
+            raise BadConfig("early_stopping_patience must be >= 0")
         if self.lr_extractor <= 0.0 or self.lr_head <= 0.0:
-            raise ValueError("learning rates must be positive")
+            raise BadConfig("learning rates must be positive")
+        if self.seed < 0:
+            raise BadConfig("seed must be non-negative")
 
     @classmethod
     def from_model_spec(cls, spec: ModelSpec, **overrides) -> "TrainConfig":
@@ -133,45 +140,43 @@ def _interval_mass(family, h_lower, h_upper):
     return np.where(upper_tail, diff_s, diff_f)
 
 
-def _gather(column: np.ndarray, rows) -> np.ndarray:
-    """Rows of a column: views for a slice, a copy for an index array."""
-    return column[rows] if isinstance(rows, slice) else column.take(rows, axis=0)
-
-
-def _gather_basis(basis, rows):
-    return None if basis is None else (_gather(basis[0], rows), _gather(basis[1], rows))
-
-
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """The rows of a dataset as the likelihood reads them (see the module docstring).
 
-    ``basis`` is None for the linear parameterizations.  ``upper_row`` holds
-    the positions of the interval rows, ascending; ``upper_log_t`` and
-    ``upper_basis`` hold one row for each, in the same order.
+    ``basis`` is None for the linear parameterizations.  ``upper_log_t`` and
+    ``upper_basis`` hold each row's upper log-time and its basis rows, which
+    repeat the lower ones outside interval rows; both are None when the
+    dataset has no interval rows, and ``upper_basis`` is also None where
+    ``basis`` is.
     """
 
     x: np.ndarray
     kind: np.ndarray
     log_t: np.ndarray
     basis: tuple | None
-    upper_row: np.ndarray
-    upper_log_t: np.ndarray
+    upper_log_t: np.ndarray | None
     upper_basis: tuple | None
 
     @classmethod
     def of_dataset(cls, dataset: SurvivalDataset, spec: ModelSpec, scaler: LogTimeScaler):
-        """Plan of a dataset; it shares the ``x`` and ``kind`` columns with the dataset."""
+        """Plan of a dataset; it shares the ``x`` and ``kind`` columns with the dataset.
+
+        Basis rows at upper times are computed for the interval rows only.
+        """
         if not np.all(dataset.t_lower > 0.0):
             raise NonPositiveTime("observation times must be positive")
         log_t = np.log(dataset.t_lower)
-        upper_row = np.flatnonzero(dataset.kind == CensoringKind.INTERVAL.code)
-        upper_log_t = np.log(dataset.t_upper[upper_row])
-        return cls(
-            dataset.x, dataset.kind, log_t, basis_rows(spec, log_t, scaler),
-            upper_row, upper_log_t,
-            basis_rows(spec, upper_log_t, scaler) if upper_row.size else None,
-        )
+        basis = basis_rows(spec, log_t, scaler)
+        upper_log_t = upper_basis = None
+        interval = np.flatnonzero(dataset.kind == CensoringKind.INTERVAL.code)
+        if interval.size:
+            upper_log_t = log_t.copy()
+            upper_log_t[interval] = np.log(dataset.t_upper[interval])
+        if interval.size and basis is not None:
+            upper_basis = tuple(rows.copy() for rows in basis)
+            for rows, upper in zip(upper_basis, basis_rows(spec, upper_log_t[interval], scaler)):
+                rows[interval] = upper
+        return cls(dataset.x, dataset.kind, log_t, basis, upper_log_t, upper_basis)
 
     @property
     def n(self) -> int:
@@ -180,22 +185,17 @@ class _Plan:
     def take(self, rows) -> "_Plan":
         """The rows an index array or a contiguous slice selects, in its order.
 
-        A slice keeps views, and its interval rows are a run of ``upper_row``.
+        A slice keeps views; an index array copies.
         """
-        if not self.upper_row.size:
-            upper, upper_row = slice(0, 0), self.upper_row
-        elif isinstance(rows, slice):
-            start, stop, _ = rows.indices(self.n)
-            lo, hi = np.searchsorted(self.upper_row, (start, stop))
-            upper, upper_row = slice(lo, hi), self.upper_row[lo:hi] - start
-        else:
-            upper_row = np.flatnonzero(self.kind.take(rows) == CensoringKind.INTERVAL.code)
-            upper = np.searchsorted(self.upper_row, rows[upper_row])
-        return _Plan(
-            _gather(self.x, rows), _gather(self.kind, rows), _gather(self.log_t, rows),
-            _gather_basis(self.basis, rows),
-            upper_row, _gather(self.upper_log_t, upper), _gather_basis(self.upper_basis, upper),
-        )
+
+        def gather(column):
+            if column is None:
+                return None
+            if isinstance(column, tuple):
+                return tuple(map(gather, column))
+            return column[rows] if isinstance(rows, slice) else column.take(rows, axis=0)
+
+        return _Plan(*map(gather, self))
 
 
 def _nll_core(state: ModelState, plan: _Plan, want_grad: bool):
@@ -206,13 +206,13 @@ def _nll_core(state: ModelState, plan: _Plan, want_grad: bool):
     """
     spec = state.spec
     fam = spec.family
-    head = head_from_flat(spec, state.head_params)
+    head = state.head_params
     if spec.uses_extractor:
         feats, tape = feature.forward(spec.extractor, state.extractor_params, plan.x)
     else:
         feats = tape = None
     exact, right, left = (plan.kind == code for code in range(3))
-    interval = plan.upper_row
+    interval = np.flatnonzero(plan.kind == CensoringKind.INTERVAL.code)
     log_t = plan.log_t
     h, dh, pullback = eval_transform(spec, head, feats, log_t, state.scaler, basis=plan.basis)
     terms = np.empty(plan.n)
@@ -221,9 +221,10 @@ def _nll_core(state: ModelState, plan: _Plan, want_grad: bool):
     terms[left] = -target.log_cdf(fam, h[left])
     if interval.size:
         h_lo = h[interval]
+        upper = plan.take(interval)
         h_hi, _, pullback_hi = eval_transform(
             spec, head, None if feats is None else feats[interval],
-            plan.upper_log_t, state.scaler, basis=plan.upper_basis,
+            upper.upper_log_t, state.scaler, basis=upper.upper_basis,
         )
         mass = _interval_mass(fam, h_lo, h_hi)
         degenerate = mass < INTERVAL_MASS_FLOOR
@@ -246,11 +247,10 @@ def _nll_core(state: ModelState, plan: _Plan, want_grad: bool):
     if interval.size:
         inv = np.where(degenerate, 0.0, 1.0 / np.maximum(mass, INTERVAL_MASS_FLOOR))
         up_h[interval] = target.density(fam, h_lo) * inv
-    grad, d_feats = pullback(up_h, up_dh)
-    head_grad = head_to_flat(spec, grad)
+    head_grad, d_feats = pullback(up_h, up_dh)
     if interval.size:
-        grad_hi, d_feats_hi = pullback_hi(-target.density(fam, h_hi) * inv, 0.0)
-        head_grad += head_to_flat(spec, grad_hi)
+        grad_hi, d_feats_hi = pullback_hi(-target.density(fam, h_hi) * inv, np.zeros(interval.size))
+        head_grad += grad_hi
         d_feats[interval] += d_feats_hi
     if spec.uses_extractor:
         ext_grad, _ = feature.backward(spec.extractor, state.extractor_params, tape, d_feats)
@@ -331,8 +331,8 @@ def _run_sgd(
             g = grad / batch.n
             norm = float(np.linalg.norm(g))
             norms.append(norm)
-            if norm > config.grad_clip:
-                g = g * (config.grad_clip / norm)
+            if norm > GRAD_CLIP:
+                g = g * (GRAD_CLIP / norm)
                 clipped += 1
             state.head_params = state.head_params - config.lr_head * g[:n_head]
             state.extractor_params = state.extractor_params - config.lr_extractor * g[n_head:]
@@ -540,7 +540,7 @@ def fit_ensemble(
     parallel worker processes (``jobs > 1``).
     """
     if not 1 <= top_m <= n_members:
-        raise ValueError("need 1 <= top_m <= n_members")
+        raise BadConfig("need 1 <= top_m <= n_members")
     validate_dataset(dataset, for_fitting=True)
     _check_input_dim(spec, dataset.p)
     if config is None:

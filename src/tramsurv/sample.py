@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CensoringKind, FittedModel, SurvivalDataset, validate_dataset
-from .errors import ProbabilityOutOfRange, SchemaMismatch
+from .errors import BadConfig, ProbabilityOutOfRange, SchemaMismatch
 from .transform import conditional_distribution
 
 
@@ -27,9 +27,9 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.replication < 1:
-            raise ValueError("replication must be >= 1")
+            raise BadConfig("replication must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise BadConfig("seed must be non-negative")
 
 
 def sample_time(dist, u):

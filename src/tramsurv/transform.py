@@ -17,7 +17,6 @@ fed to the extractor's backward pass.  The density follows from the chain
 rule, log f(t | x) = log f_Z(h) + log(dh/dlog t) - log t.
 """
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -37,69 +36,25 @@ from .errors import (
 from .numerics import sigmoid, softplus, softplus_inv
 
 
-@dataclass
-class HeadParams:
-    """Structured view of the transformation head parameters.
+def head_size(spec: ModelSpec) -> int:
+    """Length of the flat head vector.
 
-    Only the fields used by the parameterization at hand are set; the same
-    container is also used for gradients, which share the structure.
+    Its layout, in storage order (``k`` = order + 1, ``d`` = extractor output
+    dimension): baseline ``gamma[k]``; linear_shift ``a, b_raw, w[d]``;
+    linear_scale ``a, w[d]``; bernstein_shift ``gamma[k], w[d]``;
+    bernstein_shift_scale ``gamma[k], w[d], beta[d]``; bernstein_flexible
+    nothing, since all its parameters live in the extractor.
     """
-
-    a: float = 0.0
-    b_raw: float = 0.0
-    w: np.ndarray | None = None
-    gamma: np.ndarray | None = None
-    beta: np.ndarray | None = None
-
-
-def head_layout(spec: ModelSpec) -> list[tuple[str, int]]:
-    """Field names and sizes of the flat head vector, in storage order."""
     k = spec.bernstein_order + 1
     d = spec.extractor.output_dim if spec.extractor is not None else 0
-    p = spec.parameterization
-    if p == Parameterization.BASELINE:
-        return [("gamma", k)]
-    if p == Parameterization.LINEAR_SHIFT:
-        return [("a", 1), ("b_raw", 1), ("w", d)]
-    if p == Parameterization.LINEAR_SCALE:
-        return [("a", 1), ("w", d)]
-    if p == Parameterization.BERNSTEIN_SHIFT:
-        return [("gamma", k), ("w", d)]
-    if p == Parameterization.BERNSTEIN_SHIFT_SCALE:
-        return [("gamma", k), ("w", d), ("beta", d)]
-    return []  # bernstein_flexible: all parameters live in the extractor
-
-
-def head_size(spec: ModelSpec) -> int:
-    return sum(size for _, size in head_layout(spec))
-
-
-def head_from_flat(spec: ModelSpec, flat: np.ndarray) -> HeadParams:
-    flat = np.asarray(flat, dtype=float)
-    if flat.shape != (head_size(spec),):
-        raise DimensionMismatch(
-            f"expected {head_size(spec)} head parameters, got shape {flat.shape}"
-        )
-    head = HeadParams()
-    pos = 0
-    for name, size in head_layout(spec):
-        chunk = flat[pos : pos + size]
-        pos += size
-        setattr(head, name, float(chunk[0]) if name in ("a", "b_raw") else chunk)
-    return head
-
-
-def head_to_flat(spec: ModelSpec, head: HeadParams) -> np.ndarray:
-    parts = []
-    for name, size in head_layout(spec):
-        value = getattr(head, name)
-        parts.append(np.atleast_1d(np.asarray(value, dtype=float)))
-    if not parts:
-        return np.zeros(0)
-    flat = np.concatenate(parts)
-    if flat.shape != (head_size(spec),):
-        raise DimensionMismatch("head fields do not match the model spec layout")
-    return flat
+    return {
+        Parameterization.BASELINE: k,
+        Parameterization.LINEAR_SHIFT: 2 + d,
+        Parameterization.LINEAR_SCALE: 1 + d,
+        Parameterization.BERNSTEIN_SHIFT: k + d,
+        Parameterization.BERNSTEIN_SHIFT_SCALE: k + 2 * d,
+        Parameterization.BERNSTEIN_FLEXIBLE: 0,
+    }[spec.parameterization]
 
 
 def init_head(spec: ModelSpec) -> np.ndarray:
@@ -111,14 +66,18 @@ def init_head(spec: ModelSpec) -> np.ndarray:
     distribution.
     """
     k = spec.bernstein_order
-    head = HeadParams()
-    head.b_raw = softplus_inv(1.0)
-    if spec.extractor is not None:
-        head.w = np.zeros(spec.extractor.output_dim)
-        head.beta = np.zeros(spec.extractor.output_dim)
-    head.gamma = np.full(k + 1, softplus_inv(4.0 / k))
-    head.gamma[0] = -2.0
-    return head_to_flat(spec, head)
+    head = np.zeros(head_size(spec))
+    p = spec.parameterization
+    if p == Parameterization.LINEAR_SHIFT:
+        head[1] = softplus_inv(1.0)
+    elif p in (
+        Parameterization.BASELINE,
+        Parameterization.BERNSTEIN_SHIFT,
+        Parameterization.BERNSTEIN_SHIFT_SCALE,
+    ):
+        head[: k + 1] = softplus_inv(4.0 / k)
+        head[0] = -2.0
+    return head
 
 
 def _features_2d(features, log_t: np.ndarray) -> np.ndarray:
@@ -145,43 +104,52 @@ def basis_rows(spec: ModelSpec, log_t, scaler: LogTimeScaler):
 
 
 def eval_transform(
-    spec: ModelSpec, head: HeadParams, features, log_t, scaler: LogTimeScaler, *, basis=None
+    spec: ModelSpec, head: np.ndarray, features, log_t, scaler: LogTimeScaler, *, basis=None
 ):
     """h(t | x) and dh/dlog t at log-times ``log_t``, with their pullback.
 
+    ``head`` is the flat head vector laid out as :func:`head_size` documents;
+    a vector of another length raises :class:`DimensionMismatch`.
     ``features`` may be a single vector (evaluated at every time) or a matrix
     matched row by row against ``log_t``; the baseline parameterization
     ignores it.  ``basis`` takes rows precomputed by :func:`basis_rows` at the
     same log-times and scaler; they are computed here when it is None.
     Returns ``(h, dh_dlog_t, pullback)``, the first two shaped like
-    ``log_t``.  ``pullback(upstream_h, upstream_dh)`` chains upstream
-    sensitivities of h and dh/dlog t into head gradients (summed over rows,
-    in a :class:`HeadParams`) and per-row feature sensitivities for the
-    extractor's backward pass; it reuses the basis rows of this call.
+    ``log_t``.  ``pullback(upstream_h, upstream_dh)`` takes one upstream
+    sensitivity of h and of dh/dlog t per row and chains them into the flat
+    head gradient (summed over rows, laid out like ``head``) and per-row
+    feature sensitivities for the extractor's backward pass; it reuses the
+    basis rows of this call.
     """
     log_t = np.atleast_1d(np.asarray(log_t, dtype=float))
+    head = np.asarray(head, dtype=float)
+    if head.shape != (head_size(spec),):
+        raise DimensionMismatch(
+            f"expected {head_size(spec)} head parameters, got shape {head.shape}"
+        )
     p = spec.parameterization
     f = None if p == Parameterization.BASELINE else _features_2d(features, log_t)
 
     if p == Parameterization.LINEAR_SHIFT:
-        b = softplus(head.b_raw)
+        a, b_raw, w = head[0], head[1], head[2:]
+        b = softplus(b_raw)
 
-        def vjp(uh, ud):
-            grad = HeadParams(a=float(np.sum(uh)), w=f.T @ uh)
-            grad.b_raw = float(sigmoid(head.b_raw) * np.sum(uh * log_t + ud))
-            return grad, np.outer(uh, head.w)
+        def pullback(uh, ud):
+            d_b_raw = sigmoid(b_raw) * np.sum(uh * log_t + ud)
+            return np.concatenate([[np.sum(uh), d_b_raw], f.T @ uh]), np.outer(uh, w)
 
-        return head.a + b * log_t + f @ head.w, np.full_like(log_t, b), _pullback(vjp, log_t)
+        return a + b * log_t + f @ w, np.full_like(log_t, b), pullback
 
     if p == Parameterization.LINEAR_SCALE:
-        r = f @ head.w
+        a, w = head[0], head[1:]
+        r = f @ w
         c = softplus(r)
 
-        def vjp(uh, ud):
+        def pullback(uh, ud):
             d_r = sigmoid(r) * (uh * log_t + ud)
-            return HeadParams(a=float(np.sum(uh)), w=f.T @ d_r), np.outer(d_r, head.w)
+            return np.concatenate([[np.sum(uh)], f.T @ d_r]), np.outer(d_r, w)
 
-        return head.a + c * log_t, c, _pullback(vjp, log_t)
+        return a + c * log_t, c, pullback
 
     basis_v, deriv_v = basis_rows(spec, log_t, scaler) if basis is None else basis
     span = scaler.span
@@ -194,47 +162,38 @@ def eval_transform(
             )
         theta = monotone_reparam(f)
 
-        def vjp(uh, ud):
+        def pullback(uh, ud):
             d_theta = basis_v * uh[:, None] + deriv_v * (ud / span)[:, None]
-            return HeadParams(), monotone_reparam_vjp(f, d_theta)
+            return np.zeros(0), monotone_reparam_vjp(f, d_theta)
 
         h = np.sum(basis_v * theta, axis=-1)
-        return h, np.sum(deriv_v * theta, axis=-1) / span, _pullback(vjp, log_t)
+        return h, np.sum(deriv_v * theta, axis=-1) / span, pullback
 
     # baseline, bernstein_shift and bernstein_shift_scale: scale * b(u)^T theta + shift
-    theta = monotone_reparam(head.gamma)
+    k = spec.bernstein_order + 1
+    d = 0 if f is None else spec.extractor.output_dim
+    gamma, w, beta = head[:k], head[k : k + d], head[k + d :]
+    theta = monotone_reparam(gamma)
     base = basis_v @ theta
     base_d = (deriv_v @ theta) / span
-    r = f @ head.beta if p == Parameterization.BERNSTEIN_SHIFT_SCALE else None
+    r = f @ beta if p == Parameterization.BERNSTEIN_SHIFT_SCALE else None
     scale = 1.0 if r is None else softplus(r)
-    shift = 0.0 if f is None else f @ head.w
+    shift = 0.0 if f is None else f @ w
 
-    def vjp(uh, ud):
+    def pullback(uh, ud):
         d_theta = basis_v.T @ (uh * scale) + deriv_v.T @ (ud * scale / span)
-        grad = HeadParams(gamma=monotone_reparam_vjp(head.gamma, d_theta))
+        grads = [monotone_reparam_vjp(gamma, d_theta)]
         if f is None:
-            return grad, np.zeros((log_t.shape[0], 0))
-        grad.w = f.T @ uh
-        d_feats = np.outer(uh, head.w)
+            return grads[0], np.zeros((log_t.shape[0], 0))
+        grads.append(f.T @ uh)
+        d_feats = np.outer(uh, w)
         if r is not None:
             d_r = sigmoid(r) * (uh * base + ud * base_d)
-            grad.beta = f.T @ d_r
-            d_feats += np.outer(d_r, head.beta)
-        return grad, d_feats
+            grads.append(f.T @ d_r)
+            d_feats += np.outer(d_r, beta)
+        return np.concatenate(grads), d_feats
 
-    return scale * base + shift, scale * base_d, _pullback(vjp, log_t)
-
-
-def _pullback(vjp, log_t: np.ndarray):
-    """``vjp`` taking upstream sensitivities broadcast to one per row."""
-
-    def pullback(upstream_h, upstream_dh):
-        return vjp(
-            np.broadcast_to(np.asarray(upstream_h, dtype=float), log_t.shape),
-            np.broadcast_to(np.asarray(upstream_dh, dtype=float), log_t.shape),
-        )
-
-    return pullback
+    return scale * base + shift, scale * base_d, pullback
 
 
 def transformed_log_pdf(family, h, dh_dlog_t, log_t):
@@ -314,7 +273,7 @@ class ConditionalDistribution:
     def __init__(
         self,
         spec: ModelSpec,
-        head: HeadParams,
+        head: np.ndarray,
         features: np.ndarray | None,
         scaler: LogTimeScaler,
     ):
@@ -420,7 +379,7 @@ def conditional_distribution(model: FittedModel, x) -> ConditionalDistribution:
     share the batch.
     """
     spec = model.spec
-    head = head_from_flat(spec, model.head_params)
+    head = model.head_params
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise DimensionMismatch(

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +233,38 @@ class TestFitCommand:
         assert record["error"] == "E_BAD_CONFIG"
 
 
+@pytest.mark.parametrize(
+    "command, flags, spec_values",
+    [
+        ("fit", ["--epochs", "0"], {}),
+        ("fit", ["--batch_size", "0"], {}),
+        ("fit", ["--validation_fraction", "1.5"], {}),
+        ("fit", ["--bernstein_order", "0"], {}),
+        ("fit", [], {"epochs": "ten"}),
+        ("fit", [], {"lr_head": "fast"}),
+        ("fit", ["--seed", "-1"], {}),
+        ("ensemble", ["--members", "2", "--top", "3"], {}),
+        ("sample", ["--replication", "0"], {}),
+    ],
+    ids=["epochs", "batch_size", "validation_fraction", "bernstein_order", "epochs-text",
+         "lr-text", "negative-seed", "top-above-members", "replication"],
+)
+def test_out_of_range_config_fails_with_code(
+    tmp_path, training_csv, spec_json, command, flags, spec_values
+):
+    """Config values out of range or of the wrong type exit with E_BAD_CONFIG."""
+    spec = tmp_path / "config.json"
+    spec.write_text(json.dumps({**json.loads(Path(spec_json).read_text()), **spec_values}))
+    if command == "sample":
+        main(["fit", "--data", training_csv, "--spec", str(spec), "--out", str(tmp_path / "run")])
+        inputs = ["--model", str(tmp_path / "run" / "model.json")]
+    else:
+        inputs = ["--spec", str(spec)]
+    out = tmp_path / "out"
+    assert main([command, "--data", training_csv, *inputs, *flags, "--out", str(out)]) == 1
+    assert json.loads((out / "error.json").read_text())["error"] == "E_BAD_CONFIG"
+
+
 class TestEvaluateCommand:
     def test_report_matches_recorded_train_nll(self, tmp_path, training_csv, spec_json):
         run = tmp_path / "run"
@@ -275,7 +308,8 @@ class TestEvaluateCommand:
 
 @pytest.mark.parametrize("command", ["evaluate", "sample"])
 def test_model_without_its_extractor_fails_with_code(tmp_path, training_csv, command):
-    """A non-baseline artifact with a null extractor and a matching head size."""
+    """A non-baseline artifact with a null extractor and a matching head size, and
+    one with its extractor but a head parameter more than its spec lays out."""
     spec = ModelSpec(
         family=TargetFamily.MEV, parameterization=Parameterization.LINEAR_SHIFT,
         extractor=ExtractorSpec(input_dim=2, output_dim=2),
@@ -284,16 +318,19 @@ def test_model_without_its_extractor_fails_with_code(tmp_path, training_csv, com
         spec=spec, scaler=LogTimeScaler(-3.0, 2.0), head_params=init_head(spec),
         extractor_params=init_params(spec.extractor, 1), train_nll=0.0, validation_nll=0.0,
     )
-    doc = json.loads(serialize_model(model))
-    doc["spec"]["extractor"] = None
-    doc["head_params"] = doc["head_params"][:2]
-    doc["extractor_params"] = []
-    (tmp_path / "model.json").write_text(json.dumps(doc))
-    out = tmp_path / "out"
-    code = main([command, "--data", training_csv, "--model", str(tmp_path / "model.json"),
-                 "--out", str(out)])
-    assert code == 1
-    assert json.loads((out / "error.json").read_text())["error"] == "E_DIMENSION_MISMATCH"
+    no_extractor = json.loads(serialize_model(model))
+    no_extractor["spec"]["extractor"] = None
+    no_extractor["head_params"] = no_extractor["head_params"][:2]
+    no_extractor["extractor_params"] = []
+    long_head = json.loads(serialize_model(model))
+    long_head["head_params"].append(0.0)
+    for name, doc in (("no_extractor", no_extractor), ("long_head", long_head)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        out = tmp_path / name
+        code = main([command, "--data", training_csv, "--model", str(tmp_path / f"{name}.json"),
+                     "--out", str(out)])
+        assert code == 1, name
+        assert json.loads((out / "error.json").read_text())["error"] == "E_DIMENSION_MISMATCH"
 
 
 @pytest.mark.parametrize(

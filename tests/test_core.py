@@ -414,3 +414,15 @@ class TestSerialization:
         del doc["scaler"]
         with pytest.raises(MalformedArtifact):
             deserialize_model(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "key, value", [("bernstein_order", 0), ("epochs", 0), ("lr_head", "fast")]
+    )
+    def test_out_of_range_spec_is_malformed(self, key, value):
+        """A spec value that would be E_BAD_CONFIG on the command line is a malformed artifact."""
+        import json
+
+        doc = json.loads(serialize_model(_random_model(np.random.default_rng(3))))
+        doc["spec"][key] = value
+        with pytest.raises(MalformedArtifact):
+            deserialize_model(json.dumps(doc).encode())

@@ -14,6 +14,7 @@ from tramsurv.core import (
 from tramsurv.errors import (
     AllCensored,
     DegenerateIntervalWarning,
+    DimensionMismatch,
     NonFiniteLoss,
     NonPositiveTime,
 )
@@ -116,6 +117,21 @@ class TestNllBatch:
             with pytest.raises(NonPositiveTime) as info:
                 nll_batch(state, batch)
             assert info.value.code == "E_NON_POSITIVE_TIME"
+
+    @pytest.mark.parametrize("parameterization", list(Parameterization))
+    def test_rejects_head_of_wrong_length(self, parameterization):
+        """A head one entry longer or shorter than its spec lays out is not read at all."""
+        spec = _spec_for(parameterization, TargetFamily.LOGISTIC)
+        batch = _random_batch(np.random.default_rng(5), 2)
+        ext = init_params(spec.extractor, 3) if spec.extractor is not None else np.zeros(0)
+        head = init_head(spec)
+        for bad in (np.append(head, 0.0), head[:-1]):
+            if bad.size == head.size:
+                continue  # bernstein_flexible has no head to shorten
+            state = ModelState(spec, LogTimeScaler(np.log(0.3), np.log(8.0)), bad, ext)
+            with pytest.raises(DimensionMismatch) as info:
+                nll_batch(state, batch)
+            assert info.value.code == "E_DIMENSION_MISMATCH"
 
     def test_duplicated_batch_doubles(self):
         state = _linear_shift_model(TargetFamily.MEV, a=0.1, b=1.2, w=(0.3,))

@@ -1,4 +1,5 @@
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,9 +19,7 @@ from tramsurv.transform import (
     _bisect_increasing,
     conditional_distribution,
     eval_transform,
-    head_from_flat,
     head_size,
-    head_to_flat,
     init_head,
 )
 
@@ -46,9 +45,30 @@ def _core(spec, head, features, t, scaler):
     return h, dh
 
 
-def _reference_h(spec, head, f, t, scaler):
+def _head_fields(spec, head):
+    """The named parts of a flat head vector, sliced by its documented layout."""
+    k = spec.bernstein_order + 1
+    d = spec.extractor.output_dim if spec.extractor is not None else 0
+    names = {
+        Parameterization.BASELINE: [("gamma", k)],
+        Parameterization.LINEAR_SHIFT: [("a", 1), ("b_raw", 1), ("w", d)],
+        Parameterization.LINEAR_SCALE: [("a", 1), ("w", d)],
+        Parameterization.BERNSTEIN_SHIFT: [("gamma", k), ("w", d)],
+        Parameterization.BERNSTEIN_SHIFT_SCALE: [("gamma", k), ("w", d), ("beta", d)],
+        Parameterization.BERNSTEIN_FLEXIBLE: [],
+    }[spec.parameterization]
+    assert head.shape == (sum(size for _, size in names),)
+    fields, pos = {}, 0
+    for name, size in names:
+        fields[name] = head[pos] if name in ("a", "b_raw") else head[pos : pos + size]
+        pos += size
+    return SimpleNamespace(**fields)
+
+
+def _reference_h(spec, flat_head, f, t, scaler):
     """h(t | x) written from the definitions, in time, one row at a time."""
     order = spec.bernstein_order
+    head = _head_fields(spec, flat_head)
 
     def bernstein(theta, u):
         # b(u)^T theta on [0, 1], extended linearly with the endpoint slope
@@ -85,7 +105,7 @@ def _reference_h(spec, head, f, t, scaler):
 class TestEvalTransform:
     def test_linear_shift_reference_point(self):
         spec = _spec(Parameterization.LINEAR_SHIFT)
-        head = head_from_flat(spec, np.array([0.0, softplus_inv(1.0), 0.0, 0.0]))
+        head = np.array([0.0, softplus_inv(1.0), 0.0, 0.0])
         h, dh = _core(spec, head, np.zeros(2), 1.0, SCALER01)
         np.testing.assert_allclose(h, [0.0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(dh, [1.0], rtol=1e-12)
@@ -93,7 +113,7 @@ class TestEvalTransform:
     def test_linear_scale_reference_point(self):
         # softplus(0) = ln 2 scales log-time; at t = e that gives h = ln 2
         spec = _spec(Parameterization.LINEAR_SCALE)
-        head = head_from_flat(spec, np.array([0.0, 0.0, 0.0]))
+        head = np.array([0.0, 0.0, 0.0])
         h, dh = _core(spec, head, np.zeros(2), np.e, SCALER01)
         np.testing.assert_allclose(h, [np.log(2.0)], rtol=1e-12)
         np.testing.assert_allclose(dh, [np.log(2.0)], rtol=1e-12)
@@ -103,7 +123,7 @@ class TestEvalTransform:
         # gamma chosen so the coefficients are (0, 1, 2), a linear map 2u
         spec = _spec(Parameterization.BERNSTEIN_SHIFT, order=2)
         gamma = np.array([0.0, softplus_inv(1.0), softplus_inv(1.0)])
-        head = head_from_flat(spec, np.concatenate([gamma, [0.0, 0.0]]))
+        head = np.concatenate([gamma, [0.0, 0.0]])
         t = float(np.exp(0.5))
         h, dh = _core(spec, head, np.zeros(2), t, SCALER01)
         np.testing.assert_allclose(h, [1.0], rtol=1e-12)
@@ -112,7 +132,7 @@ class TestEvalTransform:
 
     def test_flexible_rejects_wrong_output_dim(self):
         spec = _spec(Parameterization.BERNSTEIN_FLEXIBLE, order=3)
-        head = head_from_flat(spec, init_head(spec))
+        head = init_head(spec)
         with pytest.raises(DimensionMismatch):
             eval_transform(spec, head, np.zeros(2), 0.0, SCALER01)
 
@@ -124,8 +144,7 @@ class TestEvalTransform:
         for parameterization in Parameterization:
             spec = _spec(parameterization, order=4)
             for _ in range(5):
-                flat = init_head(spec) + rng.normal(scale=0.8, size=head_size(spec))
-                head = head_from_flat(spec, flat)
+                head = init_head(spec) + rng.normal(scale=0.8, size=head_size(spec))
                 d = spec.extractor.output_dim if spec.extractor else 0
                 features = rng.normal(size=d)
                 h, dh = _core(spec, head, features, t, scaler)
@@ -139,8 +158,7 @@ class TestEvalTransform:
         t = np.geomspace(0.05, 40.0, 25)
         for parameterization in Parameterization:
             spec = _spec(parameterization, order=3)
-            flat = init_head(spec) + rng.normal(scale=0.5, size=head_size(spec))
-            head = head_from_flat(spec, flat)
+            head = init_head(spec) + rng.normal(scale=0.5, size=head_size(spec))
             d = spec.extractor.output_dim if spec.extractor else 0
             features = rng.normal(size=(t.size, d))
             h, _ = _core(spec, head, features, t, scaler)
@@ -153,26 +171,27 @@ class TestEvalTransform:
 class TestGradTransform:
     def test_linear_shift_closed_form(self):
         spec = _spec(Parameterization.LINEAR_SHIFT)
-        head = head_from_flat(spec, np.array([0.3, 0.4, 0.5, -0.2]))
+        head = np.array([0.3, 0.4, 0.5, -0.2])
         features = np.array([[1.5, -0.7]])
         _, _, pullback = eval_transform(spec, head, features, np.log([2.0]), SCALER01)
-        grad, _ = pullback(1.0, 0.0)
-        np.testing.assert_allclose(grad.a, 1.0)
-        np.testing.assert_allclose(grad.w, features[0])
+        grad, _ = pullback(np.ones(1), np.zeros(1))
+        a, b_raw, w = grad[0], grad[1], grad[2:]
+        np.testing.assert_allclose(a, 1.0)
+        np.testing.assert_allclose(w, features[0])
         sig = 1.0 / (1.0 + np.exp(-0.4))
-        np.testing.assert_allclose(grad.b_raw, sig * np.log(2.0), rtol=1e-12)
+        np.testing.assert_allclose(b_raw, sig * np.log(2.0), rtol=1e-12)
 
     def test_zero_upstream_zero_gradient(self):
         rng = np.random.default_rng(107)
         for parameterization in Parameterization:
             spec = _spec(parameterization, order=3)
-            head = head_from_flat(spec, init_head(spec))
+            head = init_head(spec)
             d = spec.extractor.output_dim if spec.extractor else 0
             features = rng.normal(size=(4, d))
             log_t = np.log(rng.uniform(0.5, 3.0, size=4))
             _, _, pullback = eval_transform(spec, head, features, log_t, SCALER01)
-            grad, dfeat = pullback(0.0, 0.0)
-            np.testing.assert_array_equal(head_to_flat(spec, grad), np.zeros(head_size(spec)))
+            grad, dfeat = pullback(np.zeros(4), np.zeros(4))
+            np.testing.assert_array_equal(grad, np.zeros(head_size(spec)))
             np.testing.assert_array_equal(dfeat, np.zeros((4, d)))
 
     def test_matches_finite_differences(self):
@@ -199,7 +218,7 @@ class TestGradTransform:
             ud = rng.normal(size=5)
 
             def core(flat_head, feats, at=log_t):
-                return eval_transform(spec, head_from_flat(spec, flat_head), feats, at, scaler)
+                return eval_transform(spec, flat_head, feats, at, scaler)
 
             def objective(flat_head, feats):
                 h, dh, _ = core(flat_head, feats)
@@ -212,10 +231,9 @@ class TestGradTransform:
                     dh[r], fd, rtol=1e-5, err_msg=f"{parameterization} dh/dlog t row {r}"
                 )
             grad, dfeat = pullback(uh, ud)
-            grad_flat = head_to_flat(spec, grad)
             for i in range(flat.size):
                 fd = central(lambda v: objective(v, features), flat, i)
-                np.testing.assert_allclose(grad_flat[i], fd, rtol=1e-5, atol=1e-7,
+                np.testing.assert_allclose(grad[i], fd, rtol=1e-5, atol=1e-7,
                                            err_msg=f"{parameterization} head[{i}]")
             for i in range(features.size):
                 fd = central(lambda v: objective(flat, v), features, i)
