@@ -58,6 +58,7 @@ _STATUS_CODE = {k.value: k.code for k in CensoringKind}
 _RIGHT, _INTERVAL = CensoringKind.RIGHT.code, CensoringKind.INTERVAL.code
 CDF_GRID_POINTS = 200
 CDF_GRID_CHUNK = 64
+DATASET_WRITE_CHUNK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +140,33 @@ def _format_value(x: float) -> str:
 
 
 def write_dataset_csv(dataset: SurvivalDataset, path):
-    """Write a dataset CSV that :func:`parse_dataset_csv` reads back unchanged."""
+    """Write a dataset CSV that :func:`parse_dataset_csv` reads back unchanged.
+
+    The body holds the lines csv.writer would write (no number or status
+    needs quoting), joined ``DATASET_WRITE_CHUNK`` rows at a time.  A row's
+    covariate cells are formatted only when its bits differ from the previous
+    row's: synthetic data repeats each subject ``replication`` times.
+    """
+    x = np.ascontiguousarray(dataset.x, dtype=float)
+    bits = x.view(np.int64)
+    repeated = np.zeros(dataset.n, dtype=bool)
+    repeated[1:] = np.all(bits[1:] == bits[:-1], axis=1)
+    status = [kind.value for kind in KINDS]
+    cells = ""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time", "time2", "status", *dataset.feature_names])
-        for t, t2, code, row in zip(dataset.t_lower, dataset.t_upper, dataset.kind, dataset.x):
-            time2 = _format_value(t2) if code == _INTERVAL else ""
-            writer.writerow([_format_value(t), time2, KINDS[code].value, *map(_format_value, row)])
+        csv.writer(handle).writerow(["time", "time2", "status", *dataset.feature_names])
+        for start in range(0, dataset.n, DATASET_WRITE_CHUNK):
+            rows = slice(start, start + DATASET_WRITE_CHUNK)
+            lines = []
+            for t, t2, code, row, same in zip(
+                dataset.t_lower[rows].tolist(), dataset.t_upper[rows].tolist(),
+                dataset.kind[rows].tolist(), x[rows], repeated[rows].tolist(),
+            ):
+                if not same:
+                    cells = "".join([f",{v!r}" for v in row.tolist()])
+                time2 = repr(t2) if code == _INTERVAL else ""
+                lines.append(f"{t!r},{time2},{status[code]}{cells}\r\n")
+            handle.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------

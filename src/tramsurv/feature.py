@@ -2,12 +2,13 @@
 
 Parameters live in a single flat vector with a deterministic layout (per
 layer: weight matrix row-major, then bias), which keeps SGD updates and
-serialization trivial.  The forward pass records the per-layer inputs needed
-by the backward pass; no external autodiff framework is involved, so results
-are bitwise reproducible.
+serialization trivial.  The forward pass records the per-layer parameter
+views and inputs that the backward pass reads; no external autodiff
+framework is involved, so results are bitwise reproducible.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,26 +36,30 @@ class ExtractorSpec:
         if self.input_dim < 1 or self.output_dim < 1:
             raise DimensionMismatch("extractor dimensions must be positive")
         if any(h < 1 for h in self.hidden_dims):
-            raise DimensionMismatch("hidden layer widths must be positive")
+            raise BadConfig("hidden layer widths must be positive")
         if self.activation not in _ACTIVATIONS:
             raise BadConfig(f"activation must be one of {_ACTIVATIONS}")
 
-    @property
-    def layer_dims(self) -> list[tuple[int, int]]:
+    @cached_property
+    def layer_dims(self) -> tuple[tuple[int, int], ...]:
         dims = [self.input_dim, *self.hidden_dims, self.output_dim]
-        return [(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
+        return tuple((dims[i], dims[i + 1]) for i in range(len(dims) - 1))
+
+    @cached_property
+    def param_count(self) -> int:
+        return sum(fan_in * fan_out + fan_out for fan_in, fan_out in self.layer_dims)
 
 
 def param_count(spec: ExtractorSpec) -> int:
-    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in spec.layer_dims)
+    return spec.param_count
 
 
 def split_params(spec: ExtractorSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """View the flat parameter vector as per-layer (weights, bias) pairs."""
     params = np.asarray(params, dtype=float)
-    if params.shape != (param_count(spec),):
+    if params.shape != (spec.param_count,):
         raise DimensionMismatch(
-            f"expected {param_count(spec)} extractor parameters, got {params.shape}"
+            f"expected {spec.param_count} extractor parameters, got {params.shape}"
         )
     layers = []
     pos = 0
@@ -94,6 +99,7 @@ class Tape:
     """Forward-pass record consumed by :func:`backward`."""
 
     spec: ExtractorSpec
+    layers: list  # the (weights, bias) views the forward pass read
     inputs: list = field(default_factory=list)  # input to each layer, post-activation
     single: bool = False
 
@@ -111,7 +117,7 @@ def forward(spec: ExtractorSpec, params: np.ndarray, x) -> tuple[np.ndarray, Tap
             f"expected covariates of dimension {spec.input_dim}, got shape {x.shape}"
         )
     layers = split_params(spec, params)
-    tape = Tape(spec=spec, single=single)
+    tape = Tape(spec=spec, layers=layers, single=single)
     for i, (w, b) in enumerate(layers):
         tape.inputs.append(a)
         z = a @ w + b
@@ -122,19 +128,16 @@ def forward(spec: ExtractorSpec, params: np.ndarray, x) -> tuple[np.ndarray, Tap
     return (a[0] if single else a), tape
 
 
-def backward(
-    spec: ExtractorSpec, params: np.ndarray, tape: Tape, upstream
-) -> tuple[np.ndarray, np.ndarray]:
+def backward(spec: ExtractorSpec, tape: Tape, upstream) -> tuple[np.ndarray, np.ndarray]:
     """Reverse-mode pass: gradients w.r.t. parameters and the input.
 
-    ``upstream`` is d(loss)/d(features) with the same leading shape as the
-    forward input.  The result is linear in ``upstream``.
+    The parameters are the ones the tape's forward pass read.  ``upstream``
+    is d(loss)/d(features) with the same leading shape as the forward input.
+    The result is linear in ``upstream``.
     """
     if tape.spec != spec:
         raise TapeMismatch("tape was recorded under a different extractor spec")
-    layers = split_params(spec, params)
-    if len(tape.inputs) != len(layers):
-        raise TapeMismatch("tape does not match the extractor depth")
+    layers = tape.layers
     upstream = np.asarray(upstream, dtype=float)
     delta = upstream[None, :] if tape.single else upstream
     if delta.shape != (tape.inputs[0].shape[0], spec.output_dim):

@@ -59,8 +59,8 @@ from .errors import (
 )
 from .numerics import logsumexp
 from .transform import (
-    _bisect_increasing,
     _leading_index,
+    _solve_increasing,
     basis_rows,
     conditional_distribution,
     eval_transform,
@@ -253,7 +253,7 @@ def _nll_core(state: ModelState, plan: _Plan, want_grad: bool):
         head_grad += grad_hi
         d_feats[interval] += d_feats_hi
     if spec.uses_extractor:
-        ext_grad, _ = feature.backward(spec.extractor, state.extractor_params, tape, d_feats)
+        ext_grad, _ = feature.backward(spec.extractor, tape, d_feats)
     else:
         ext_grad = np.zeros(0)
     return terms, np.concatenate([head_grad, ext_grad])
@@ -476,7 +476,11 @@ class EnsembleDistribution:
         )
 
     def quantile(self, p):
-        """Inverse of the averaged CDF by one vectorized bisection in log-time."""
+        """Inverse of the averaged CDF by one vectorized bracketed Newton solve in log-time.
+
+        The slope is the mean of the member densities in log-time,
+        f_Z(h_m) * dh_m/dlog t.
+        """
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         if np.any(~((p_arr > 0.0) & (p_arr < 1.0))):
             raise ProbabilityOutOfRange("quantile requires probabilities in (0, 1)")
@@ -485,15 +489,16 @@ class EnsembleDistribution:
         subjects = _leading_index(p_arr.shape)
 
         def mean_cdf_at_log_time(u, rows):
-            vals = [
-                target.cdf(m.spec.family, m.h_at_log_time(u, subjects[rows]))
-                for m in self.members
-            ]
-            return np.mean(vals, axis=0)
+            values, slopes = [], []
+            for m in self.members:
+                h, dh = m.h_at_log_time(u, subjects[rows])
+                values.append(target.cdf(m.spec.family, h))
+                slopes.append(target.density(m.spec.family, h) * dh)
+            return np.mean(values, axis=0), np.mean(slopes, axis=0)
 
         lo = min(m.scaler.a_lo for m in self.members)
         hi = max(m.scaler.b_hi for m in self.members)
-        u = _bisect_increasing(mean_cdf_at_log_time, p_arr.ravel(), lo, hi)
+        u = _solve_increasing(mean_cdf_at_log_time, p_arr.ravel(), lo, hi)
         t = np.exp(u).reshape(p_arr.shape)
         return float(t[0]) if np.ndim(p) == 0 else t
 

@@ -9,12 +9,14 @@ themselves.
 
 ``eval_transform`` is the one place the parameterizations are written out.
 It works in log-time, where the Bernstein part lives and where the quantile
-bisection can expand its bracket without overflow, and returns h, dh/dlog t
+solver can expand its bracket without overflow, and returns h, dh/dlog t
 and their pullback: a hand-written reverse-mode step that reuses the
 forward's basis rows to turn upstream sensitivities of (h, dh/dlog t) into
 head-parameter gradients and per-row feature sensitivities, the latter to be
 fed to the extractor's backward pass.  The density follows from the chain
-rule, log f(t | x) = log f_Z(h) + log(dh/dlog t) - log t.
+rule, log f(t | x) = log f_Z(h) + log(dh/dlog t) - log t.  Quantiles invert
+h(t | x) = F_Z^{-1}(p) in log-time by bracketed Newton steps, whose slope is
+the dh/dlog t of the same call.
 """
 
 from functools import partial
@@ -207,19 +209,29 @@ def transformed_log_pdf(family, h, dh_dlog_t, log_t):
 BISECTION_STEPS = 200
 
 
-def _bisect_increasing(fn, targets: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Solve fn(u, rows) = targets[rows] for every row; fn is increasing in u.
+def _solve_increasing(fn, targets: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Solve value(u) = targets[rows] for every row; the value is increasing in u.
 
-    ``fn`` receives log-times together with the indices of the rows they
-    belong to, and is asked only about rows still in play.  Brackets are
-    expanded geometrically from [lo, hi], then refined by bisection.  Each row
-    stops as soon as its own bracket is narrower than
-    ``1e-12 * max(1, |u|)``, so a row's result depends only on its target and
-    on fn for that row, not on the other rows solved with it.
+    ``fn(u, rows)`` is asked only about rows still in play and returns
+    ``(value, slope)`` at log-times ``u`` of the rows ``rows``, with slope =
+    d value / du.  Brackets are expanded geometrically from [lo, hi].  Each
+    row then starts at its bracket's midpoint and takes safeguarded Newton
+    steps (rtsafe, Press et al., *Numerical Recipes* 9.4): the residual's
+    sign shrinks the bracket, and a step that is not finite or leaves the
+    open bracket halves it instead.  A row stops once its step or its bracket
+    is at most ``1e-12 * max(1, |u|)``.
+
+    Roots are rounded to the grid ``2**-40 * 2**floor(log2(max(1, |u|)))``,
+    finer than that tolerance.  fn's last bits can depend on how many rows
+    share a call (numpy takes another BLAS routine for one row than for
+    several) and a Newton step carries them into the root; rounded, a row's
+    result depends only on its target and on fn for that row, except when
+    the root lies within that noise of a grid midpoint, as rarely as a
+    bisection's sign test would flip.
 
     Raises :class:`BisectionNonConvergence` when a row is still unbracketed
     after ``BISECTION_STEPS`` expansions, or unconverged after as many
-    halvings.
+    iterations.
     """
     targets = np.asarray(targets, dtype=float)
     lo = np.full_like(targets, lo)
@@ -228,7 +240,7 @@ def _bisect_increasing(fn, targets: np.ndarray, lo: float, hi: float) -> np.ndar
         step = np.maximum(hi - lo, 1.0)
         rows = np.arange(targets.size)
         for expansion in range(BISECTION_STEPS + 1):
-            rows = rows[outside(fn(bound[rows], rows), targets[rows])]
+            rows = rows[outside(fn(bound[rows], rows)[0], targets[rows])]
             if rows.size == 0:
                 break
             if expansion == BISECTION_STEPS:
@@ -238,19 +250,38 @@ def _bisect_increasing(fn, targets: np.ndarray, lo: float, hi: float) -> np.ndar
                 )
             bound[rows] += sign * step[rows]
             step[rows] *= 2.0
+    u = 0.5 * (lo + hi)
     rows = np.arange(targets.size)
     for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo[rows] + hi[rows])
-        below = fn(mid, rows) < targets[rows]
-        lo[rows[below]] = mid[below]
-        hi[rows[~below]] = mid[~below]
-        done = hi[rows] - lo[rows] <= 1e-12 * np.maximum(1.0, np.abs(mid))
-        rows = rows[~done]
+        rows = rows[~_newton_step(fn, targets, u, lo, hi, rows)]
         if rows.size == 0:
-            return 0.5 * (lo + hi)
+            grid = np.exp2(np.floor(np.log2(np.maximum(1.0, np.abs(u)))) - 40.0)
+            return np.round(u / grid) * grid
     raise BisectionNonConvergence(
-        f"{rows.size} quantile target(s) unconverged after {BISECTION_STEPS} halvings"
+        f"{rows.size} quantile target(s) unconverged after {BISECTION_STEPS} iterations"
     )
+
+
+def _newton_step(fn, targets, u, lo, hi, rows) -> np.ndarray:
+    """One safeguarded Newton step of ``_solve_increasing`` on ``rows``.
+
+    Updates ``u``, ``lo`` and ``hi`` in place and returns which of the rows
+    stop.  Its temporaries die on return, before fn is called again.
+    """
+    at = u[rows]
+    value, slope = fn(at, rows)
+    residual = value - targets[rows]
+    below = residual < 0.0
+    lo[rows[below]] = at[below]
+    hi[rows[~below]] = at[~below]
+    a, b = lo[rows], hi[rows]
+    with np.errstate(all="ignore"):
+        dx = residual / slope
+        newton = at - dx
+    tol = 1e-12 * np.maximum(1.0, np.abs(at))
+    small_step = np.abs(dx) <= tol
+    u[rows] = np.where(small_step | ((newton > a) & (newton < b)), newton, 0.5 * (a + b))
+    return small_step | (b - a <= tol)
 
 
 def _leading_index(shape) -> np.ndarray:
@@ -302,13 +333,13 @@ class ConditionalDistribution:
                 f"expected a leading axis of {n} subjects, got shape {values.shape}"
             )
 
-    def h_at_log_time(self, u, subjects: np.ndarray) -> np.ndarray:
-        """h at log-times ``u`` of the batch rows ``subjects``, element by element.
+    def h_at_log_time(self, u, subjects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """h and dh/dlog t at log-times ``u`` of the batch rows ``subjects``, element by element.
 
         A single subject's distribution ignores ``subjects``.
         """
         features = self.features if self.n_subjects is None else self.features[subjects]
-        return eval_transform(self.spec, self.head, features, u, self.scaler)[0]
+        return eval_transform(self.spec, self.head, features, u, self.scaler)[:2]
 
     def _apply(self, t, of_transform, at_zero: float, at_inf: float):
         """Evaluate ``of_transform(h, dh/dlog t, log t)`` at the positive, finite times."""
@@ -352,15 +383,16 @@ class ConditionalDistribution:
         return self._apply(t, lambda *args: np.exp(log_pdf(*args)), 0.0, 0.0)
 
     def quantile(self, p):
-        """Inverse CDF by bracketed bisection on h(t) = F_Z^{-1}(p) in log-time.
+        """Inverse CDF: solves h(t) = F_Z^{-1}(p) in log-time by bracketed Newton.
 
-        All probabilities are solved in one vectorized bisection.
+        All probabilities are solved in one vectorized call, with the slope
+        dh/dlog t from the same transformation call as h.
         """
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         self.check_subjects(p_arr)
         z_target = target.quantile(self.spec.family, p_arr).ravel()
         subjects = _leading_index(p_arr.shape)
-        u = _bisect_increasing(
+        u = _solve_increasing(
             lambda v, rows: self.h_at_log_time(v, subjects[rows]),
             z_target,
             self.scaler.a_lo,

@@ -19,8 +19,16 @@ import numpy as np
 import pytest
 
 from tramsurv import cli, transform
-from tramsurv.core import CensoringKind, ModelSpec, Parameterization, SurvivalDataset
-from tramsurv.feature import ExtractorSpec
+from tramsurv.basis import LogTimeScaler
+from tramsurv.core import (
+    CensoringKind,
+    FittedModel,
+    ModelSpec,
+    Parameterization,
+    SurvivalDataset,
+    serialize_model,
+)
+from tramsurv.feature import ExtractorSpec, init_params
 from tramsurv.fit import TrainConfig
 from tramsurv.target import TargetFamily
 
@@ -116,6 +124,48 @@ def test_traced_fit_counts_the_basis_rows_of_its_plan():
     n_interval = int(np.sum(kind == CensoringKind.INTERVAL.code))
     assert tracer.counts["fit.epochs_run"] == 2
     assert tracer.counts["basis.rows_in_fit"] == n + n_interval
+
+
+def test_traced_sample_counts_the_quantile_solve(tmp_path):
+    """The quantile solver evaluates h through the binding the tracer wraps.
+
+    ``transform.eval_calls`` and ``transform.rows`` count the solver's work on
+    simulate; if it bypassed ``transform.eval_transform`` they would read 0.
+    """
+    n, replication = 20, 3
+    data = tmp_path / "data.csv"
+    _bench_module("fixtures").make(data, 1, 3, 0, n, 3, 1.5, 0.5)
+    spec = ModelSpec(
+        family=TargetFamily.LOGISTIC,
+        parameterization=Parameterization.BERNSTEIN_FLEXIBLE,
+        bernstein_order=3,
+        extractor=ExtractorSpec(input_dim=3, output_dim=4),
+    )
+    model = FittedModel(
+        spec=spec, scaler=LogTimeScaler(np.log(0.2), np.log(5.0)),
+        head_params=np.zeros(0), extractor_params=init_params(spec.extractor, 1),
+        train_nll=0.0, validation_nll=0.0,
+    )
+    (tmp_path / "model.json").write_bytes(serialize_model(model))
+    spans = _bench_module("spans")
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        tracer.enabled = True
+        code = cli.main(["sample", "--data", str(data), "--model", str(tmp_path / "model.json"),
+                         "--replication", str(replication), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.enabled = False
+        assert tracer.restore() == []
+    assert code == 0
+    name, parent, _, _ = tracer.arrays()
+    quantile = np.flatnonzero(name == tracer.name_id("transform.quantile"))
+    evals = np.flatnonzero(name == tracer.name_id("transform.eval_transform"))
+    assert quantile.size == 1
+    # two bracket checks and at least one Newton step per draw, all inside the solve
+    assert evals.size >= 3
+    assert np.all(parent[evals] == quantile[0])
+    assert tracer.counts["transform.rows"] >= 3 * n * replication
 
 
 def test_parsed_fixture_exposes_what_the_benchmark_reads(tmp_path):

@@ -9,6 +9,7 @@ from tramsurv.basis import LogTimeScaler
 from tramsurv.cli import (
     CDF_GRID_CHUNK,
     CDF_GRID_POINTS,
+    DATASET_WRITE_CHUNK,
     main,
     parse_dataset_csv,
     write_cdf_grid,
@@ -116,6 +117,32 @@ class TestParseDatasetCsv:
         write_dataset_csv(ds, str(p1))
         write_dataset_csv(parse_dataset_csv(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_dataset_csv_bytes_match_csv_writer(tmp_path):
+    """Repeated rows, interval rows, signed zeros, a chunk boundary and a quoted name."""
+    rng = np.random.default_rng(905)
+    n = DATASET_WRITE_CHUNK + 13
+    subjects = rng.normal(size=(n // 10 + 2, 3))
+    subjects[::7, 1] = 0.0
+    subjects[1::7, 1] = -0.0
+    x = np.repeat(subjects, 10, axis=0)[3 : n + 3]  # repeats straddle the chunk boundary
+    x[-2:, 0] = [0.0, -0.0]
+    kind = rng.integers(0, 4, size=n).astype(np.int8)
+    t_lower = rng.uniform(0.1, 5.0, size=n)
+    t_upper = np.where(kind == CensoringKind.RIGHT.code, np.inf, t_lower)
+    t_upper = np.where(kind == CensoringKind.INTERVAL.code, 2.0 * t_lower, t_upper)
+    names = ["age", 'dose, "mg"', "z"]
+    write_dataset_csv(SurvivalDataset(x, t_lower, t_upper, kind, names), tmp_path / "data.csv")
+
+    with open(tmp_path / "reference.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["time", "time2", "status", *names])
+        for t, t2, code, row in zip(t_lower, t_upper, kind, x):
+            kind_ = list(CensoringKind)[code]
+            time2 = repr(float(t2)) if kind_ == CensoringKind.INTERVAL else ""
+            writer.writerow([repr(float(t)), time2, kind_.value, *(repr(float(v)) for v in row)])
+    assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestWriteCdfGrid:
@@ -245,9 +272,10 @@ class TestFitCommand:
         ("fit", ["--seed", "-1"], {}),
         ("ensemble", ["--members", "2", "--top", "3"], {}),
         ("sample", ["--replication", "0"], {}),
+        ("fit", [], {"hidden_dims": [0]}),
     ],
     ids=["epochs", "batch_size", "validation_fraction", "bernstein_order", "epochs-text",
-         "lr-text", "negative-seed", "top-above-members", "replication"],
+         "lr-text", "negative-seed", "top-above-members", "replication", "hidden-dims-zero"],
 )
 def test_out_of_range_config_fails_with_code(
     tmp_path, training_csv, spec_json, command, flags, spec_values

@@ -426,3 +426,13 @@ class TestSerialization:
         doc["spec"][key] = value
         with pytest.raises(MalformedArtifact):
             deserialize_model(json.dumps(doc).encode())
+
+    def test_zero_hidden_width_is_malformed(self):
+        import json
+
+        doc = json.loads(serialize_model(_random_model(np.random.default_rng(3))))
+        doc["spec"]["parameterization"] = "linear_shift"
+        doc["spec"]["extractor"] = {"input_dim": 2, "hidden_dims": [0], "output_dim": 1,
+                                    "activation": "tanh", "init_scale": 1.0}
+        with pytest.raises(MalformedArtifact):
+            deserialize_model(json.dumps(doc).encode())

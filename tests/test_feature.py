@@ -106,7 +106,7 @@ class TestBackward:
         spec = ExtractorSpec(input_dim=3, hidden_dims=(4,), output_dim=2)
         params = rng.normal(size=param_count(spec))
         out, tape = forward(spec, params, rng.normal(size=3))
-        grad, grad_x = backward(spec, params, tape, np.zeros_like(out))
+        grad, grad_x = backward(spec, tape, np.zeros_like(out))
         np.testing.assert_array_equal(grad, np.zeros_like(grad))
         np.testing.assert_array_equal(grad_x, np.zeros(3))
 
@@ -118,7 +118,7 @@ class TestBackward:
         x = rng.normal(size=3)
         u = rng.normal(size=2)
         out, tape = forward(spec, params, x)
-        grad, grad_x = backward(spec, params, tape, u)
+        grad, grad_x = backward(spec, tape, u)
         gw, gb = split_params(spec, grad)[0]
         np.testing.assert_allclose(gw, np.outer(x, u), rtol=1e-12)
         np.testing.assert_allclose(gb, u, rtol=1e-12)
@@ -135,7 +135,7 @@ class TestBackward:
             x = rng.normal(size=4)
             u = rng.normal(size=2)
             _, tape = forward(spec, params, x)
-            grad, grad_x = backward(spec, params, tape, u)
+            grad, grad_x = backward(spec, tape, u)
 
             def scalar(p, xv):
                 out, _ = forward(spec, p, xv)
@@ -169,11 +169,11 @@ class TestBackward:
         xs = rng.normal(size=(4, 2))
         us = rng.normal(size=(4, 2))
         _, tape = forward(spec, params, xs)
-        grad, grad_x = backward(spec, params, tape, us)
+        grad, grad_x = backward(spec, tape, us)
         acc = np.zeros_like(params)
         for i in range(4):
             _, t_i = forward(spec, params, xs[i])
-            g_i, gx_i = backward(spec, params, t_i, us[i])
+            g_i, gx_i = backward(spec, t_i, us[i])
             acc += g_i
             np.testing.assert_allclose(grad_x[i], gx_i, rtol=1e-12)
         np.testing.assert_allclose(grad, acc, rtol=1e-12)

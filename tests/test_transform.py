@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tramsurv import target
 from tramsurv.basis import LogTimeScaler
 from tramsurv.core import FittedModel, ModelSpec, Parameterization
 from tramsurv.errors import (
@@ -16,7 +17,7 @@ from tramsurv.numerics import softplus, softplus_inv
 from tramsurv.target import TargetFamily
 from tramsurv.transform import (
     ConditionalDistribution,
-    _bisect_increasing,
+    _solve_increasing,
     conditional_distribution,
     eval_transform,
     head_size,
@@ -467,21 +468,98 @@ class TestBatchedDistribution:
             batch.quantile(0.5)
 
 
+def _reference_bisect(fn, targets, lo, hi, steps=200):
+    """The bisection the Newton solver replaced: fn(u, rows) gives values only."""
+    targets = np.asarray(targets, dtype=float)
+    lo = np.full_like(targets, lo)
+    hi = np.full_like(targets, hi)
+    for bound, outside, sign in ((lo, np.greater, -1.0), (hi, np.less, 1.0)):
+        step = np.maximum(hi - lo, 1.0)
+        rows = np.arange(targets.size)
+        for _ in range(steps):
+            rows = rows[outside(fn(bound[rows], rows), targets[rows])]
+            if rows.size == 0:
+                break
+            bound[rows] += sign * step[rows]
+            step[rows] *= 2.0
+        assert rows.size == 0
+    rows = np.arange(targets.size)
+    for _ in range(steps):
+        mid = 0.5 * (lo[rows] + hi[rows])
+        below = fn(mid, rows) < targets[rows]
+        lo[rows[below]] = mid[below]
+        hi[rows[~below]] = mid[~below]
+        done = hi[rows] - lo[rows] <= 1e-12 * np.maximum(1.0, np.abs(mid))
+        rows = rows[~done]
+        if rows.size == 0:
+            return 0.5 * (lo + hi)
+    raise AssertionError("reference bisection did not converge")
+
+
 class TestBisection:
     def test_unbracketed_target_raises(self):
         with pytest.raises(BisectionNonConvergence) as info:
-            _bisect_increasing(lambda u, rows: np.tanh(u), np.array([0.0, 2.0]), -1.0, 1.0)
+            _solve_increasing(
+                lambda u, rows: (np.tanh(u), 1.0 - np.tanh(u) ** 2),
+                np.array([0.0, 2.0]), -1.0, 1.0,
+            )
         assert info.value.code == "E_BISECTION_NON_CONVERGENCE"
 
     def test_unconverged_bracket_raises(self):
-        # 1e300 wide around a root at 0 needs about 1000 halvings
+        # the reported slope throws every Newton step out of the bracket, so
+        # 1e300 wide around the root needs about 1000 halvings
         with pytest.raises(BisectionNonConvergence):
-            _bisect_increasing(lambda u, rows: u, np.zeros(1), -1e300, 1e300)
+            _solve_increasing(
+                lambda u, rows: (u, np.full_like(u, 1e-300)), np.ones(1), -1e300, 1e300
+            )
 
     def test_rows_solved_independently(self):
         targets = np.array([-3.0, 0.1, 7.5])
-        alone = [_bisect_increasing(lambda u, rows: u**3, targets[i : i + 1], -1.0, 1.0)[0]
-                 for i in range(3)]
-        np.testing.assert_array_equal(
-            _bisect_increasing(lambda u, rows: u**3, targets, -1.0, 1.0), alone
-        )
+
+        def cube(u, rows):
+            return u**3, 3.0 * u**2
+
+        alone = [_solve_increasing(cube, targets[i : i + 1], -1.0, 1.0)[0] for i in range(3)]
+        np.testing.assert_array_equal(_solve_increasing(cube, targets, -1.0, 1.0), alone)
+
+    def test_vanishing_slope_at_the_root_converges(self):
+        # u**3 has slope 0 at its root 0, where Newton converges only linearly
+        targets = np.array([0.0, 1e-30, -1e-30, 1e-18, -1e-9, 1e-3])
+        u = _solve_increasing(lambda u, rows: (u**3, 3.0 * u**2), targets, -1.0, 1.0)
+        np.testing.assert_allclose(u, np.cbrt(targets), rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("family", list(TargetFamily))
+    @pytest.mark.parametrize("parameterization", list(Parameterization))
+    def test_quantiles_match_the_reference_bisection(self, parameterization, family):
+        rng = np.random.default_rng(149)
+        model = _random_model(parameterization, family, rng)
+        n = 17
+        batch = conditional_distribution(model, rng.normal(size=(n, 3)))
+        # the last two columns target times outside the scaler range [0.2, 12]
+        outside = batch.cdf(np.broadcast_to([0.02, 15.0], (n, 2)))
+        p = np.column_stack([rng.uniform(0.001, 0.999, size=(n, 6)), outside])
+        assert np.all(p < 1.0)
+        subjects = np.repeat(np.arange(n), p.shape[1])
+        reference = np.exp(_reference_bisect(
+            lambda v, rows: batch.h_at_log_time(v, subjects[rows])[0],
+            target.quantile(family, p).ravel(), model.scaler.a_lo, model.scaler.b_hi,
+        )).reshape(p.shape)
+        np.testing.assert_allclose(batch.quantile(p), reference, rtol=1e-11)
+
+    def test_mixture_quantile_inverts_the_mean_cdf(self):
+        from tramsurv.fit import EnsembleModel
+
+        rng = np.random.default_rng(151)
+        members = [
+            _random_model(parameterization, family, rng)
+            for parameterization, family in [
+                (Parameterization.BERNSTEIN_SHIFT_SCALE, TargetFamily.MEV),
+                (Parameterization.LINEAR_SCALE, TargetFamily.LOGISTIC),
+                (Parameterization.BERNSTEIN_FLEXIBLE, TargetFamily.MEV),
+            ]
+        ]
+        ensemble = EnsembleModel(members=members, member_validation_nlls=np.zeros(3))
+        n = 11
+        dist = ensemble.conditional_distribution(rng.normal(size=(n, 3)))
+        p = np.column_stack([rng.uniform(0.001, 0.999, size=(n, 5)), np.full(n, 1e-6)])
+        np.testing.assert_allclose(dist.cdf(dist.quantile(p)), p, rtol=0, atol=1e-12)
