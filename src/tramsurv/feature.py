@@ -2,9 +2,15 @@
 
 Parameters live in a single flat vector with a deterministic layout (per
 layer: weight matrix row-major, then bias), which keeps SGD updates and
-serialization trivial.  The forward pass records the per-layer parameter
-views and inputs that the backward pass reads; no external autodiff
-framework is involved, so results are bitwise reproducible.
+serialization trivial.  The training forward pass records the per-layer
+parameter views and inputs that the backward pass reads; no external
+autodiff framework is involved, so results are bitwise reproducible.
+
+Inference uses :func:`features` instead: no tape, and each layer multiplies
+every row on its own as a stack of (1, i) @ (i, o) products.  A subject's
+features are then the same bits whether it is evaluated alone or in a batch
+of any size or order, which one (n, i) @ (i, o) product does not guarantee
+(BLAS blocks and vectorizes it differently by n).
 """
 
 from dataclasses import dataclass, field
@@ -104,11 +110,8 @@ class Tape:
     single: bool = False
 
 
-def forward(spec: ExtractorSpec, params: np.ndarray, x) -> tuple[np.ndarray, Tape]:
-    """Evaluate the extractor; accepts a single vector or a batch matrix.
-
-    Returns the features and a tape for the backward pass.
-    """
+def _as_batch(spec: ExtractorSpec, x) -> tuple[np.ndarray, bool]:
+    """Covariates as an (n, input_dim) matrix, and whether they were one vector."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     a = x[None, :] if single else x
@@ -116,16 +119,42 @@ def forward(spec: ExtractorSpec, params: np.ndarray, x) -> tuple[np.ndarray, Tap
         raise DimensionMismatch(
             f"expected covariates of dimension {spec.input_dim}, got shape {x.shape}"
         )
+    return a, single
+
+
+def _activate(spec: ExtractorSpec, z: np.ndarray) -> np.ndarray:
+    return np.tanh(z) if spec.activation == "tanh" else np.maximum(z, 0.0)
+
+
+def forward(spec: ExtractorSpec, params: np.ndarray, x) -> tuple[np.ndarray, Tape]:
+    """Evaluate the extractor for training; accepts a single vector or a batch matrix.
+
+    Returns the features and a tape for the backward pass.  A batch is one
+    matrix product per layer, so a row's last bits may depend on the batch.
+    """
+    a, single = _as_batch(spec, x)
     layers = split_params(spec, params)
     tape = Tape(spec=spec, layers=layers, single=single)
     for i, (w, b) in enumerate(layers):
         tape.inputs.append(a)
         z = a @ w + b
-        if i < len(layers) - 1:
-            a = np.tanh(z) if spec.activation == "tanh" else np.maximum(z, 0.0)
-        else:
-            a = z
+        a = _activate(spec, z) if i < len(layers) - 1 else z
     return (a[0] if single else a), tape
+
+
+def features(spec: ExtractorSpec, params: np.ndarray, x) -> np.ndarray:
+    """Extractor output at inference for one vector (p,) or a matrix (n, p); no tape.
+
+    Every row goes through each layer as its own (1, i) @ (i, o) product, the
+    product ``forward`` makes for a single vector, so each row's features
+    equal ``forward`` of that row alone, bit for bit, whatever the batch.
+    """
+    a, single = _as_batch(spec, x)
+    layers = split_params(spec, params)
+    for i, (w, b) in enumerate(layers):
+        z = np.matmul(a[:, None, :], w)[:, 0, :] + b
+        a = _activate(spec, z) if i < len(layers) - 1 else z
+    return a[0] if single else a
 
 
 def backward(spec: ExtractorSpec, tape: Tape, upstream) -> tuple[np.ndarray, np.ndarray]:

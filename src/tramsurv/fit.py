@@ -212,13 +212,15 @@ def _nll_core(state: ModelState, plan: _Plan, want_grad: bool):
     else:
         feats = tape = None
     exact, right, left = (plan.kind == code for code in range(3))
+    any_left = left.any()
     interval = np.flatnonzero(plan.kind == CensoringKind.INTERVAL.code)
     log_t = plan.log_t
     h, dh, pullback = eval_transform(spec, head, feats, log_t, state.scaler, basis=plan.basis)
     terms = np.empty(plan.n)
     terms[exact] = -transformed_log_pdf(fam, h[exact], dh[exact], log_t[exact])
     terms[right] = -target.log_survivor(fam, h[right])
-    terms[left] = -target.log_cdf(fam, h[left])
+    if any_left:
+        terms[left] = -target.log_cdf(fam, h[left])
     if interval.size:
         h_lo = h[interval]
         upper = plan.take(interval)
@@ -243,7 +245,8 @@ def _nll_core(state: ModelState, plan: _Plan, want_grad: bool):
     up_h[exact] = -target.log_density_dz(fam, h[exact])
     up_dh[exact] = -1.0 / dh[exact]
     up_h[right] = target.neg_log_survivor_dz(fam, h[right])
-    up_h[left] = target.neg_log_cdf_dz(fam, h[left])
+    if any_left:
+        up_h[left] = target.neg_log_cdf_dz(fam, h[left])
     if interval.size:
         inv = np.where(degenerate, 0.0, 1.0 / np.maximum(mass, INTERVAL_MASS_FLOOR))
         up_h[interval] = target.density(fam, h_lo) * inv

@@ -6,6 +6,13 @@ fixed number of times, redrawing the time from the fitted conditional
 distribution; draws exceeding the real data's maximum observed time are
 replaced by that maximum and marked right-censored, mirroring the original
 censoring mechanism.
+
+Subject i's uniforms are the stream numpy draws from
+``np.random.Philox(key=seed, counter=[0, 0, i, 0])``.  ``philox_uniforms``
+computes that stream for every subject at once: Philox4x64-10 (Salmon et
+al. 2011, "Parallel random numbers: as easy as 1, 2, 3") is a fixed
+sequence of integer rounds on a counter, so it is written here in numpy
+over all (subject, block) counters, and matches numpy bit for bit.
 """
 
 from dataclasses import dataclass
@@ -28,8 +35,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.replication < 1:
             raise BadConfig("replication must be >= 1")
-        if self.seed < 0:
-            raise BadConfig("seed must be non-negative")
+        if not 0 <= self.seed < 2**128:
+            raise BadConfig("seed must be non-negative and below 2**128")
 
 
 def sample_time(dist, u):
@@ -40,14 +47,57 @@ def sample_time(dist, u):
     return dist.quantile(u)
 
 
-def _subject_uniforms(seed: int, subject: int, count: int) -> np.ndarray:
-    """Counter-based uniforms keyed by (seed, subject); replicate r is draw r.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key increments (Weyl)
+_PHILOX_ROUNDS = 10
 
-    Each subject owns a disjoint counter block of the Philox stream, so any
-    subset of subjects reproduces identically regardless of iteration order.
+
+def _u64(value: int) -> np.ndarray:
+    # a one-element array, not a scalar: numpy warns on scalar uint64
+    # overflow, and the wrap-around is the arithmetic Philox wants
+    return np.array([value], dtype=np.uint64)
+
+
+_LOW32 = _u64(0xFFFFFFFF)
+_SHIFT32 = _u64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products ``m * x``, in 32-bit limbs."""
+    m_lo, m_hi = _u64(m & 0xFFFFFFFF), _u64(m >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    lo_lo, hi_lo, lo_hi = m_lo * x_lo, m_hi * x_lo, m_lo * x_hi
+    carry = ((lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)) >> _SHIFT32
+    hi = m_hi * x_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + carry
+    return hi, _u64(m) * x
+
+
+def philox_uniforms(seed: int, subjects, count: int) -> np.ndarray:
+    """``count`` uniforms in [0, 1) for each subject index in ``subjects``, shape (n, count).
+
+    The row of subject i equals
+    ``Generator(Philox(key=seed, counter=[0, 0, i, 0])).random(count)``:
+    the key is the seed's two 64-bit words, low word first; numpy increments
+    counter word 0 before each block of four outputs, so subject i reads the
+    blocks at counters [1..ceil(count / 4), 0, i, 0]; and a double is the top
+    53 bits of an output word times 2**-53.  Each subject owns its counter
+    range, so its draws do not depend on which other subjects are drawn.
     """
-    bits = np.random.Philox(key=seed, counter=[0, 0, subject, 0])
-    return np.random.Generator(bits).random(count)
+    subjects = np.asarray(subjects, dtype=np.uint64)
+    blocks = -(-count // 4)
+    shape = (subjects.size, blocks)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
+    c1 = c3 = np.zeros(shape, dtype=np.uint64)
+    c2 = np.broadcast_to(subjects[:, None], shape)
+    k0, k1 = _u64(seed & (2**64 - 1)), _u64(seed >> 64)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = k0 + _u64(_PHILOX_W[0]), k1 + _u64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(subjects.size, 4 * blocks)[:, :count]
+    return (words >> _u64(11)) * 2.0**-53
 
 
 def max_observed_time(dataset: SurvivalDataset) -> float:
@@ -63,8 +113,8 @@ def generate_semisynthetic(
 ) -> SurvivalDataset:
     """Replicate each subject, redrawing times from the fitted model.
 
-    Every subject keeps its own block of uniforms; all draws are then solved
-    in one batched quantile call.
+    Every subject keeps its own block of uniforms (see :func:`philox_uniforms`);
+    all draws are then solved in one batched quantile call.
 
     Parameters
     ----------
@@ -91,9 +141,7 @@ def generate_semisynthetic(
         )
     t_cap = max_observed_time(dataset)
     dist = conditional_distribution(model, dataset.x)
-    u = np.array(
-        [_subject_uniforms(config.seed, i, config.replication) for i in range(dataset.n)]
-    )
+    u = philox_uniforms(config.seed, np.arange(dataset.n), config.replication)
     # random() lives in [0, 1); lift an exact zero to the smallest draw
     times = sample_time(dist, np.maximum(u, 2.0**-53)).ravel()
     censored = config.censor_at_max & (times > t_cap)

@@ -17,6 +17,15 @@ fed to the extractor's backward pass.  The density follows from the chain
 rule, log f(t | x) = log f_Z(h) + log(dh/dlog t) - log t.  Quantiles invert
 h(t | x) = F_Z^{-1}(p) in log-time by bracketed Newton steps, whose slope is
 the dh/dlog t of the same call.
+
+Every number a subject gets at inference depends on that subject's row
+alone, never on the batch it shares a call with: features come from
+``feature.features``, which multiplies row by row, and every row-wise
+contraction here is ``_rowdot``, one BLAS dot per row whatever the batch
+size.  A quantile's Newton path is then the same alone, in a batch, or
+permuted, and so is its root, bit for bit.  Sums over rows (the pullback's
+gradients) stay matrix products; they are training quantities, not
+per-subject ones.
 """
 
 from functools import partial
@@ -82,6 +91,17 @@ def init_head(spec: ModelSpec) -> np.ndarray:
     return head
 
 
+def _rowdot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with ``v``, one BLAS dot per row.
+
+    ``v`` is one vector for every row, or a matrix paired with ``a`` row by
+    row.  ``a @ v`` takes a dot product for one row and gemv for several,
+    and gemv itself rounds differently by row count; this gives a row the
+    same bits in any batch.
+    """
+    return np.vecdot(a, v)
+
+
 def _features_2d(features, log_t: np.ndarray) -> np.ndarray:
     """Broadcast features against times: one subject at many times, or rowwise."""
     f = np.asarray(features, dtype=float)
@@ -140,11 +160,11 @@ def eval_transform(
             d_b_raw = sigmoid(b_raw) * np.sum(uh * log_t + ud)
             return np.concatenate([[np.sum(uh), d_b_raw], f.T @ uh]), np.outer(uh, w)
 
-        return a + b * log_t + f @ w, np.full_like(log_t, b), pullback
+        return a + b * log_t + _rowdot(f, w), np.full_like(log_t, b), pullback
 
     if p == Parameterization.LINEAR_SCALE:
         a, w = head[0], head[1:]
-        r = f @ w
+        r = _rowdot(f, w)
         c = softplus(r)
 
         def pullback(uh, ud):
@@ -168,19 +188,18 @@ def eval_transform(
             d_theta = basis_v * uh[:, None] + deriv_v * (ud / span)[:, None]
             return np.zeros(0), monotone_reparam_vjp(f, d_theta)
 
-        h = np.sum(basis_v * theta, axis=-1)
-        return h, np.sum(deriv_v * theta, axis=-1) / span, pullback
+        return _rowdot(basis_v, theta), _rowdot(deriv_v, theta) / span, pullback
 
     # baseline, bernstein_shift and bernstein_shift_scale: scale * b(u)^T theta + shift
     k = spec.bernstein_order + 1
     d = 0 if f is None else spec.extractor.output_dim
     gamma, w, beta = head[:k], head[k : k + d], head[k + d :]
     theta = monotone_reparam(gamma)
-    base = basis_v @ theta
-    base_d = (deriv_v @ theta) / span
-    r = f @ beta if p == Parameterization.BERNSTEIN_SHIFT_SCALE else None
+    base = _rowdot(basis_v, theta)
+    base_d = _rowdot(deriv_v, theta) / span
+    r = _rowdot(f, beta) if p == Parameterization.BERNSTEIN_SHIFT_SCALE else None
     scale = 1.0 if r is None else softplus(r)
-    shift = 0.0 if f is None else f @ w
+    shift = 0.0 if f is None else _rowdot(f, w)
 
     def pullback(uh, ud):
         d_theta = basis_v.T @ (uh * scale) + deriv_v.T @ (ud * scale / span)
@@ -221,13 +240,9 @@ def _solve_increasing(fn, targets: np.ndarray, lo: float, hi: float) -> np.ndarr
     open bracket halves it instead.  A row stops once its step or its bracket
     is at most ``1e-12 * max(1, |u|)``.
 
-    Roots are rounded to the grid ``2**-40 * 2**floor(log2(max(1, |u|)))``,
-    finer than that tolerance.  fn's last bits can depend on how many rows
-    share a call (numpy takes another BLAS routine for one row than for
-    several) and a Newton step carries them into the root; rounded, a row's
-    result depends only on its target and on fn for that row, except when
-    the root lies within that noise of a grid midpoint, as rarely as a
-    bisection's sign test would flip.
+    Every step is elementwise, so a row's root depends only on its target
+    and on fn for that row; fn must give a row the same bits whatever other
+    rows share the call, as ``eval_transform`` does.
 
     Raises :class:`BisectionNonConvergence` when a row is still unbracketed
     after ``BISECTION_STEPS`` expansions, or unconverged after as many
@@ -255,8 +270,7 @@ def _solve_increasing(fn, targets: np.ndarray, lo: float, hi: float) -> np.ndarr
     for _ in range(BISECTION_STEPS):
         rows = rows[~_newton_step(fn, targets, u, lo, hi, rows)]
         if rows.size == 0:
-            grid = np.exp2(np.floor(np.log2(np.maximum(1.0, np.abs(u)))) - 40.0)
-            return np.round(u / grid) * grid
+            return u
     raise BisectionNonConvergence(
         f"{rows.size} quantile target(s) unconverged after {BISECTION_STEPS} iterations"
     )
@@ -406,9 +420,8 @@ def conditional_distribution(model: FittedModel, x) -> ConditionalDistribution:
     """Build the conditional distribution of one subject or of n subjects.
 
     ``x`` is one covariate vector of shape (p,), or a matrix of shape (n, p)
-    with one subject per row.  Features are computed one subject at a time
-    and stacked, so a subject's numbers do not depend on which other subjects
-    share the batch.
+    with one subject per row.  Features come from ``feature.features``, so a
+    subject's numbers do not depend on which other subjects share the batch.
     """
     spec = model.spec
     head = model.head_params
@@ -419,18 +432,5 @@ def conditional_distribution(model: FittedModel, x) -> ConditionalDistribution:
         )
     if not spec.uses_extractor:
         return ConditionalDistribution(spec, head, None, model.scaler)
-    if x.shape[-1] != spec.extractor.input_dim:
-        raise DimensionMismatch(
-            f"expected covariates of length {spec.extractor.input_dim}, got shape {x.shape}"
-        )
-
-    def forward(row):
-        return feature.forward(spec.extractor, model.extractor_params, row)[0]
-
-    if x.ndim == 1:
-        features = forward(x)
-    else:
-        features = np.array([forward(row) for row in x]).reshape(
-            x.shape[0], spec.extractor.output_dim
-        )
+    features = feature.features(spec.extractor, model.extractor_params, x)
     return ConditionalDistribution(spec, head, features, model.scaler)

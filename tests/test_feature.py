@@ -5,6 +5,7 @@ from tramsurv.errors import DimensionMismatch
 from tramsurv.feature import (
     ExtractorSpec,
     backward,
+    features,
     flatten_params,
     forward,
     identity_params,
@@ -66,6 +67,26 @@ class TestForward:
         spec = ExtractorSpec(input_dim=3, hidden_dims=(), output_dim=1)
         with pytest.raises(DimensionMismatch):
             forward(spec, np.zeros(param_count(spec)), np.zeros(5))
+
+
+class TestInferenceFeatures:
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("hidden", [(), (5,), (32,), (32, 32)])
+    def test_bitwise_equal_to_rowwise_forward(self, hidden, activation):
+        rng = np.random.default_rng(31)
+        for input_dim, output_dim in ((1, 1), (3, 5), (16, 16), (7, 2)):
+            spec = ExtractorSpec(input_dim=input_dim, hidden_dims=hidden,
+                                 output_dim=output_dim, activation=activation)
+            params = rng.normal(size=param_count(spec))
+            xs = rng.normal(size=(37, input_dim))
+            rows = np.array([forward(spec, params, x)[0] for x in xs])
+            np.testing.assert_array_equal(features(spec, params, xs), rows)
+            np.testing.assert_array_equal(features(spec, params, xs[4]), rows[4])
+
+    def test_wrong_input_dim_rejected(self):
+        spec = ExtractorSpec(input_dim=3, hidden_dims=(), output_dim=1)
+        with pytest.raises(DimensionMismatch):
+            features(spec, np.zeros(param_count(spec)), np.zeros((2, 5)))
 
 
 class TestParamLayout:

@@ -17,6 +17,7 @@ from tramsurv.sample import (
     SynthConfig,
     generate_semisynthetic,
     max_observed_time,
+    philox_uniforms,
     sample_time,
 )
 from tramsurv.target import TargetFamily
@@ -91,6 +92,22 @@ class TestSampleTime:
         model = dist.cdf(times)
         ks = max(float(np.max(np.abs(ecdf_hi - model))), float(np.max(np.abs(ecdf_lo - model))))
         assert ks < 0.02
+
+
+class TestPhiloxUniforms:
+    """The vectorized Philox4x64-10 against numpy's own generator, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64 + 5, 2**128 - 1])
+    @pytest.mark.parametrize("count", [1, 4, 5, 13, 1000])
+    def test_matches_numpy_philox(self, seed, count):
+        subjects = np.array([0, 1, 2, 3, 7, 64, 65_537, 999_999, 1_000_000])
+        u = philox_uniforms(seed, subjects, count)
+        reference = [
+            np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, s, 0])).random(count)
+            for s in subjects
+        ]
+        assert u.shape == (subjects.size, count)
+        np.testing.assert_array_equal(u, reference)
 
 
 def _base_dataset(rng, n, p=1):

@@ -468,6 +468,70 @@ class TestBatchedDistribution:
             batch.quantile(0.5)
 
 
+class TestBatchInvariance:
+    """A subject's numbers are the same bits alone, in a batch of any size, and permuted."""
+
+    SIZES = (2, 7, 37, 300)
+
+    @staticmethod
+    def _per_subject(dist, t, p, u):
+        """Features, (h, dh), cdf, log_pdf and quantile, one row or column per subject."""
+        h, dh = dist.h_at_log_time(u, np.arange(u.size) if dist.n_subjects else None)
+        return {
+            "features": dist.features,
+            "h": h,
+            "dh": dh,
+            "cdf": dist.cdf(t),
+            "log_pdf": dist.log_pdf(t),
+            "quantile": dist.quantile(p),
+        }
+
+    def _assert_invariant(self, model, rng):
+        x = rng.normal(size=(max(self.SIZES), 3))
+        t = np.exp(rng.uniform(np.log(0.05), np.log(30.0), size=x.shape[0]))
+        p = rng.uniform(0.001, 0.999, size=x.shape[0])
+        u = np.log(t)
+        alone = [
+            self._per_subject(conditional_distribution(model, x[i]), t[i], p[i], u[i : i + 1])
+            for i in range(x.shape[0])
+        ]
+        perm = rng.permutation(x.shape[0])
+        batches = [np.arange(n) for n in self.SIZES] + [perm]
+        for rows in batches:
+            got = self._per_subject(conditional_distribution(model, x[rows]), t[rows], p[rows],
+                                    u[rows])
+            for name, values in got.items():
+                if values is None:
+                    continue
+                expected = [np.ravel(alone[i][name]) for i in rows]
+                np.testing.assert_array_equal(
+                    np.reshape(values, (rows.size, -1)), expected,
+                    err_msg=f"{name}, batch of {rows.size}",
+                )
+
+    @pytest.mark.parametrize("family", list(TargetFamily))
+    @pytest.mark.parametrize("parameterization", list(Parameterization))
+    def test_subject_alone_in_batch_and_permuted(self, parameterization, family):
+        rng = np.random.default_rng(157)
+        self._assert_invariant(_random_model(parameterization, family, rng, order=8), rng)
+
+    def test_ensemble_medians(self):
+        from tramsurv.fit import EnsembleModel
+
+        rng = np.random.default_rng(163)
+        members = [
+            _random_model(Parameterization.BERNSTEIN_SHIFT_SCALE, TargetFamily.MEV, rng, order=8)
+            for _ in range(3)
+        ]
+        ensemble = EnsembleModel(members=members, member_validation_nlls=np.zeros(3))
+        x = rng.normal(size=(max(self.SIZES), 3))
+        alone = [ensemble.conditional_distribution(row).quantile(0.5) for row in x]
+        perm = rng.permutation(x.shape[0])
+        for rows in [np.arange(n) for n in self.SIZES] + [perm]:
+            medians = ensemble.conditional_distribution(x[rows]).quantile(np.full(rows.size, 0.5))
+            np.testing.assert_array_equal(medians, np.take(alone, rows))
+
+
 def _reference_bisect(fn, targets, lo, hi, steps=200):
     """The bisection the Newton solver replaced: fn(u, rows) gives values only."""
     targets = np.asarray(targets, dtype=float)
