@@ -47,21 +47,10 @@ def fit_scaler(dataset) -> LogTimeScaler:
     return LogTimeScaler(a_lo=lo, b_hi=hi)
 
 
-def _basis_matrix(order: int, u: np.ndarray) -> np.ndarray:
-    """All order+1 Bernstein polynomials of a given order at points u."""
-    k = np.arange(order + 1)
-    coef = np.array([math.comb(order, int(j)) for j in k], dtype=float)
-    u = u[..., None]
-    return coef * u**k * (1.0 - u) ** (order - k)
-
-
-def _deriv_vectors(order: int, u: np.ndarray) -> np.ndarray:
-    """Coefficient vectors c(u) with d/du [b(u)^T theta] = c(u)^T theta."""
-    lower = _basis_matrix(order - 1, u)
-    out = np.zeros(u.shape + (order + 1,))
-    out[..., 1:] += order * lower
-    out[..., :-1] -= order * lower
-    return out
+def _polynomials(order: int, u_k: np.ndarray, v_k: np.ndarray) -> np.ndarray:
+    """All order+1 Bernstein polynomials of an order, from tables of u^k and (1 - u)^k."""
+    coef = np.array([math.comb(order, j) for j in range(order + 1)], dtype=float)
+    return coef * u_k[..., : order + 1] * v_k[..., order::-1]
 
 
 def bernstein_vectors(order: int, u) -> tuple[np.ndarray, np.ndarray]:
@@ -75,14 +64,20 @@ def bernstein_vectors(order: int, u) -> tuple[np.ndarray, np.ndarray]:
         h(u)      = basis  . theta
         dh/du (u) = dbasis . theta
 
-    exactly, including in the extension region.
+    exactly, including in the extension region.  The derivative lowers the
+    order by one, so both orders read one table of powers.
     """
     if order < 1:
         raise InvalidOrder(f"Bernstein order must be >= 1, got {order}")
     u = np.asarray(u, dtype=float)
     uc = np.clip(u, 0.0, 1.0)
-    basis = _basis_matrix(order, uc)
-    dbasis = _deriv_vectors(order, uc)
+    k = np.arange(order + 1)
+    u_k, v_k = uc[..., None] ** k, (1.0 - uc[..., None]) ** k
+    basis = _polynomials(order, u_k, v_k)
+    lower = order * _polynomials(order - 1, u_k, v_k)
+    dbasis = np.zeros(basis.shape)
+    dbasis[..., 1:] += lower
+    dbasis[..., :-1] -= lower
     # inside [0, 1] the correction term is zero; outside it adds
     # (u - endpoint) * endpoint-slope, linear in theta.
     basis = basis + (u - uc)[..., None] * dbasis

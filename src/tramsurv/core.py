@@ -279,6 +279,11 @@ class ModelSpec:
     def uses_extractor(self) -> bool:
         return self.parameterization != Parameterization.BASELINE
 
+    @property
+    def uses_basis(self) -> bool:
+        linear = (Parameterization.LINEAR_SHIFT, Parameterization.LINEAR_SCALE)
+        return self.parameterization not in linear
+
 
 @dataclass(frozen=True, eq=False)
 class FittedModel:

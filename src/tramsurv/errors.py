@@ -87,7 +87,7 @@ class QuadratureNonConvergence(TramsurvError):
 
 
 class BisectionNonConvergence(TramsurvError):
-    """A quantile bisection ran out of bracket expansions or halvings."""
+    """A quantile target lies beyond a zero slope, or its Newton solve ran out of steps."""
 
     code = "E_BISECTION_NON_CONVERGENCE"
 

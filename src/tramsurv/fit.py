@@ -7,28 +7,22 @@ right-censored times the log-survivor, left-censored times the log-CDF, and
 interval-censored times the log of the CDF difference across the interval
 (clamped when the mass underflows).  Training sums the terms, and
 ``nll_observation`` is its one-row case; the exact-row term is the same
-expression as the conditional log-density that scoring reads.
+expression as the conditional log-density that scoring reads.  A step
+composes the transform core: extractor features, then the per-row
+coefficients of ``transform.coefficients``, then ``eval_transform`` at the
+lower times and, for interval rows, at the upper times, gathering their
+coefficient rows; the pullbacks run in reverse.
 
 Training is plain minibatch SGD with separate learning rates for the
 transformation head and the feature extractor, gradient clipping at the
 global norm ``GRAD_CLIP``, an internal validation split, and early stopping
 that restores the parameters of the best validation epoch.  Everything is
-deterministic given the seed.
-
-The likelihood reads a plan of the dataset, built once after the scaler is
-frozen: log-times, the Bernstein basis and derivative rows at them, and the
-censoring kinds, with the covariates and kinds shared with the dataset
-columns.  When the dataset has interval rows, every row also carries an upper
-log-time and basis rows, its lower ones outside interval rows, so any
-selection of rows is one uniform gather; basis rows at upper times are
-computed for the interval rows only.  None of it depends on the parameters,
-so no SGD step recomputes it.  The head parameters stay one flat vector
-throughout: ``eval_transform`` reads it and its pullback returns the head
-gradient in the same layout.  Each epoch gathers the shuffled training rows
-once and feeds the minibatches as contiguous slices of that gather.  The
-basis is elementwise in the rows, so a slice scores bitwise as the same rows
-computed alone, and the epoch NLLs gather their rows in a fixed order, so
-every sum keeps its order.
+deterministic given the seed.  The likelihood reads a plan of the dataset,
+built once after the scaler is frozen (see ``_Plan``); each epoch gathers the
+shuffled training rows once and feeds the minibatches as contiguous slices
+of that gather.  The basis is elementwise in the rows, so a slice scores
+bitwise as the same rows computed alone, and the epoch NLLs gather their
+rows in a fixed order, so every sum keeps its order.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -55,13 +49,13 @@ from .errors import (
     DimensionMismatch,
     NonFiniteLoss,
     NonPositiveTime,
-    ProbabilityOutOfRange,
 )
 from .numerics import logsumexp
 from .transform import (
     _leading_index,
     _solve_increasing,
     basis_rows,
+    coefficients,
     conditional_distribution,
     eval_transform,
     init_head,
@@ -141,13 +135,14 @@ def _interval_mass(family, h_lower, h_upper):
 
 
 class _Plan(NamedTuple):
-    """The rows of a dataset as the likelihood reads them (see the module docstring).
+    """The rows of a dataset as the likelihood reads them; none of it depends on the parameters.
 
-    ``basis`` is None for the linear parameterizations.  ``upper_log_t`` and
-    ``upper_basis`` hold each row's upper log-time and its basis rows, which
-    repeat the lower ones outside interval rows; both are None when the
-    dataset has no interval rows, and ``upper_basis`` is also None where
-    ``basis`` is.
+    Log-times, the basis and derivative rows at them (None for the linear
+    parameterizations) and the censoring kinds; ``x`` and ``kind`` are the
+    dataset's columns.  With interval rows in the dataset, ``upper_log_t`` and
+    ``upper_basis`` give every row an upper log-time and basis rows, the lower
+    ones outside interval rows, so any selection of rows is one uniform
+    gather; otherwise both are None.
     """
 
     x: np.ndarray
@@ -202,20 +197,20 @@ def _nll_core(state: ModelState, plan: _Plan, want_grad: bool):
     """Per-row NLL terms of a plan's rows, optionally with the gradient of their sum.
 
     One transformation call covers every row at its lower time; interval rows
-    take a second at their upper time.
+    take a second at their upper time, on their gathered coefficient rows.
     """
     spec = state.spec
     fam = spec.family
-    head = state.head_params
     if spec.uses_extractor:
         feats, tape = feature.forward(spec.extractor, state.extractor_params, plan.x)
     else:
         feats = tape = None
+    coef, coef_pullback = coefficients(spec, state.head_params, feats)
     exact, right, left = (plan.kind == code for code in range(3))
     any_left = left.any()
     interval = np.flatnonzero(plan.kind == CensoringKind.INTERVAL.code)
     log_t = plan.log_t
-    h, dh, pullback = eval_transform(spec, head, feats, log_t, state.scaler, basis=plan.basis)
+    h, dh, pullback = eval_transform(spec, coef, None, log_t, state.scaler, basis=plan.basis)
     terms = np.empty(plan.n)
     terms[exact] = -transformed_log_pdf(fam, h[exact], dh[exact], log_t[exact])
     terms[right] = -target.log_survivor(fam, h[right])
@@ -225,8 +220,7 @@ def _nll_core(state: ModelState, plan: _Plan, want_grad: bool):
         h_lo = h[interval]
         upper = plan.take(interval)
         h_hi, _, pullback_hi = eval_transform(
-            spec, head, None if feats is None else feats[interval],
-            upper.upper_log_t, state.scaler, basis=upper.upper_basis,
+            spec, coef, interval, upper.upper_log_t, state.scaler, basis=upper.upper_basis
         )
         mass = _interval_mass(fam, h_lo, h_hi)
         degenerate = mass < INTERVAL_MASS_FLOOR
@@ -250,9 +244,10 @@ def _nll_core(state: ModelState, plan: _Plan, want_grad: bool):
     if interval.size:
         inv = np.where(degenerate, 0.0, 1.0 / np.maximum(mass, INTERVAL_MASS_FLOOR))
         up_h[interval] = target.density(fam, h_lo) * inv
-    head_grad, d_feats = pullback(up_h, up_dh)
+    head_grad, d_feats = coef_pullback(pullback(up_h, up_dh))
     if interval.size:
-        grad_hi, d_feats_hi = pullback_hi(-target.density(fam, h_hi) * inv, np.zeros(interval.size))
+        d_hi = pullback_hi(-target.density(fam, h_hi) * inv, np.zeros(interval.size))
+        grad_hi, d_feats_hi = coef_pullback(d_hi, interval)
         head_grad += grad_hi
         d_feats[interval] += d_feats_hi
     if spec.uses_extractor:
@@ -463,33 +458,28 @@ class EnsembleDistribution:
     def pdf(self, t):
         return np.mean([m.pdf(t) for m in self.members], axis=0)
 
+    def _log_mean(self, values):
+        return logsumexp(np.array(values), axis=0) - np.log(len(self.members))
+
     def log_pdf(self, t):
-        return logsumexp(np.array([m.log_pdf(t) for m in self.members]), axis=0) - np.log(
-            len(self.members)
-        )
+        return self._log_mean([m.log_pdf(t) for m in self.members])
 
     def log_survivor(self, t):
-        return logsumexp(
-            np.array([m.log_survivor(t) for m in self.members]), axis=0
-        ) - np.log(len(self.members))
+        return self._log_mean([m.log_survivor(t) for m in self.members])
 
     def log_cdf(self, t):
-        return logsumexp(np.array([m.log_cdf(t) for m in self.members]), axis=0) - np.log(
-            len(self.members)
-        )
+        return self._log_mean([m.log_cdf(t) for m in self.members])
 
     def quantile(self, p):
         """Inverse of the averaged CDF by one vectorized bracketed Newton solve in log-time.
 
-        The slope is the mean of the member densities in log-time,
-        f_Z(h_m) * dh_m/dlog t.
+        The bracket [min_m lo_m, max_m hi_m] of the members' own brackets holds
+        the root: every member CDF is at most p at its lower end and at least
+        p at its upper end.  The slope is the mean of f_Z(h_m) * dh_m/dlog t.
         """
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        if np.any(~((p_arr > 0.0) & (p_arr < 1.0))):
-            raise ProbabilityOutOfRange("quantile requires probabilities in (0, 1)")
-        for m in self.members:
-            m.check_subjects(p_arr)
         subjects = _leading_index(p_arr.shape)
+        _, lo, hi = zip(*(m.log_time_bracket(p_arr, subjects) for m in self.members))
 
         def mean_cdf_at_log_time(u, rows):
             values, slopes = [], []
@@ -499,9 +489,9 @@ class EnsembleDistribution:
                 slopes.append(target.density(m.spec.family, h) * dh)
             return np.mean(values, axis=0), np.mean(slopes, axis=0)
 
-        lo = min(m.scaler.a_lo for m in self.members)
-        hi = max(m.scaler.b_hi for m in self.members)
-        u = _solve_increasing(mean_cdf_at_log_time, p_arr.ravel(), lo, hi)
+        u = _solve_increasing(
+            mean_cdf_at_log_time, p_arr.ravel(), np.min(lo, axis=0), np.max(hi, axis=0)
+        )
         t = np.exp(u).reshape(p_arr.shape)
         return float(t[0]) if np.ndim(p) == 0 else t
 

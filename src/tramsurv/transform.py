@@ -1,49 +1,35 @@
 """Monotone transformations of time and the conditional distributions they induce.
 
-Each parameterization builds a transformation h(t | x) that is strictly
-increasing in t; composing it with the target family CDF yields the
-conditional time-to-event distribution F(t | x) = F_Z(h(t | x)).  Covariates
-enter through extractor features, either as an additive shift, a positive
-scale, or (for the flexible variant) as the Bernstein coefficients
-themselves.
+Every parameterization is one form, strictly increasing in t,
 
-``eval_transform`` is the one place the parameterizations are written out.
-It works in log-time, where the Bernstein part lives and where the quantile
-solver can expand its bracket without overflow, and returns h, dh/dlog t
-and their pullback: a hand-written reverse-mode step that reuses the
-forward's basis rows to turn upstream sensitivities of (h, dh/dlog t) into
-head-parameter gradients and per-row feature sensitivities, the latter to be
-fed to the extractor's backward pass.  The density follows from the chain
-rule, log f(t | x) = log f_Z(h) + log(dh/dlog t) - log t.  Quantiles invert
-h(t | x) = F_Z^{-1}(p) in log-time by bracketed Newton steps, whose slope is
-the dh/dlog t of the same call.
+    h(t | x_i) = s_i * b(u)^T theta_i + c_i + m_i * log t,
 
-Every number a subject gets at inference depends on that subject's row
-alone, never on the batch it shares a call with: features come from
-``feature.features``, which multiplies row by row, and every row-wise
-contraction here is ``_rowdot``, one BLAS dot per row whatever the batch
-size.  A quantile's Newton path is then the same alone, in a batch, or
-permuted, and so is its root, bit for bit.  Sums over rows (the pullback's
-gradients) stay matrix products; they are training quantities, not
-per-subject ones.
+with b the Bernstein basis at the scaled log-time u, extended linearly
+outside the training range, and F(t | x) = F_Z(h(t | x)).  ``coefficients``
+maps the head and each subject's features to (theta, s, c, m);
+``eval_transform`` evaluates the form and dh/dlog t at log-times.  Each has a
+hand-written pullback, and training composes the two.  A distribution holds
+its subjects' coefficients, computed once.  Quantiles invert h = F_Z^{-1}(p)
+in log-time: in closed form for the linear parameterizations and on the
+affine Bernstein tails, by bracketed Newton steps inside the training range.
+
+Every number a subject gets at inference depends on its row alone: features
+come from ``feature.features``, which multiplies row by row, and every
+row-wise contraction here is ``_rowdot``, one BLAS dot per row whatever the
+batch size.  A quantile's Newton path, and so its root, is then the same bits
+alone, in a batch, or permuted.  Sums over rows (the pullbacks' gradients)
+stay matrix products.
 """
 
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import feature, target
-from .basis import (
-    LogTimeScaler,
-    bernstein_vectors,
-    monotone_reparam,
-    monotone_reparam_vjp,
-)
+from .basis import LogTimeScaler, bernstein_vectors, monotone_reparam, monotone_reparam_vjp
 from .core import FittedModel, ModelSpec, Parameterization
-from .errors import (
-    BisectionNonConvergence,
-    DimensionMismatch,
-)
+from .errors import BisectionNonConvergence, DimensionMismatch
 from .numerics import sigmoid, softplus, softplus_inv
 
 
@@ -81,140 +67,173 @@ def init_head(spec: ModelSpec) -> np.ndarray:
     p = spec.parameterization
     if p == Parameterization.LINEAR_SHIFT:
         head[1] = softplus_inv(1.0)
-    elif p in (
-        Parameterization.BASELINE,
-        Parameterization.BERNSTEIN_SHIFT,
-        Parameterization.BERNSTEIN_SHIFT_SCALE,
-    ):
+    elif spec.uses_basis and p != Parameterization.BERNSTEIN_FLEXIBLE:
         head[: k + 1] = softplus_inv(4.0 / k)
         head[0] = -2.0
     return head
 
 
 def _rowdot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot product of each row of ``a`` with ``v``, one BLAS dot per row.
+    """One BLAS dot per row of ``a`` with ``v`` (a vector, or a matrix paired row by row).
 
-    ``v`` is one vector for every row, or a matrix paired with ``a`` row by
-    row.  ``a @ v`` takes a dot product for one row and gemv for several,
-    and gemv itself rounds differently by row count; this gives a row the
-    same bits in any batch.
+    ``a @ v`` would take gemv for several rows, whose rounding depends on the
+    row count; this gives a row the same bits in any batch.
     """
     return np.vecdot(a, v)
 
 
-def _features_2d(features, log_t: np.ndarray) -> np.ndarray:
-    """Broadcast features against times: one subject at many times, or rowwise."""
-    f = np.asarray(features, dtype=float)
-    if f.ndim == 1:
-        return np.broadcast_to(f, (log_t.shape[0], f.shape[0]))
-    if f.shape[0] != log_t.shape[0]:
-        raise DimensionMismatch(
-            f"{f.shape[0]} feature rows for {log_t.shape[0]} times"
-        )
-    return f
+class Coefficients(NamedTuple):
+    """The coefficients of h(t | x) = s * b(u)^T theta + c + m * log t.
 
-
-def basis_rows(spec: ModelSpec, log_t, scaler: LogTimeScaler):
-    """Bernstein basis and derivative rows that ``eval_transform`` reads at ``log_t``.
-
-    None for the linear parameterizations, which have no basis.  The rows
-    depend on the data and the scaler only, never on the parameters.
+    A field holds one value for every row, or one per row on a leading axis:
+    ``theta`` is (k,) or (n, k); ``s``, ``c`` and ``m`` are scalars or (n,).
+    ``theta`` is None for the linear parameterizations (s = 0), ``m`` for the
+    Bernstein ones (m = 0).
     """
-    if spec.parameterization in (Parameterization.LINEAR_SHIFT, Parameterization.LINEAR_SCALE):
-        return None
-    return bernstein_vectors(spec.bernstein_order, scaler.scale(log_t))
+
+    theta: np.ndarray | None
+    s: np.ndarray | float
+    c: np.ndarray | float
+    m: np.ndarray | float | None
+
+    _shared_ndim = (1, 0, 0, 0)  # ndim of each field when one value serves every row
+
+    def _per_row(self) -> list[bool]:
+        return [v is not None and np.ndim(v) > nd for v, nd in zip(self, self._shared_ndim)]
+
+    @property
+    def n_rows(self) -> int | None:
+        """Number of rows; None when every field serves every row."""
+        return next((len(v) for v, per_row in zip(self, self._per_row()) if per_row), None)
+
+    def take(self, rows) -> "Coefficients":
+        """The rows an index, a mask, a slice or an index array selects."""
+        return Coefficients(*(v[rows] if r else v for v, r in zip(self, self._per_row())))
 
 
-def eval_transform(
-    spec: ModelSpec, head: np.ndarray, features, log_t, scaler: LogTimeScaler, *, basis=None
-):
-    """h(t | x) and dh/dlog t at log-times ``log_t``, with their pullback.
+def _at(v: np.ndarray, rows) -> np.ndarray:
+    return v if rows is None else v[rows]
 
-    ``head`` is the flat head vector laid out as :func:`head_size` documents;
-    a vector of another length raises :class:`DimensionMismatch`.
-    ``features`` may be a single vector (evaluated at every time) or a matrix
-    matched row by row against ``log_t``; the baseline parameterization
-    ignores it.  ``basis`` takes rows precomputed by :func:`basis_rows` at the
-    same log-times and scaler; they are computed here when it is None.
-    Returns ``(h, dh_dlog_t, pullback)``, the first two shaped like
-    ``log_t``.  ``pullback(upstream_h, upstream_dh)`` takes one upstream
-    sensitivity of h and of dh/dlog t per row and chains them into the flat
-    head gradient (summed over rows, laid out like ``head``) and per-row
-    feature sensitivities for the extractor's backward pass; it reuses the
-    basis rows of this call.
+
+def coefficients(spec: ModelSpec, head: np.ndarray, features):
+    """Per-subject coefficients of h, with their pullback.
+
+    The one place the six parameterizations are written out:
+
+    - baseline: theta = monotone(gamma), s = 1, c = 0;
+    - bernstein_shift: theta = monotone(gamma), s = 1, c = f.w;
+    - bernstein_shift_scale: theta = monotone(gamma), s = softplus(f.beta), c = f.w;
+    - bernstein_flexible: theta = monotone(f), s = 1, c = 0;
+    - linear_shift: s = 0, c = a + f.w, m = softplus(b_raw);
+    - linear_scale: s = 0, c = a, m = softplus(f.w).
+
+    ``head`` is the flat head vector of :func:`head_size` (another length
+    raises :class:`DimensionMismatch`); ``features`` is one subject's
+    extractor output or one row per subject.  ``pullback(d, rows=None)`` maps
+    the output of :func:`eval_transform`'s pullback at the coefficient rows
+    ``rows`` (all when None) to the head gradient and those rows' feature
+    sensitivities.
     """
-    log_t = np.atleast_1d(np.asarray(log_t, dtype=float))
     head = np.asarray(head, dtype=float)
     if head.shape != (head_size(spec),):
         raise DimensionMismatch(
             f"expected {head_size(spec)} head parameters, got shape {head.shape}"
         )
     p = spec.parameterization
-    f = None if p == Parameterization.BASELINE else _features_2d(features, log_t)
+    f = np.asarray(features, dtype=float) if spec.uses_extractor else None
 
     if p == Parameterization.LINEAR_SHIFT:
         a, b_raw, w = head[0], head[1], head[2:]
-        b = softplus(b_raw)
 
-        def pullback(uh, ud):
-            d_b_raw = sigmoid(b_raw) * np.sum(uh * log_t + ud)
-            return np.concatenate([[np.sum(uh), d_b_raw], f.T @ uh]), np.outer(uh, w)
+        def pullback(d, rows=None):
+            d_head = [[np.sum(d.c), sigmoid(b_raw) * np.sum(d.m)], _at(f, rows).T @ d.c]
+            return np.concatenate(d_head), np.outer(d.c, w)
 
-        return a + b * log_t + _rowdot(f, w), np.full_like(log_t, b), pullback
+        return Coefficients(None, 0.0, a + _rowdot(f, w), softplus(b_raw)), pullback
 
     if p == Parameterization.LINEAR_SCALE:
         a, w = head[0], head[1:]
         r = _rowdot(f, w)
-        c = softplus(r)
 
-        def pullback(uh, ud):
-            d_r = sigmoid(r) * (uh * log_t + ud)
-            return np.concatenate([[np.sum(uh)], f.T @ d_r]), np.outer(d_r, w)
+        def pullback(d, rows=None):
+            d_r = sigmoid(_at(r, rows)) * d.m
+            return np.concatenate([[np.sum(d.c)], _at(f, rows).T @ d_r]), np.outer(d_r, w)
 
-        return a + c * log_t, c, pullback
+        return Coefficients(None, 0.0, a, softplus(r)), pullback
 
-    basis_v, deriv_v = basis_rows(spec, log_t, scaler) if basis is None else basis
-    span = scaler.span
-
+    k = spec.bernstein_order + 1
     if p == Parameterization.BERNSTEIN_FLEXIBLE:
         # the extractor output is each row's coefficient vector
-        if f.shape[1] != spec.bernstein_order + 1:
+        if f.shape[-1] != k:
             raise DimensionMismatch(
                 "flexible parameterization needs extractor output of dimension order + 1"
             )
-        theta = monotone_reparam(f)
+        return Coefficients(monotone_reparam(f), 1.0, 0.0, None), lambda d, rows=None: (
+            np.zeros(0), monotone_reparam_vjp(_at(f, rows), d.theta)
+        )
 
-        def pullback(uh, ud):
-            d_theta = basis_v * uh[:, None] + deriv_v * (ud / span)[:, None]
-            return np.zeros(0), monotone_reparam_vjp(f, d_theta)
-
-        return _rowdot(basis_v, theta), _rowdot(deriv_v, theta) / span, pullback
-
-    # baseline, bernstein_shift and bernstein_shift_scale: scale * b(u)^T theta + shift
-    k = spec.bernstein_order + 1
-    d = 0 if f is None else spec.extractor.output_dim
-    gamma, w, beta = head[:k], head[k : k + d], head[k + d :]
-    theta = monotone_reparam(gamma)
-    base = _rowdot(basis_v, theta)
-    base_d = _rowdot(deriv_v, theta) / span
+    # baseline, bernstein_shift and bernstein_shift_scale share one theta
+    d_out = 0 if f is None else spec.extractor.output_dim
+    gamma, w, beta = head[:k], head[k : k + d_out], head[k + d_out :]
     r = _rowdot(f, beta) if p == Parameterization.BERNSTEIN_SHIFT_SCALE else None
-    scale = 1.0 if r is None else softplus(r)
-    shift = 0.0 if f is None else _rowdot(f, w)
 
-    def pullback(uh, ud):
-        d_theta = basis_v.T @ (uh * scale) + deriv_v.T @ (ud * scale / span)
-        grads = [monotone_reparam_vjp(gamma, d_theta)]
+    def pullback(d, rows=None):
+        grads = [monotone_reparam_vjp(gamma, d.theta)]
         if f is None:
-            return grads[0], np.zeros((log_t.shape[0], 0))
-        grads.append(f.T @ uh)
-        d_feats = np.outer(uh, w)
+            return grads[0], np.zeros((d.c.size, 0))
+        grads.append(_at(f, rows).T @ d.c)
+        d_feats = np.outer(d.c, w)
         if r is not None:
-            d_r = sigmoid(r) * (uh * base + ud * base_d)
-            grads.append(f.T @ d_r)
+            d_r = sigmoid(_at(r, rows)) * d.s
+            grads.append(_at(f, rows).T @ d_r)
             d_feats += np.outer(d_r, beta)
         return np.concatenate(grads), d_feats
 
-    return scale * base + shift, scale * base_d, pullback
+    s = 1.0 if r is None else softplus(r)
+    c = 0.0 if f is None else _rowdot(f, w)
+    return Coefficients(monotone_reparam(gamma), s, c, None), pullback
+
+
+def basis_rows(spec: ModelSpec, log_t, scaler: LogTimeScaler):
+    """Basis and derivative rows ``eval_transform`` reads at ``log_t``; None if linear."""
+    return bernstein_vectors(spec.bernstein_order, scaler.scale(log_t)) if spec.uses_basis else None
+
+
+def eval_transform(
+    spec: ModelSpec, coef: Coefficients, rows, log_t, scaler: LogTimeScaler, *, basis=None
+):
+    """h = s * b(u)^T theta + c + m * log t and dh/dlog t at ``log_t``, with their pullback.
+
+    ``rows`` is the coefficient row each log-time reads (an index array), or
+    None to pair per-row coefficients with ``log_t`` in order; ``basis`` takes
+    rows :func:`basis_rows` precomputed at ``log_t``.  ``pullback(upstream_h,
+    upstream_dh)`` returns :class:`Coefficients` sensitivities, one per time,
+    except that a theta shared by every row comes summed.
+    """
+    log_t = np.atleast_1d(np.asarray(log_t, dtype=float))
+    theta, s, c, m = coef if rows is None else coef.take(rows)
+
+    if theta is None:  # s = 0: h is affine in log t
+
+        def pullback(uh, ud):
+            return Coefficients(None, None, uh, uh * log_t + ud)
+
+        return c + m * log_t, np.full_like(log_t, m), pullback
+
+    # m = 0
+    basis_v, deriv_v = basis_rows(spec, log_t, scaler) if basis is None else basis
+    span = scaler.span
+    base, base_d = _rowdot(basis_v, theta), _rowdot(deriv_v, theta) / span
+
+    def pullback(uh, ud):
+        us, uds = uh * s, ud * s / span
+        if np.ndim(theta) == 2:
+            d_theta = basis_v * us[:, None] + deriv_v * uds[:, None]
+        else:
+            d_theta = basis_v.T @ us + deriv_v.T @ uds
+        return Coefficients(d_theta, uh * base + ud * base_d, uh, None)
+
+    return s * base + c, s * base_d, pullback
 
 
 def transformed_log_pdf(family, h, dh_dlog_t, log_t):
@@ -228,52 +247,35 @@ def transformed_log_pdf(family, h, dh_dlog_t, log_t):
 BISECTION_STEPS = 200
 
 
-def _solve_increasing(fn, targets: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _solve_increasing(fn, targets: np.ndarray, lo, hi) -> np.ndarray:
     """Solve value(u) = targets[rows] for every row; the value is increasing in u.
 
-    ``fn(u, rows)`` is asked only about rows still in play and returns
-    ``(value, slope)`` at log-times ``u`` of the rows ``rows``, with slope =
-    d value / du.  Brackets are expanded geometrically from [lo, hi].  Each
-    row then starts at its bracket's midpoint and takes safeguarded Newton
+    ``lo`` and ``hi`` (arrays like ``targets``, or scalars) bracket each
+    row's root; a row whose bracket is one point is solved.  ``fn(u, rows)``
+    returns ``(value, d value / du)`` at ``u`` for the rows still in play.
+    Each row starts at its bracket's midpoint and takes safeguarded Newton
     steps (rtsafe, Press et al., *Numerical Recipes* 9.4): the residual's
-    sign shrinks the bracket, and a step that is not finite or leaves the
-    open bracket halves it instead.  A row stops once its step or its bracket
-    is at most ``1e-12 * max(1, |u|)``.
-
-    Every step is elementwise, so a row's root depends only on its target
-    and on fn for that row; fn must give a row the same bits whatever other
-    rows share the call, as ``eval_transform`` does.
-
-    Raises :class:`BisectionNonConvergence` when a row is still unbracketed
-    after ``BISECTION_STEPS`` expansions, or unconverged after as many
-    iterations.
+    sign shrinks the bracket, and a step that is not finite or leaves it
+    halves the bracket instead, until the step or the bracket is at most
+    ``1e-12 * max(1, |u|)``.  Steps are elementwise, so a row's root is the
+    same in any batch if fn's values are.  Raises
+    :class:`BisectionNonConvergence` for a row unconverged after
+    ``BISECTION_STEPS`` iterations.
     """
     targets = np.asarray(targets, dtype=float)
-    lo = np.full_like(targets, lo)
-    hi = np.full_like(targets, hi)
-    for bound, outside, sign in ((lo, np.greater, -1.0), (hi, np.less, 1.0)):
-        step = np.maximum(hi - lo, 1.0)
-        rows = np.arange(targets.size)
-        for expansion in range(BISECTION_STEPS + 1):
-            rows = rows[outside(fn(bound[rows], rows)[0], targets[rows])]
-            if rows.size == 0:
-                break
-            if expansion == BISECTION_STEPS:
-                raise BisectionNonConvergence(
-                    f"{rows.size} quantile target(s) still unbracketed after "
-                    f"{BISECTION_STEPS} expansions"
-                )
-            bound[rows] += sign * step[rows]
-            step[rows] *= 2.0
+    lo = np.array(np.broadcast_to(lo, targets.shape), dtype=float)
+    hi = np.array(np.broadcast_to(hi, targets.shape), dtype=float)
     u = 0.5 * (lo + hi)
-    rows = np.arange(targets.size)
+    rows = np.flatnonzero(lo < hi)
     for _ in range(BISECTION_STEPS):
-        rows = rows[~_newton_step(fn, targets, u, lo, hi, rows)]
         if rows.size == 0:
-            return u
-    raise BisectionNonConvergence(
-        f"{rows.size} quantile target(s) unconverged after {BISECTION_STEPS} iterations"
-    )
+            break
+        rows = rows[~_newton_step(fn, targets, u, lo, hi, rows)]
+    if rows.size:
+        raise BisectionNonConvergence(
+            f"{rows.size} quantile target(s) unconverged after {BISECTION_STEPS} iterations"
+        )
+    return u
 
 
 def _newton_step(fn, targets, u, lo, hi, rows) -> np.ndarray:
@@ -306,38 +308,26 @@ def _leading_index(shape) -> np.ndarray:
 class ConditionalDistribution:
     """Time-to-event distribution of one subject, or of n subjects at once.
 
-    ``features`` is one subject's extractor output (a vector), a matrix with
-    one row per subject, or None when the parameterization ignores
-    covariates.  For one subject (or none) the evaluators accept scalars or
-    arrays of times of any shape.  For a matrix, the first axis of the times,
-    and of the probabilities given to :meth:`quantile`, indexes subjects:
-    shape (n,) holds one value per subject, shape (n, m) m values per subject.
-    Boundary inputs t = 0 and t = +inf map to the exact distribution limits.
+    It holds the subjects' :class:`Coefficients`.  When they have rows, the
+    first axis of the times, and of the probabilities given to
+    :meth:`quantile`, indexes subjects: shape (n,) holds one value per
+    subject, shape (n, m) m values per subject.  Otherwise times may have
+    any shape.  t = 0 and t = +inf map to the exact distribution limits.
     """
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        head: np.ndarray,
-        features: np.ndarray | None,
-        scaler: LogTimeScaler,
-    ):
+    def __init__(self, spec: ModelSpec, coef: Coefficients, scaler: LogTimeScaler):
         self.spec = spec
-        self.head = head
-        self.features = None if features is None else np.asarray(features, dtype=float)
+        self.coef = coef
         self.scaler = scaler
 
     @property
     def n_subjects(self) -> int | None:
         """Number of subjects of a batch; None when one distribution serves every row."""
-        if self.features is None or self.features.ndim == 1:
-            return None
-        return self.features.shape[0]
+        return self.coef.n_rows
 
     def subject(self, i) -> "ConditionalDistribution":
         """Row ``i`` of a batch, or the batch of the rows an index array ``i`` selects."""
-        features = self.features if self.n_subjects is None else self.features[i]
-        return ConditionalDistribution(self.spec, self.head, features, self.scaler)
+        return ConditionalDistribution(self.spec, self.coef.take(i), self.scaler)
 
     def check_subjects(self, values: np.ndarray):
         """For a batch, require the leading axis of ``values`` to index its subjects."""
@@ -348,12 +338,43 @@ class ConditionalDistribution:
             )
 
     def h_at_log_time(self, u, subjects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """h and dh/dlog t at log-times ``u`` of the batch rows ``subjects``, element by element.
+        """h and dh/dlog t at log-times ``u`` of the rows ``subjects`` (ignored for one subject)."""
+        return eval_transform(self.spec, self.coef, subjects, u, self.scaler)[:2]
 
-        A single subject's distribution ignores ``subjects``.
+    def log_time_bracket(self, p: np.ndarray, subjects: np.ndarray):
+        """Targets z = F_Z^{-1}(p) of the rows ``subjects`` and log-time brackets of h = z.
+
+        Returns ``(z, lo, hi)``.  Linear models invert in closed form, log t =
+        (z - c) / m, and so does a Bernstein target outside [h(a_lo), h(b_hi)]
+        = [s theta_0 + c, s theta_K + c] on its affine tail, of slope s K
+        (theta_1 - theta_0) / span or s K (theta_K - theta_{K-1}) / span; these
+        get lo == hi, the others [a_lo, b_hi].  A target beyond a zero slope
+        (softplus underflow) raises :class:`BisectionNonConvergence`.
         """
-        features = self.features if self.n_subjects is None else self.features[subjects]
-        return eval_transform(self.spec, self.head, features, u, self.scaler)[:2]
+        self.check_subjects(p)
+        z = target.quantile(self.spec.family, p).ravel()
+        theta, s, c, m = self.coef.take(subjects)
+        a_lo, b_hi, span = self.scaler.a_lo, self.scaler.b_hi, self.scaler.span
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if theta is None:
+                lo = hi = (z - c) / m
+            else:
+                order = theta.shape[-1] - 1
+                h_lo, h_hi = s * theta[..., 0] + c, s * theta[..., -1] + c
+                below = z < h_lo
+                tail = np.where(
+                    below,
+                    a_lo + (z - h_lo) / (s * order * (theta[..., 1] - theta[..., 0]) / span),
+                    b_hi + (z - h_hi) / (s * order * (theta[..., -1] - theta[..., -2]) / span),
+                )
+                outside = below | (z > h_hi)
+                lo, hi = np.where(outside, tail, a_lo), np.where(outside, tail, b_hi)
+        unsolvable = int(np.sum(~np.isfinite(lo) | ~np.isfinite(hi)))
+        if unsolvable:
+            raise BisectionNonConvergence(
+                f"{unsolvable} quantile target(s) lie beyond a zero slope of h"
+            )
+        return z, lo, hi
 
     def _apply(self, t, of_transform, at_zero: float, at_inf: float):
         """Evaluate ``of_transform(h, dh/dlog t, log t)`` at the positive, finite times."""
@@ -366,11 +387,9 @@ class ConditionalDistribution:
         out[zero] = at_zero
         out[infinite] = at_inf
         if np.any(inside):
-            features = self.features
-            if self.n_subjects is not None:
-                features = features[np.nonzero(inside)[0]]
+            rows = None if self.n_subjects is None else np.nonzero(inside)[0]
             log_t = np.log(t_arr[inside])
-            h, dh, _ = eval_transform(self.spec, self.head, features, log_t, self.scaler)
+            h, dh, _ = eval_transform(self.spec, self.coef, rows, log_t, self.scaler)
             out[inside] = of_transform(h, dh, log_t)
         return float(out[0]) if np.ndim(t) == 0 else out
 
@@ -397,40 +416,29 @@ class ConditionalDistribution:
         return self._apply(t, lambda *args: np.exp(log_pdf(*args)), 0.0, 0.0)
 
     def quantile(self, p):
-        """Inverse CDF: solves h(t) = F_Z^{-1}(p) in log-time by bracketed Newton.
-
-        All probabilities are solved in one vectorized call, with the slope
-        dh/dlog t from the same transformation call as h.
-        """
+        """Inverse CDF: h(t) = F_Z^{-1}(p) in closed form or by Newton steps on dh/dlog t."""
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        self.check_subjects(p_arr)
-        z_target = target.quantile(self.spec.family, p_arr).ravel()
         subjects = _leading_index(p_arr.shape)
         u = _solve_increasing(
             lambda v, rows: self.h_at_log_time(v, subjects[rows]),
-            z_target,
-            self.scaler.a_lo,
-            self.scaler.b_hi,
+            *self.log_time_bracket(p_arr, subjects),
         )
         t = np.exp(u).reshape(p_arr.shape)
         return float(t[0]) if np.ndim(p) == 0 else t
 
 
 def conditional_distribution(model: FittedModel, x) -> ConditionalDistribution:
-    """Build the conditional distribution of one subject or of n subjects.
+    """The conditional distribution of one subject, x of shape (p,), or of n, shape (n, p).
 
-    ``x`` is one covariate vector of shape (p,), or a matrix of shape (n, p)
-    with one subject per row.  Features come from ``feature.features``, so a
-    subject's numbers do not depend on which other subjects share the batch.
+    Features come from ``feature.features``, so a subject's numbers do not
+    depend on which other subjects share the batch.
     """
     spec = model.spec
-    head = model.head_params
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise DimensionMismatch(
             f"expected a covariate vector or an (n, p) matrix, got shape {x.shape}"
         )
-    if not spec.uses_extractor:
-        return ConditionalDistribution(spec, head, None, model.scaler)
-    features = feature.features(spec.extractor, model.extractor_params, x)
-    return ConditionalDistribution(spec, head, features, model.scaler)
+    f = feature.features(spec.extractor, model.extractor_params, x) if spec.uses_extractor else None
+    coef, _ = coefficients(spec, model.head_params, f)
+    return ConditionalDistribution(spec, coef, model.scaler)

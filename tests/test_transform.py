@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tramsurv import target
+from tramsurv import target, transform
 from tramsurv.basis import LogTimeScaler
 from tramsurv.core import FittedModel, ModelSpec, Parameterization
 from tramsurv.errors import (
@@ -12,12 +12,19 @@ from tramsurv.errors import (
     DimensionMismatch,
     ProbabilityOutOfRange,
 )
-from tramsurv.feature import ExtractorSpec, identity_params, init_params, param_count
+from tramsurv.feature import (
+    ExtractorSpec,
+    features as extractor_features,
+    identity_params,
+    init_params,
+    param_count,
+)
 from tramsurv.numerics import softplus, softplus_inv
 from tramsurv.target import TargetFamily
 from tramsurv.transform import (
     ConditionalDistribution,
     _solve_increasing,
+    coefficients,
     conditional_distribution,
     eval_transform,
     head_size,
@@ -40,9 +47,20 @@ def _spec(parameterization, family=TargetFamily.LOGISTIC, order=2, d=2, p=None):
     )
 
 
+def _composed(spec, head, features, log_t, scaler):
+    """The coefficient map composed with the one form, as training composes them.
+
+    Returns h, dh/dlog t and the pullback of both to the flat head gradient
+    and the feature sensitivities.
+    """
+    coef, coef_pullback = coefficients(spec, head, features)
+    h, dh, pullback = eval_transform(spec, coef, None, log_t, scaler)
+    return h, dh, lambda uh, ud: coef_pullback(pullback(uh, ud))
+
+
 def _core(spec, head, features, t, scaler):
     """h and dh/dlog t at times t."""
-    h, dh, _ = eval_transform(spec, head, features, np.log(t), scaler)
+    h, dh, _ = _composed(spec, head, features, np.log(t), scaler)
     return h, dh
 
 
@@ -135,7 +153,7 @@ class TestEvalTransform:
         spec = _spec(Parameterization.BERNSTEIN_FLEXIBLE, order=3)
         head = init_head(spec)
         with pytest.raises(DimensionMismatch):
-            eval_transform(spec, head, np.zeros(2), 0.0, SCALER01)
+            coefficients(spec, head, np.zeros(2))
 
     def test_monotone_in_time_all_parameterizations(self):
         """dh/dlog t stays positive for random parameters, inside and outside range."""
@@ -174,7 +192,7 @@ class TestGradTransform:
         spec = _spec(Parameterization.LINEAR_SHIFT)
         head = np.array([0.3, 0.4, 0.5, -0.2])
         features = np.array([[1.5, -0.7]])
-        _, _, pullback = eval_transform(spec, head, features, np.log([2.0]), SCALER01)
+        _, _, pullback = _composed(spec, head, features, np.log([2.0]), SCALER01)
         grad, _ = pullback(np.ones(1), np.zeros(1))
         a, b_raw, w = grad[0], grad[1], grad[2:]
         np.testing.assert_allclose(a, 1.0)
@@ -190,7 +208,7 @@ class TestGradTransform:
             d = spec.extractor.output_dim if spec.extractor else 0
             features = rng.normal(size=(4, d))
             log_t = np.log(rng.uniform(0.5, 3.0, size=4))
-            _, _, pullback = eval_transform(spec, head, features, log_t, SCALER01)
+            _, _, pullback = _composed(spec, head, features, log_t, SCALER01)
             grad, dfeat = pullback(np.zeros(4), np.zeros(4))
             np.testing.assert_array_equal(grad, np.zeros(head_size(spec)))
             np.testing.assert_array_equal(dfeat, np.zeros((4, d)))
@@ -219,7 +237,7 @@ class TestGradTransform:
             ud = rng.normal(size=5)
 
             def core(flat_head, feats, at=log_t):
-                return eval_transform(spec, flat_head, feats, at, scaler)
+                return _composed(spec, flat_head, feats, at, scaler)
 
             def objective(flat_head, feats):
                 h, dh, _ = core(flat_head, feats)
@@ -475,10 +493,13 @@ class TestBatchInvariance:
 
     @staticmethod
     def _per_subject(dist, t, p, u):
-        """Features, (h, dh), cdf, log_pdf and quantile, one row or column per subject."""
+        """Coefficients, (h, dh), cdf, log_pdf and quantile, one row or column per subject."""
         h, dh = dist.h_at_log_time(u, np.arange(u.size) if dist.n_subjects else None)
         return {
-            "features": dist.features,
+            "coefficients": [
+                np.concatenate([np.ravel(v) for v in dist.subject(i).coef if v is not None])
+                for i in range(u.size)
+            ],
             "h": h,
             "dh": dh,
             "cdf": dist.cdf(t),
@@ -562,12 +583,41 @@ def _reference_bisect(fn, targets, lo, hi, steps=200):
 
 class TestBisection:
     def test_unbracketed_target_raises(self):
-        with pytest.raises(BisectionNonConvergence) as info:
-            _solve_increasing(
-                lambda u, rows: (np.tanh(u), 1.0 - np.tanh(u) ** 2),
-                np.array([0.0, 2.0]), -1.0, 1.0,
-            )
-        assert info.value.code == "E_BISECTION_NON_CONVERGENCE"
+        """A target beyond a slope that underflowed to 0 has no root and fails with a code.
+
+        softplus(-800) is exactly 0: the baseline's lower tail is flat at
+        theta_0 = -2, and the linear_scale model's h is the constant a.  The
+        suite turns a RuntimeWarning into an error, so these also show that
+        no division by the zero slope warns.
+        """
+        from tramsurv.fit import EnsembleModel
+
+        baseline = ModelSpec(family=TargetFamily.LOGISTIC,
+                             parameterization=Parameterization.BASELINE, bernstein_order=4)
+        head = init_head(baseline)
+        head[1] = -800.0
+        flat_tail = FittedModel(spec=baseline, scaler=SCALER01, head_params=head,
+                                extractor_params=np.zeros(0), train_nll=0.0, validation_nll=0.0)
+        scale = ModelSpec(family=TargetFamily.LOGISTIC,
+                          parameterization=Parameterization.LINEAR_SCALE,
+                          extractor=ExtractorSpec(input_dim=1, output_dim=1))
+        flat = FittedModel(spec=scale, scaler=SCALER01, head_params=np.array([0.3, 800.0]),
+                           extractor_params=identity_params(scale.extractor),
+                           train_nll=0.0, validation_nll=0.0)
+        healthy = _random_model(Parameterization.LINEAR_SHIFT, TargetFamily.LOGISTIC,
+                                np.random.default_rng(167), p=1)
+        mixture = EnsembleModel(members=[healthy, flat], member_validation_nlls=np.zeros(2))
+        x = np.array([-1.0])  # f . w = -800 for the linear_scale model
+        assert conditional_distribution(flat, x).coef.m == 0.0
+        for dist, p in [
+            (conditional_distribution(flat_tail, x), 0.01),  # z = -4.6, below theta_0
+            (conditional_distribution(flat, x), 0.5),
+            (conditional_distribution(flat, x[None, :]), np.array([0.5])),
+            (mixture.conditional_distribution(x), 0.5),
+        ]:
+            with pytest.raises(BisectionNonConvergence) as info:
+                dist.quantile(p)
+            assert info.value.code == "E_BISECTION_NON_CONVERGENCE"
 
     def test_unconverged_bracket_raises(self):
         # the reported slope throws every Newton step out of the bracket, so
@@ -583,8 +633,8 @@ class TestBisection:
         def cube(u, rows):
             return u**3, 3.0 * u**2
 
-        alone = [_solve_increasing(cube, targets[i : i + 1], -1.0, 1.0)[0] for i in range(3)]
-        np.testing.assert_array_equal(_solve_increasing(cube, targets, -1.0, 1.0), alone)
+        alone = [_solve_increasing(cube, targets[i : i + 1], -2.0, 2.0)[0] for i in range(3)]
+        np.testing.assert_array_equal(_solve_increasing(cube, targets, -2.0, 2.0), alone)
 
     def test_vanishing_slope_at_the_root_converges(self):
         # u**3 has slope 0 at its root 0, where Newton converges only linearly
@@ -594,11 +644,13 @@ class TestBisection:
 
     @pytest.mark.parametrize("family", list(TargetFamily))
     @pytest.mark.parametrize("parameterization", list(Parameterization))
-    def test_quantiles_match_the_reference_bisection(self, parameterization, family):
+    def test_quantiles_match_the_reference_bisection(self, parameterization, family,
+                                                     monkeypatch):
         rng = np.random.default_rng(149)
         model = _random_model(parameterization, family, rng)
         n = 17
-        batch = conditional_distribution(model, rng.normal(size=(n, 3)))
+        x = rng.normal(size=(n, 3))
+        batch = conditional_distribution(model, x)
         # the last two columns target times outside the scaler range [0.2, 12]
         outside = batch.cdf(np.broadcast_to([0.02, 15.0], (n, 2)))
         p = np.column_stack([rng.uniform(0.001, 0.999, size=(n, 6)), outside])
@@ -608,7 +660,35 @@ class TestBisection:
             lambda v, rows: batch.h_at_log_time(v, subjects[rows])[0],
             target.quantile(family, p).ravel(), model.scaler.a_lo, model.scaler.b_hi,
         )).reshape(p.shape)
-        np.testing.assert_allclose(batch.quantile(p), reference, rtol=1e-11)
+
+        solver_rows = []
+
+        def counted(spec, coef, rows, log_t, scaler, **kwargs):
+            solver_rows.append(np.size(log_t))
+            return eval_transform(spec, coef, rows, log_t, scaler, **kwargs)
+
+        monkeypatch.setattr(transform, "eval_transform", counted)
+        quantiles = batch.quantile(p)
+        np.testing.assert_allclose(quantiles, reference, rtol=1e-11)
+        # the Bernstein targets on the affine tails outside the scaler range
+        # invert in closed form, and so do the linear parameterizations
+        linear = parameterization in (Parameterization.LINEAR_SHIFT,
+                                      Parameterization.LINEAR_SCALE)
+        assert (sum(solver_rows) == 0) == linear
+        solver_rows.clear()
+        np.testing.assert_array_equal(batch.quantile(p[:, -2:]), quantiles[:, -2:])
+        assert sum(solver_rows) == 0
+        if not linear:
+            return
+        head = _head_fields(model.spec, model.head_params)
+        f = extractor_features(model.spec.extractor, model.extractor_params, x)
+        if parameterization == Parameterization.LINEAR_SHIFT:
+            c, m = head.a + f @ head.w, softplus(head.b_raw)
+        else:
+            c, m = head.a, softplus(f @ head.w)
+        z = target.quantile(family, p)
+        np.testing.assert_allclose(quantiles, np.exp((z - np.c_[c]) / np.c_[m]),
+                                   rtol=1e-14)
 
     def test_mixture_quantile_inverts_the_mean_cdf(self):
         from tramsurv.fit import EnsembleModel
