@@ -66,7 +66,10 @@ DATASET_WRITE_CHUNK = 128
 
 
 def parse_dataset_csv(path) -> SurvivalDataset:
-    """Read a dataset CSV; errors carry the row and column of the first problem."""
+    """Read a dataset CSV; errors carry the row and column of the first problem.
+
+    The body goes through numpy's C reader, or the row scan where that could differ.
+    """
     path = Path(path)
     if not path.is_file():
         raise DataNotFound(f"dataset file not found: {path}")
@@ -76,18 +79,79 @@ def parse_dataset_csv(path) -> SurvivalDataset:
             header = [column.strip() for column in next(reader)]
         except StopIteration:
             raise MissingColumn(f"{path}: file is empty") from None
-        return _dataset_from_rows(path, header, reader)
+        dataset = _dataset_from_text(path, header, handle.encoding)
+        return _dataset_from_rows(path, header, reader) if dataset is None else dataset
+
+
+def _columns(path, header) -> tuple[int, int, int | None, list[int]]:
+    """Positions of time, status, time2 (None when absent) and the covariates."""
+    for required in ("time", "status"):
+        if required not in header:
+            raise MissingColumn(f"{path}: required column {required!r} is missing")
+    time2_col = header.index("time2") if "time2" in header else None
+    feature_cols = [i for i, name in enumerate(header) if name not in RESERVED_COLUMNS]
+    return header.index("time"), header.index("status"), time2_col, feature_cols
+
+
+def _dataset_from_text(path, header, encoding) -> SurvivalDataset | None:
+    """The dataset from one structured ``np.loadtxt`` pass; None sends it to the row scan.
+
+    None for any file numpy could read other than ``csv`` and ``float``, or rejects.
+    Statuses and interval time2 cells map through their distinct values with
+    the row scan's own ``strip``, ``lower`` and ``float``.
+    """
+    time_col, status_col, time2_col, feature_cols = _columns(path, header)
+    raw = path.read_bytes()
+    # Quotes (csv unquotes them), NUL (numpy drops it from strings), \x1c-\x1f
+    # (numpy strips them around numbers), a bare CR, or no line but blank ones.
+    if (any(byte in raw for byte in b'"\x00\x1c\x1d\x1e\x1f')
+            or (b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"))
+            or b"\n" not in raw.rstrip(b"\r\n")):
+        return None
+    n = raw.count(b"\n") + (not raw.endswith(b"\n")) - 1  # numpy skips blank lines
+    del raw  # not held while numpy reads the file
+    # One byte wider than any status or float repr, so that a value numpy cut shows.
+    floats, strings = {time_col, *feature_cols}, {status_col: "S9", time2_col: "S25"}
+    dtype = [(f"c{c}", "f8" if c in floats else strings.get(c, "S1")) for c in range(len(header))]
+    try:
+        cells = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                           encoding=encoding, ndmin=1)
+    except ValueError:
+        return None
+    kind = _lookup(cells[f"c{status_col}"], lambda v: _STATUS_CODE[v.strip().lower()])
+    if kind is None or cells.shape != (n,):
+        return None
+    t_lower = cells[f"c{time_col}"].copy()
+    t_upper = np.where(kind == _RIGHT, np.inf, t_lower)
+    interval = np.flatnonzero(kind == _INTERVAL)
+    if interval.size:
+        if time2_col is None:
+            return None
+        t2 = _lookup(cells[f"c{time2_col}"][interval], lambda v: float(v.strip()))
+        if t2 is None:
+            return None
+        t_upper[interval] = t2
+    x = np.empty((n, len(feature_cols)))
+    for j, col in enumerate(feature_cols):
+        x[:, j] = cells[f"c{col}"]
+    names = [header[i] for i in feature_cols]
+    return SurvivalDataset(x, t_lower, t_upper, kind.astype(np.int8), names)
+
+
+def _lookup(cells, convert):
+    """``convert`` of each distinct value of a string column, per row; None if one fails."""
+    values, inverse = np.unique(cells, return_inverse=True)
+    if any(len(value) >= cells.itemsize for value in values.tolist()):
+        return None  # possibly cut short
+    try:
+        return np.array([convert(v.decode("latin-1")) for v in values.tolist()])[inverse]
+    except (KeyError, ValueError):
+        return None
 
 
 def _dataset_from_rows(path, header, rows) -> SurvivalDataset:
     """Fill the dataset columns in one pass over the rows after the header."""
-    for required in ("time", "status"):
-        if required not in header:
-            raise MissingColumn(f"{path}: required column {required!r} is missing")
-    time_col = header.index("time")
-    status_col = header.index("status")
-    time2_col = header.index("time2") if "time2" in header else None
-    feature_cols = [i for i, name in enumerate(header) if name not in RESERVED_COLUMNS]
+    time_col, status_col, time2_col, feature_cols = _columns(path, header)
     feature_names = [header[i] for i in feature_cols]
 
     # Typed buffers hold 8 bytes per value, where lists would hold float objects.

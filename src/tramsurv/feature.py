@@ -123,7 +123,8 @@ def _as_batch(spec: ExtractorSpec, x) -> tuple[np.ndarray, bool]:
 
 
 def _activate(spec: ExtractorSpec, z: np.ndarray) -> np.ndarray:
-    return np.tanh(z) if spec.activation == "tanh" else np.maximum(z, 0.0)
+    """The hidden activation, applied in place."""
+    return np.tanh(z, out=z) if spec.activation == "tanh" else np.maximum(z, 0.0, out=z)
 
 
 def forward(spec: ExtractorSpec, params: np.ndarray, x) -> tuple[np.ndarray, Tape]:
@@ -137,8 +138,10 @@ def forward(spec: ExtractorSpec, params: np.ndarray, x) -> tuple[np.ndarray, Tap
     tape = Tape(spec=spec, layers=layers, single=single)
     for i, (w, b) in enumerate(layers):
         tape.inputs.append(a)
-        z = a @ w + b
-        a = _activate(spec, z) if i < len(layers) - 1 else z
+        a = a @ w
+        a += b
+        if i < len(layers) - 1:
+            _activate(spec, a)
     return (a[0] if single else a), tape
 
 
@@ -160,7 +163,8 @@ def features(spec: ExtractorSpec, params: np.ndarray, x) -> np.ndarray:
 def backward(spec: ExtractorSpec, tape: Tape, upstream) -> tuple[np.ndarray, np.ndarray]:
     """Reverse-mode pass: gradients w.r.t. parameters and the input.
 
-    The parameters are the ones the tape's forward pass read.  ``upstream``
+    The parameters are the ones the tape's forward pass read; their gradient
+    is written layer by layer into one flat vector in the parameter layout.  ``upstream``
     is d(loss)/d(features) with the same leading shape as the forward input.
     The result is linear in ``upstream``.
     """
@@ -173,15 +177,17 @@ def backward(spec: ExtractorSpec, tape: Tape, upstream) -> tuple[np.ndarray, np.
         raise DimensionMismatch(
             f"upstream shape {upstream.shape} does not match the recorded forward pass"
         )
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
+    grad = np.empty(spec.param_count)
+    grads = split_params(spec, grad)  # views of grad in the parameter layout
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
+        (w, _), (grad_w, grad_b) = layers[i], grads[i]
         a_in = tape.inputs[i]
-        grads[i] = (a_in.T @ delta, delta.sum(axis=0))
+        np.matmul(a_in.T, delta, out=grad_w)
+        delta.sum(axis=0, out=grad_b)
         delta = delta @ w.T
         if i > 0:
             # derivative of the hidden activation, reconstructed from its output
             h = tape.inputs[i]
-            delta = delta * (1.0 - h * h) if spec.activation == "tanh" else delta * (h > 0.0)
+            delta *= (1.0 - h * h) if spec.activation == "tanh" else (h > 0.0)
     grad_x = delta[0] if tape.single else delta
-    return flatten_params(grads), grad_x
+    return grad, grad_x

@@ -6,12 +6,18 @@ the transformed value plus the log-derivative of the transformation,
 right-censored times the log-survivor, left-censored times the log-CDF, and
 interval-censored times the log of the CDF difference across the interval
 (clamped when the mass underflows).  Training sums the terms, and
-``nll_observation`` is its one-row case; the exact-row term is the same
-expression as the conditional log-density that scoring reads.  A step
-composes the transform core: extractor features, then the per-row
-coefficients of ``transform.coefficients``, then ``eval_transform`` at the
-lower times and, for interval rows, at the upper times, gathering their
-coefficient rows; the pullbacks run in reverse.
+``nll_observation`` is its one-row case; the exact-row term equals the
+conditional log-density that scoring reads, bit for bit.  A step composes
+the transform core: extractor features, then the per-row coefficients of
+``transform.coefficients``, then ``eval_transform`` at the lower times and,
+for interval rows, at the upper times, gathering their coefficient rows; the
+pullbacks run in reverse.
+
+A step makes few numpy calls: one ``target.censored_nll`` call gives every
+row its term and z-derivative, the plan holds the kinds as row masks (none for
+absent kinds), and the extractor, its backward pass and SGD work in place on
+preallocated arrays; the best epoch's parameters are copies.  Each computes
+the same operations in the same order as separate calls, bit for bit.
 
 Training is plain minibatch SGD with separate learning rates for the
 transformation head and the feature extractor, gradient clipping at the
@@ -54,12 +60,12 @@ from .numerics import logsumexp
 from .transform import (
     _leading_index,
     _solve_increasing,
+    _time_of_roots,
     basis_rows,
     coefficients,
     conditional_distribution,
     eval_transform,
     init_head,
-    transformed_log_pdf,
 )
 
 logger = logging.getLogger(__name__)
@@ -137,16 +143,19 @@ def _interval_mass(family, h_lower, h_upper):
 class _Plan(NamedTuple):
     """The rows of a dataset as the likelihood reads them; none of it depends on the parameters.
 
-    Log-times, the basis and derivative rows at them (None for the linear
-    parameterizations) and the censoring kinds; ``x`` and ``kind`` are the
-    dataset's columns.  With interval rows in the dataset, ``upper_log_t`` and
-    ``upper_basis`` give every row an upper log-time and basis rows, the lower
-    ones outside interval rows, so any selection of rows is one uniform
-    gather; otherwise both are None.
+    The covariates, the censoring kinds as row masks, the log-times and the
+    basis and derivative rows at them (None for the linear
+    parameterizations).  ``left`` and ``interval`` are None when the dataset
+    has no such rows, and every other row is right-censored.  With interval
+    rows, ``upper_log_t`` and ``upper_basis`` give every row an upper
+    log-time and basis rows, the lower ones outside interval rows, so any
+    selection of rows is one uniform gather; otherwise both are None.
     """
 
     x: np.ndarray
-    kind: np.ndarray
+    exact: np.ndarray
+    left: np.ndarray | None
+    interval: np.ndarray | None
     log_t: np.ndarray
     basis: tuple | None
     upper_log_t: np.ndarray | None
@@ -154,28 +163,31 @@ class _Plan(NamedTuple):
 
     @classmethod
     def of_dataset(cls, dataset: SurvivalDataset, spec: ModelSpec, scaler: LogTimeScaler):
-        """Plan of a dataset; it shares the ``x`` and ``kind`` columns with the dataset.
+        """Plan of a dataset; it shares the ``x`` column with the dataset.
 
         Basis rows at upper times are computed for the interval rows only.
         """
         if not np.all(dataset.t_lower > 0.0):
             raise NonPositiveTime("observation times must be positive")
+        kind = dataset.kind
+        left, interval = kind == CensoringKind.LEFT.code, kind == CensoringKind.INTERVAL.code
         log_t = np.log(dataset.t_lower)
         basis = basis_rows(spec, log_t, scaler)
         upper_log_t = upper_basis = None
-        interval = np.flatnonzero(dataset.kind == CensoringKind.INTERVAL.code)
-        if interval.size:
+        rows = np.flatnonzero(interval)
+        if rows.size:
             upper_log_t = log_t.copy()
-            upper_log_t[interval] = np.log(dataset.t_upper[interval])
-        if interval.size and basis is not None:
-            upper_basis = tuple(rows.copy() for rows in basis)
-            for rows, upper in zip(upper_basis, basis_rows(spec, upper_log_t[interval], scaler)):
-                rows[interval] = upper
-        return cls(dataset.x, dataset.kind, log_t, basis, upper_log_t, upper_basis)
+            upper_log_t[rows] = np.log(dataset.t_upper[rows])
+        if rows.size and basis is not None:
+            upper_basis = tuple(column.copy() for column in basis)
+            for column, upper in zip(upper_basis, basis_rows(spec, upper_log_t[rows], scaler)):
+                column[rows] = upper
+        return cls(dataset.x, kind == CensoringKind.EXACT.code, left if left.any() else None,
+                   interval if rows.size else None, log_t, basis, upper_log_t, upper_basis)
 
     @property
     def n(self) -> int:
-        return self.kind.shape[0]
+        return self.exact.shape[0]
 
     def take(self, rows) -> "_Plan":
         """The rows an index array or a contiguous slice selects, in its order.
@@ -193,11 +205,16 @@ class _Plan(NamedTuple):
         return _Plan(*map(gather, self))
 
 
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+
+
 def _nll_core(state: ModelState, plan: _Plan, want_grad: bool):
     """Per-row NLL terms of a plan's rows, optionally with the gradient of their sum.
 
-    One transformation call covers every row at its lower time; interval rows
-    take a second at their upper time, on their gathered coefficient rows.
+    One transformation call covers every row at its lower time, and one
+    ``target.censored_nll`` call gives every row its term and z-derivative;
+    interval rows take a second transformation call at their upper time, on
+    their gathered coefficient rows, and overwrite their terms.
     """
     spec = state.spec
     fam = spec.family
@@ -206,16 +223,14 @@ def _nll_core(state: ModelState, plan: _Plan, want_grad: bool):
     else:
         feats = tape = None
     coef, coef_pullback = coefficients(spec, state.head_params, feats)
-    exact, right, left = (plan.kind == code for code in range(3))
-    any_left = left.any()
-    interval = np.flatnonzero(plan.kind == CensoringKind.INTERVAL.code)
+    exact = plan.exact
+    interval = _NO_ROWS if plan.interval is None else np.flatnonzero(plan.interval)
     log_t = plan.log_t
     h, dh, pullback = eval_transform(spec, coef, None, log_t, state.scaler, basis=plan.basis)
-    terms = np.empty(plan.n)
-    terms[exact] = -transformed_log_pdf(fam, h[exact], dh[exact], log_t[exact])
-    terms[right] = -target.log_survivor(fam, h[right])
-    if any_left:
-        terms[left] = -target.log_cdf(fam, h[left])
+    nll_z, up_h = target.censored_nll(fam, h, exact, plan.left)
+    # -log f(t) = -(log f_Z(h) + log dh/dlog t - log t) on exact rows
+    log_dh = np.log(dh, out=np.zeros_like(dh), where=exact)
+    terms = np.where(exact, -((log_dh - nll_z) - log_t), nll_z)
     if interval.size:
         h_lo = h[interval]
         upper = plan.take(interval)
@@ -235,12 +250,7 @@ def _nll_core(state: ModelState, plan: _Plan, want_grad: bool):
     if not want_grad:
         return terms, None
 
-    up_h, up_dh = np.zeros(plan.n), np.zeros(plan.n)
-    up_h[exact] = -target.log_density_dz(fam, h[exact])
-    up_dh[exact] = -1.0 / dh[exact]
-    up_h[right] = target.neg_log_survivor_dz(fam, h[right])
-    if any_left:
-        up_h[left] = target.neg_log_cdf_dz(fam, h[left])
+    up_dh = np.divide(-1.0, dh, out=np.zeros_like(dh), where=exact)
     if interval.size:
         inv = np.where(degenerate, 0.0, 1.0 / np.maximum(mass, INTERVAL_MASS_FLOOR))
         up_h[interval] = target.density(fam, h_lo) * inv
@@ -323,17 +333,20 @@ def _run_sgd(
         clipped = 0
         for start in range(0, shuffled.n, config.batch_size):
             batch = shuffled.take(slice(start, start + config.batch_size))
-            terms, grad = _nll_core(state, batch, want_grad=True)
+            terms, g = _nll_core(state, batch, want_grad=True)
             if not np.isfinite(np.sum(terms)):
                 raise NonFiniteLoss(f"non-finite loss in epoch {epoch}")
-            g = grad / batch.n
-            norm = float(np.linalg.norm(g))
+            g /= batch.n
+            norm = float(np.sqrt(g.dot(g)))  # np.linalg.norm's own sum, without its dispatch
             norms.append(norm)
             if norm > GRAD_CLIP:
-                g = g * (GRAD_CLIP / norm)
+                g *= GRAD_CLIP / norm
                 clipped += 1
-            state.head_params = state.head_params - config.lr_head * g[:n_head]
-            state.extractor_params = state.extractor_params - config.lr_extractor * g[n_head:]
+            # In place: the best parameters are copies, never views of these.
+            g[:n_head] *= config.lr_head
+            g[n_head:] *= config.lr_extractor
+            state.head_params -= g[:n_head]
+            state.extractor_params -= g[n_head:]
         # Free the shuffled rows before the epoch NLLs gather their own.
         del shuffled, batch
         train_nll = _mean_nll(state, plan, train_idx)
@@ -492,7 +505,7 @@ class EnsembleDistribution:
         u = _solve_increasing(
             mean_cdf_at_log_time, p_arr.ravel(), np.min(lo, axis=0), np.max(hi, axis=0)
         )
-        t = np.exp(u).reshape(p_arr.shape)
+        t = _time_of_roots(u).reshape(p_arr.shape)
         return float(t[0]) if np.ndim(p) == 0 else t
 
 

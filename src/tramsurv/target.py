@@ -80,29 +80,33 @@ def quantile(family: TargetFamily, p):
     return np.log(-np.log1p(-p))
 
 
-# Derivatives in z of the three negative log likelihood contributions; used to
-# backpropagate through the transformation.
+def censored_nll(family: TargetFamily, z: np.ndarray, exact: np.ndarray, left=None):
+    """Per-row negative log-likelihood on the transformed scale, and its z-derivative.
 
-def log_density_dz(family: TargetFamily, z):
-    z = np.asarray(z, dtype=float)
+    A row of the mask ``exact`` gets -log f_Z(z), a row of the mask ``left``
+    (None when no row is left-censored) -log F_Z(z), and every other row
+    -log S_Z(z).  The shared subexpressions are computed once for all rows:
+    w = exp(min(z, 700)) for MEV, log1p(exp(-|z|)) for the logistic family.
+    Each value equals the negated ``log_density``, ``log_cdf`` or
+    ``log_survivor`` bit for bit.
+    """
     if family == TargetFamily.LOGISTIC:
-        return 1.0 - 2.0 * sigmoid(z)
-    return 1.0 - _mev_w(z)
-
-
-def neg_log_survivor_dz(family: TargetFamily, z):
-    z = np.asarray(z, dtype=float)
-    if family == TargetFamily.LOGISTIC:
-        return sigmoid(z)
-    return _mev_w(z)
-
-
-def neg_log_cdf_dz(family: TargetFamily, z):
-    z = np.asarray(z, dtype=float)
-    if family == TargetFamily.LOGISTIC:
-        return -sigmoid(-z)
+        tail = np.log1p(np.exp(-np.abs(z)))
+        neg_log_s, neg_log_f = np.maximum(z, 0.0) + tail, np.maximum(-z, 0.0) + tail  # softplus
+        cdf_z = np.exp(-neg_log_f)
+        nll = np.where(exact, neg_log_s + neg_log_f, neg_log_s)
+        dz = np.where(exact, -(1.0 - 2.0 * cdf_z), cdf_z)
+        if left is not None:
+            nll = np.where(left, neg_log_f, nll)
+            dz = np.where(left, -np.exp(-neg_log_s), dz)
+        return nll, dz
     w = _mev_w(z)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = -np.exp(z - w) / (-np.expm1(-w))
-    # deep in the left tail density/CDF -> 1; the direct ratio underflows 0/0
-    return np.where(z < -_MEV_CLIP / 2, np.full_like(z, -1.0), ratio)
+    nll = np.where(exact, w - z, w)
+    dz = np.where(exact, -(1.0 - w), w)
+    if left is not None:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = -np.exp(z - w) / (-np.expm1(-w))
+        # deep in the left tail density/CDF -> 1; the direct ratio underflows 0/0
+        nll = np.where(left, -log_cdf(family, z), nll)
+        dz = np.where(left, np.where(z < -_MEV_CLIP / 2, -1.0, ratio), dz)
+    return nll, dz

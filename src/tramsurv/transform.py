@@ -147,7 +147,7 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
 
         def pullback(d, rows=None):
             d_head = [[np.sum(d.c), sigmoid(b_raw) * np.sum(d.m)], _at(f, rows).T @ d.c]
-            return np.concatenate(d_head), np.outer(d.c, w)
+            return np.concatenate(d_head), d.c[:, None] * w
 
         return Coefficients(None, 0.0, a + _rowdot(f, w), softplus(b_raw)), pullback
 
@@ -157,7 +157,7 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
 
         def pullback(d, rows=None):
             d_r = sigmoid(_at(r, rows)) * d.m
-            return np.concatenate([[np.sum(d.c)], _at(f, rows).T @ d_r]), np.outer(d_r, w)
+            return np.concatenate([[np.sum(d.c)], _at(f, rows).T @ d_r]), d_r[:, None] * w
 
         return Coefficients(None, 0.0, a, softplus(r)), pullback
 
@@ -182,11 +182,11 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
         if f is None:
             return grads[0], np.zeros((d.c.size, 0))
         grads.append(_at(f, rows).T @ d.c)
-        d_feats = np.outer(d.c, w)
+        d_feats = d.c[:, None] * w
         if r is not None:
             d_r = sigmoid(_at(r, rows)) * d.s
             grads.append(_at(f, rows).T @ d_r)
-            d_feats += np.outer(d_r, beta)
+            d_feats += d_r[:, None] * beta
         return np.concatenate(grads), d_feats
 
     s = 1.0 if r is None else softplus(r)
@@ -298,6 +298,14 @@ def _newton_step(fn, targets, u, lo, hi, rows) -> np.ndarray:
     small_step = np.abs(dx) <= tol
     u[rows] = np.where(small_step | ((newton > a) & (newton < b)), newton, 0.5 * (a + b))
     return small_step | (b - a <= tol)
+
+
+def _time_of_roots(u: np.ndarray) -> np.ndarray:
+    """exp(u) of quantile roots in log-time; a root past the largest float raises."""
+    overflow = int(np.sum(u > np.log(np.finfo(float).max)))
+    if overflow:
+        raise BisectionNonConvergence(f"{overflow} quantile root(s) overflow the largest float")
+    return np.exp(u)
 
 
 def _leading_index(shape) -> np.ndarray:
@@ -423,7 +431,7 @@ class ConditionalDistribution:
             lambda v, rows: self.h_at_log_time(v, subjects[rows]),
             *self.log_time_bracket(p_arr, subjects),
         )
-        t = np.exp(u).reshape(p_arr.shape)
+        t = _time_of_roots(u).reshape(p_arr.shape)
         return float(t[0]) if np.ndim(p) == 0 else t
 
 

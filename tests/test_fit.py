@@ -23,8 +23,10 @@ from tramsurv.fit import (
     EnsembleModel,
     ModelState,
     TrainConfig,
+    _mean_nll,
     _nll_core,
     _Plan,
+    _run_sgd,
     fit,
     fit_ensemble,
     nll_batch,
@@ -299,6 +301,53 @@ def _exponential_dataset(rng, n, w_true=(0.5, -0.3), x_range=1.0):
         else:
             obs.append(Observation.exact(t, x))
     return SurvivalDataset.from_observations(obs)
+
+
+class TestBestEpochRestore:
+    """SGD updates the parameters in place; the restored best epoch must not alias them."""
+
+    SPEC = ModelSpec(
+        family=TargetFamily.MEV, parameterization=Parameterization.BERNSTEIN_SHIFT_SCALE,
+        bernstein_order=4, extractor=ExtractorSpec(input_dim=2, hidden_dims=(4,), output_dim=2),
+        epochs=40, early_stopping_patience=1, seed=2, lr_head=0.3, lr_extractor=0.05,
+    )
+
+    def test_rescoring_the_validation_rows_reproduces_validation_nll(self):
+        ds = _exponential_dataset(np.random.default_rng(311), 120)
+        scaler = fit_scaler(ds)
+        plan = _Plan.of_dataset(ds, self.SPEC, scaler)
+        perm = np.random.default_rng(5).permutation(ds.n)
+        val_idx, train_idx = perm[:30], perm[30:]
+        stats = []
+        config = TrainConfig.from_model_spec(self.SPEC, batch_size=16)
+        model = _run_sgd(self.SPEC, scaler, plan, train_idx, val_idx, config, stats.append)
+        # patience stopped the run after worse epochs, before the epoch limit
+        best = min(range(len(stats)), key=lambda e: stats[e].val_nll)
+        assert best < len(stats) - 1 < self.SPEC.epochs - 1
+        assert stats[-1].val_nll > model.validation_nll == stats[best].val_nll
+        state = ModelState(self.SPEC, scaler, model.head_params, model.extractor_params)
+        rescored = _mean_nll(state, plan, val_idx)
+        assert np.float64(rescored).tobytes() == np.float64(model.validation_nll).tobytes()
+
+    def test_two_fits_in_one_process_write_identical_models(self, tmp_path):
+        from tramsurv.cli import main, write_dataset_csv
+
+        data = tmp_path / "data.csv"
+        write_dataset_csv(_exponential_dataset(np.random.default_rng(313), 120), data)
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            '{"family": "minimum_extreme_value", "parameterization": "bernstein_shift_scale", '
+            '"bernstein_order": 4, "hidden_dims": [4], "epochs": 40, '
+            '"early_stopping_patience": 1, "seed": 2, "lr_head": 0.3, "lr_extractor": 0.05, '
+            '"batch_size": 16}'
+        )
+        for run in ("a", "b"):
+            assert main(["fit", "--data", str(data), "--spec", str(spec),
+                         "--out", str(tmp_path / run)]) == 0
+        epochs = (tmp_path / "a" / "training_log.csv").read_text().splitlines()[1:]
+        assert len(epochs) < 40  # stopped early, after a worse epoch
+        model_a, model_b = ((tmp_path / run / "model.json").read_bytes() for run in "ab")
+        assert model_a == model_b
 
 
 class TestFit:

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from tramsurv.errors import ProbabilityOutOfRange
+from tramsurv.numerics import sigmoid
 from tramsurv.target import (
     TargetFamily,
     cdf,
+    censored_nll,
     density,
     log_cdf,
     log_density,
-    log_density_dz,
     log_survivor,
-    neg_log_cdf_dz,
-    neg_log_survivor_dz,
     quantile,
     survivor,
 )
@@ -118,8 +117,15 @@ class TestQuantile:
             quantile(LOGISTIC, p)
 
 
+def _nll_of_kind(family, z, kind):
+    """``censored_nll`` with every row of one kind: exact, right or left."""
+    z = np.asarray(z, dtype=float)
+    exact = np.full(z.shape, kind == "exact")
+    return censored_nll(family, z, exact, np.full(z.shape, True) if kind == "left" else None)
+
+
 class TestDerivativeHelpers:
-    """The three z-derivatives feed backprop; check them against central differences."""
+    """``censored_nll``'s z-derivatives feed backprop; check them against central differences."""
 
     def _fd(self, fn, z, step=1e-6):
         return (fn(z + step) - fn(z - step)) / (2 * step)
@@ -128,20 +134,80 @@ class TestDerivativeHelpers:
         z = np.linspace(-20.0, 20.0, 41)
         for family in (LOGISTIC, MEV):
             fd = self._fd(lambda v: log_density(family, v), z)
-            np.testing.assert_allclose(log_density_dz(family, z), fd, rtol=1e-6, atol=1e-7)
+            dz = _nll_of_kind(family, z, "exact")[1]
+            np.testing.assert_allclose(-dz, fd, rtol=1e-6, atol=1e-7)
 
     def test_neg_log_survivor_dz(self):
         z = np.linspace(-20.0, 5.0, 26)
         for family in (LOGISTIC, MEV):
             fd = self._fd(lambda v: -log_survivor(family, v), z)
-            np.testing.assert_allclose(neg_log_survivor_dz(family, z), fd, rtol=1e-6, atol=1e-7)
+            dz = _nll_of_kind(family, z, "right")[1]
+            np.testing.assert_allclose(dz, fd, rtol=1e-6, atol=1e-7)
 
     def test_neg_log_cdf_dz(self):
         z = np.linspace(-5.0, 20.0, 26)
         for family in (LOGISTIC, MEV):
             fd = self._fd(lambda v: -log_cdf(family, v), z)
-            np.testing.assert_allclose(neg_log_cdf_dz(family, z), fd, rtol=1e-6, atol=1e-7)
+            dz = _nll_of_kind(family, z, "left")[1]
+            np.testing.assert_allclose(dz, fd, rtol=1e-6, atol=1e-7)
 
     def test_neg_log_cdf_dz_mev_deep_tail(self):
         # the branch below the series cutoff approaches the limit value -1
-        np.testing.assert_allclose(neg_log_cdf_dz(MEV, -500.0), -1.0, rtol=1e-12)
+        np.testing.assert_allclose(_nll_of_kind(MEV, [-500.0], "left")[1], -1.0, rtol=1e-12)
+
+
+def _reference_dz(family, z, kind):
+    """The separate z-derivatives ``censored_nll`` replaced, as they were written."""
+    if family == LOGISTIC:
+        return {
+            "exact": -(1.0 - 2.0 * sigmoid(z)),
+            "right": sigmoid(z),
+            "left": -sigmoid(-z),
+        }[kind]
+    w = np.exp(np.minimum(z, 700.0))
+    if kind == "exact":
+        return -(1.0 - w)
+    if kind == "right":
+        return w
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = -np.exp(z - w) / (-np.expm1(-w))
+    return np.where(z < -350.0, np.full_like(z, -1.0), ratio)
+
+
+class TestCensoredNll:
+    """One call for all kinds equals the separate per-kind expressions bit for bit."""
+
+    Z = np.concatenate([
+        np.linspace(-800.0, 800.0, 16001),
+        np.nextafter([-700.0, 700.0, -350.0, -350.0, 700.0], [-np.inf, np.inf, -np.inf, 0.0, 0.0]),
+        [-700.0, 700.0, -350.0, 0.0, -0.0, 1e-300, -1e-300, 35.0, 37.0, -37.0],
+    ])
+    REFERENCE = {"exact": log_density, "right": log_survivor, "left": log_cdf}
+
+    @staticmethod
+    def _bits(a):
+        return np.asarray(a, dtype=float).view(np.int64)
+
+    @pytest.mark.parametrize("family", [LOGISTIC, MEV])
+    @pytest.mark.parametrize("kind", ["exact", "right", "left"])
+    def test_one_kind(self, family, kind):
+        nll, dz = _nll_of_kind(family, self.Z, kind)
+        reference = -self.REFERENCE[kind](family, self.Z)
+        np.testing.assert_array_equal(self._bits(nll), self._bits(reference))
+        reference = _reference_dz(family, self.Z, kind)
+        np.testing.assert_array_equal(self._bits(dz), self._bits(reference))
+
+    @pytest.mark.parametrize("family", [LOGISTIC, MEV])
+    def test_mixed_kinds_select_per_row(self, family):
+        kinds = np.random.default_rng(17).integers(0, 3, size=self.Z.size)
+        exact, left = kinds == 0, kinds == 2
+        nll, dz = censored_nll(family, self.Z, exact, left)
+        for code, kind in enumerate(["exact", "right", "left"]):
+            rows = kinds == code
+            ref_nll, ref_dz = _nll_of_kind(family, self.Z[rows], kind)
+            np.testing.assert_array_equal(self._bits(nll[rows]), self._bits(ref_nll))
+            np.testing.assert_array_equal(self._bits(dz[rows]), self._bits(ref_dz))
+        # without left rows every non-exact row is right-censored
+        nll_no_left, _ = censored_nll(family, self.Z, exact)
+        np.testing.assert_array_equal(self._bits(nll_no_left[~exact]),
+                                      self._bits(-log_survivor(family, self.Z[~exact])))

@@ -619,6 +619,35 @@ class TestBisection:
                 dist.quantile(p)
             assert info.value.code == "E_BISECTION_NON_CONVERGENCE"
 
+    def test_root_beyond_the_largest_float_raises(self):
+        """A nearly flat upper tail puts the root past exp(709.78); it fails with a code.
+
+        gamma_4 = -34 makes the upper tail slope of h about 1e-14, so the 0.999
+        quantile's log-time is far beyond log of the largest float.  One
+        probability, a batch and an ensemble raise, and exp warns of no overflow.
+        """
+        import warnings
+
+        from tramsurv.fit import EnsembleModel
+
+        spec = ModelSpec(family=TargetFamily.LOGISTIC,
+                         parameterization=Parameterization.BASELINE, bernstein_order=4)
+        model = FittedModel(spec=spec, scaler=LogTimeScaler(0.0, 5.0),
+                            head_params=np.array([-2.0, 0.5, 0.5, 0.5, -34.0]),
+                            extractor_params=np.zeros(0), train_nll=0.0, validation_nll=0.0)
+        x = np.zeros(1)
+        dist = conditional_distribution(model, x)
+        mixture = EnsembleModel(members=[model, model],
+                                member_validation_nlls=np.zeros(2)).conditional_distribution(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(dist.quantile(0.5)) and np.isfinite(mixture.quantile(0.5))
+            for d in (dist, mixture):
+                for p in (0.999, np.array([0.5, 0.999, 0.9999])):
+                    with pytest.raises(BisectionNonConvergence, match="overflow") as info:
+                        d.quantile(p)
+                    assert info.value.code == "E_BISECTION_NON_CONVERGENCE"
+
     def test_unconverged_bracket_raises(self):
         # the reported slope throws every Newton step out of the bracket, so
         # 1e300 wide around the root needs about 1000 halvings
