@@ -102,9 +102,10 @@ def _dataset_from_text(path, header, encoding) -> SurvivalDataset | None:
     """
     time_col, status_col, time2_col, feature_cols = _columns(path, header)
     raw = path.read_bytes()
-    # Quotes (csv unquotes them), NUL (numpy drops it from strings), \x1c-\x1f
-    # (numpy strips them around numbers), a bare CR, or no line but blank ones.
-    if (any(byte in raw for byte in b'"\x00\x1c\x1d\x1e\x1f')
+    # Quotes below the header (csv unquotes them), NUL (numpy drops it from strings),
+    # \x1c-\x1f (numpy strips them around numbers), a bare CR, or only blank lines.
+    if (raw.find(b'"', raw.find(b"\n") + 1) != -1
+            or any(byte in raw for byte in b"\x00\x1c\x1d\x1e\x1f")
             or (b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"))
             or b"\n" not in raw.rstrip(b"\r\n")):
         return None
@@ -353,18 +354,17 @@ def _load_model(path):
     return deserialize_model(path.read_bytes())
 
 
-def write_cdf_grid(model, dataset: SurvivalDataset, path):
+def write_cdf_grid(dist, dataset: SurvivalDataset, path):
     """Per-subject conditional CDF on a fixed grid spanning the training range.
 
-    One distribution covers every subject; its CDF is evaluated
-    ``CDF_GRID_CHUNK`` subjects at a time, so the grid values in memory are
-    bounded by the chunk size rather than by the dataset.
+    ``dist`` is the batch distribution of the dataset's subjects, as scored;
+    its CDF is evaluated ``CDF_GRID_CHUNK`` subjects at a time, so the grid
+    values in memory are bounded by the chunk size rather than by the dataset.
     """
-    scaler = model.scaler
+    scaler = dist.scaler
     grid = np.exp(np.linspace(scaler.a_lo, scaler.b_hi, CDF_GRID_POINTS))
     # The lines csv.writer would write, joined per subject: no field needs quoting.
     time_fields = [f",{_format_value(t)}," for t in grid]
-    dist = conditional_distribution(model, dataset.x)
     with open(path, "w", newline="") as handle:
         handle.write("subject,time,cdf\r\n")
         for start in range(0, dataset.n, CDF_GRID_CHUNK):
@@ -418,14 +418,15 @@ def _cmd_evaluate(args) -> int:
     dataset = parse_dataset_csv(args.data)
     model = _load_model(args.model)
     write_manifest(out_dir, "evaluate", {"data": str(args.data), "model": str(args.model)})
-    report = evaluate(model, dataset)
+    dist = conditional_distribution(model, validate_dataset(dataset).x)  # data errors first
+    report = evaluate(dist, dataset)
     (out_dir / "report.json").write_text(report.to_json() + "\n")
     with open(out_dir / "scores.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["subject", "nll", "crps"])
         for i, score in enumerate(report.per_subject):
             writer.writerow([i, _format_value(score.nll), _format_value(score.crps)])
-    write_cdf_grid(model, dataset, out_dir / "cdf_grid.csv")
+    write_cdf_grid(dist, dataset, out_dir / "cdf_grid.csv")
     logger.info("evaluate: wrote %s", out_dir / "report.json")
     return 0
 

@@ -58,6 +58,7 @@ from .errors import (
 )
 from .numerics import logsumexp
 from .transform import (
+    Pointwise,
     _leading_index,
     _solve_increasing,
     _time_of_roots,
@@ -446,11 +447,15 @@ class EnsembleModel:
         return EnsembleDistribution([conditional_distribution(m, x) for m in self.members])
 
 
-class EnsembleDistribution:
+class EnsembleDistribution(Pointwise):
     """Pointwise mixture (equal weights) of member conditional distributions.
 
     Members describe the same subject, or the same batch of subjects, and the
     mixture follows their shape rules (see :class:`ConditionalDistribution`).
+    Members share one pass of log-times.  ``cdf``, ``survivor`` and ``pdf`` add
+    member values in member order and divide by M, as ``np.mean`` over stacked
+    members does (bitwise, but for one time with nine or more members, which
+    numpy sums pairwise); the logs take logsumexp over the members minus log M.
     """
 
     def __init__(self, members: list):
@@ -462,26 +467,15 @@ class EnsembleDistribution:
         """Mixture of row ``i`` of a batch, or of the rows an index array ``i`` selects."""
         return EnsembleDistribution([m.subject(i) for m in self.members])
 
-    def cdf(self, t):
-        return np.mean([m.cdf(t) for m in self.members], axis=0)
-
-    def survivor(self, t):
-        return np.mean([m.survivor(t) for m in self.members], axis=0)
-
-    def pdf(self, t):
-        return np.mean([m.pdf(t) for m in self.members], axis=0)
-
-    def _log_mean(self, values):
-        return logsumexp(np.array(values), axis=0) - np.log(len(self.members))
-
-    def log_pdf(self, t):
-        return self._log_mean([m.log_pdf(t) for m in self.members])
-
-    def log_survivor(self, t):
-        return self._log_mean([m.log_survivor(t) for m in self.members])
-
-    def log_cdf(self, t):
-        return self._log_mean([m.log_cdf(t) for m in self.members])
+    def at_log_time(self, of_transform, log_t, log: bool = False):
+        """The members' values at finite log-times, combined into the mixture's."""
+        if log:
+            values = np.array([m.at_log_time(of_transform, log_t) for m in self.members])
+            return logsumexp(values, axis=0) - np.log(len(self.members))
+        total = self.members[0].at_log_time(of_transform, log_t)
+        for m in self.members[1:]:
+            total += m.at_log_time(of_transform, log_t)
+        return total / len(self.members)
 
     def quantile(self, p):
         """Inverse of the averaged CDF by one vectorized bracketed Newton solve in log-time.

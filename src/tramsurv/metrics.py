@@ -13,14 +13,14 @@ import math
 
 import numpy as np
 
-from .core import KINDS, CensoringKind, SurvivalDataset, validate_dataset
+from .core import KINDS, CensoringKind, FittedModel, SurvivalDataset, validate_dataset
 from .errors import (
     InvertedInterval,
     NoComparablePairs,
     NonPositiveTime,
     UnsupportedCensoringKind,
 )
-from .fit import EnsembleModel
+from .fit import EnsembleDistribution, EnsembleModel
 from .quadrature import simpson_doubling
 from .transform import conditional_distribution
 
@@ -148,6 +148,9 @@ class EvaluationReport:
 def evaluate(model, dataset: SurvivalDataset, t_max: float | None = None) -> EvaluationReport:
     """Score a fitted model or ensemble on exact/right-censored data.
 
+    ``model`` may also be the batch distribution of the dataset's subjects,
+    which a caller that evaluates it further then builds only once.
+
     Risk scores are negated predicted median survival times, so higher risk
     means earlier predicted failure.  When no pair of subjects is comparable
     the concordance is reported as None; per-subject scores are still
@@ -166,15 +169,18 @@ def evaluate(model, dataset: SurvivalDataset, t_max: float | None = None) -> Eva
             f"observation {i} is {KINDS[dataset.kind[i]].value}-censored; scoring supports "
             "exact and right-censored data only"
         )
-    scaler = model.members[0].scaler if isinstance(model, EnsembleModel) else model.scaler
+    ensemble = isinstance(model, (EnsembleModel, EnsembleDistribution))
+    scaler = model.members[0].scaler if ensemble else model.scaler
     times = dataset.t_lower
     if t_max is None:
         t_max = max(math.exp(scaler.b_hi), float(np.max(times)))
 
     if isinstance(model, EnsembleModel):
         batch = model.conditional_distribution(dataset.x)
-    else:
+    elif isinstance(model, FittedModel):
         batch = conditional_distribution(model, dataset.x)
+    else:
+        batch = model
     nll = np.empty(dataset.n)
     nll[events] = -batch.subject(events).log_pdf(times[events])
     nll[~events] = -batch.subject(~events).log_survivor(times[~events])

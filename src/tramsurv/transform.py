@@ -9,9 +9,10 @@ outside the training range, and F(t | x) = F_Z(h(t | x)).  ``coefficients``
 maps the head and each subject's features to (theta, s, c, m);
 ``eval_transform`` evaluates the form and dh/dlog t at log-times.  Each has a
 hand-written pullback, and training composes the two.  A distribution holds
-its subjects' coefficients, computed once.  Quantiles invert h = F_Z^{-1}(p)
-in log-time: in closed form for the linear parameterizations and on the
-affine Bernstein tails, by bracketed Newton steps inside the training range.
+its subjects' coefficients, computed once, and broadcasts them over a
+subject's row of times: no per-node gather remains.  Quantiles invert h =
+F_Z^{-1}(p) in log-time: in closed form for the linear parameterizations and
+on the affine Bernstein tails, by bracketed Newton steps inside the range.
 
 Every number a subject gets at inference depends on its row alone: features
 come from ``feature.features``, which multiplies row by row, and every
@@ -21,7 +22,6 @@ alone, in a batch, or permuted.  Sums over rows (the pullbacks' gradients)
 stay matrix products.
 """
 
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -99,7 +99,7 @@ class Coefficients(NamedTuple):
     _shared_ndim = (1, 0, 0, 0)  # ndim of each field when one value serves every row
 
     def _per_row(self) -> list[bool]:
-        return [v is not None and np.ndim(v) > nd for v, nd in zip(self, self._shared_ndim)]
+        return [getattr(v, "ndim", 0) > nd for v, nd in zip(self, self._shared_ndim)]
 
     @property
     def n_rows(self) -> int | None:
@@ -107,7 +107,7 @@ class Coefficients(NamedTuple):
         return next((len(v) for v, per_row in zip(self, self._per_row()) if per_row), None)
 
     def take(self, rows) -> "Coefficients":
-        """The rows an index, a mask, a slice or an index array selects."""
+        """The rows an index, a mask, a slice or an index array selects (any numpy index)."""
         return Coefficients(*(v[rows] if r else v for v, r in zip(self, self._per_row())))
 
 
@@ -204,14 +204,20 @@ def eval_transform(
 ):
     """h = s * b(u)^T theta + c + m * log t and dh/dlog t at ``log_t``, with their pullback.
 
-    ``rows`` is the coefficient row each log-time reads (an index array), or
-    None to pair per-row coefficients with ``log_t`` in order; ``basis`` takes
-    rows :func:`basis_rows` precomputed at ``log_t``.  ``pullback(upstream_h,
-    upstream_dh)`` returns :class:`Coefficients` sensitivities, one per time,
-    except that a theta shared by every row comes summed.
+    ``rows`` is the coefficient row each log-time of a vector reads (an index
+    array).  With None, per-row coefficients broadcast over the trailing axes
+    of an (n, ...) ``log_t`` (row i reads ``log_t[i]``), and shared ones over
+    any shape.  ``basis`` takes rows :func:`basis_rows` precomputed at
+    ``log_t``.  ``pullback(upstream_h, upstream_dh)`` returns
+    :class:`Coefficients` sensitivities, one per time of a vector, except
+    that a theta shared by every row comes summed.
     """
     log_t = np.atleast_1d(np.asarray(log_t, dtype=float))
-    theta, s, c, m = coef if rows is None else coef.take(rows)
+    if rows is not None:
+        coef = coef.take(rows)
+    elif log_t.ndim > 1:  # per-row fields get unit axes to broadcast over log_t's trailing axes
+        coef = coef.take((slice(None),) + (None,) * (log_t.ndim - 1))
+    theta, s, c, m = coef
 
     if theta is None:  # s = 0: h is affine in log t
 
@@ -313,7 +319,48 @@ def _leading_index(shape) -> np.ndarray:
     return np.nonzero(np.ones(shape, dtype=bool))[0]
 
 
-class ConditionalDistribution:
+def _of_h(fn):
+    return lambda family, h, dh, log_t: fn(family, h)
+
+
+class Pointwise:
+    """``cdf``, ``survivor``, ``pdf`` and their logs from ``at_log_time(of_transform, log_t, log)``.
+
+    One ``np.log`` of the whole time array: times t <= 0 and t = +inf, only
+    when present, are replaced by 1.0 first and get their limits afterwards.
+    """
+
+    def _apply(self, t, of_transform, at_zero: float, at_inf: float, log: bool = False):
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        zero, infinite = t_arr <= 0.0, np.isposinf(t_arr)
+        special = zero | infinite
+        present = special.any()
+        log_t = np.log(np.where(special, 1.0, t_arr) if present else t_arr)
+        out = self.at_log_time(of_transform, log_t, log)
+        if present:
+            out[zero], out[infinite] = at_zero, at_inf
+        return float(out[0]) if np.ndim(t) == 0 else out
+
+    def cdf(self, t):
+        return self._apply(t, _of_h(target.cdf), 0.0, 1.0)
+
+    def survivor(self, t):
+        return self._apply(t, _of_h(target.survivor), 1.0, 0.0)
+
+    def log_cdf(self, t):
+        return self._apply(t, _of_h(target.log_cdf), -np.inf, 0.0, log=True)
+
+    def log_survivor(self, t):
+        return self._apply(t, _of_h(target.log_survivor), 0.0, -np.inf, log=True)
+
+    def log_pdf(self, t):
+        return self._apply(t, transformed_log_pdf, -np.inf, -np.inf, log=True)
+
+    def pdf(self, t):
+        return self._apply(t, lambda *args: np.exp(transformed_log_pdf(*args)), 0.0, 0.0)
+
+
+class ConditionalDistribution(Pointwise):
     """Time-to-event distribution of one subject, or of n subjects at once.
 
     It holds the subjects' :class:`Coefficients`.  When they have rows, the
@@ -384,44 +431,11 @@ class ConditionalDistribution:
             )
         return z, lo, hi
 
-    def _apply(self, t, of_transform, at_zero: float, at_inf: float):
-        """Evaluate ``of_transform(h, dh/dlog t, log t)`` at the positive, finite times."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        self.check_subjects(t_arr)
-        out = np.empty_like(t_arr)
-        zero = t_arr <= 0.0
-        infinite = np.isposinf(t_arr)
-        inside = ~zero & ~infinite
-        out[zero] = at_zero
-        out[infinite] = at_inf
-        if np.any(inside):
-            rows = None if self.n_subjects is None else np.nonzero(inside)[0]
-            log_t = np.log(t_arr[inside])
-            h, dh, _ = eval_transform(self.spec, self.coef, rows, log_t, self.scaler)
-            out[inside] = of_transform(h, dh, log_t)
-        return float(out[0]) if np.ndim(t) == 0 else out
-
-    def _of_h(self, fn):
-        return lambda h, dh, log_t: fn(self.spec.family, h)
-
-    def cdf(self, t):
-        return self._apply(t, self._of_h(target.cdf), 0.0, 1.0)
-
-    def survivor(self, t):
-        return self._apply(t, self._of_h(target.survivor), 1.0, 0.0)
-
-    def log_cdf(self, t):
-        return self._apply(t, self._of_h(target.log_cdf), -np.inf, 0.0)
-
-    def log_survivor(self, t):
-        return self._apply(t, self._of_h(target.log_survivor), 0.0, -np.inf)
-
-    def log_pdf(self, t):
-        return self._apply(t, partial(transformed_log_pdf, self.spec.family), -np.inf, -np.inf)
-
-    def pdf(self, t):
-        log_pdf = partial(transformed_log_pdf, self.spec.family)
-        return self._apply(t, lambda *args: np.exp(log_pdf(*args)), 0.0, 0.0)
+    def at_log_time(self, of_transform, log_t, log: bool = False):
+        """``of_transform`` at finite log-times (``log`` only matters to a mixture)."""
+        self.check_subjects(log_t)
+        h, dh, _ = eval_transform(self.spec, self.coef, None, log_t, self.scaler)
+        return of_transform(self.spec.family, h, dh, log_t)
 
     def quantile(self, p):
         """Inverse CDF: h(t) = F_Z^{-1}(p) in closed form or by Newton steps on dh/dlog t."""

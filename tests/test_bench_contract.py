@@ -199,7 +199,7 @@ def test_traced_arguments_keep_their_positions():
     transform_params = list(inspect.signature(transform.eval_transform).parameters)
     basis_params = list(inspect.signature(transform.bernstein_vectors).parameters)
     assert fit_params[:3] == ["dataset", "spec", "config"]
-    assert grid_params[:3] == ["model", "dataset", "path"]
+    assert grid_params[:3] == ["dist", "dataset", "path"]
     # transform.rows counts the log-times, basis.rows the scaled times
     assert transform_params[3] == "log_t"
     assert basis_params[1] == "u"

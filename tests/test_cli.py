@@ -162,7 +162,8 @@ class TestWriteCdfGrid:
         assert n % CDF_GRID_CHUNK  # the last chunk is partial
         x = rng.normal(size=(n, 2))
         rows = [Observation.exact(1.0, row) for row in x]
-        write_cdf_grid(model, SurvivalDataset.from_observations(rows), tmp_path / "grid.csv")
+        write_cdf_grid(conditional_distribution(model, x), SurvivalDataset.from_observations(rows),
+                       tmp_path / "grid.csv")
 
         grid = np.exp(np.linspace(model.scaler.a_lo, model.scaler.b_hi, CDF_GRID_POINTS))
         with open(tmp_path / "reference.csv", "w", newline="") as handle:

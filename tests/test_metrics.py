@@ -439,3 +439,19 @@ class TestBatchedScoring:
             for _ in range(3)
         ]
         self._check(EnsembleModel(members=members, member_validation_nlls=np.zeros(3)), rng)
+
+    @pytest.mark.parametrize("ensemble", [False, True])
+    def test_a_prebuilt_batch_scores_like_its_model(self, ensemble):
+        rng = np.random.default_rng(163)
+        members = [_random_model(Parameterization.BERNSTEIN_SHIFT, TargetFamily.LOGISTIC, rng)
+                   for _ in range(3 if ensemble else 1)]
+        model = (EnsembleModel(members=members, member_validation_nlls=np.zeros(3))
+                 if ensemble else members[0])
+        x = rng.normal(size=(40, 3))
+        dataset = SurvivalDataset.from_observations([
+            (Observation.exact if e else Observation.right_censored)(float(t), row)
+            for t, e, row in zip(rng.uniform(0.3, 10.0, 40), rng.random(40) < 0.7, x)
+        ])
+        batch = (model.conditional_distribution(x) if ensemble
+                 else conditional_distribution(model, x))
+        assert evaluate(batch, dataset).to_json() == evaluate(model, dataset).to_json()

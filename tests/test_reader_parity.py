@@ -15,8 +15,13 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from tramsurv.cli import _dataset_from_rows, _dataset_from_text, parse_dataset_csv
-from tramsurv.core import validate_dataset
+from tramsurv.cli import (
+    _dataset_from_rows,
+    _dataset_from_text,
+    parse_dataset_csv,
+    write_dataset_csv,
+)
+from tramsurv.core import Observation, SurvivalDataset, validate_dataset
 from tramsurv.errors import TramsurvError
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -148,9 +153,32 @@ class TestPinnedCells:
         assert code in ("E_NON_NUMERIC_COVARIATE", "E_MISSING_COLUMN")
 
     def test_quoted_header_name(self, tmp_path):
+        # csv has read the header; the body holds no quote, so the C reader reads it
         path = _file(tmp_path, '"time",status,"dose, mg"\n1,exact,2\n')
-        assert not _assert_parity(path)
+        assert _assert_parity(path)
         assert parse_dataset_csv(path).feature_names == ["dose, mg"]
+
+    def test_quoted_header_name_holding_a_newline(self, tmp_path):
+        # the header spans two lines, so the C reader must leave it to the row scan
+        path = _file(tmp_path, 'time,status,"dose\nmg"\n1,exact,2\n3,right,4\n')
+        assert not _assert_parity(path)
+        dataset = parse_dataset_csv(path)
+        assert dataset.feature_names == ["dose\nmg"]
+        assert dataset.x.tolist() == [[2.0], [4.0]]
+
+    def test_written_name_with_a_comma_round_trips_through_the_c_reader(self, tmp_path):
+        rng = np.random.default_rng(911)
+        x = rng.normal(size=(5, 2))
+        dataset = SurvivalDataset.from_observations(
+            [Observation.exact(float(t), row) for t, row in zip(rng.uniform(1, 9, 5), x)]
+            + [Observation.right_censored(2.5, x[0])],
+            feature_names=["dose, mg", "age"],
+        )
+        path = tmp_path / "written.csv"
+        write_dataset_csv(dataset, path)
+        assert b'"dose, mg"' in path.read_bytes()
+        assert _assert_parity(path)
+        assert _columns(parse_dataset_csv(path)) == _columns(dataset)
 
     def test_quoted_cells(self, tmp_path):
         path = _file(tmp_path, 'time,status,x\n"1","exact","2.5"\n')

@@ -19,7 +19,7 @@ from tramsurv.feature import (
     init_params,
     param_count,
 )
-from tramsurv.numerics import softplus, softplus_inv
+from tramsurv.numerics import logsumexp, softplus, softplus_inv
 from tramsurv.target import TargetFamily
 from tramsurv.transform import (
     ConditionalDistribution,
@@ -552,6 +552,136 @@ class TestBatchInvariance:
             medians = ensemble.conditional_distribution(x[rows]).quantile(np.full(rows.size, 0.5))
             np.testing.assert_array_equal(medians, np.take(alone, rows))
 
+
+
+def _log_pdf_ref(family, h, dh, log_t):
+    return target.log_density(family, h) + np.log(dh) - log_t
+
+
+# name: (value from (family, h, dh/dlog t, log t), limit at t <= 0, limit at t = +inf)
+_EVALUATIONS = {
+    "cdf": (lambda family, h, dh, log_t: target.cdf(family, h), 0.0, 1.0),
+    "survivor": (lambda family, h, dh, log_t: target.survivor(family, h), 1.0, 0.0),
+    "log_cdf": (lambda family, h, dh, log_t: target.log_cdf(family, h), -np.inf, 0.0),
+    "log_survivor": (lambda family, h, dh, log_t: target.log_survivor(family, h), 0.0, -np.inf),
+    "log_pdf": (_log_pdf_ref, -np.inf, -np.inf),
+    "pdf": (lambda *args: np.exp(_log_pdf_ref(*args)), 0.0, 0.0),
+}
+
+
+def _gathered(dist, t, name):
+    """Per-node gathering: every positive, finite time takes its subject's coefficient row."""
+    of_transform, at_zero, at_inf = _EVALUATIONS[name]
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    zero, infinite = t <= 0.0, np.isposinf(t)
+    inside = ~zero & ~infinite
+    out[zero], out[infinite] = at_zero, at_inf
+    rows = None if dist.n_subjects is None else np.nonzero(inside)[0]
+    log_t = np.log(t[inside])
+    h, dh, _ = eval_transform(dist.spec, dist.coef, rows, log_t, dist.scaler)
+    out[inside] = of_transform(dist.spec.family, h, dh, log_t)
+    return out
+
+
+def _times_with_limits(rng, shape):
+    """Times inside and far outside the scaler range, with 0, -1, +inf and NaN in place."""
+    t = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=shape)).ravel()
+    t[rng.choice(t.size, size=4, replace=False)] = [0.0, -1.0, np.inf, np.nan]
+    return t.reshape(shape)
+
+
+def _assert_same_bits(got, expected, msg=""):
+    """Same shape, NaN at the same places, and the same bits everywhere else.
+
+    A NaN's sign bit depends on whether it falls in a SIMD lane or the scalar
+    tail of a numpy loop (``sigmoid`` of an 11-row array gives -nan in rows
+    0-7 and nan in rows 8-10), so NaNs compare as one value.
+    """
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape, msg
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(expected), err_msg=msg)
+    np.testing.assert_array_equal(
+        np.where(np.isnan(got), np.nan, got).view(np.int64),
+        np.where(np.isnan(expected), np.nan, expected).view(np.int64), err_msg=msg,
+    )
+
+
+class TestBroadcastEvaluation:
+    """Broadcasting each subject's coefficients gives the bits of per-node gathering."""
+
+    N_SUBJECTS = 11
+
+    @pytest.mark.parametrize("family", list(TargetFamily))
+    @pytest.mark.parametrize("parameterization", list(Parameterization))
+    def test_batch_matches_per_node_gathering(self, parameterization, family):
+        rng = np.random.default_rng(167)
+        model = _random_model(parameterization, family, rng, order=8)
+        dist = conditional_distribution(model, rng.normal(size=(self.N_SUBJECTS, 3)))
+        for shape in [(self.N_SUBJECTS,), (self.N_SUBJECTS, 7)]:
+            t = _times_with_limits(rng, shape)
+            for name in _EVALUATIONS:
+                with np.errstate(all="ignore"):
+                    expected = _gathered(dist, t, name)
+                _assert_same_bits(getattr(dist, name)(t), expected, f"{name} at {shape}")
+
+    def test_shared_coefficients_on_a_3d_time_array(self):
+        rng = np.random.default_rng(173)
+        model = _random_model(Parameterization.BASELINE, TargetFamily.MEV, rng, order=8)
+        dist = conditional_distribution(model, rng.normal(size=(5, 3)))
+        assert dist.n_subjects is None
+        t = _times_with_limits(rng, (3, 4, 5))
+        for name in _EVALUATIONS:
+            with np.errstate(all="ignore"):
+                expected = _gathered(dist, t, name)
+            _assert_same_bits(getattr(dist, name)(t), expected, name)
+
+    @pytest.mark.parametrize("n_members", [1, 2, 3, 5])
+    def test_ensemble_mixture_matches_stacked_members(self, n_members):
+        from tramsurv.fit import EnsembleDistribution
+
+        rng = np.random.default_rng(179 + n_members)
+        x = rng.normal(size=(self.N_SUBJECTS, 3))
+        members = [
+            conditional_distribution(
+                _random_model(Parameterization.BERNSTEIN_SHIFT_SCALE, TargetFamily.LOGISTIC,
+                              rng, order=8), x)
+            for _ in range(n_members)
+        ]
+        mixture = EnsembleDistribution(members)
+        for shape in [(self.N_SUBJECTS,), (self.N_SUBJECTS, 7)]:
+            t = _times_with_limits(rng, shape)
+            for name in _EVALUATIONS:
+                with np.errstate(all="ignore"):
+                    stacked = np.stack([getattr(m, name)(t) for m in members])
+                    expected = (logsumexp(stacked, axis=0) - np.log(n_members)
+                                if name.startswith("log") else np.mean(stacked, axis=0))
+                _assert_same_bits(getattr(mixture, name)(t), expected, f"{name} at {shape}")
+
+    @pytest.mark.parametrize("ensemble", [False, True])
+    def test_crps_gathers_no_more_rows_than_subjects(self, monkeypatch, ensemble):
+        from tramsurv.fit import EnsembleDistribution
+        from tramsurv.metrics import crps
+
+        rng = np.random.default_rng(191)
+        x = rng.normal(size=(64, 3))
+        models = [_random_model(Parameterization.LINEAR_SHIFT, TargetFamily.LOGISTIC, rng)
+                  for _ in range(3 if ensemble else 1)]
+        dists = [conditional_distribution(m, x) for m in models]
+        dist = EnsembleDistribution(dists) if ensemble else dists[0]
+        taken = []
+        take = transform.Coefficients.take
+
+        def counting_take(self, rows):
+            out = take(self, rows)
+            taken.append(out.n_rows or 1)
+            return out
+
+        monkeypatch.setattr(transform.Coefficients, "take", counting_take)
+        times = np.exp(rng.uniform(np.log(0.3), np.log(10.0), size=64))
+        scores = crps(dist, times, rng.random(64) < 0.7, 12.0)
+        assert np.all(np.isfinite(scores))
+        assert taken and max(taken) <= 64
 
 def _reference_bisect(fn, targets, lo, hi, steps=200):
     """The bisection the Newton solver replaced: fn(u, rows) gives values only."""
