@@ -31,7 +31,6 @@ from .fit import (
     fit,
     fit_ensemble,
     nll_batch,
-    nll_observation,
 )
 from .metrics import EvaluationReport, c_index, crps, evaluate, log_score
 from .sample import SynthConfig, generate_semisynthetic, sample_time
@@ -66,7 +65,6 @@ __all__ = [
     "generate_semisynthetic",
     "log_score",
     "nll_batch",
-    "nll_observation",
     "sample_time",
     "serialize_model",
     "validate_dataset",

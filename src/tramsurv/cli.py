@@ -381,19 +381,21 @@ def write_cdf_grid(dist, dataset: SurvivalDataset, path):
 # Subcommands
 
 
+def _fit_inputs(args):
+    """Dataset, model spec, train config and manifest config of ``fit`` and ``ensemble``."""
+    dataset = validate_dataset(parse_dataset_csv(args.data), for_fitting=True)
+    spec_config = load_spec_config(args.spec, {k: getattr(args, k, None) for k in _SPEC_KEYS})
+    spec = build_model_spec(spec_config, dataset.p)
+    config = build_train_config(spec_config, spec)
+    resolved = {"data": str(args.data), "spec": spec_config, "train": dataclasses.asdict(config)}
+    return dataset, spec, config, resolved
+
+
 def _cmd_fit(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = validate_dataset(parse_dataset_csv(args.data), for_fitting=True)
-    overrides = {k: getattr(args, k, None) for k in _SPEC_KEYS}
-    spec_config = load_spec_config(args.spec, overrides)
-    spec = build_model_spec(spec_config, dataset.p)
-    config = build_train_config(spec_config, spec)
-    write_manifest(
-        out_dir,
-        "fit",
-        {"data": str(args.data), "spec": spec_config, "train": dataclasses.asdict(config)},
-    )
+    dataset, spec, config, resolved = _fit_inputs(args)
+    write_manifest(out_dir, "fit", resolved)
     log_path = out_dir / "training_log.csv"
     with open(log_path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -455,22 +457,11 @@ def _cmd_sample(args) -> int:
 def _cmd_ensemble(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = validate_dataset(parse_dataset_csv(args.data), for_fitting=True)
-    overrides = {k: getattr(args, k, None) for k in _SPEC_KEYS}
-    spec_config = load_spec_config(args.spec, overrides)
-    spec = build_model_spec(spec_config, dataset.p)
-    config = build_train_config(spec_config, spec)
+    dataset, spec, config, resolved = _fit_inputs(args)
     write_manifest(
         out_dir,
         "ensemble",
-        {
-            "data": str(args.data),
-            "spec": spec_config,
-            "train": dataclasses.asdict(config),
-            "members": args.members,
-            "top": args.top,
-            "jobs": args.jobs,
-        },
+        {**resolved, "members": args.members, "top": args.top, "jobs": args.jobs},
     )
     ensemble = fit_ensemble(
         dataset, spec, config, n_members=args.members, top_m=args.top, jobs=args.jobs

@@ -2,15 +2,16 @@
 
 Parameters live in a single flat vector with a deterministic layout (per
 layer: weight matrix row-major, then bias), which keeps SGD updates and
-serialization trivial.  The training forward pass records the per-layer
-parameter views and inputs that the backward pass reads; no external
-autodiff framework is involved, so results are bitwise reproducible.
+serialization trivial.  Training has one batch form: :func:`forward` maps
+(n, p) covariates (a vector is one row) to (n, d) features and records what
+:func:`backward` reads to give the parameter gradient.  No external autodiff
+framework is involved, so results are bitwise reproducible.
 
 Inference uses :func:`features` instead: no tape, and each layer multiplies
 every row on its own as a stack of (1, i) @ (i, o) products.  A subject's
 features are then the same bits whether it is evaluated alone or in a batch
 of any size or order, which one (n, i) @ (i, o) product does not guarantee
-(BLAS blocks and vectorizes it differently by n).
+(BLAS blocks and vectorizes it differently by n).  One subject is (p,) -> (d,).
 """
 
 from dataclasses import dataclass, field
@@ -107,19 +108,17 @@ class Tape:
     spec: ExtractorSpec
     layers: list  # the (weights, bias) views the forward pass read
     inputs: list = field(default_factory=list)  # input to each layer, post-activation
-    single: bool = False
 
 
-def _as_batch(spec: ExtractorSpec, x) -> tuple[np.ndarray, bool]:
-    """Covariates as an (n, input_dim) matrix, and whether they were one vector."""
+def _as_batch(spec: ExtractorSpec, x) -> np.ndarray:
+    """Covariates as an (n, input_dim) matrix; a vector is one row."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    a = x[None, :] if single else x
+    a = x[None, :] if x.ndim == 1 else x
     if a.ndim != 2 or a.shape[1] != spec.input_dim:
         raise DimensionMismatch(
             f"expected covariates of dimension {spec.input_dim}, got shape {x.shape}"
         )
-    return a, single
+    return a
 
 
 def _activate(spec: ExtractorSpec, z: np.ndarray) -> np.ndarray:
@@ -128,66 +127,62 @@ def _activate(spec: ExtractorSpec, z: np.ndarray) -> np.ndarray:
 
 
 def forward(spec: ExtractorSpec, params: np.ndarray, x) -> tuple[np.ndarray, Tape]:
-    """Evaluate the extractor for training; accepts a single vector or a batch matrix.
+    """Evaluate the extractor for training on (n, p) covariates; a vector (p,) is one row.
 
-    Returns the features and a tape for the backward pass.  A batch is one
-    matrix product per layer, so a row's last bits may depend on the batch.
+    Returns the (n, d) features and a tape for the backward pass.  A batch is
+    one matrix product per layer, so a row's last bits may depend on the batch.
     """
-    a, single = _as_batch(spec, x)
+    a = _as_batch(spec, x)
     layers = split_params(spec, params)
-    tape = Tape(spec=spec, layers=layers, single=single)
+    tape = Tape(spec=spec, layers=layers)
     for i, (w, b) in enumerate(layers):
         tape.inputs.append(a)
         a = a @ w
         a += b
         if i < len(layers) - 1:
             _activate(spec, a)
-    return (a[0] if single else a), tape
+    return a, tape
 
 
 def features(spec: ExtractorSpec, params: np.ndarray, x) -> np.ndarray:
     """Extractor output at inference for one vector (p,) or a matrix (n, p); no tape.
 
     Every row goes through each layer as its own (1, i) @ (i, o) product, the
-    product ``forward`` makes for a single vector, so each row's features
+    product ``forward`` makes for a one-row batch, so each row's features
     equal ``forward`` of that row alone, bit for bit, whatever the batch.
     """
-    a, single = _as_batch(spec, x)
+    a = _as_batch(spec, x)
     layers = split_params(spec, params)
     for i, (w, b) in enumerate(layers):
         z = np.matmul(a[:, None, :], w)[:, 0, :] + b
         a = _activate(spec, z) if i < len(layers) - 1 else z
-    return a[0] if single else a
+    return a[0] if np.ndim(x) == 1 else a
 
 
-def backward(spec: ExtractorSpec, tape: Tape, upstream) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse-mode pass: gradients w.r.t. parameters and the input.
+def backward(spec: ExtractorSpec, tape: Tape, upstream) -> np.ndarray:
+    """Reverse-mode pass: the gradient w.r.t. the parameters the tape's forward pass read.
 
-    The parameters are the ones the tape's forward pass read; their gradient
-    is written layer by layer into one flat vector in the parameter layout.  ``upstream``
-    is d(loss)/d(features) with the same leading shape as the forward input.
-    The result is linear in ``upstream``.
+    ``upstream`` is d(loss)/d(features), (n, d) like the forward output.  The
+    gradient is written layer by layer into one flat vector in the parameter
+    layout and is linear in ``upstream``.
     """
     if tape.spec != spec:
         raise TapeMismatch("tape was recorded under a different extractor spec")
     layers = tape.layers
-    upstream = np.asarray(upstream, dtype=float)
-    delta = upstream[None, :] if tape.single else upstream
+    delta = np.asarray(upstream, dtype=float)
     if delta.shape != (tape.inputs[0].shape[0], spec.output_dim):
         raise DimensionMismatch(
-            f"upstream shape {upstream.shape} does not match the recorded forward pass"
+            f"upstream shape {delta.shape} does not match the recorded forward pass"
         )
     grad = np.empty(spec.param_count)
     grads = split_params(spec, grad)  # views of grad in the parameter layout
     for i in range(len(layers) - 1, -1, -1):
         (w, _), (grad_w, grad_b) = layers[i], grads[i]
-        a_in = tape.inputs[i]
-        np.matmul(a_in.T, delta, out=grad_w)
+        np.matmul(tape.inputs[i].T, delta, out=grad_w)
         delta.sum(axis=0, out=grad_b)
-        delta = delta @ w.T
         if i > 0:
+            delta = delta @ w.T
             # derivative of the hidden activation, reconstructed from its output
             h = tape.inputs[i]
             delta *= (1.0 - h * h) if spec.activation == "tanh" else (h > 0.0)
-    grad_x = delta[0] if tape.single else delta
-    return grad, grad_x
+    return grad

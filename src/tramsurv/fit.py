@@ -1,12 +1,13 @@
-"""Censoring-aware likelihood, SGD training, and deep ensembles.
+"""Censoring-aware likelihood, SGD training, and the fitting of deep ensembles.
 
 The likelihood gives one negative log-likelihood term per observation,
 according to its censoring kind: exact times contribute the log-density of
 the transformed value plus the log-derivative of the transformation,
 right-censored times the log-survivor, left-censored times the log-CDF, and
 interval-censored times the log of the CDF difference across the interval
-(clamped when the mass underflows).  Training sums the terms, and
-``nll_observation`` is its one-row case; the exact-row term equals the
+(clamped when the mass underflows).  The likelihood has one form, on a
+``SurvivalDataset``: ``nll_batch`` sums the terms of its rows, and a one-row
+dataset gives one observation's NLL; the exact-row term equals the
 conditional log-density that scoring reads, bit for bit.  A step composes
 the transform core: extractor features, then the per-row coefficients of
 ``transform.coefficients``, then ``eval_transform`` at the lower times and,
@@ -53,15 +54,12 @@ from .errors import (
     BadConfig,
     DegenerateIntervalWarning,
     DimensionMismatch,
+    EmptyDataset,
     NonFiniteLoss,
     NonPositiveTime,
 )
-from .numerics import logsumexp
 from .transform import (
-    Pointwise,
-    _leading_index,
-    _solve_increasing,
-    _time_of_roots,
+    EnsembleDistribution,
     basis_rows,
     coefficients,
     conditional_distribution,
@@ -262,27 +260,20 @@ def _nll_core(state: ModelState, plan: _Plan, want_grad: bool):
         head_grad += grad_hi
         d_feats[interval] += d_feats_hi
     if spec.uses_extractor:
-        ext_grad, _ = feature.backward(spec.extractor, tape, d_feats)
+        ext_grad = feature.backward(spec.extractor, tape, d_feats)
     else:
         ext_grad = np.zeros(0)
     return terms, np.concatenate([head_grad, ext_grad])
 
 
-def _plan_of_observations(state: ModelState, observations) -> _Plan:
-    dataset = SurvivalDataset.from_observations(observations)
-    return _Plan.of_dataset(dataset, state.spec, state.scaler)
+def nll_batch(state: ModelState, dataset: SurvivalDataset) -> tuple[float, np.ndarray]:
+    """Summed NLL of a dataset's rows and its gradient w.r.t. (head, extractor) parameters.
 
-
-def nll_batch(state: ModelState, observations) -> tuple[float, np.ndarray]:
-    """Summed NLL of a batch and its gradient w.r.t. (head, extractor) parameters."""
-    terms, grad = _nll_core(state, _plan_of_observations(state, observations), want_grad=True)
+    A one-row dataset gives the NLL of one observation.
+    """
+    plan = _Plan.of_dataset(dataset, state.spec, state.scaler)
+    terms, grad = _nll_core(state, plan, want_grad=True)
     return float(np.sum(terms)), grad
-
-
-def nll_observation(state: ModelState, obs) -> float:
-    """NLL of one observation: the one-row case of the training likelihood."""
-    terms, _ = _nll_core(state, _plan_of_observations(state, [obs]), want_grad=False)
-    return float(terms[0])
 
 
 def _check_input_dim(spec: ModelSpec, p: int):
@@ -409,11 +400,13 @@ def fit(
     _check_input_dim(spec, dataset.p)
     if config is None:
         config = TrainConfig.from_model_spec(spec)
+    n = dataset.n
+    n_val = min(max(int(round(config.validation_fraction * n)), 1), n - 1)
+    if n_val == 0:
+        raise EmptyDataset(f"the validation split is empty: fit needs at least 2 rows, got {n}")
     if scaler is None:
         scaler = fit_scaler(dataset)
 
-    n = dataset.n
-    n_val = min(max(int(round(config.validation_fraction * n)), 1), n - 1)
     perm = np.random.default_rng([config.seed, 0]).permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     events = dataset.kind == CensoringKind.EXACT.code
@@ -445,62 +438,6 @@ class EnsembleModel:
     def conditional_distribution(self, x) -> "EnsembleDistribution":
         """Mixture for one covariate vector (p,) or for n subjects (n, p)."""
         return EnsembleDistribution([conditional_distribution(m, x) for m in self.members])
-
-
-class EnsembleDistribution(Pointwise):
-    """Pointwise mixture (equal weights) of member conditional distributions.
-
-    Members describe the same subject, or the same batch of subjects, and the
-    mixture follows their shape rules (see :class:`ConditionalDistribution`).
-    Members share one pass of log-times.  ``cdf``, ``survivor`` and ``pdf`` add
-    member values in member order and divide by M, as ``np.mean`` over stacked
-    members does (bitwise, but for one time with nine or more members, which
-    numpy sums pairwise); the logs take logsumexp over the members minus log M.
-    """
-
-    def __init__(self, members: list):
-        if not members:
-            raise ValueError("ensemble distribution needs at least one member")
-        self.members = members
-
-    def subject(self, i) -> "EnsembleDistribution":
-        """Mixture of row ``i`` of a batch, or of the rows an index array ``i`` selects."""
-        return EnsembleDistribution([m.subject(i) for m in self.members])
-
-    def at_log_time(self, of_transform, log_t, log: bool = False):
-        """The members' values at finite log-times, combined into the mixture's."""
-        if log:
-            values = np.array([m.at_log_time(of_transform, log_t) for m in self.members])
-            return logsumexp(values, axis=0) - np.log(len(self.members))
-        total = self.members[0].at_log_time(of_transform, log_t)
-        for m in self.members[1:]:
-            total += m.at_log_time(of_transform, log_t)
-        return total / len(self.members)
-
-    def quantile(self, p):
-        """Inverse of the averaged CDF by one vectorized bracketed Newton solve in log-time.
-
-        The bracket [min_m lo_m, max_m hi_m] of the members' own brackets holds
-        the root: every member CDF is at most p at its lower end and at least
-        p at its upper end.  The slope is the mean of f_Z(h_m) * dh_m/dlog t.
-        """
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        subjects = _leading_index(p_arr.shape)
-        _, lo, hi = zip(*(m.log_time_bracket(p_arr, subjects) for m in self.members))
-
-        def mean_cdf_at_log_time(u, rows):
-            values, slopes = [], []
-            for m in self.members:
-                h, dh = m.h_at_log_time(u, subjects[rows])
-                values.append(target.cdf(m.spec.family, h))
-                slopes.append(target.density(m.spec.family, h) * dh)
-            return np.mean(values, axis=0), np.mean(slopes, axis=0)
-
-        u = _solve_increasing(
-            mean_cdf_at_log_time, p_arr.ravel(), np.min(lo, axis=0), np.max(hi, axis=0)
-        )
-        t = _time_of_roots(u).reshape(p_arr.shape)
-        return float(t[0]) if np.ndim(p) == 0 else t
 
 
 def _bootstrap_indices(rng, events: np.ndarray, n: int) -> np.ndarray:

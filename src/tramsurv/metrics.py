@@ -20,9 +20,9 @@ from .errors import (
     NonPositiveTime,
     UnsupportedCensoringKind,
 )
-from .fit import EnsembleDistribution, EnsembleModel
+from .fit import EnsembleModel
 from .quadrature import simpson_doubling
-from .transform import conditional_distribution
+from .transform import EnsembleDistribution, conditional_distribution
 
 SCORE_SLICE = 64  # subjects per CRPS call in evaluate
 

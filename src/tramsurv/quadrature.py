@@ -1,4 +1,4 @@
-"""Composite Simpson quadrature with grid-doubling convergence control."""
+"""Composite Simpson quadrature with grid-doubling control, one integral per row of limits."""
 
 import numpy as np
 
@@ -30,8 +30,7 @@ def simpson_doubling(
 ):
     """Simpson quadrature, doubling the grid until successive estimates agree.
 
-    Scalar limits take ``fn(nodes)`` and give a float, the one-row case of
-    array limits: row r integrates over ``[a[r], b[r]]`` (0.0 if b <= a) with
+    Row r integrates over ``[a[r], b[r]]`` (0.0 if b <= a) with
     ``fn(nodes, rows)`` on a ``(k, m)`` array of nodes of the rows ``rows``.
     Each row stops at its own convergence, so its estimate does not depend
     on the rows solved with it.
@@ -40,11 +39,6 @@ def simpson_doubling(
     disagrees with its predecessor by more than ``rel_tol`` relatively (with a
     tiny absolute floor, so exactly-zero integrals converge immediately).
     """
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        a_row, b_row = np.array([a], dtype=float), np.array([b], dtype=float)
-        (value,) = simpson_doubling(lambda u, rows: np.broadcast_to(fn(u[0]), u.shape),
-                                    a_row, b_row, rel_tol, base_panels, max_panels)
-        return float(value)
     if base_panels < 2 or base_panels % 2 or max_panels > 2 * MAX_NODES_PER_CALL:
         raise ValueError(f"need an even base grid and at most {2 * MAX_NODES_PER_CALL} panels")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)

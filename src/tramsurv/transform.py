@@ -10,9 +10,12 @@ maps the head and each subject's features to (theta, s, c, m);
 ``eval_transform`` evaluates the form and dh/dlog t at log-times.  Each has a
 hand-written pullback, and training composes the two.  A distribution holds
 its subjects' coefficients, computed once, and broadcasts them over a
-subject's row of times: no per-node gather remains.  Quantiles invert h =
-F_Z^{-1}(p) in log-time: in closed form for the linear parameterizations and
-on the affine Bernstein tails, by bracketed Newton steps inside the range.
+subject's row of times: no per-node gather remains.  ``Pointwise`` writes
+each distribution operation once, ``quantile`` as one bracketed Newton solve
+in log-time; ``ConditionalDistribution`` and the deep-ensemble mixture
+``EnsembleDistribution`` supply their values at log-times and their Newton
+problem.  h = F_Z^{-1}(p) inverts in closed form for the linear
+parameterizations and on the affine Bernstein tails.
 
 Every number a subject gets at inference depends on its row alone: features
 come from ``feature.features``, which multiplies row by row, and every
@@ -30,7 +33,7 @@ from . import feature, target
 from .basis import LogTimeScaler, bernstein_vectors, monotone_reparam, monotone_reparam_vjp
 from .core import FittedModel, ModelSpec, Parameterization
 from .errors import BisectionNonConvergence, DimensionMismatch
-from .numerics import sigmoid, softplus, softplus_inv
+from .numerics import logsumexp, sigmoid, softplus, softplus_inv
 
 
 def head_size(spec: ModelSpec) -> int:
@@ -210,7 +213,8 @@ def eval_transform(
     any shape.  ``basis`` takes rows :func:`basis_rows` precomputed at
     ``log_t``.  ``pullback(upstream_h, upstream_dh)`` returns
     :class:`Coefficients` sensitivities, one per time of a vector, except
-    that a theta shared by every row comes summed.
+    that a theta shared by every row comes summed.  A linear dh/dlog t is a
+    read-only broadcast of m.
     """
     log_t = np.atleast_1d(np.asarray(log_t, dtype=float))
     if rows is not None:
@@ -224,7 +228,7 @@ def eval_transform(
         def pullback(uh, ud):
             return Coefficients(None, None, uh, uh * log_t + ud)
 
-        return c + m * log_t, np.full_like(log_t, m), pullback
+        return c + m * log_t, np.broadcast_to(m, log_t.shape), pullback
 
     # m = 0
     basis_v, deriv_v = basis_rows(spec, log_t, scaler) if basis is None else basis
@@ -306,28 +310,17 @@ def _newton_step(fn, targets, u, lo, hi, rows) -> np.ndarray:
     return small_step | (b - a <= tol)
 
 
-def _time_of_roots(u: np.ndarray) -> np.ndarray:
-    """exp(u) of quantile roots in log-time; a root past the largest float raises."""
-    overflow = int(np.sum(u > np.log(np.finfo(float).max)))
-    if overflow:
-        raise BisectionNonConvergence(f"{overflow} quantile root(s) overflow the largest float")
-    return np.exp(u)
-
-
-def _leading_index(shape) -> np.ndarray:
-    """First-axis index of each element of an array of ``shape``, in C order."""
-    return np.nonzero(np.ones(shape, dtype=bool))[0]
-
-
 def _of_h(fn):
     return lambda family, h, dh, log_t: fn(family, h)
 
 
 class Pointwise:
-    """``cdf``, ``survivor``, ``pdf`` and their logs from ``at_log_time(of_transform, log_t, log)``.
+    """``cdf``, ``survivor``, ``pdf``, their logs and ``quantile``, written once.
 
-    One ``np.log`` of the whole time array: times t <= 0 and t = +inf, only
-    when present, are replaced by 1.0 first and get their limits afterwards.
+    A subclass supplies ``at_log_time(of_transform, log_t, log)`` and
+    ``newton_problem(p, subjects)``.  One ``np.log`` of the whole time array:
+    times t <= 0 and t = +inf, only when present, are replaced by 1.0 first
+    and get their limits afterwards.
     """
 
     def _apply(self, t, of_transform, at_zero: float, at_inf: float, log: bool = False):
@@ -358,6 +351,21 @@ class Pointwise:
 
     def pdf(self, t):
         return self._apply(t, lambda *args: np.exp(transformed_log_pdf(*args)), 0.0, 0.0)
+
+    def quantile(self, p):
+        """Inverse CDF: one :func:`_solve_increasing` of ``newton_problem(p, subjects)``.
+
+        ``subjects[j]`` is the subject of element j of ``p`` raveled.  A root
+        past the largest float raises :class:`BisectionNonConvergence`.
+        """
+        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+        subjects = np.nonzero(np.ones(p_arr.shape, dtype=bool))[0]  # first-axis index, C order
+        u = _solve_increasing(*self.newton_problem(p_arr, subjects))
+        overflow = int(np.sum(u > np.log(np.finfo(float).max)))
+        if overflow:
+            raise BisectionNonConvergence(f"{overflow} quantile root(s) overflow the largest float")
+        t = np.exp(u).reshape(p_arr.shape)
+        return float(t[0]) if np.ndim(p) == 0 else t
 
 
 class ConditionalDistribution(Pointwise):
@@ -437,16 +445,60 @@ class ConditionalDistribution(Pointwise):
         h, dh, _ = eval_transform(self.spec, self.coef, None, log_t, self.scaler)
         return of_transform(self.spec.family, h, dh, log_t)
 
-    def quantile(self, p):
-        """Inverse CDF: h(t) = F_Z^{-1}(p) in closed form or by Newton steps on dh/dlog t."""
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-        subjects = _leading_index(p_arr.shape)
-        u = _solve_increasing(
-            lambda v, rows: self.h_at_log_time(v, subjects[rows]),
-            *self.log_time_bracket(p_arr, subjects),
-        )
-        t = _time_of_roots(u).reshape(p_arr.shape)
-        return float(t[0]) if np.ndim(p) == 0 else t
+    def newton_problem(self, p, subjects):
+        """h(u) = F_Z^{-1}(p) in log-time u on :meth:`log_time_bracket`; the slope is dh/dlog t."""
+        z, lo, hi = self.log_time_bracket(p, subjects)
+        return (lambda u, rows: self.h_at_log_time(u, subjects[rows])), z, lo, hi
+
+
+class EnsembleDistribution(Pointwise):
+    """Pointwise mixture (equal weights) of member conditional distributions.
+
+    Members describe the same subject, or the same batch of subjects, and the
+    mixture follows their shape rules (see :class:`ConditionalDistribution`).
+    Members share one pass of log-times.  ``cdf``, ``survivor`` and ``pdf`` add
+    member values in member order and divide by M, as ``np.mean`` over stacked
+    members does (bitwise, but for one time with nine or more members, which
+    numpy sums pairwise); the logs take logsumexp over the members minus log M.
+    """
+
+    def __init__(self, members: list):
+        if not members:
+            raise ValueError("ensemble distribution needs at least one member")
+        self.members = members
+
+    def subject(self, i) -> "EnsembleDistribution":
+        """Mixture of row ``i`` of a batch, or of the rows an index array ``i`` selects."""
+        return EnsembleDistribution([m.subject(i) for m in self.members])
+
+    def at_log_time(self, of_transform, log_t, log: bool = False):
+        """The members' values at finite log-times, combined into the mixture's."""
+        if log:
+            values = np.array([m.at_log_time(of_transform, log_t) for m in self.members])
+            return logsumexp(values, axis=0) - np.log(len(self.members))
+        total = self.members[0].at_log_time(of_transform, log_t)
+        for m in self.members[1:]:
+            total += m.at_log_time(of_transform, log_t)
+        return total / len(self.members)
+
+    def newton_problem(self, p, subjects):
+        """The averaged CDF equal to p in log-time u.
+
+        The bracket [min_m lo_m, max_m hi_m] of the members' own brackets holds
+        the root: every member CDF is at most p at its lower end and at least
+        p at its upper end.  The slope is the mean of f_Z(h_m) * dh_m/dlog t.
+        """
+        _, lo, hi = zip(*(m.log_time_bracket(p, subjects) for m in self.members))
+
+        def mean_cdf_at_log_time(u, rows):
+            values, slopes = [], []
+            for m in self.members:
+                h, dh = m.h_at_log_time(u, subjects[rows])
+                values.append(target.cdf(m.spec.family, h))
+                slopes.append(target.density(m.spec.family, h) * dh)
+            return np.mean(values, axis=0), np.mean(slopes, axis=0)
+
+        return mean_cdf_at_log_time, p.ravel(), np.min(lo, axis=0), np.max(hi, axis=0)
 
 
 def conditional_distribution(model: FittedModel, x) -> ConditionalDistribution:

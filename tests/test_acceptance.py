@@ -101,9 +101,9 @@ def _exponential_dataset(rng, n, w_true=(0.5, -0.3), x_range=1.0):
     return SurvivalDataset.from_observations(obs)
 
 
-def _mean_nll(model, observations):
+def _mean_nll(model, dataset):
     state = ModelState(model.spec, model.scaler, model.head_params, model.extractor_params)
-    return nll_batch(state, observations)[0] / len(observations)
+    return nll_batch(state, dataset)[0] / dataset.n
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def _gradient_max_rel_err(spec, rng, draws):
                 else np.zeros(0)
             )
             state = ModelState(spec, scaler, head, ext)
-            batch = _random_batch(rng, p)
+            batch = SurvivalDataset.from_observations(_random_batch(rng, p))
             _, grad = nll_batch(state, batch)
             theta = np.concatenate([head, ext])
             n_head = head.size
@@ -274,7 +274,7 @@ def test_heldout_nll_improves_with_flexibility():
         train = SurvivalDataset.from_observations(
             [synth.observations[i] for i in perm[:1050]], feature_names=synth.feature_names
         )
-        held_out = [synth.observations[i] for i in perm[1050:]]
+        held_out = SurvivalDataset.from_observations([synth.observations[i] for i in perm[1050:]])
         nlls = []
         for spec in specs:
             cfg = TrainConfig(

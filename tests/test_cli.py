@@ -260,6 +260,21 @@ class TestFitCommand:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "E_BAD_CONFIG"
 
+    def test_one_row_fails_with_empty_validation_split(self, tmp_path, spec_json):
+        data = tmp_path / "one.csv"
+        data.write_text("time,status,a\n1.5,exact,0.3\n")
+        out = tmp_path / "run"
+        assert main(["fit", "--data", str(data), "--spec", spec_json, "--out", str(out)]) == 1
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "E_EMPTY_DATASET"
+        assert "validation split" in record["message"]
+        assert not (out / "model.json").exists()
+        ens = tmp_path / "ens"
+        argv = ["ensemble", "--data", str(data), "--spec", spec_json,
+                "--members", "2", "--top", "1", "--out", str(ens)]
+        assert main(argv) == 0
+        assert not (ens / "error.json").exists()
+
 
 @pytest.mark.parametrize(
     "command, flags, spec_values",

@@ -33,3 +33,16 @@ def test_imports_are_stdlib_or_numpy(path):
         if module != "numpy" and module not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_private_names_imported_from_other_modules(path):
+    """A module uses another module's public names only (``__version__`` aside)."""
+    private = [
+        f"{path.name}:{node.lineno} imports {alias.name} from .{node.module or ''}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name != "__version__"
+    ]
+    assert private == []

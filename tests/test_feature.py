@@ -30,16 +30,16 @@ class TestForward:
     def test_identity_map(self):
         spec = ExtractorSpec(input_dim=2, hidden_dims=(), output_dim=2)
         params = identity_params(spec)
-        out, _ = forward(spec, params, np.array([1.0, 2.0]))
-        np.testing.assert_allclose(out, [1.0, 2.0])
+        out, _ = forward(spec, params, np.array([[1.0, 2.0]]))
+        np.testing.assert_allclose(out, [[1.0, 2.0]])
 
     def test_zero_weights_give_output_bias(self):
         spec = ExtractorSpec(input_dim=3, hidden_dims=(4,), output_dim=2, activation="relu")
         params = np.zeros(param_count(spec))
         layers = split_params(spec, params)
         layers[-1][1][:] = [0.7, -0.3]
-        out, _ = forward(spec, flatten_params(layers), np.array([5.0, -1.0, 2.0]))
-        np.testing.assert_allclose(out, [0.7, -0.3])
+        out, _ = forward(spec, flatten_params(layers), np.array([[5.0, -1.0, 2.0]]))
+        np.testing.assert_allclose(out, [[0.7, -0.3]])
 
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(23)
@@ -49,7 +49,7 @@ class TestForward:
             )
             for trial in range(5):
                 params = rng.normal(size=param_count(spec))
-                x = rng.normal(size=4)
+                x = rng.normal(size=(1, 4))
                 out, _ = forward(spec, params, x)
                 np.testing.assert_allclose(out, _direct_forward(spec, params, x), rtol=1e-12)
 
@@ -60,13 +60,21 @@ class TestForward:
         xs = rng.normal(size=(6, 3))
         batch_out, _ = forward(spec, params, xs)
         for i in range(6):
-            row_out, _ = forward(spec, params, xs[i])
-            np.testing.assert_allclose(batch_out[i], row_out, rtol=1e-14)
+            row_out, _ = forward(spec, params, xs[i : i + 1])
+            np.testing.assert_allclose(batch_out[i], row_out[0], rtol=1e-14)
 
     def test_wrong_input_dim_rejected(self):
         spec = ExtractorSpec(input_dim=3, hidden_dims=(), output_dim=1)
         with pytest.raises(DimensionMismatch):
-            forward(spec, np.zeros(param_count(spec)), np.zeros(5))
+            forward(spec, np.zeros(param_count(spec)), np.zeros((1, 5)))
+
+    def test_vector_is_one_row(self):
+        spec = ExtractorSpec(input_dim=3, hidden_dims=(4,), output_dim=2)
+        params = np.random.default_rng(30).normal(size=param_count(spec))
+        x = np.array([0.3, -1.2, 0.8])
+        out, _ = forward(spec, params, x)
+        assert out.shape == (1, 2)
+        np.testing.assert_array_equal(out, forward(spec, params, x[None, :])[0])
 
 
 class TestInferenceFeatures:
@@ -79,7 +87,7 @@ class TestInferenceFeatures:
                                  output_dim=output_dim, activation=activation)
             params = rng.normal(size=param_count(spec))
             xs = rng.normal(size=(37, input_dim))
-            rows = np.array([forward(spec, params, x)[0] for x in xs])
+            rows = np.array([forward(spec, params, x[None, :])[0][0] for x in xs])
             np.testing.assert_array_equal(features(spec, params, xs), rows)
             np.testing.assert_array_equal(features(spec, params, xs[4]), rows[4])
 
@@ -126,10 +134,9 @@ class TestBackward:
         rng = np.random.default_rng(37)
         spec = ExtractorSpec(input_dim=3, hidden_dims=(4,), output_dim=2)
         params = rng.normal(size=param_count(spec))
-        out, tape = forward(spec, params, rng.normal(size=3))
-        grad, grad_x = backward(spec, tape, np.zeros_like(out))
+        out, tape = forward(spec, params, rng.normal(size=(1, 3)))
+        grad = backward(spec, tape, np.zeros_like(out))
         np.testing.assert_array_equal(grad, np.zeros_like(grad))
-        np.testing.assert_array_equal(grad_x, np.zeros(3))
 
     def test_linear_extractor_closed_form(self):
         """For features = W^T x + b the gradients are u x^T and u."""
@@ -138,13 +145,11 @@ class TestBackward:
         params = rng.normal(size=param_count(spec))
         x = rng.normal(size=3)
         u = rng.normal(size=2)
-        out, tape = forward(spec, params, x)
-        grad, grad_x = backward(spec, tape, u)
+        out, tape = forward(spec, params, x[None, :])
+        grad = backward(spec, tape, u[None, :])
         gw, gb = split_params(spec, grad)[0]
         np.testing.assert_allclose(gw, np.outer(x, u), rtol=1e-12)
         np.testing.assert_allclose(gb, u, rtol=1e-12)
-        w0 = split_params(spec, params)[0][0]
-        np.testing.assert_allclose(grad_x, w0 @ u, rtol=1e-12)
 
     def test_matches_finite_difference(self):
         rng = np.random.default_rng(43)
@@ -153,14 +158,14 @@ class TestBackward:
                 input_dim=4, hidden_dims=(5, 4), output_dim=2, activation=activation
             )
             params = rng.normal(scale=0.7, size=param_count(spec))
-            x = rng.normal(size=4)
-            u = rng.normal(size=2)
+            x = rng.normal(size=(1, 4))
+            u = rng.normal(size=(1, 2))
             _, tape = forward(spec, params, x)
-            grad, grad_x = backward(spec, tape, u)
+            grad = backward(spec, tape, u)
 
             def scalar(p, xv):
                 out, _ = forward(spec, p, xv)
-                return float(u @ out)
+                return float(np.sum(u * out))
 
             fd = np.empty_like(params)
             for i in range(params.size):
@@ -173,16 +178,6 @@ class TestBackward:
             denom = np.maximum(1.0, np.abs(fd))
             assert np.max(np.abs(grad - fd) / denom) < 1e-5
 
-            fd_x = np.empty_like(x)
-            for i in range(x.size):
-                step = 1e-6 * (1.0 + abs(x[i]))
-                hi = x.copy()
-                hi[i] += step
-                lo = x.copy()
-                lo[i] -= step
-                fd_x[i] = (scalar(params, hi) - scalar(params, lo)) / (2 * step)
-            np.testing.assert_allclose(grad_x, fd_x, rtol=1e-5, atol=1e-8)
-
     def test_batch_gradient_sums_rows(self):
         rng = np.random.default_rng(47)
         spec = ExtractorSpec(input_dim=2, hidden_dims=(3,), output_dim=2)
@@ -190,11 +185,9 @@ class TestBackward:
         xs = rng.normal(size=(4, 2))
         us = rng.normal(size=(4, 2))
         _, tape = forward(spec, params, xs)
-        grad, grad_x = backward(spec, tape, us)
+        grad = backward(spec, tape, us)
         acc = np.zeros_like(params)
         for i in range(4):
-            _, t_i = forward(spec, params, xs[i])
-            g_i, gx_i = backward(spec, t_i, us[i])
-            acc += g_i
-            np.testing.assert_allclose(grad_x[i], gx_i, rtol=1e-12)
+            _, t_i = forward(spec, params, xs[i : i + 1])
+            acc += backward(spec, t_i, us[i : i + 1])
         np.testing.assert_allclose(grad, acc, rtol=1e-12)

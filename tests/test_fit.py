@@ -15,6 +15,7 @@ from tramsurv.errors import (
     AllCensored,
     DegenerateIntervalWarning,
     DimensionMismatch,
+    EmptyDataset,
     NonFiniteLoss,
     NonPositiveTime,
 )
@@ -30,7 +31,6 @@ from tramsurv.fit import (
     fit,
     fit_ensemble,
     nll_batch,
-    nll_observation,
 )
 from tramsurv.metrics import log_score
 from tramsurv.numerics import softplus, softplus_inv
@@ -51,22 +51,27 @@ def _linear_shift_model(family, a=0.0, b=1.0, w=(0.0,)):
     )
 
 
+def _one_row(obs):
+    """A one-row dataset: the batch form of one observation."""
+    return SurvivalDataset.from_observations([obs])
+
+
 class TestNllObservation:
     def test_logistic_exact_reference(self):
         # h = 0 and dh/dt = 1 at t = 1: -log f_Z(0) - log 1 = log 4
         state = _linear_shift_model(TargetFamily.LOGISTIC)
         obs = Observation.exact(1.0, [0.0])
-        np.testing.assert_allclose(nll_observation(state, obs), np.log(4.0), rtol=1e-12)
+        np.testing.assert_allclose(nll_batch(state, _one_row(obs))[0], np.log(4.0), rtol=1e-12)
 
     def test_logistic_right_censored_reference(self):
         state = _linear_shift_model(TargetFamily.LOGISTIC)
         obs = Observation.right_censored(1.0, [0.0])
-        np.testing.assert_allclose(nll_observation(state, obs), np.log(2.0), rtol=1e-12)
+        np.testing.assert_allclose(nll_batch(state, _one_row(obs))[0], np.log(2.0), rtol=1e-12)
 
     def test_mev_right_censored_reference(self):
         state = _linear_shift_model(TargetFamily.MEV)
         obs = Observation.right_censored(1.0, [0.0])
-        np.testing.assert_allclose(nll_observation(state, obs), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(nll_batch(state, _one_row(obs))[0], 1.0, rtol=1e-12)
 
     def test_logistic_interval_reference(self):
         """Interval with h(t_l) = -1 and h(t_u) = 1 has mass sigma(1) - sigma(-1)."""
@@ -74,14 +79,15 @@ class TestNllObservation:
         obs = Observation.interval(float(np.exp(-1.0)), float(np.e), [0.0])
         sig = lambda z: 1.0 / (1.0 + np.exp(-z))
         expected = -np.log(sig(1.0) - sig(-1.0))
-        np.testing.assert_allclose(nll_observation(state, obs), expected, rtol=1e-12)
-        np.testing.assert_allclose(nll_observation(state, obs), 0.7719368329053048, rtol=1e-12)
+        nll = nll_batch(state, _one_row(obs))[0]
+        np.testing.assert_allclose(nll, expected, rtol=1e-12)
+        np.testing.assert_allclose(nll, 0.7719368329053048, rtol=1e-12)
 
     def test_left_censored_uses_cdf(self):
         state = _linear_shift_model(TargetFamily.MEV)
         obs = Observation.left_censored(1.0, [0.0])
         np.testing.assert_allclose(
-            nll_observation(state, obs), -np.log(1.0 - np.exp(-1.0)), rtol=1e-12
+            nll_batch(state, _one_row(obs))[0], -np.log(1.0 - np.exp(-1.0)), rtol=1e-12
         )
 
     def test_degenerate_interval_warns_and_clamps(self):
@@ -89,42 +95,34 @@ class TestNllObservation:
         t = 40.0  # far above the range: both endpoints deep in the upper tail
         obs = Observation.interval(t, t * (1.0 + 1e-15), [0.0])
         with pytest.warns(DegenerateIntervalWarning):
-            val = nll_observation(state, obs)
+            val = nll_batch(state, _one_row(obs))[0]
         assert np.isfinite(val)
         assert val <= -np.log(1e-12) + 1e-9
-
-    @pytest.mark.parametrize("make", [
-        lambda x: Observation.exact(1.3, x),
-        lambda x: Observation.right_censored(0.7, x),
-        lambda x: Observation.left_censored(2.1, x),
-        lambda x: Observation.interval(0.6, 1.9, x),
-    ], ids=["exact", "right", "left", "interval"])
-    def test_equals_singleton_batch(self, make):
-        state = _linear_shift_model(TargetFamily.MEV, a=0.2, b=1.3, w=(0.6,))
-        obs = make([0.4])
-        assert nll_observation(state, obs) == nll_batch(state, [obs])[0]
 
 
 class TestNllBatch:
     def test_singleton_equals_observation(self):
+        """A one-row dataset's total is the observation's term in a larger batch."""
         state = _linear_shift_model(TargetFamily.LOGISTIC)
         obs = Observation.exact(1.3, [0.4])
-        total, _ = nll_batch(state, [obs])
-        np.testing.assert_allclose(total, nll_observation(state, obs), rtol=1e-14)
+        total, _ = nll_batch(state, _one_row(obs))
+        batch = SurvivalDataset.from_observations([obs, Observation.right_censored(0.7, [-0.2])])
+        plan = _Plan.of_dataset(batch, state.spec, state.scaler)
+        np.testing.assert_allclose(total, _nll_core(state, plan, False)[0][0], rtol=1e-14)
 
     def test_rejects_non_positive_time(self):
         state = _linear_shift_model(TargetFamily.LOGISTIC)
         for time in (0.0, -1.0):
             batch = [Observation.exact(1.0, [0.0]), Observation.right_censored(time, [0.0])]
             with pytest.raises(NonPositiveTime) as info:
-                nll_batch(state, batch)
+                nll_batch(state, SurvivalDataset.from_observations(batch))
             assert info.value.code == "E_NON_POSITIVE_TIME"
 
     @pytest.mark.parametrize("parameterization", list(Parameterization))
     def test_rejects_head_of_wrong_length(self, parameterization):
         """A head one entry longer or shorter than its spec lays out is not read at all."""
         spec = _spec_for(parameterization, TargetFamily.LOGISTIC)
-        batch = _random_batch(np.random.default_rng(5), 2)
+        batch = SurvivalDataset.from_observations(_random_batch(np.random.default_rng(5), 2))
         ext = init_params(spec.extractor, 3) if spec.extractor is not None else np.zeros(0)
         head = init_head(spec)
         for bad in (np.append(head, 0.0), head[:-1]):
@@ -143,8 +141,8 @@ class TestNllBatch:
             Observation.left_censored(0.6, [0.1]),
             Observation.interval(0.5, 1.1, [0.9]),
         ]
-        total1, grad1 = nll_batch(state, batch)
-        total2, grad2 = nll_batch(state, batch + batch)
+        total1, grad1 = nll_batch(state, SurvivalDataset.from_observations(batch))
+        total2, grad2 = nll_batch(state, SurvivalDataset.from_observations(batch + batch))
         np.testing.assert_allclose(total2, 2.0 * total1, rtol=1e-14)
         np.testing.assert_allclose(grad2, 2.0 * grad1, rtol=1e-13, atol=1e-15)
 
@@ -155,18 +153,18 @@ class TestNllBatch:
             Observation.exact(float(t), [float(x)])
             for t, x in zip(rng.uniform(0.3, 3.0, 12), rng.normal(size=12))
         ]
-        total, _ = nll_batch(state, batch)
+        total, _ = nll_batch(state, SurvivalDataset.from_observations(batch))
         perm = [batch[i] for i in rng.permutation(12)]
-        total_p, _ = nll_batch(state, perm)
+        total_p, _ = nll_batch(state, SurvivalDataset.from_observations(perm))
         np.testing.assert_allclose(total_p, total, rtol=1e-12)
 
     def test_additive_over_disjoint_batches(self):
         state = _linear_shift_model(TargetFamily.MEV, a=0.2, b=1.1, w=(-0.3,))
         part_a = [Observation.exact(0.7, [0.2]), Observation.right_censored(2.0, [1.0])]
         part_b = [Observation.left_censored(0.9, [-0.5])]
-        total_a, grad_a = nll_batch(state, part_a)
-        total_b, grad_b = nll_batch(state, part_b)
-        total, grad = nll_batch(state, part_a + part_b)
+        total_a, grad_a = nll_batch(state, SurvivalDataset.from_observations(part_a))
+        total_b, grad_b = nll_batch(state, SurvivalDataset.from_observations(part_b))
+        total, grad = nll_batch(state, SurvivalDataset.from_observations(part_a + part_b))
         np.testing.assert_allclose(total, total_a + total_b, rtol=1e-12)
         np.testing.assert_allclose(grad, grad_a + grad_b, rtol=1e-12, atol=1e-15)
 
@@ -202,7 +200,7 @@ def _gradient_max_rel_err(spec, rng, draws=3):
             else np.zeros(0)
         )
         state = ModelState(spec, scaler, head, ext)
-        batch = _random_batch(rng, p)
+        batch = SurvivalDataset.from_observations(_random_batch(rng, p))
         _, grad = nll_batch(state, batch)
         theta = np.concatenate([head, ext])
         n_head = head.size
@@ -281,8 +279,9 @@ class TestTrainingPlan:
 
         x = dataset.x[0]
         for bad in (Observation.exact(0.0, x), Observation.interval(-1.0, 2.0, x)):
+            with_bad = SurvivalDataset.from_observations([Observation.exact(1.0, x), bad])
             with pytest.raises(NonPositiveTime) as info:
-                nll_batch(state, [Observation.exact(1.0, x), bad])
+                nll_batch(state, with_bad)
             assert info.value.code == "E_NON_POSITIVE_TIME"
 
 
@@ -362,6 +361,19 @@ class TestFit:
         with pytest.raises(AllCensored):
             fit(ds, spec)
 
+    def test_one_row_has_an_empty_validation_split(self):
+        ds = SurvivalDataset.from_observations([Observation.exact(1.5, [0.3])])
+        spec = ModelSpec(
+            family=TargetFamily.LOGISTIC, parameterization=Parameterization.LINEAR_SHIFT,
+            extractor=ExtractorSpec(input_dim=1, output_dim=1), epochs=3,
+        )
+        with pytest.raises(EmptyDataset, match="validation split") as info:
+            fit(ds, spec)
+        assert info.value.code == "E_EMPTY_DATASET"
+        # a member validates on its out-of-bag rows, or on all rows when there are none
+        ens = fit_ensemble(ds, spec, n_members=2, top_m=1)
+        assert np.all(np.isfinite(ens.pool_validation_nlls))
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(301)
         ds = _exponential_dataset(rng, 80)
@@ -386,7 +398,7 @@ class TestFit:
         init_state = ModelState(
             spec, scaler, init_head(spec), model.extractor_params * 0.0
         )
-        init_nll = nll_batch(init_state, ds.observations)[0] / ds.n
+        init_nll = nll_batch(init_state, ds)[0] / ds.n
         assert model.train_nll < init_nll
 
     def test_callback_sees_epochs(self):
@@ -411,7 +423,7 @@ class TestFit:
         )
         model = fit(ds, spec)
         state = ModelState(spec, model.scaler, model.head_params, model.extractor_params)
-        full = nll_batch(state, ds.observations)[0] / ds.n
+        full = nll_batch(state, ds)[0] / ds.n
         np.testing.assert_allclose(model.train_nll, full, rtol=1e-12)
 
     def test_recovers_exponential_coefficients(self):

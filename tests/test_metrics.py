@@ -17,7 +17,7 @@ from tramsurv.errors import (
     UnsupportedCensoringKind,
 )
 from tramsurv.feature import ExtractorSpec, identity_params, init_params
-from tramsurv.fit import EnsembleModel, ModelState, nll_observation
+from tramsurv.fit import EnsembleModel, ModelState, nll_batch
 from tramsurv.metrics import (
     EvaluationReport,
     c_index,
@@ -142,7 +142,8 @@ class TestLogScore:
                 else Observation.right_censored(t, x)
             )
             dist = conditional_distribution(model, x)
-            assert log_score(dist, obs) == nll_observation(state, obs)
+            one_row = SurvivalDataset.from_observations([obs])
+            assert log_score(dist, obs) == nll_batch(state, one_row)[0]
 
     @pytest.mark.parametrize(
         "obs",

@@ -5,6 +5,12 @@ from tramsurv.errors import QuadratureNonConvergence
 from tramsurv.quadrature import MAX_NODES_PER_CALL, simpson_doubling
 
 
+def integral(fn, a, b, **kwargs):
+    """The integral of ``fn(u)`` over [a, b], solved as a one-row array of limits."""
+    (value,) = simpson_doubling(lambda u, rows: fn(u), np.array([a]), np.array([b]), **kwargs)
+    return value
+
+
 class TestSimpson:
     """Oracles of Simpson's rule, through the doubling integrator."""
 
@@ -12,37 +18,37 @@ class TestSimpson:
         # Simpson integrates polynomials through degree 3 exactly
         f = lambda u: u**3 - 2.0 * u**2 + 0.5
         exact = 1.0 / 4.0 - 2.0 / 3.0 + 0.5
-        np.testing.assert_allclose(simpson_doubling(f, 0.0, 1.0, base_panels=2), exact, rtol=1e-14)
+        np.testing.assert_allclose(integral(f, 0.0, 1.0, base_panels=2), exact, rtol=1e-14)
 
     def test_empty_range(self):
-        assert simpson_doubling(np.exp, 1.0, 1.0, base_panels=16) == 0.0
-        assert simpson_doubling(np.exp, 2.0, 1.0, base_panels=16) == 0.0
+        assert integral(np.exp, 1.0, 1.0, base_panels=16) == 0.0
+        assert integral(np.exp, 2.0, 1.0, base_panels=16) == 0.0
 
     def test_odd_panels_rejected(self):
         with pytest.raises(ValueError):
-            simpson_doubling(np.exp, 0.0, 1.0, base_panels=3)
+            integral(np.exp, 0.0, 1.0, base_panels=3)
 
     def test_converges_on_smooth_function(self):
-        val = simpson_doubling(np.sin, 0.0, np.pi, base_panels=64)
+        val = integral(np.sin, 0.0, np.pi, base_panels=64)
         np.testing.assert_allclose(val, 2.0, rtol=1e-7)
 
 
 class TestSimpsonDoubling:
     def test_smooth_integral(self):
-        val = simpson_doubling(lambda u: np.exp(-u), 0.0, 5.0)
+        val = integral(lambda u: np.exp(-u), 0.0, 5.0)
         np.testing.assert_allclose(val, 1.0 - np.exp(-5.0), rtol=1e-9)
 
     def test_zero_width(self):
-        assert simpson_doubling(np.exp, 3.0, 3.0) == 0.0
+        assert integral(np.exp, 3.0, 3.0) == 0.0
 
     def test_raises_when_grids_disagree(self):
         wobble = lambda u: np.sin(1e6 * np.asarray(u)) ** 2
         with pytest.raises(QuadratureNonConvergence):
-            simpson_doubling(wobble, 0.0, 1.0)
+            integral(wobble, 0.0, 1.0)
 
     def test_tiny_integral_hits_absolute_floor(self):
         # values far below the absolute floor converge immediately
-        val = simpson_doubling(lambda u: np.full_like(np.asarray(u, float), 1e-20), 0.0, 1.0)
+        val = integral(lambda u: np.full_like(np.asarray(u, float), 1e-20), 0.0, 1.0)
         np.testing.assert_allclose(val, 1e-20, rtol=1e-12)
 
 
@@ -65,7 +71,7 @@ class TestRowwiseDoubling:
         b = np.array([1.0, 2.0, 4.0, 2.5])
         est = simpson_doubling(self._smooth, a, b)
         assert est[1] == 0.0 and est[3] == 0.0
-        np.testing.assert_allclose(est[0], simpson_doubling(lambda u: self._smooth(u, None), 0.0, 1.0))
+        np.testing.assert_allclose(est[0], integral(lambda u: self._smooth(u, None), 0.0, 1.0))
 
     def test_row_alone_equals_row_in_batch(self):
         # frequencies spread the rows over different convergence levels
