@@ -94,7 +94,7 @@ def monotone_reparam(gamma) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=float)
     theta = np.empty_like(gamma)
     theta[..., 0] = gamma[..., 0]
-    theta[..., 1:] = gamma[..., :1] + np.cumsum(softplus(gamma[..., 1:]), axis=-1)
+    theta[..., 1:] = gamma[..., :1] + softplus(gamma[..., 1:]).cumsum(axis=-1)
     return theta
 
 
@@ -103,7 +103,7 @@ def monotone_reparam_vjp(gamma, upstream) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
     # reverse cumulative sum: d theta_k / d gamma_j is nonzero only for k >= j
-    tail = np.cumsum(upstream[..., ::-1], axis=-1)[..., ::-1]
+    tail = upstream[..., ::-1].cumsum(axis=-1)[..., ::-1]
     grad = np.empty_like(gamma)
     grad[..., 0] = tail[..., 0]
     grad[..., 1:] = sigmoid(gamma[..., 1:]) * tail[..., 1:]

@@ -2,16 +2,22 @@
 
 Parameters live in a single flat vector with a deterministic layout (per
 layer: weight matrix row-major, then bias), which keeps SGD updates and
-serialization trivial.  Training has one batch form: :func:`forward` maps
-(n, p) covariates (a vector is one row) to (n, d) features and records what
-:func:`backward` reads to give the parameter gradient.  No external autodiff
-framework is involved, so results are bitwise reproducible.
+serialization trivial.  Training has one batch form, with a leading member
+axis: :func:`forward` maps a stack of M parameter vectors (M, P) and their
+minibatches (M, n, p) to (M, n, d) features, and records what
+:func:`backward` reads to give the (M, P) parameter gradients.  Covariates
+(n, p) without the member axis are every member's batch, and one parameter
+vector (P,) is a model without it.  Each layer is one stacked ``matmul``,
+one (n, i) @ (i, o) product per member, so a member's numbers do not depend
+on the members stacked with it.  No external autodiff framework is involved,
+so results are bitwise reproducible.
 
-Inference uses :func:`features` instead: no tape, and each layer multiplies
-every row on its own as a stack of (1, i) @ (i, o) products.  A subject's
-features are then the same bits whether it is evaluated alone or in a batch
-of any size or order, which one (n, i) @ (i, o) product does not guarantee
-(BLAS blocks and vectorizes it differently by n).  One subject is (p,) -> (d,).
+Inference uses :func:`features` instead: one parameter vector, no tape, and
+each layer multiplies every row on its own as a stack of (1, i) @ (i, o)
+products.  A subject's features are then the same bits whether it is
+evaluated alone or in a batch of any size or order, which one (n, i) @ (i, o)
+product does not guarantee (BLAS blocks and vectorizes it differently by n).
+One subject is (p,) -> (d,).
 """
 
 from dataclasses import dataclass, field
@@ -62,18 +68,22 @@ def param_count(spec: ExtractorSpec) -> int:
 
 
 def split_params(spec: ExtractorSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """View the flat parameter vector as per-layer (weights, bias) pairs."""
+    """View a flat parameter vector, or a stack (M, P) of them, as per-layer (weights, bias) pairs.
+
+    A stack gives (M, i, o) weights and (M, o) biases.
+    """
     params = np.asarray(params, dtype=float)
-    if params.shape != (spec.param_count,):
+    if params.ndim not in (1, 2) or params.shape[-1] != spec.param_count:
         raise DimensionMismatch(
             f"expected {spec.param_count} extractor parameters, got {params.shape}"
         )
+    lead = params.shape[:-1]
     layers = []
     pos = 0
     for fan_in, fan_out in spec.layer_dims:
-        w = params[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = params[..., pos : pos + fan_in * fan_out].reshape(lead + (fan_in, fan_out))
         pos += fan_in * fan_out
-        b = params[pos : pos + fan_out]
+        b = params[..., pos : pos + fan_out]
         pos += fan_out
         layers.append((w, b))
     return layers
@@ -110,11 +120,11 @@ class Tape:
     inputs: list = field(default_factory=list)  # input to each layer, post-activation
 
 
-def _as_batch(spec: ExtractorSpec, x) -> np.ndarray:
-    """Covariates as an (n, input_dim) matrix; a vector is one row."""
+def _as_batch(spec: ExtractorSpec, x, ndim: int = 2) -> np.ndarray:
+    """Covariates as an (n, input_dim) matrix, or up to ``ndim`` axes; a vector is one row."""
     x = np.asarray(x, dtype=float)
     a = x[None, :] if x.ndim == 1 else x
-    if a.ndim != 2 or a.shape[1] != spec.input_dim:
+    if not 2 <= a.ndim <= ndim or a.shape[-1] != spec.input_dim:
         raise DimensionMismatch(
             f"expected covariates of dimension {spec.input_dim}, got shape {x.shape}"
         )
@@ -127,18 +137,21 @@ def _activate(spec: ExtractorSpec, z: np.ndarray) -> np.ndarray:
 
 
 def forward(spec: ExtractorSpec, params: np.ndarray, x) -> tuple[np.ndarray, Tape]:
-    """Evaluate the extractor for training on (n, p) covariates; a vector (p,) is one row.
+    """Evaluate a stack of M extractors (M, P) for training on their minibatches (M, n, p).
 
-    Returns the (n, d) features and a tape for the backward pass.  A batch is
-    one matrix product per layer, so a row's last bits may depend on the batch.
+    Covariates (n, p) are every member's minibatch; one parameter vector (P,)
+    takes (n, p) covariates, and a vector (p,) is one row.  Returns the
+    (M, n, d) or (n, d) features and a tape for the backward pass.  A
+    minibatch is one matrix product per layer and member, so a row's last
+    bits may depend on its minibatch, never on the other members.
     """
-    a = _as_batch(spec, x)
+    a = _as_batch(spec, x, ndim=3)
     layers = split_params(spec, params)
     tape = Tape(spec=spec, layers=layers)
     for i, (w, b) in enumerate(layers):
         tape.inputs.append(a)
         a = a @ w
-        a += b
+        a += b[..., None, :]
         if i < len(layers) - 1:
             _activate(spec, a)
     return a, tape
@@ -147,11 +160,14 @@ def forward(spec: ExtractorSpec, params: np.ndarray, x) -> tuple[np.ndarray, Tap
 def features(spec: ExtractorSpec, params: np.ndarray, x) -> np.ndarray:
     """Extractor output at inference for one vector (p,) or a matrix (n, p); no tape.
 
-    Every row goes through each layer as its own (1, i) @ (i, o) product, the
-    product ``forward`` makes for a one-row batch, so each row's features
-    equal ``forward`` of that row alone, bit for bit, whatever the batch.
+    ``params`` is one flat vector.  Every row goes through each layer as its
+    own (1, i) @ (i, o) product, the product ``forward`` makes for a one-row
+    minibatch, so each row's features equal ``forward`` of that row alone, bit
+    for bit, whatever the batch.
     """
     a = _as_batch(spec, x)
+    if np.ndim(params) != 1:
+        raise DimensionMismatch(f"expected one parameter vector, got shape {np.shape(params)}")
     layers = split_params(spec, params)
     for i, (w, b) in enumerate(layers):
         z = np.matmul(a[:, None, :], w)[:, 0, :] + b
@@ -160,28 +176,30 @@ def features(spec: ExtractorSpec, params: np.ndarray, x) -> np.ndarray:
 
 
 def backward(spec: ExtractorSpec, tape: Tape, upstream) -> np.ndarray:
-    """Reverse-mode pass: the gradient w.r.t. the parameters the tape's forward pass read.
+    """Reverse-mode pass: the gradients w.r.t. the parameters the tape's forward pass read.
 
-    ``upstream`` is d(loss)/d(features), (n, d) like the forward output.  The
-    gradient is written layer by layer into one flat vector in the parameter
-    layout and is linear in ``upstream``.
+    ``upstream`` is d(loss)/d(features), (M, n, d) or (n, d) like the forward
+    output.  Each member's gradient is written layer by layer into one row of
+    an (M, P) array (one vector without the member axis) in the parameter
+    layout and is linear in its upstream rows.
     """
     if tape.spec != spec:
         raise TapeMismatch("tape was recorded under a different extractor spec")
     layers = tape.layers
     delta = np.asarray(upstream, dtype=float)
-    if delta.shape != (tape.inputs[0].shape[0], spec.output_dim):
+    members = layers[0][0].shape[:-2]
+    if delta.shape != members + (tape.inputs[0].shape[-2], spec.output_dim):
         raise DimensionMismatch(
             f"upstream shape {delta.shape} does not match the recorded forward pass"
         )
-    grad = np.empty(spec.param_count)
+    grad = np.empty(members + (spec.param_count,))
     grads = split_params(spec, grad)  # views of grad in the parameter layout
     for i in range(len(layers) - 1, -1, -1):
         (w, _), (grad_w, grad_b) = layers[i], grads[i]
-        np.matmul(tape.inputs[i].T, delta, out=grad_w)
-        delta.sum(axis=0, out=grad_b)
+        np.matmul(tape.inputs[i].mT, delta, out=grad_w)
+        delta.sum(axis=-2, out=grad_b)
         if i > 0:
-            delta = delta @ w.T
+            delta = delta @ w.mT
             # derivative of the hidden activation, reconstructed from its output
             h = tape.inputs[i]
             delta *= (1.0 - h * h) if spec.activation == "tanh" else (h > 0.0)

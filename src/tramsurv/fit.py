@@ -24,16 +24,24 @@ Training is plain minibatch SGD with separate learning rates for the
 transformation head and the feature extractor, gradient clipping at the
 global norm ``GRAD_CLIP``, an internal validation split, and early stopping
 that restores the parameters of the best validation epoch.  Everything is
-deterministic given the seed.  The likelihood reads a plan of the dataset,
-built once after the scaler is frozen (see ``_Plan``); each epoch gathers the
-shuffled training rows once and feeds the minibatches as contiguous slices
-of that gather.  The basis is elementwise in the rows, so a slice scores
-bitwise as the same rows computed alone, and the epoch NLLs gather their
-rows in a fixed order, so every sum keeps its order.
+deterministic given the seed.  One SGD loop trains a stack of M models (see
+``_run_sgd``): parameters are (M, P), every step carries a leading member
+axis, and every operation acts per member (stacked matrix products, dots
+and sums along the last axis), so a member's numbers do not depend on the
+members stacked with it.  ``fit`` is a stack of one; ``fit_ensemble`` fits
+its bootstrap members as contiguous stacks, one per worker process.  The
+likelihood reads a plan of the dataset, built once after the scaler is
+frozen (see ``_Plan``); each epoch gathers every member's shuffled training
+rows once and feeds the minibatches as contiguous slices of that gather.
+The basis is elementwise in the rows, so a slice scores bitwise as the same
+rows computed alone.  The epoch NLLs come from one pass over the plan's rows,
+whose terms each member gathers in the order of its rows, so every sum keeps
+its order; a matrix product gives a row the same bits in any batch of two or
+more rows.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import logging
 from typing import NamedTuple
 import warnings
@@ -64,6 +72,7 @@ from .transform import (
     coefficients,
     conditional_distribution,
     eval_transform,
+    head_size,
     init_head,
 )
 
@@ -114,7 +123,7 @@ class TrainConfig:
 
 @dataclass
 class ModelState:
-    """Mutable parameter state used while training."""
+    """The parameters of one model, as :func:`nll_batch` reads them."""
 
     spec: ModelSpec
     scaler: LogTimeScaler
@@ -184,86 +193,113 @@ class _Plan(NamedTuple):
         return cls(dataset.x, kind == CensoringKind.EXACT.code, left if left.any() else None,
                    interval if rows.size else None, log_t, basis, upper_log_t, upper_basis)
 
-    @property
-    def n(self) -> int:
-        return self.exact.shape[0]
-
     def take(self, rows) -> "_Plan":
-        """The rows an index array or a contiguous slice selects, in its order.
+        """The rows an index array selects, in its order, or a basic numpy index of the columns.
 
-        A slice keeps views; an index array copies.
+        An (M, n) index array gives a stack of M minibatches, and
+        ``(slice(None), s)`` the slice ``s`` of each member's rows.  An index
+        array copies; a basic index keeps views.
         """
 
+        by_index = isinstance(rows, np.ndarray)
+
         def gather(column):
-            if column is None:
-                return None
-            if isinstance(column, tuple):
-                return tuple(map(gather, column))
-            return column[rows] if isinstance(rows, slice) else column.take(rows, axis=0)
+            return column.take(rows, axis=0) if by_index else column[rows]
 
-        return _Plan(*map(gather, self))
+        return _Plan(*(
+            None if c is None else tuple(map(gather, c)) if isinstance(c, tuple) else gather(c)
+            for c in self
+        ))
+
+    def shared(self) -> "_Plan":
+        """The plan as one batch that every member of a stack scores: a unit member axis."""
+        return self.take(None)
 
 
-_NO_ROWS = np.zeros(0, dtype=np.intp)
+def _nll_core(spec: ModelSpec, scaler: LogTimeScaler, head, ext, plan: _Plan, want_grad: bool):
+    """Per-row NLL terms of a stack of M models, optionally with the gradients of their sums.
 
-
-def _nll_core(state: ModelState, plan: _Plan, want_grad: bool):
-    """Per-row NLL terms of a plan's rows, optionally with the gradient of their sum.
-
-    One transformation call covers every row at its lower time, and one
-    ``target.censored_nll`` call gives every row its term and z-derivative;
-    interval rows take a second transformation call at their upper time, on
-    their gathered coefficient rows, and overwrite their terms.
+    ``head`` (M, P_h) and ``ext`` (M, P_e) hold one model per row.  The plan
+    columns have a member axis: (M, n, ...) holds one minibatch per member,
+    (1, n, ...) one batch that every member scores.  Returns (M, n) terms and
+    (M, P_h + P_e) gradients.  One transformation call covers every row at
+    its lower time, and one ``target.censored_nll`` call gives every row its
+    term and z-derivative; each member's interval rows take a second
+    transformation call at their upper time, on that member's coefficients
+    of those rows, and overwrite their terms.  Every operation acts per
+    member, so a member's numbers are the bits a stack of one gives.
     """
-    spec = state.spec
     fam = spec.family
     if spec.uses_extractor:
-        feats, tape = feature.forward(spec.extractor, state.extractor_params, plan.x)
+        feats, tape = feature.forward(spec.extractor, ext, plan.x)
     else:
         feats = tape = None
-    coef, coef_pullback = coefficients(spec, state.head_params, feats)
-    exact = plan.exact
-    interval = _NO_ROWS if plan.interval is None else np.flatnonzero(plan.interval)
-    log_t = plan.log_t
-    h, dh, pullback = eval_transform(spec, coef, None, log_t, state.scaler, basis=plan.basis)
+    coef, coef_pullback = coefficients(spec, head, feats)
+    exact, log_t = plan.exact, plan.log_t
+    h, dh, pullback = eval_transform(spec, coef, None, log_t, scaler, basis=plan.basis)
     nll_z, up_h = target.censored_nll(fam, h, exact, plan.left)
     # -log f(t) = -(log f_Z(h) + log dh/dlog t - log t) on exact rows
-    log_dh = np.log(dh, out=np.zeros_like(dh), where=exact)
+    log_dh = np.log(dh, out=np.zeros(dh.shape), where=exact)
     terms = np.where(exact, -((log_dh - nll_z) - log_t), nll_z)
-    if interval.size:
-        h_lo = h[interval]
-        upper = plan.take(interval)
-        h_hi, _, pullback_hi = eval_transform(
-            spec, coef, interval, upper.upper_log_t, state.scaler, basis=upper.upper_basis
-        )
-        mass = _interval_mass(fam, h_lo, h_hi)
-        degenerate = mass < INTERVAL_MASS_FLOOR
-        if np.any(degenerate):
-            warnings.warn(
-                f"{int(np.sum(degenerate))} interval observation(s) carry no "
-                "probability mass; their likelihood contribution is clamped",
-                DegenerateIntervalWarning,
-                stacklevel=3,
-            )
-        terms[interval] = -np.log(np.maximum(mass, INTERVAL_MASS_FLOOR))
+    upper = [] if plan.interval is None else _upper_terms(spec, scaler, head, feats, plan, h, terms)
     if not want_grad:
         return terms, None
 
-    up_dh = np.divide(-1.0, dh, out=np.zeros_like(dh), where=exact)
-    if interval.size:
-        inv = np.where(degenerate, 0.0, 1.0 / np.maximum(mass, INTERVAL_MASS_FLOOR))
-        up_h[interval] = target.density(fam, h_lo) * inv
+    up_dh = np.divide(-1.0, dh, out=np.zeros(dh.shape), where=exact)
+    for m, rows, h_lo, _, inv, _, _ in upper:
+        up_h[m, rows] = target.density(fam, h_lo) * inv
     head_grad, d_feats = coef_pullback(pullback(up_h, up_dh))
-    if interval.size:
-        d_hi = pullback_hi(-target.density(fam, h_hi) * inv, np.zeros(interval.size))
-        grad_hi, d_feats_hi = coef_pullback(d_hi, interval)
-        head_grad += grad_hi
-        d_feats[interval] += d_feats_hi
+    for m, rows, _, h_hi, inv, member_pullback, pullback_hi in upper:
+        d_hi = pullback_hi(-target.density(fam, h_hi) * inv, np.zeros(rows.size))
+        grad_hi, d_feats_hi = member_pullback(d_hi, rows)
+        head_grad[m] += grad_hi
+        if d_feats is not None:
+            d_feats[m, rows] += d_feats_hi
     if spec.uses_extractor:
         ext_grad = feature.backward(spec.extractor, tape, d_feats)
     else:
-        ext_grad = np.zeros(0)
-    return terms, np.concatenate([head_grad, ext_grad])
+        ext_grad = np.zeros((head_grad.shape[0], 0))
+    return terms, np.concatenate([head_grad, ext_grad], axis=-1)
+
+
+def _upper_terms(spec, scaler, head, feats, plan: _Plan, h, terms) -> list:
+    """Overwrite the terms of every member's interval rows with -log of their CDF difference.
+
+    Returns, per member with interval rows, what the gradient reads: the
+    member, its rows, h at both ends, 1 / mass (0 where clamped), and the
+    pullbacks of the member's coefficients and of the upper transformation.
+    """
+    shape = terms.shape
+    interval = np.broadcast_to(plan.interval, shape)
+    upper_log_t = np.broadcast_to(plan.upper_log_t, shape)
+    upper_basis = plan.upper_basis and tuple(
+        np.broadcast_to(column, shape + column.shape[-1:]) for column in plan.upper_basis
+    )
+    out, degenerate_rows = [], 0
+    for m in range(shape[0]):
+        rows = np.flatnonzero(interval[m])
+        if not rows.size:
+            continue
+        coef, member_pullback = coefficients(spec, head[m], None if feats is None else feats[m])
+        h_hi, _, pullback_hi = eval_transform(
+            spec, coef, rows, upper_log_t[m, rows], scaler,
+            basis=upper_basis and tuple(column[m, rows] for column in upper_basis),
+        )
+        h_lo = h[m, rows]
+        mass = _interval_mass(spec.family, h_lo, h_hi)
+        degenerate = mass < INTERVAL_MASS_FLOOR
+        degenerate_rows += int(np.sum(degenerate))
+        terms[m, rows] = -np.log(np.maximum(mass, INTERVAL_MASS_FLOOR))
+        inv = np.where(degenerate, 0.0, 1.0 / np.maximum(mass, INTERVAL_MASS_FLOOR))
+        out.append((m, rows, h_lo, h_hi, inv, member_pullback, pullback_hi))
+    if degenerate_rows:
+        warnings.warn(
+            f"{degenerate_rows} interval observation(s) carry no "
+            "probability mass; their likelihood contribution is clamped",
+            DegenerateIntervalWarning,
+            stacklevel=4,
+        )
+    return out
 
 
 def nll_batch(state: ModelState, dataset: SurvivalDataset) -> tuple[float, np.ndarray]:
@@ -271,9 +307,10 @@ def nll_batch(state: ModelState, dataset: SurvivalDataset) -> tuple[float, np.nd
 
     A one-row dataset gives the NLL of one observation.
     """
-    plan = _Plan.of_dataset(dataset, state.spec, state.scaler)
-    terms, grad = _nll_core(state, plan, want_grad=True)
-    return float(np.sum(terms)), grad
+    plan = _Plan.of_dataset(dataset, state.spec, state.scaler).shared()
+    terms, grad = _nll_core(state.spec, state.scaler, state.head_params[None],
+                            state.extractor_params[None], plan, want_grad=True)
+    return float(np.sum(terms[0])), grad[0]
 
 
 def _check_input_dim(spec: ModelSpec, p: int):
@@ -283,94 +320,135 @@ def _check_input_dim(spec: ModelSpec, p: int):
         )
 
 
-def _mean_nll(state: ModelState, plan: _Plan, rows=None) -> float:
-    """Mean NLL of the plan rows ``rows`` (all of them when None), summed in their order."""
-    if rows is not None:
-        plan = plan.take(rows)
-    return np.sum(_nll_core(state, plan, want_grad=False)[0]) / plan.n
+def _mean_nll(spec: ModelSpec, scaler: LogTimeScaler, params, plan: _Plan, *row_sets) -> list:
+    """Mean NLLs of a stack of models (M, P) on rows of a plan, from one pass over its rows.
+
+    Each of ``row_sets`` gives every model its plan rows (an index array, or
+    None for all of them); its result is an (M,) array.  A mean sums the
+    model's terms of its rows gathered in their order.
+    """
+    n_head = head_size(spec)
+    terms = _nll_core(spec, scaler, params[:, :n_head], params[:, n_head:], plan.shared(), False)[0]
+    return [
+        np.array([np.sum(t if r is None else t.take(r)) / (t.size if r is None else r.size)
+                  for t, r in zip(terms, rows)])
+        for rows in row_sets
+    ]
+
+
+class _Member(NamedTuple):
+    """One model of an SGD stack: its seed and the plan rows it reads."""
+
+    seed: int
+    train: np.ndarray  # rows SGD trains on
+    val: np.ndarray  # rows early stopping reads
+    record: np.ndarray | None = None  # rows of the recorded train NLL; None for every row
+
+
+def _init_params(spec: ModelSpec, seed: int) -> np.ndarray:
+    """A model's initial parameters, head then extractor, as one flat vector."""
+    if not spec.uses_extractor:
+        return init_head(spec)
+    ext_seed = int(np.random.default_rng([seed, 1]).integers(2**63))
+    return np.concatenate([init_head(spec), feature.init_params(spec.extractor, ext_seed)])
 
 
 def _run_sgd(
     spec: ModelSpec,
     scaler: LogTimeScaler,
     plan: _Plan,
-    train_idx: np.ndarray,
-    val_idx: np.ndarray,
+    members: list,
     config: TrainConfig,
     callback=None,
-    record_idx: np.ndarray | None = None,
-) -> FittedModel:
-    """SGD on the plan rows ``train_idx``, early-stopped on the rows ``val_idx``.
+) -> list:
+    """SGD of a stack of models, one per :class:`_Member`, in one loop; a model per member.
 
-    The returned model records the mean NLL of the rows ``record_idx`` (the
-    whole plan when None) at its parameters.
+    Every member trains on its own rows (the same number for each), with
+    its own shuffles, gradient norms, clipping, best-epoch copy and early
+    stopping on its validation rows; ``config`` gives the rest.  A member that
+    stops leaves the stack.  A member's numbers do not depend on the other
+    members.  ``callback`` gets each member's :class:`EpochStats`, in stack
+    order, after every epoch.  A model records the mean NLL of its member's
+    record rows at its parameters.
     """
-    head = init_head(spec)
-    if spec.uses_extractor:
-        ext_seed = int(np.random.default_rng([config.seed, 1]).integers(2**63))
-        ext = feature.init_params(spec.extractor, ext_seed)
-    else:
-        ext = np.zeros(0)
-    state = ModelState(spec, scaler, head, ext)
-    n_head = head.size
-    rng = np.random.default_rng([config.seed, 2])
+    n_train = members[0].train.size
+    if any(m.train.size != n_train for m in members):
+        raise ValueError("the members of a stack need equally many training rows")
+    n_head = head_size(spec)
+    params = np.stack([_init_params(spec, m.seed) for m in members])
+    lr = np.full(params.shape[1], config.lr_extractor)
+    lr[:n_head] = config.lr_head
+    rngs = [np.random.default_rng([m.seed, 2]) for m in members]
+    n_batches = -(-n_train // config.batch_size)
 
-    best_val = np.inf
-    best_head, best_ext = head.copy(), ext.copy()
-    wait = 0
+    best = params.copy()  # row i: member i's best parameters
+    best_val = np.full(len(members), np.inf)
+    wait = np.zeros(len(members), dtype=int)
+    active = np.arange(len(members))  # the member of each stack row
+    head, ext = params[:, :n_head], params[:, n_head:]  # views, updated in place
     for epoch in range(config.epochs):
         # One gather per epoch; each minibatch is then a slice of views.
-        shuffled = plan.take(train_idx[rng.permutation(train_idx.size)])
-        norms = []
-        clipped = 0
-        for start in range(0, shuffled.n, config.batch_size):
-            batch = shuffled.take(slice(start, start + config.batch_size))
-            terms, g = _nll_core(state, batch, want_grad=True)
-            if not np.isfinite(np.sum(terms)):
+        order = np.stack([members[i].train[rngs[i].permutation(n_train)] for i in active])
+        shuffled = plan.take(order)
+        norms = np.empty((active.size, n_batches))
+        clipped = np.zeros(active.size, dtype=int)
+        for b in range(n_batches):
+            start = b * config.batch_size
+            batch = shuffled.take((slice(None), slice(start, start + config.batch_size)))
+            terms, g = _nll_core(spec, scaler, head, ext, batch, True)
+            if not np.isfinite(terms.sum(axis=-1)).all():
                 raise NonFiniteLoss(f"non-finite loss in epoch {epoch}")
-            g /= batch.n
-            norm = float(np.sqrt(g.dot(g)))  # np.linalg.norm's own sum, without its dispatch
-            norms.append(norm)
-            if norm > GRAD_CLIP:
-                g *= GRAD_CLIP / norm
-                clipped += 1
+            g /= terms.shape[1]
+            norms[:, b] = norm = np.sqrt(np.vecdot(g, g))
+            over = norm > GRAD_CLIP
+            if over.any():
+                g[over] *= (GRAD_CLIP / norm[over])[:, None]
+                clipped += over
             # In place: the best parameters are copies, never views of these.
-            g[:n_head] *= config.lr_head
-            g[n_head:] *= config.lr_extractor
-            state.head_params -= g[:n_head]
-            state.extractor_params -= g[n_head:]
-        # Free the shuffled rows before the epoch NLLs gather their own.
+            g *= lr
+            params -= g
+        # Free the shuffled rows before the epoch NLLs score the plan.
         del shuffled, batch
-        train_nll = _mean_nll(state, plan, train_idx)
-        val_nll = _mean_nll(state, plan, val_idx)
-        if not (np.isfinite(train_nll) and np.isfinite(val_nll)):
+        train_nll, val_nll = _mean_nll(spec, scaler, params, plan,
+                                       [members[i].train for i in active],
+                                       [members[i].val for i in active])
+        if not np.all(np.isfinite(train_nll) & np.isfinite(val_nll)):
             raise NonFiniteLoss(f"non-finite loss in epoch {epoch}")
-        stats = EpochStats(epoch, train_nll, val_nll, float(np.mean(norms)), clipped)
-        logger.info(
-            "epoch %d, train_nll %.6f, val_nll %.6f, grad_norm %.4f, clipped %d",
-            stats.epoch, stats.train_nll, stats.val_nll, stats.grad_norm, stats.clipped,
-        )
-        if callback is not None:
-            callback(stats)
-        if val_nll < best_val:
-            best_val = val_nll
-            best_head = state.head_params.copy()
-            best_ext = state.extractor_params.copy()
-            wait = 0
-        else:
-            wait += 1
-            if wait > config.early_stopping_patience:
+        keep = np.ones(active.size, dtype=bool)
+        for j, i in enumerate(active):
+            stats = EpochStats(epoch, float(train_nll[j]), float(val_nll[j]),
+                               float(np.mean(norms[j])), int(clipped[j]))
+            logger.info(
+                "epoch %d, train_nll %.6f, val_nll %.6f, grad_norm %.4f, clipped %d",
+                stats.epoch, stats.train_nll, stats.val_nll, stats.grad_norm, stats.clipped,
+            )
+            if callback is not None:
+                callback(stats)
+            if val_nll[j] < best_val[i]:
+                best_val[i] = val_nll[j]
+                best[i] = params[j]
+                wait[i] = 0
+            else:
+                wait[i] += 1
+                keep[j] = wait[i] <= config.early_stopping_patience
+        if not keep.all():
+            active, params = active[keep], params[keep]
+            head, ext = params[:, :n_head], params[:, n_head:]
+            if not active.size:
                 break
 
-    train_nll = _mean_nll(ModelState(spec, scaler, best_head, best_ext), plan, record_idx)
-    return FittedModel(
-        spec=spec,
-        scaler=scaler,
-        head_params=best_head,
-        extractor_params=best_ext,
-        train_nll=float(train_nll),
-        validation_nll=float(best_val),
-    )
+    (record_nll,) = _mean_nll(spec, scaler, best, plan, [m.record for m in members])
+    return [
+        FittedModel(
+            spec=spec,
+            scaler=scaler,
+            head_params=best[i, :n_head].copy(),
+            extractor_params=best[i, n_head:].copy(),
+            train_nll=float(record_nll[i]),
+            validation_nll=float(best_val[i]),
+        )
+        for i in range(len(members))
+    ]
 
 
 def fit(
@@ -419,7 +497,8 @@ def fit(
     # record rows) at the returned parameters, so re-evaluating that dataset
     # reproduces it exactly.
     plan = _Plan.of_dataset(dataset, spec, scaler)
-    return _run_sgd(spec, scaler, plan, train_idx, val_idx, config, callback)
+    member = _Member(config.seed, train_idx, val_idx)
+    return _run_sgd(spec, scaler, plan, [member], config, callback)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +527,27 @@ def _bootstrap_indices(rng, events: np.ndarray, n: int) -> np.ndarray:
     raise AllCensored("bootstrap resampling failed to draw an exact observation")
 
 
-def _fit_member(args):
-    dataset, spec, config, scaler, member = args
+def _bootstrap_member(dataset: SurvivalDataset, config: TrainConfig, member: int) -> _Member:
+    """Ensemble member ``member``: its seed, a bootstrap resample and its out-of-bag rows.
+
+    The model records its NLL on the resample, and validates on every row
+    when none is out of bag.
+    """
     n = dataset.n
     events = dataset.kind == CensoringKind.EXACT.code
-    rng = np.random.default_rng([config.seed, 3, member])
-    boot = _bootstrap_indices(rng, events, n)
+    boot = _bootstrap_indices(np.random.default_rng([config.seed, 3, member]), events, n)
     oob = np.setdiff1d(np.arange(n), boot)
-    if oob.size == 0:
-        oob = np.arange(n)
-    member_seed = int(np.random.default_rng([config.seed, 4, member]).integers(2**63))
-    member_config = replace(config, seed=member_seed)
+    seed = int(np.random.default_rng([config.seed, 4, member]).integers(2**63))
+    return _Member(seed, boot, oob if oob.size else np.arange(n), boot)
+
+
+def _fit_stack(args) -> list:
+    """Fit the ensemble members ``members`` as one SGD stack; (member, seed, model) each."""
+    dataset, spec, config, scaler, members = args
+    stack = [_bootstrap_member(dataset, config, member) for member in members]
     plan = _Plan.of_dataset(dataset, spec, scaler)
-    model = _run_sgd(spec, scaler, plan, boot, oob, member_config, record_idx=boot)
-    return member, member_seed, model
+    models = _run_sgd(spec, scaler, plan, stack, config)
+    return [(member, m.seed, model) for member, m, model in zip(members, stack, models)]
 
 
 def fit_ensemble(
@@ -477,25 +563,29 @@ def fit_ensemble(
 
     Each member trains on a bootstrap resample (n draws with replacement) and
     validates on its out-of-bag observations; all members share the scaler
-    fitted to the full dataset.  Selection sorts by (validation NLL, member
-    seed), so the result is deterministic even when members are fitted in
-    parallel worker processes (``jobs > 1``).
+    fitted to the full dataset.  The members are split into
+    ``min(jobs, n_members)`` contiguous stacks, each fitted by one SGD loop:
+    in this process for one stack, else one stack per worker process.  A
+    member's model does not depend on its stack, so neither does the result
+    on ``jobs``; selection sorts by (validation NLL, member seed).
     """
     if not 1 <= top_m <= n_members:
         raise BadConfig("need 1 <= top_m <= n_members")
+    if jobs < 1:
+        raise BadConfig(f"jobs must be >= 1, got {jobs}")
     validate_dataset(dataset, for_fitting=True)
     _check_input_dim(spec, dataset.p)
     if config is None:
         config = TrainConfig.from_model_spec(spec)
     scaler = fit_scaler(dataset)
 
-    tasks = [(dataset, spec, config, scaler, m) for m in range(n_members)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_fit_member, tasks))
+    stacks = np.array_split(np.arange(n_members), min(jobs, n_members))
+    tasks = [(dataset, spec, config, scaler, stack.tolist()) for stack in stacks]
+    if len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            results = [r for stack in pool.map(_fit_stack, tasks) for r in stack]
     else:
-        results = [_fit_member(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+        results = _fit_stack(tasks[0])
 
     order = sorted(range(n_members), key=lambda m: (results[m][2].validation_nll, results[m][1]))
     selected = order[:top_m]

@@ -7,7 +7,7 @@ censoring-adjusted form: the squared CDF below the observed time always
 counts; the squared survivor above it counts only for exact observations.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 import json
 import math
 
@@ -94,7 +94,8 @@ def crps(dist, t, event, t_max: float):
     dist
         Predicted distribution exposing vectorized ``cdf`` and ``survivor``;
         for arrays ``t`` and ``event``, a batch with one subject per entry
-        that also exposes ``subject(rows)``.
+        whose ``cdf(u, rows)`` and ``survivor(u, rows)`` read the subjects
+        ``rows``.
     t : float or array
         Observed (or censoring) times; none may exceed ``t_max``.  A scalar
         gives a float, an array one score per entry.
@@ -114,12 +115,15 @@ def crps(dist, t, event, t_max: float):
         raise InvertedInterval(
             f"observation time {times.max()} exceeds the integration limit {t_max}"
         )
-    at = (lambda rows: dist) if np.ndim(t) == 0 else dist.subject
-    score = simpson_doubling(lambda u, rows: np.square(at(rows).cdf(u)),
+    if np.ndim(t) == 0:
+        cdf, survivor = (lambda u, rows: dist.cdf(u)), (lambda u, rows: dist.survivor(u))
+    else:
+        cdf, survivor = dist.cdf, dist.survivor
+    score = simpson_doubling(lambda u, rows: np.square(cdf(u, rows)),
                              np.zeros_like(times), np.nextafter(times, 0.0))
     # censored entries get an empty upper range, which integrates to 0.0
     above = np.nextafter(times, np.inf)
-    score += simpson_doubling(lambda u, rows: np.square(at(rows).survivor(u)),
+    score += simpson_doubling(lambda u, rows: np.square(survivor(u, rows)),
                               above, np.where(event, t_max, above))
     return float(score[0]) if np.ndim(t) == 0 else score
 
@@ -141,7 +145,8 @@ class EvaluationReport:
     t_max: float
 
     def to_json(self) -> str:
-        doc = asdict(self)
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["per_subject"] = [{"nll": s.nll, "crps": s.crps} for s in self.per_subject]
         return json.dumps(doc, indent=2, allow_nan=False)
 
 

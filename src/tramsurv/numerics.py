@@ -4,8 +4,8 @@ import numpy as np
 
 
 def _as_float(z):
-    scalar = np.ndim(z) == 0
-    return np.asarray(z, dtype=float), scalar
+    z = np.asarray(z, dtype=float)
+    return z, z.ndim == 0
 
 
 def softplus(z):

@@ -36,6 +36,17 @@ from .errors import BisectionNonConvergence, DimensionMismatch
 from .numerics import logsumexp, sigmoid, softplus, softplus_inv
 
 
+# head length per parameterization as (multiple of k, multiple of d, constant)
+_HEAD_LAYOUT = {
+    Parameterization.BASELINE: (1, 0, 0),
+    Parameterization.LINEAR_SHIFT: (0, 1, 2),
+    Parameterization.LINEAR_SCALE: (0, 1, 1),
+    Parameterization.BERNSTEIN_SHIFT: (1, 1, 0),
+    Parameterization.BERNSTEIN_SHIFT_SCALE: (1, 2, 0),
+    Parameterization.BERNSTEIN_FLEXIBLE: (0, 0, 0),
+}
+
+
 def head_size(spec: ModelSpec) -> int:
     """Length of the flat head vector.
 
@@ -45,16 +56,9 @@ def head_size(spec: ModelSpec) -> int:
     bernstein_shift_scale ``gamma[k], w[d], beta[d]``; bernstein_flexible
     nothing, since all its parameters live in the extractor.
     """
-    k = spec.bernstein_order + 1
+    per_k, per_d, const = _HEAD_LAYOUT[spec.parameterization]
     d = spec.extractor.output_dim if spec.extractor is not None else 0
-    return {
-        Parameterization.BASELINE: k,
-        Parameterization.LINEAR_SHIFT: 2 + d,
-        Parameterization.LINEAR_SCALE: 1 + d,
-        Parameterization.BERNSTEIN_SHIFT: k + d,
-        Parameterization.BERNSTEIN_SHIFT_SCALE: k + 2 * d,
-        Parameterization.BERNSTEIN_FLEXIBLE: 0,
-    }[spec.parameterization]
+    return per_k * (spec.bernstein_order + 1) + per_d * d + const
 
 
 def init_head(spec: ModelSpec) -> np.ndarray:
@@ -90,8 +94,10 @@ class Coefficients(NamedTuple):
 
     A field holds one value for every row, or one per row on a leading axis:
     ``theta`` is (k,) or (n, k); ``s``, ``c`` and ``m`` are scalars or (n,).
-    ``theta`` is None for the linear parameterizations (s = 0), ``m`` for the
-    Bernstein ones (m = 0).
+    A stack of M models adds a member axis first, and a member's value shared
+    by its rows keeps a unit row axis: ``theta`` is (M, 1, k) or (M, n, k),
+    the others (M, 1) or (M, n).  ``theta`` is None for the linear
+    parameterizations (s = 0), ``m`` for the Bernstein ones (m = 0).
     """
 
     theta: np.ndarray | None
@@ -118,6 +124,11 @@ def _at(v: np.ndarray, rows) -> np.ndarray:
     return v if rows is None else v[rows]
 
 
+def _rows_dot(f: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """f^T d summed over the rows of each member: (..., n, j) and (..., n) give (..., j)."""
+    return (f.mT @ d[..., None])[..., 0]
+
+
 def coefficients(spec: ModelSpec, head: np.ndarray, features):
     """Per-subject coefficients of h, with their pullback.
 
@@ -131,38 +142,48 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
     - linear_scale: s = 0, c = a, m = softplus(f.w).
 
     ``head`` is the flat head vector of :func:`head_size` (another length
-    raises :class:`DimensionMismatch`); ``features`` is one subject's
-    extractor output or one row per subject.  ``pullback(d, rows=None)`` maps
-    the output of :func:`eval_transform`'s pullback at the coefficient rows
-    ``rows`` (all when None) to the head gradient and those rows' feature
-    sensitivities.
+    raises :class:`DimensionMismatch`) and ``features`` one subject's
+    extractor output or one row per subject.  A stack of M heads (M, P_h)
+    takes (M, n, d) features, one minibatch per member, and gives stacked
+    fields (see :class:`Coefficients`); a member's coefficients are the bits
+    its head alone gives.  ``pullback(d, rows=None)`` maps the
+    output of :func:`eval_transform`'s pullback at the coefficient rows
+    ``rows`` (all when None) to the head gradient, shaped like ``head``, and
+    those rows' feature sensitivities (None without an extractor).
     """
     head = np.asarray(head, dtype=float)
-    if head.shape != (head_size(spec),):
+    if head.ndim not in (1, 2) or head.shape[-1] != head_size(spec):
         raise DimensionMismatch(
             f"expected {head_size(spec)} head parameters, got shape {head.shape}"
         )
+    members = head.shape[:-1]
+    # a member's head values broadcast over the rows of its minibatch
+    per_row = head[:, None, :] if members else head
     p = spec.parameterization
     f = np.asarray(features, dtype=float) if spec.uses_extractor else None
 
+    # the head gradient joins (..., j) pieces on the last axis; a scalar's piece is (..., 1)
     if p == Parameterization.LINEAR_SHIFT:
-        a, b_raw, w = head[0], head[1], head[2:]
+        w = per_row[..., 2:]
 
         def pullback(d, rows=None):
-            d_head = [[np.sum(d.c), sigmoid(b_raw) * np.sum(d.m)], _at(f, rows).T @ d.c]
-            return np.concatenate(d_head), d.c[:, None] * w
+            d_b = sigmoid(head[..., 1:2]) * d.m.sum(axis=-1, keepdims=True)
+            d_head = [d.c.sum(axis=-1, keepdims=True), d_b, _rows_dot(_at(f, rows), d.c)]
+            return np.concatenate(d_head, axis=-1), d.c[..., None] * w
 
-        return Coefficients(None, 0.0, a + _rowdot(f, w), softplus(b_raw)), pullback
+        c = per_row[..., 0] + _rowdot(f, w)
+        return Coefficients(None, 0.0, c, softplus(per_row[..., 1])), pullback
 
     if p == Parameterization.LINEAR_SCALE:
-        a, w = head[0], head[1:]
+        w = per_row[..., 1:]
         r = _rowdot(f, w)
 
         def pullback(d, rows=None):
             d_r = sigmoid(_at(r, rows)) * d.m
-            return np.concatenate([[np.sum(d.c)], _at(f, rows).T @ d_r]), d_r[:, None] * w
+            d_head = [d.c.sum(axis=-1, keepdims=True), _rows_dot(_at(f, rows), d_r)]
+            return np.concatenate(d_head, axis=-1), d_r[..., None] * w
 
-        return Coefficients(None, 0.0, a, softplus(r)), pullback
+        return Coefficients(None, 0.0, per_row[..., 0], softplus(r)), pullback
 
     k = spec.bernstein_order + 1
     if p == Parameterization.BERNSTEIN_FLEXIBLE:
@@ -172,29 +193,30 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
                 "flexible parameterization needs extractor output of dimension order + 1"
             )
         return Coefficients(monotone_reparam(f), 1.0, 0.0, None), lambda d, rows=None: (
-            np.zeros(0), monotone_reparam_vjp(_at(f, rows), d.theta)
+            np.zeros(members + (0,)), monotone_reparam_vjp(_at(f, rows), d.theta)
         )
 
     # baseline, bernstein_shift and bernstein_shift_scale share one theta
     d_out = 0 if f is None else spec.extractor.output_dim
-    gamma, w, beta = head[:k], head[k : k + d_out], head[k + d_out :]
+    gamma = head[..., :k]
+    w, beta = per_row[..., k : k + d_out], per_row[..., k + d_out :]
     r = _rowdot(f, beta) if p == Parameterization.BERNSTEIN_SHIFT_SCALE else None
 
     def pullback(d, rows=None):
         grads = [monotone_reparam_vjp(gamma, d.theta)]
         if f is None:
-            return grads[0], np.zeros((d.c.size, 0))
-        grads.append(_at(f, rows).T @ d.c)
-        d_feats = d.c[:, None] * w
+            return grads[0], None
+        grads.append(_rows_dot(_at(f, rows), d.c))
+        d_feats = d.c[..., None] * w
         if r is not None:
             d_r = sigmoid(_at(r, rows)) * d.s
-            grads.append(_at(f, rows).T @ d_r)
-            d_feats += d_r[:, None] * beta
-        return np.concatenate(grads), d_feats
+            grads.append(_rows_dot(_at(f, rows), d_r))
+            d_feats += d_r[..., None] * beta
+        return np.concatenate(grads, axis=-1), d_feats
 
     s = 1.0 if r is None else softplus(r)
     c = 0.0 if f is None else _rowdot(f, w)
-    return Coefficients(monotone_reparam(gamma), s, c, None), pullback
+    return Coefficients(monotone_reparam(per_row[..., :k]), s, c, None), pullback
 
 
 def basis_rows(spec: ModelSpec, log_t, scaler: LogTimeScaler):
@@ -208,19 +230,19 @@ def eval_transform(
     """h = s * b(u)^T theta + c + m * log t and dh/dlog t at ``log_t``, with their pullback.
 
     ``rows`` is the coefficient row each log-time of a vector reads (an index
-    array).  With None, per-row coefficients broadcast over the trailing axes
-    of an (n, ...) ``log_t`` (row i reads ``log_t[i]``), and shared ones over
-    any shape.  ``basis`` takes rows :func:`basis_rows` precomputed at
-    ``log_t``.  ``pullback(upstream_h, upstream_dh)`` returns
-    :class:`Coefficients` sensitivities, one per time of a vector, except
-    that a theta shared by every row comes summed.  A linear dh/dlog t is a
-    read-only broadcast of m.
+    array); with None the fields broadcast against ``log_t`` as numpy
+    broadcasts them: per-row ones over a vector, shared ones over any shape,
+    and a stack's (M, ...) fields over its (M, n) log-times.  ``basis`` takes
+    rows :func:`basis_rows` precomputed at ``log_t``.
+    ``pullback(upstream_h, upstream_dh)`` returns :class:`Coefficients`
+    sensitivities, one per time of a vector or of a stack's (M, n), except
+    that a theta shared by the rows (every parameterization but
+    bernstein_flexible) comes summed over them, (k,) or (M, k).  A linear
+    dh/dlog t is a read-only broadcast of m.
     """
     log_t = np.atleast_1d(np.asarray(log_t, dtype=float))
     if rows is not None:
         coef = coef.take(rows)
-    elif log_t.ndim > 1:  # per-row fields get unit axes to broadcast over log_t's trailing axes
-        coef = coef.take((slice(None),) + (None,) * (log_t.ndim - 1))
     theta, s, c, m = coef
 
     if theta is None:  # s = 0: h is affine in log t
@@ -228,7 +250,8 @@ def eval_transform(
         def pullback(uh, ud):
             return Coefficients(None, None, uh, uh * log_t + ud)
 
-        return c + m * log_t, np.broadcast_to(m, log_t.shape), pullback
+        h = c + m * log_t
+        return h, np.broadcast_to(m, h.shape), pullback
 
     # m = 0
     basis_v, deriv_v = basis_rows(spec, log_t, scaler) if basis is None else basis
@@ -237,10 +260,10 @@ def eval_transform(
 
     def pullback(uh, ud):
         us, uds = uh * s, ud * s / span
-        if np.ndim(theta) == 2:
-            d_theta = basis_v * us[:, None] + deriv_v * uds[:, None]
+        if spec.parameterization != Parameterization.BERNSTEIN_FLEXIBLE:
+            d_theta = _rows_dot(basis_v, us) + _rows_dot(deriv_v, uds)
         else:
-            d_theta = basis_v.T @ us + deriv_v.T @ uds
+            d_theta = basis_v * us[..., None] + deriv_v * uds[..., None]
         return Coefficients(d_theta, uh * base + ud * base_d, uh, None)
 
     return s * base + c, s * base_d, pullback
@@ -317,28 +340,30 @@ def _of_h(fn):
 class Pointwise:
     """``cdf``, ``survivor``, ``pdf``, their logs and ``quantile``, written once.
 
-    A subclass supplies ``at_log_time(of_transform, log_t, log)`` and
+    A subclass supplies ``at_log_time(of_transform, log_t, log, rows)`` and
     ``newton_problem(p, subjects)``.  One ``np.log`` of the whole time array:
     times t <= 0 and t = +inf, only when present, are replaced by 1.0 first
-    and get their limits afterwards.
+    and get their limits afterwards.  ``cdf`` and ``survivor`` of a batch
+    take ``rows``, the subjects (an index array) of the first axis of ``t``,
+    so a quadrature reads its rows without slicing the batch first.
     """
 
-    def _apply(self, t, of_transform, at_zero: float, at_inf: float, log: bool = False):
+    def _apply(self, t, of_transform, at_zero: float, at_inf: float, log: bool = False, rows=None):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         zero, infinite = t_arr <= 0.0, np.isposinf(t_arr)
         special = zero | infinite
         present = special.any()
         log_t = np.log(np.where(special, 1.0, t_arr) if present else t_arr)
-        out = self.at_log_time(of_transform, log_t, log)
+        out = self.at_log_time(of_transform, log_t, log, rows)
         if present:
             out[zero], out[infinite] = at_zero, at_inf
         return float(out[0]) if np.ndim(t) == 0 else out
 
-    def cdf(self, t):
-        return self._apply(t, _of_h(target.cdf), 0.0, 1.0)
+    def cdf(self, t, rows=None):
+        return self._apply(t, _of_h(target.cdf), 0.0, 1.0, rows=rows)
 
-    def survivor(self, t):
-        return self._apply(t, _of_h(target.survivor), 1.0, 0.0)
+    def survivor(self, t, rows=None):
+        return self._apply(t, _of_h(target.survivor), 1.0, 0.0, rows=rows)
 
     def log_cdf(self, t):
         return self._apply(t, _of_h(target.log_cdf), -np.inf, 0.0, log=True)
@@ -392,9 +417,11 @@ class ConditionalDistribution(Pointwise):
         """Row ``i`` of a batch, or the batch of the rows an index array ``i`` selects."""
         return ConditionalDistribution(self.spec, self.coef.take(i), self.scaler)
 
-    def check_subjects(self, values: np.ndarray):
-        """For a batch, require the leading axis of ``values`` to index its subjects."""
+    def check_subjects(self, values: np.ndarray, rows=None):
+        """For a batch, require the leading axis of ``values`` to index its subjects (or ``rows``)."""
         n = self.n_subjects
+        if n is not None and rows is not None:
+            n = len(rows)
         if n is not None and values.shape[:1] != (n,):
             raise DimensionMismatch(
                 f"expected a leading axis of {n} subjects, got shape {values.shape}"
@@ -439,10 +466,15 @@ class ConditionalDistribution(Pointwise):
             )
         return z, lo, hi
 
-    def at_log_time(self, of_transform, log_t, log: bool = False):
-        """``of_transform`` at finite log-times (``log`` only matters to a mixture)."""
-        self.check_subjects(log_t)
-        h, dh, _ = eval_transform(self.spec, self.coef, None, log_t, self.scaler)
+    def at_log_time(self, of_transform, log_t, log: bool = False, rows=None):
+        """``of_transform`` at finite log-times of the subjects ``rows`` (all when None).
+
+        ``log`` only matters to a mixture.
+        """
+        self.check_subjects(log_t, rows)
+        # one gather of the rows, with unit axes to broadcast over log_t's trailing axes
+        index = (slice(None) if rows is None else rows,) + (None,) * (log_t.ndim - 1)
+        h, dh, _ = eval_transform(self.spec, self.coef.take(index), None, log_t, self.scaler)
         return of_transform(self.spec.family, h, dh, log_t)
 
     def newton_problem(self, p, subjects):
@@ -471,14 +503,14 @@ class EnsembleDistribution(Pointwise):
         """Mixture of row ``i`` of a batch, or of the rows an index array ``i`` selects."""
         return EnsembleDistribution([m.subject(i) for m in self.members])
 
-    def at_log_time(self, of_transform, log_t, log: bool = False):
-        """The members' values at finite log-times, combined into the mixture's."""
+    def at_log_time(self, of_transform, log_t, log: bool = False, rows=None):
+        """The members' values at finite log-times of the subjects ``rows``, combined."""
         if log:
-            values = np.array([m.at_log_time(of_transform, log_t) for m in self.members])
+            values = np.array([m.at_log_time(of_transform, log_t, rows=rows) for m in self.members])
             return logsumexp(values, axis=0) - np.log(len(self.members))
-        total = self.members[0].at_log_time(of_transform, log_t)
+        total = self.members[0].at_log_time(of_transform, log_t, rows=rows)
         for m in self.members[1:]:
-            total += m.at_log_time(of_transform, log_t)
+            total += m.at_log_time(of_transform, log_t, rows=rows)
         return total / len(self.members)
 
     def newton_problem(self, p, subjects):

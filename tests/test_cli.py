@@ -287,12 +287,13 @@ class TestFitCommand:
         ("fit", [], {"lr_head": "fast"}),
         ("fit", ["--seed", "-1"], {}),
         ("ensemble", ["--members", "2", "--top", "3"], {}),
+        ("ensemble", ["--members", "2", "--top", "1", "--jobs", "0"], {}),
         ("sample", ["--replication", "0"], {}),
         ("fit", [], {"hidden_dims": [0]}),
         ("sample", ["--seed", str(2**128)], {}),
     ],
     ids=["epochs", "batch_size", "validation_fraction", "bernstein_order", "epochs-text",
-         "lr-text", "negative-seed", "top-above-members", "replication", "hidden-dims-zero",
+         "lr-text", "negative-seed", "top-above-members", "jobs-zero", "replication", "hidden-dims-zero",
          "seed-too-large"],
 )
 def test_out_of_range_config_fails_with_code(

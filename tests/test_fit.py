@@ -1,3 +1,5 @@
+from collections import Counter
+import sys
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from tramsurv.core import (
 )
 from tramsurv.errors import (
     AllCensored,
+    BadConfig,
     DegenerateIntervalWarning,
     DimensionMismatch,
     EmptyDataset,
@@ -26,7 +29,9 @@ from tramsurv.fit import (
     TrainConfig,
     _mean_nll,
     _nll_core,
+    _Member,
     _Plan,
+    _bootstrap_member,
     _run_sgd,
     fit,
     fit_ensemble,
@@ -49,6 +54,13 @@ def _linear_shift_model(family, a=0.0, b=1.0, w=(0.0,)):
         spec, LogTimeScaler(0.0, 1.0), np.concatenate([[a, softplus_inv(b)], w]),
         identity_params(spec.extractor),
     )
+
+
+def _core(state, plan, want_grad):
+    """``_nll_core`` of one model on one (unstacked) plan: its terms and gradient."""
+    terms, grad = _nll_core(state.spec, state.scaler, state.head_params[None],
+                            state.extractor_params[None], plan.shared(), want_grad)
+    return terms[0], None if grad is None else grad[0]
 
 
 def _one_row(obs):
@@ -108,7 +120,7 @@ class TestNllBatch:
         total, _ = nll_batch(state, _one_row(obs))
         batch = SurvivalDataset.from_observations([obs, Observation.right_censored(0.7, [-0.2])])
         plan = _Plan.of_dataset(batch, state.spec, state.scaler)
-        np.testing.assert_allclose(total, _nll_core(state, plan, False)[0][0], rtol=1e-14)
+        np.testing.assert_allclose(total, _core(state, plan, False)[0][0], rtol=1e-14)
 
     def test_rejects_non_positive_time(self):
         state = _linear_shift_model(TargetFamily.LOGISTIC)
@@ -221,12 +233,13 @@ def _gradient_max_rel_err(spec, rng, draws=3):
     return worst
 
 
-def _spec_for(parameterization, family, order=3, p=2):
+def _spec_for(parameterization, family, order=3, p=2, activation="tanh"):
     if parameterization == Parameterization.BASELINE:
         extractor = None
     else:
         d = order + 1 if parameterization == Parameterization.BERNSTEIN_FLEXIBLE else 2
-        extractor = ExtractorSpec(input_dim=p, hidden_dims=(4,), output_dim=d)
+        extractor = ExtractorSpec(input_dim=p, hidden_dims=(4,), output_dim=d,
+                                  activation=activation)
     return ModelSpec(
         family=family, parameterization=parameterization, bernstein_order=order,
         extractor=extractor,
@@ -268,12 +281,13 @@ class TestTrainingPlan:
         without_intervals = dataset.take(np.flatnonzero(dataset.kind != 3))
         for data in (dataset, without_intervals):
             order = rng.permutation(data.n)
-            shuffled = _Plan.of_dataset(data, spec, scaler).take(order)
+            # a stack of one member, as _run_sgd gathers and slices it
+            shuffled = _Plan.of_dataset(data, spec, scaler).take(order[None])
             for start in range(0, data.n, 16):  # the last batch is short
-                batch = shuffled.take(slice(start, start + 16))
+                batch = shuffled.take((slice(None), slice(start, start + 16)))
                 rows = _Plan.of_dataset(data.take(order[start : start + 16]), spec, scaler)
-                terms, grad = _nll_core(state, batch, want_grad=True)
-                ref_terms, ref_grad = _nll_core(state, rows, want_grad=True)
+                terms, grad = _nll_core(spec, scaler, head[None], ext[None], batch, True)
+                ref_terms, ref_grad = _core(state, rows, want_grad=True)
                 assert terms.tobytes() == ref_terms.tobytes()
                 assert grad.tobytes() == ref_grad.tobytes()
 
@@ -283,6 +297,78 @@ class TestTrainingPlan:
             with pytest.raises(NonPositiveTime) as info:
                 nll_batch(state, with_bad)
             assert info.value.code == "E_NON_POSITIVE_TIME"
+
+
+class TestStackedMembers:
+    """A stack of M models computes each member's numbers as a stack of one does, bit for bit."""
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("parameterization", list(Parameterization))
+    @pytest.mark.parametrize("family", list(TargetFamily))
+    def test_stacked_core_equals_one_member_calls(self, family, parameterization, activation):
+        seed = 900 + 10 * list(Parameterization).index(parameterization)
+        rng = np.random.default_rng(seed + list(TargetFamily).index(family))
+        spec = _spec_for(parameterization, family, activation=activation)
+        dataset = SurvivalDataset.from_observations(
+            [obs for _ in range(5) for obs in _random_batch(rng, 2)]
+        )
+        scaler = fit_scaler(dataset)
+        plan = _Plan.of_dataset(dataset, spec, scaler)
+        members = 4
+        head = init_head(spec) + 0.4 * rng.normal(size=(members, head_size(spec)))
+        ext = np.zeros((members, 0))
+        if spec.extractor is not None:
+            seeds = rng.integers(1 << 32, size=members)
+            ext = np.stack([init_params(spec.extractor, int(s)) for s in seeds])
+        for rows in (16, 1):
+            idx = rng.integers(0, dataset.n, size=(members, rows))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateIntervalWarning)
+                terms, grad = _nll_core(spec, scaler, head, ext, plan.take(idx), True)
+                for m in range(members):
+                    alone = _nll_core(spec, scaler, head[m : m + 1], ext[m : m + 1],
+                                      plan.take(idx[m : m + 1]), True)
+                    assert terms[m].tobytes() == alone[0].tobytes()
+                    assert grad[m].tobytes() == alone[1].tobytes()
+        assert terms.shape == (members, 1)
+        assert grad.shape == (members, head.shape[1] + ext.shape[1])
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("parameterization", list(Parameterization))
+    @pytest.mark.parametrize("family", list(TargetFamily))
+    def test_member_model_does_not_depend_on_its_stack(self, family, parameterization, activation):
+        """A member's model is the same bytes in a stack of 1, 3 or 6, with jobs 1 or 2,
+        and while other members of its stack stop early."""
+        seed = 950 + 10 * list(Parameterization).index(parameterization)
+        rng = np.random.default_rng(seed + list(TargetFamily).index(family))
+        spec = _spec_for(parameterization, family, activation=activation)
+        dataset = SurvivalDataset.from_observations(
+            [obs for _ in range(5) for obs in _random_batch(rng, 2)]
+        )
+        assert set(dataset.kind.tolist()) == {0, 1, 2, 3}
+        # large steps, so validation NLLs turn up and members stop at different epochs
+        config = TrainConfig(epochs=12, batch_size=16, early_stopping_patience=0, seed=7,
+                             lr_head=1.0, lr_extractor=0.3)
+        scaler = fit_scaler(dataset)
+        plan = _Plan.of_dataset(dataset, spec, scaler)
+        members = [_bootstrap_member(dataset, config, m) for m in range(6)]
+
+        def blobs(stack, callback=None):
+            return [serialize_model(m) for m in _run_sgd(spec, scaler, plan, stack, config, callback)]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateIntervalWarning)
+            per_epoch = Counter()  # members still in the stack at each epoch
+            whole = blobs(members, lambda stats: per_epoch.update([stats.epoch]))
+            alone = [b for m in members for b in blobs([m])]
+            halves = blobs(members[:3]) + blobs(members[3:])
+            ensembles = [fit_ensemble(dataset, spec, config, n_members=6, top_m=6, jobs=jobs)
+                         for jobs in (1, 2)]
+        # some member left the stack while another trained on
+        assert len(set(per_epoch.values())) > 1
+        assert whole == alone == halves
+        for ens in ensembles:
+            assert [serialize_model(m) for m in ens.members] == [alone[i] for i in ens.selected_indices]
 
 
 def _exponential_dataset(rng, n, w_true=(0.5, -0.3), x_range=1.0):
@@ -319,13 +405,14 @@ class TestBestEpochRestore:
         val_idx, train_idx = perm[:30], perm[30:]
         stats = []
         config = TrainConfig.from_model_spec(self.SPEC, batch_size=16)
-        model = _run_sgd(self.SPEC, scaler, plan, train_idx, val_idx, config, stats.append)
+        member = _Member(config.seed, train_idx, val_idx)
+        (model,) = _run_sgd(self.SPEC, scaler, plan, [member], config, stats.append)
         # patience stopped the run after worse epochs, before the epoch limit
         best = min(range(len(stats)), key=lambda e: stats[e].val_nll)
         assert best < len(stats) - 1 < self.SPEC.epochs - 1
         assert stats[-1].val_nll > model.validation_nll == stats[best].val_nll
-        state = ModelState(self.SPEC, scaler, model.head_params, model.extractor_params)
-        rescored = _mean_nll(state, plan, val_idx)
+        params = np.concatenate([model.head_params, model.extractor_params])[None]
+        (rescored,) = _mean_nll(self.SPEC, scaler, params, plan, [val_idx])[0]
         assert np.float64(rescored).tobytes() == np.float64(model.validation_nll).tobytes()
 
     def test_two_fits_in_one_process_write_identical_models(self, tmp_path):
@@ -484,6 +571,46 @@ class TestFitEnsemble:
         parallel = fit_ensemble(ds, spec, cfg, n_members=4, top_m=2, jobs=2)
         assert serial.selected_indices == parallel.selected_indices
         for a, b in zip(serial.members, parallel.members):
+            assert serialize_model(a) == serialize_model(b)
+
+    def test_jobs_below_one_is_bad_config(self):
+        ds, spec, cfg = self._setup(seed=409, n=40)
+        for jobs in (0, -2):
+            with pytest.raises(BadConfig) as info:
+                fit_ensemble(ds, spec, cfg, n_members=2, top_m=1, jobs=jobs)
+            assert info.value.code == "E_BAD_CONFIG"
+
+    def test_workers_capped_at_the_stacks(self, monkeypatch):
+        """Each worker fits one contiguous stack, and no more workers start than stacks."""
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                self.max_workers, self.stacks = max_workers, []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                self.stacks = [task[-1] for task in tasks]
+                return map(fn, tasks)
+
+        # the module, not the package's ``fit`` function of the same name
+        monkeypatch.setattr(sys.modules["tramsurv.fit"], "ProcessPoolExecutor", RecordingPool)
+        ds, spec, cfg = self._setup(seed=411, n=40)
+        capped = fit_ensemble(ds, spec, cfg, n_members=3, top_m=3, jobs=64)
+        split = fit_ensemble(ds, spec, cfg, n_members=5, top_m=3, jobs=2)
+        serial = fit_ensemble(ds, spec, cfg, n_members=3, top_m=3, jobs=1)
+        assert [(p.max_workers, p.stacks) for p in pools] == [
+            (3, [[0], [1], [2]]), (2, [[0, 1, 2], [3, 4]])
+        ]
+        assert capped.selected_indices == serial.selected_indices
+        assert split.pool_validation_nlls[:3].tolist() == serial.pool_validation_nlls.tolist()
+        for a, b in zip(capped.members, serial.members):
             assert serialize_model(a) == serialize_model(b)
 
     def test_members_share_scaler(self):

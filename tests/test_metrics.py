@@ -332,6 +332,7 @@ class TestEvaluate:
             evaluate(_exponential_model(), ds)
 
     def test_report_serializes(self):
+        from dataclasses import asdict
         import json
 
         rng = np.random.default_rng(607)
@@ -341,6 +342,8 @@ class TestEvaluate:
         assert doc["n_subjects"] == 8
         assert len(doc["per_subject"]) == 8
         assert doc["t_max"] >= max(o.time_lower for o in ds.observations)
+        # the document is built field by field; dataclasses.asdict is the reference
+        assert report.to_json() == json.dumps(asdict(report), indent=2, allow_nan=False)
 
 
 class TestPropriety:
