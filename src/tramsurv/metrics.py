@@ -21,10 +21,12 @@ from .errors import (
     UnsupportedCensoringKind,
 )
 from .fit import EnsembleModel
-from .quadrature import simpson_doubling
-from .transform import EnsembleDistribution, conditional_distribution
+from .quadrature import gauss_kronrod
+from .transform import ConditionalDistribution, EnsembleDistribution, conditional_distribution
 
 SCORE_SLICE = 64  # subjects per CRPS call in evaluate
+# break points of the CDF integral below log t: its lower limit, the splits, log t itself
+_LOWER_SPLITS = np.array([40.0, 32.0, 16.0, 8.0, 4.0, 2.0, 1.0, 0.0])
 
 
 def concordance_counts(times, events, risks) -> tuple[float, int]:
@@ -32,25 +34,47 @@ def concordance_counts(times, events, risks) -> tuple[float, int]:
 
     A pair (j, i) is comparable when subject j has an exact event strictly
     before time i; it counts fully when the earlier subject has the higher
-    risk score and half when the scores tie.  Memory stays linear in n: the
-    pairs are compared in row chunks.
+    risk score and half when the scores tie.  The pairs are counted by a
+    bottom-up merge (Knight 1966) in O(n log^2 n) time and linear memory:
+    with the rows sorted by (time, risk rank), each level counts, for every
+    row of a block's left half, the right-half rows of lower and of equal
+    rank by one ``searchsorted`` over the keys ``block * n + rank``.  Later
+    rows of equal time have no lower rank, and those of equal rank too are
+    subtracted from the ties.  A NaN compares as numpy compares it: a NaN
+    time is in no pair, and a NaN risk is neither higher nor tied.
     """
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=bool)
     risks = np.asarray(risks, dtype=float)
     if not times.shape == events.shape == risks.shape or times.ndim != 1:
         raise ValueError("times, events, and risks must be equal-length vectors")
-    numerator = 0.0
-    pairs = 0
-    chunk = 1024
-    for start in range(0, times.size, chunk):
-        sl = slice(start, start + chunk)
-        earlier = (times[sl, None] < times[None, :]) & events[sl, None]
-        higher = risks[sl, None] > risks[None, :]
-        tied = risks[sl, None] == risks[None, :]
-        pairs += int(np.sum(earlier))
-        numerator += float(np.sum(earlier & higher)) + 0.5 * float(np.sum(earlier & tied))
-    return numerator, pairs
+    times, events, risks = (v[~np.isnan(times)] for v in (times, events, risks))
+    later = np.searchsorted(np.sort(times), times[events], side="right")
+    pairs = int(np.sum(times.size - later))
+    # a NaN risk is neither higher than nor tied with another: its pairs count 0
+    times, events, risks = (v[~np.isnan(risks)] for v in (times, events, risks))
+    n = times.size
+    rank = np.unique(risks, return_inverse=True)[1]
+    order = np.lexsort((rank, times))
+    times, events, rank = times[order], events[order], rank[order]
+    at = np.arange(n)
+    lower = equal = 0
+    for level in range(max(n - 1, 0).bit_length()):
+        block = at >> level
+        keys = np.sort(block * n + rank)
+        left = at[events & (block % 2 == 0)]
+        start = (block[left] + 1) * n
+        first, below, through = np.searchsorted(
+            keys, np.concatenate([start, start + rank[left], start + rank[left] + 1])
+        ).reshape(3, -1)
+        lower += int(np.sum(below - first))
+        equal += int(np.sum(through - below))
+    # later rows of the same (time, rank) run tie in rank but are not comparable
+    new = np.ones(n, dtype=bool)
+    new[1:] = (times[1:] != times[:-1]) | (rank[1:] != rank[:-1])
+    run_end = np.append(np.flatnonzero(new)[1:], n)[np.cumsum(new) - 1]
+    equal -= int(np.sum((run_end - at - 1)[events]))
+    return lower + 0.5 * equal, pairs
 
 
 def c_index(times, events, risks) -> float:
@@ -80,14 +104,37 @@ def log_score(dist, obs) -> float:
     )
 
 
+def _knots(dist) -> list:
+    """Log-times where a Bernstein transformation turns affine; oracle CDFs have none.
+
+    An ensemble's members share one scaler, fitted to the full dataset, so the
+    first member's knots are every member's.
+    """
+    first = dist.members[0] if isinstance(dist, EnsembleDistribution) else dist
+    if isinstance(first, ConditionalDistribution) and first.spec.uses_basis:
+        return [first.scaler.a_lo, first.scaler.b_hi]
+    return []
+
+
+def _squared_in_log_time(of):
+    """The integrand of(e^v)^2 e^v at log-times v, for ``of`` the CDF or the survivor."""
+    def fn(v, rows):
+        u = np.exp(v)
+        return np.square(of(u, rows)) * u
+    return fn
+
+
 def crps(dist, t, event, t_max: float):
     """Censoring-adjusted continuous ranked probability score.
 
     Integrates the squared CDF over (0, t) plus, for exact observations, the
-    squared survivor over (t, t_max), by Simpson quadrature with grid
-    doubling.  The boundary node is nudged one ulp to each side of t so a
-    jump exactly at the observed time contributes nothing to either integral
-    (it has measure zero).
+    squared survivor over (t, t_max), in log-time v = log u: the integrands
+    are F(e^v)^2 e^v over [log t - 40, log t] and S(e^v)^2 e^v above log t.
+    The rule is :func:`gauss_kronrod` on pieces split at the basis knots,
+    where the transformation's second derivative jumps, and at log t - 1, -2,
+    -4, ..., -32.  The limits are nudged one ulp to each side of t before the
+    log, so a jump exactly at the observed time contributes nothing to either
+    integral (it has measure zero).
 
     Parameters
     ----------
@@ -119,12 +166,16 @@ def crps(dist, t, event, t_max: float):
         cdf, survivor = (lambda u, rows: dist.cdf(u)), (lambda u, rows: dist.survivor(u))
     else:
         cdf, survivor = dist.cdf, dist.survivor
-    score = simpson_doubling(lambda u, rows: np.square(cdf(u, rows)),
-                             np.zeros_like(times), np.nextafter(times, 0.0))
+
+    knots = np.array(_knots(dist))
+    below = np.log(np.nextafter(times, 0.0))[:, None]
+    above = np.log(np.nextafter(times, np.inf))[:, None]
     # censored entries get an empty upper range, which integrates to 0.0
-    above = np.nextafter(times, np.inf)
-    score += simpson_doubling(lambda u, rows: np.square(survivor(u, rows)),
-                              above, np.where(event, t_max, above))
+    top = np.where(np.reshape(event, (-1, 1)), np.maximum(math.log(t_max), above), above)
+    lower = np.hstack([below - _LOWER_SPLITS, np.clip(knots, below - _LOWER_SPLITS[0], below)])
+    upper = np.hstack([above, np.clip(knots, above, top), top])
+    score = gauss_kronrod(_squared_in_log_time(cdf), np.sort(lower, axis=1))[0]
+    score += gauss_kronrod(_squared_in_log_time(survivor), np.sort(upper, axis=1))[0]
     return float(score[0]) if np.ndim(t) == 0 else score
 
 

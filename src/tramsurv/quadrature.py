@@ -1,69 +1,69 @@
-"""Composite Simpson quadrature with grid-doubling control, one integral per row of limits."""
+"""Adaptive Gauss-Kronrod (G7/K15) quadrature, one integral per row of break points."""
 
 import numpy as np
 
 from .errors import QuadratureNonConvergence
 
-# Most nodes handed to one ``fn`` call by :func:`simpson_doubling`.  Between
-# calls only per-row sums are kept, so memory does not grow with the rows.
-MAX_NODES_PER_CALL = 2**13
+# QUADPACK's qk15 (Piessens et al. 1983): the Kronrod nodes in [0, 1] of the rule on
+# [-1, 1], their weights, and the Gauss weights, nonzero at every other node.
+_X = [0.991455371120812639, 0.949107912342758525, 0.864864423359769073, 0.741531185599394440,
+      0.586087235467691130, 0.405845151377397167, 0.207784955007898468, 0.0]
+_WK = [0.022935322010529225, 0.063092092629978553, 0.104790010322250184, 0.140653259715525919,
+       0.169004726639267903, 0.190350578064785410, 0.204432940075298892, 0.209482141084727828]
+_WG = [0.0, 0.129484966168869693, 0.0, 0.279705391489276668, 0.0, 0.381830050505118945, 0.0,
+       0.417959183673469388]
+NODES, KRONROD, GAUSS = (np.concatenate([sign * np.array(v), v[-2::-1]])
+                         for sign, v in ((-1.0, _X), (1.0, _WK), (1.0, _WG)))
+MAX_PIECES, MAX_NODES = 256, 2**14  # pieces per integral, nodes per call of the integrand
+assert 15 * MAX_PIECES <= MAX_NODES  # a row's widest pass fits one call
 
 
-def _grid_values(fn, rows, a, h, offsets, b=None):
-    """Yield ``(part, fn at a + h * offsets)`` for groups ``part`` of rows, last nodes on ``b``."""
-    per_call = max(1, MAX_NODES_PER_CALL // offsets.size)
-    for start in range(0, rows.size, per_call):
-        part = rows[start : start + per_call]
-        nodes = a[part, None] + h[part, None] * offsets
-        if b is not None:
-            nodes[:, -1] = b[part]
-        yield part, np.asarray(fn(nodes, part), dtype=float)
+def gauss_kronrod(fn, breaks, rel_tol: float = 1e-7):
+    """Integrate row r of ``fn`` over [breaks[r, 0], breaks[r, -1]], split at its breaks.
 
+    ``breaks`` is (n, q), sorted along each row.  ``fn(nodes, rows)`` gets a
+    ``(k, m)`` array of nodes of the rows ``rows``, at most ``MAX_NODES`` of
+    them.  A piece is bisected while its K15 and G7 estimates differ by more
+    than its width's share of ``rel_tol`` times the row's estimate (with a
+    tiny absolute floor).  Each row's pieces are laid out alone and in order,
+    so its estimate does not depend on the rows solved with it.
 
-def simpson_doubling(
-    fn,
-    a,
-    b,
-    rel_tol: float = 1e-7,
-    base_panels: int = 512,
-    max_panels: int = 8192,
-):
-    """Simpson quadrature, doubling the grid until successive estimates agree.
-
-    Row r integrates over ``[a[r], b[r]]`` (0.0 if b <= a) with
-    ``fn(nodes, rows)`` on a ``(k, m)`` array of nodes of the rows ``rows``.
-    Each row stops at its own convergence, so its estimate does not depend
-    on the rows solved with it.
-
-    Raises :class:`QuadratureNonConvergence` if the finest grid still
-    disagrees with its predecessor by more than ``rel_tol`` relatively (with a
-    tiny absolute floor, so exactly-zero integrals converge immediately).
+    Returns ``(value, pieces, depth)`` per row: the integral, the pieces it
+    took and its deepest bisection.  Raises :class:`QuadratureNonConvergence`
+    when a row needs more than ``MAX_PIECES`` pieces.
     """
-    if base_panels < 2 or base_panels % 2 or max_panels > 2 * MAX_NODES_PER_CALL:
-        raise ValueError(f"need an even base grid and at most {2 * MAX_NODES_PER_CALL} panels")
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    width = b - a
-    estimate, ends, interior, midpoints = (np.zeros(a.shape) for _ in range(4))
-    rows = np.nonzero(width > 0.0)[0]
-    # The grid of base_panels / 2 panels gives the end values and the
-    # interior sum; each doubling adds its midpoints to the interior.
-    panels = base_panels // 2
-    for part, values in _grid_values(fn, rows, a, width / panels, np.arange(panels + 1.0), b):
-        ends[part] = values[:, 0] + values[:, -1]
-        interior[part] = np.sum(values[:, 1:-1], axis=1)
-    previous = np.full(rows.size, np.nan)  # the first estimate converges nothing
-    while rows.size:
-        if panels >= max_panels:
+    breaks = np.asarray(breaks, dtype=float)
+    n, width, lo, hi = len(breaks), breaks[:, -1] - breaks[:, 0], breaks[:, :-1], breaks[:, 1:]
+    row, lo, hi = np.nonzero(hi > lo)[0], lo[hi > lo], hi[hi > lo]
+    value, pieces, depth = np.zeros(n), np.bincount(row, minlength=n), np.zeros(n, dtype=int)
+    while row.size:
+        # one grid row per integral, its open pieces first, padded by its first piece
+        start = np.flatnonzero(np.diff(row, prepend=-1))
+        rows, count = row[start], np.diff(start, append=row.size)
+        at = (np.repeat(np.arange(rows.size), count), np.arange(row.size) - np.repeat(start, count))
+        mid = np.tile(((lo + hi) / 2.0)[start, None], count.max())
+        half = np.zeros(mid.shape)
+        mid[at], half[at] = (lo + hi) / 2.0, (hi - lo) / 2.0
+        kronrod, gauss = np.empty(mid.shape), np.empty(mid.shape)
+        per_call = MAX_NODES // (15 * mid.shape[1])
+        for part in (slice(s, s + per_call) for s in range(0, rows.size, per_call)):
+            nodes = mid[part, :, None] + half[part, :, None] * NODES
+            f = np.asarray(fn(nodes.reshape(len(nodes), -1), rows[part]), dtype=float)
+            kronrod[part], gauss[part] = (half[part] * np.vecdot(f.reshape(nodes.shape), w)
+                                          for w in (KRONROD, GAUSS))
+        k, error = kronrod[at], np.abs(kronrod[at] - gauss[at])
+        estimate = value + np.bincount(row, k, minlength=n)
+        share = np.maximum(rel_tol * np.abs(estimate[row]), 1e-15) * (hi - lo) / width[row]
+        split = ~(error <= share)  # a NaN error never converges
+        value += np.bincount(row[~split], k[~split], minlength=n)
+        pieces += np.bincount(row[split], minlength=n)
+        depth += np.bincount(row[split], minlength=n) > 0
+        failing = pieces > MAX_PIECES
+        if np.any(failing):
             raise QuadratureNonConvergence(
-                f"{rows.size} integral(s): Simpson grids of {max_panels // 2} and {max_panels} "
-                f"panels still disagree beyond relative tolerance {rel_tol}")
-        panels *= 2
-        h = width / panels
-        for part, values in _grid_values(fn, rows, a, h, np.arange(1.0, panels, 2.0)):
-            midpoints[part] = np.sum(values, axis=1)
-        current = h[rows] / 3.0 * (ends[rows] + 4.0 * midpoints[rows] + 2.0 * interior[rows])
-        interior[rows] += midpoints[rows]
-        done = np.abs(current - previous) <= np.maximum(rel_tol * np.abs(current), 1e-15)
-        estimate[rows[done]] = current[done]
-        rows, previous = rows[~done], current[~done]
-    return estimate
+                f"{np.sum(failing)} integral(s) need more than {MAX_PIECES} pieces "
+                f"at depth {depth[failing].max()}: K15 and G7 still disagree beyond relative "
+                f"tolerance {rel_tol}")
+        row, lo, hi = (np.repeat(v[split], 2) for v in (row, lo, hi))
+        lo[1::2] = hi[::2] = (lo[::2] + hi[::2]) / 2.0
+    return value, pieces, depth

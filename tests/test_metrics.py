@@ -1,8 +1,10 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from tramsurv.basis import LogTimeScaler
 from tramsurv.core import (
+    CensoringKind,
     FittedModel,
     ModelSpec,
     Observation,
@@ -14,10 +16,11 @@ from tramsurv.errors import (
     NoComparablePairs,
     NonPositiveTime,
     QuadratureNonConvergence,
+    TramsurvError,
     UnsupportedCensoringKind,
 )
 from tramsurv.feature import ExtractorSpec, identity_params, init_params
-from tramsurv.fit import EnsembleModel, ModelState, nll_batch
+from tramsurv.fit import EnsembleModel, ModelState, fit, nll_batch
 from tramsurv.metrics import (
     EvaluationReport,
     c_index,
@@ -27,6 +30,7 @@ from tramsurv.metrics import (
     log_score,
 )
 from tramsurv.numerics import softplus_inv
+from tramsurv.sample import SynthConfig, generate_semisynthetic
 from tramsurv.target import TargetFamily
 from tramsurv.transform import conditional_distribution, head_size, init_head
 
@@ -78,8 +82,8 @@ class TestCIndex:
             c_index([1, 2], [0, 0], [0.1, 0.2])
 
     def test_chunked_counts_match_dense_reference(self):
-        """Across several row chunks, with tied times and tied risks, the
-        chunked count equals the dense n x n formula."""
+        """Across many merge levels, with tied times and tied risks, the
+        merge count equals the dense n x n formula."""
         rng = np.random.default_rng(505)
         n = 2500
         times = np.round(rng.uniform(0.1, 5.0, n), 1)
@@ -92,6 +96,45 @@ class TestCIndex:
         )
         assert concordance_counts(times, events, risks) == (numerator, pairs)
         assert c_index(times, events, risks) == numerator / pairs
+
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("n", [2000, 20000])
+    def test_merge_counts_equal_the_chunked_pair_loop(self, n, ties):
+        rng = np.random.default_rng(507 + n)
+        times = rng.uniform(0.1, 5.0, n)
+        events = rng.random(n) < 0.7
+        risks = rng.normal(size=n)
+        if ties:
+            times, risks = np.round(times, 1), np.round(risks, 1)
+        assert concordance_counts(times, events, risks) == _chunked_concordance(
+            times, events, risks)
+
+    def test_nan_and_inf_compare_as_the_pair_loop_compares(self):
+        rng = np.random.default_rng(509)
+        n = 1500
+        times = np.round(rng.uniform(0.1, 5.0, n), 1)
+        events = rng.random(n) < 0.7
+        risks = np.round(rng.normal(size=n), 1)
+        times[rng.random(n) < 0.1], risks[rng.random(n) < 0.1] = np.nan, np.nan
+        times[rng.random(n) < 0.05], risks[rng.random(n) < 0.05] = np.inf, -np.inf
+        assert concordance_counts(times, events, risks) == _chunked_concordance(
+            times, events, risks)
+
+
+def _chunked_concordance(times, events, risks) -> tuple[float, int]:
+    """The O(n^2) reference: every pair compared, in row chunks of 1024."""
+    numerator = 0.0
+    pairs = 0
+    chunk = 1024
+    for start in range(0, times.size, chunk):
+        sl = slice(start, start + chunk)
+        earlier = (times[sl, None] < times[None, :]) & events[sl, None]
+        higher = risks[sl, None] > risks[None, :]
+        tied = risks[sl, None] == risks[None, :]
+        pairs += int(np.sum(earlier))
+        numerator += float(np.sum(earlier & higher)) + 0.5 * float(np.sum(earlier & tied))
+    return numerator, pairs
 
 
 def _exponential_model(w=(0.0,)):
@@ -191,7 +234,7 @@ class _StepCdf:
 
 
 class _NoisyCdf:
-    """Pathological pseudo-CDF that defeats grid doubling."""
+    """Pathological pseudo-CDF that no quadrature resolves."""
 
     def cdf(self, u):
         return 0.5 + 0.5 * np.sin(1e6 * np.asarray(u, dtype=float))
@@ -213,7 +256,7 @@ class TestCrps:
     def test_uniform_segment_event(self):
         # piecewise-quadratic integrands: [t^3 + (c-t)^3] / (3 c^2) with c=2,
         # t=1; t_max=10 keeps the derivative kink at u=c resolvable within
-        # the panel cap (the value is t_max-independent past u=c)
+        # the piece budget (the value is t_max-independent past u=c)
         val = crps(_UniformCdf(2.0), 1.0, True, 10.0)
         np.testing.assert_allclose(val, 1.0 / 6.0, rtol=0, atol=1e-6)
 
@@ -459,3 +502,67 @@ class TestBatchedScoring:
         batch = (model.conditional_distribution(x) if ensemble
                  else conditional_distribution(model, x))
         assert evaluate(batch, dataset).to_json() == evaluate(model, dataset).to_json()
+
+
+def _train_shaped(rng, n, beta, shape=0.7):
+    """Rows like the benchmark's train fixture: Weibull times of scale 100 spread over
+    several decades by the shape and the covariate effects, 30% right-censored."""
+    x = rng.normal(size=(n, beta.size))
+    t = np.exp(np.log(100.0) + x @ beta + np.log(rng.exponential(size=n)) / shape)
+    censored = rng.random(n) < 0.3
+    t = np.where(censored, t * rng.uniform(0.2, 1.0, n), t)
+    kind = np.where(censored, CensoringKind.RIGHT.code, CensoringKind.EXACT.code)
+    return SurvivalDataset(x, t, np.where(censored, np.inf, t), kind)
+
+
+def _short_fit_spec(parameterization, family, p, epochs=2, seed=0):
+    extractor = None
+    if parameterization != Parameterization.BASELINE:
+        d = 7 if parameterization == Parameterization.BERNSTEIN_FLEXIBLE else 1
+        extractor = ExtractorSpec(input_dim=p, hidden_dims=(8,), output_dim=d)
+    return ModelSpec(family=family, parameterization=parameterization, bernstein_order=6,
+                     extractor=extractor, epochs=epochs, seed=seed)
+
+
+class TestScoringTrainedModels:
+    """Models that SGD actually trained, scored on held-out rows of a wide time range."""
+
+    @pytest.mark.parametrize("family", list(TargetFamily))
+    @pytest.mark.parametrize("parameterization", list(Parameterization))
+    def test_evaluate_succeeds_after_a_short_fit(self, parameterization, family):
+        rng = np.random.default_rng(211)
+        beta = rng.normal(size=6)
+        beta /= np.linalg.norm(beta)
+        model = fit(_train_shaped(rng, 400, beta), _short_fit_spec(parameterization, family, 6))
+        held_out = _train_shaped(rng, 200, beta)
+        report = evaluate(model, held_out)
+        scores = np.array([s.crps for s in report.per_subject])
+        assert report.n_subjects == 200 and np.all(np.isfinite(scores)) and np.all(scores >= 0)
+        assert report.c_index is not None and np.isfinite(report.mean_nll)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    parameterization=st.sampled_from(list(Parameterization)),
+    family=st.sampled_from(list(TargetFamily)),
+    shape=st.floats(0.3, 4.0),
+    effect_sd=st.floats(0.0, 3.0),
+)
+def test_trained_models_score_and_sample_or_fail_with_a_code(
+    seed, parameterization, family, shape, effect_sd
+):
+    rng = np.random.default_rng(seed)
+    beta = effect_sd * rng.normal(size=3) / np.sqrt(3.0)
+    spec = _short_fit_spec(parameterization, family, 3, epochs=3, seed=seed % 1000)
+    try:
+        model = fit(_train_shaped(rng, 120, beta, shape), spec)
+        held_out = _train_shaped(rng, 80, beta, shape)
+        report = evaluate(model, held_out)
+        assert np.all(np.isfinite([s.crps for s in report.per_subject]))
+        synthetic = generate_semisynthetic(model, held_out, SynthConfig(replication=2, seed=seed))
+        assert synthetic.n == 160 and np.all(synthetic.t_lower > 0.0)
+    except QuadratureNonConvergence:
+        raise  # the failure that scoring in log-time pieces removes
+    except TramsurvError:
+        pass

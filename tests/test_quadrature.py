@@ -1,59 +1,103 @@
 import numpy as np
 import pytest
 
+from tramsurv import quadrature
 from tramsurv.errors import QuadratureNonConvergence
-from tramsurv.quadrature import MAX_NODES_PER_CALL, simpson_doubling
+from tramsurv.quadrature import gauss_kronrod
 
 
-def integral(fn, a, b, **kwargs):
-    """The integral of ``fn(u)`` over [a, b], solved as a one-row array of limits."""
-    (value,) = simpson_doubling(lambda u, rows: fn(u), np.array([a]), np.array([b]), **kwargs)
-    return value
+def integral(fn, *breaks, **kwargs):
+    """The integral of ``fn(u)`` over one row of break points, with the rule's effort."""
+    value, pieces, depth = gauss_kronrod(lambda u, rows: fn(u), np.array([breaks]), **kwargs)
+    return value[0], pieces[0], depth[0]
 
 
-class TestSimpson:
-    """Oracles of Simpson's rule, through the doubling integrator."""
+def _polynomial(degree, seed, a=-1.0, b=1.0):
+    """A random polynomial of ``degree`` and its exact integral over [a, b]."""
+    poly = np.polynomial.Polynomial(np.random.default_rng(seed).normal(size=degree + 1))
+    return poly, poly.integ()(b) - poly.integ()(a)
 
-    def test_exact_for_cubic(self):
-        # Simpson integrates polynomials through degree 3 exactly
-        f = lambda u: u**3 - 2.0 * u**2 + 0.5
-        exact = 1.0 / 4.0 - 2.0 / 3.0 + 0.5
-        np.testing.assert_allclose(integral(f, 0.0, 1.0, base_panels=2), exact, rtol=1e-14)
+
+class TestGaussKronrod:
+    """Oracles of the G7/K15 pair on one piece."""
+
+    @pytest.mark.parametrize("degree", [0, 3, 13, 17, 22])
+    def test_kronrod_exact_through_degree_22_on_one_piece(self, degree):
+        poly, exact = _polynomial(degree, degree)
+        # an infinite tolerance accepts the first K15 estimate of the one piece
+        value, pieces, depth = integral(poly, -1.0, 1.0, rel_tol=np.inf)
+        np.testing.assert_allclose(value, exact, rtol=1e-13)
+        assert (pieces, depth) == (1, 0)
+
+    def test_degree_24_is_not_exact_on_one_piece(self):
+        # the oracle above is strict: the rule's exactness stops at degree 22
+        value, _, _ = integral(lambda u: u**24, -1.0, 1.0, rel_tol=np.inf)
+        assert abs(value - 2.0 / 25.0) > 1e-9
+
+    @pytest.mark.parametrize("degree", [5, 13])
+    def test_gauss_exact_through_degree_13_so_no_bisection(self, degree):
+        poly, exact = _polynomial(degree, 100 + degree, -0.5, 2.0)
+        value, pieces, depth = integral(poly, -0.5, 2.0)
+        np.testing.assert_allclose(value, exact, rtol=1e-13)
+        assert (pieces, depth) == (1, 0)
 
     def test_empty_range(self):
-        assert integral(np.exp, 1.0, 1.0, base_panels=16) == 0.0
-        assert integral(np.exp, 2.0, 1.0, base_panels=16) == 0.0
-
-    def test_odd_panels_rejected(self):
-        with pytest.raises(ValueError):
-            integral(np.exp, 0.0, 1.0, base_panels=3)
+        assert integral(np.exp, 1.0, 1.0) == (0.0, 0, 0)
+        assert integral(np.exp, 1.0, 1.0, 1.0) == (0.0, 0, 0)
 
     def test_converges_on_smooth_function(self):
-        val = integral(np.sin, 0.0, np.pi, base_panels=64)
-        np.testing.assert_allclose(val, 2.0, rtol=1e-7)
+        value, _, _ = integral(np.sin, 0.0, np.pi)
+        np.testing.assert_allclose(value, 2.0, rtol=1e-12)
 
 
-class TestSimpsonDoubling:
+class TestAdaptiveBisection:
     def test_smooth_integral(self):
-        val = integral(lambda u: np.exp(-u), 0.0, 5.0)
-        np.testing.assert_allclose(val, 1.0 - np.exp(-5.0), rtol=1e-9)
+        value, _, _ = integral(lambda u: np.exp(-u), 0.0, 5.0)
+        np.testing.assert_allclose(value, 1.0 - np.exp(-5.0), rtol=1e-9)
 
-    def test_zero_width(self):
-        assert integral(np.exp, 3.0, 3.0) == 0.0
+    def test_break_points_split_the_range(self):
+        value, pieces, _ = integral(lambda u: np.exp(-u), 0.0, 1.0, 2.5, 5.0)
+        np.testing.assert_allclose(value, 1.0 - np.exp(-5.0), rtol=1e-9)
+        assert pieces >= 3
 
-    def test_raises_when_grids_disagree(self):
+    def test_kink_is_bisected_to_tolerance(self):
+        # |u - 1/3| has a kink inside the piece that no fixed rule integrates
+        value, pieces, depth = integral(lambda u: np.abs(u - 1.0 / 3.0), 0.0, 1.0)
+        np.testing.assert_allclose(value, 5.0 / 18.0, rtol=1e-7)
+        assert depth > 0 and pieces == 1 + depth  # one piece per level holds the kink
+
+    def test_raises_past_the_piece_budget(self):
         wobble = lambda u: np.sin(1e6 * np.asarray(u)) ** 2
-        with pytest.raises(QuadratureNonConvergence):
+        with pytest.raises(QuadratureNonConvergence, match=r"^1 integral\(s\) need more than 256 "
+                           r"pieces at depth \d+: K15 and G7 still disagree"):
             integral(wobble, 0.0, 1.0)
+
+    def test_budget_bounds_the_work(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_PIECES", 4)
+        seen = []
+
+        def kink(u):
+            seen.append(u.size)
+            return np.abs(u - 1.0 / 3.0)
+
+        with pytest.raises(QuadratureNonConvergence, match="more than 4 pieces"):
+            integral(kink, 0.0, 1.0)
+        # one piece per level is split, so the rule stops after 4 evaluations of at most 2
+        assert len(seen) <= 4 and sum(seen) <= 15 * 7
+
+    def test_non_finite_values_never_converge(self):
+        with pytest.raises(QuadratureNonConvergence):
+            integral(lambda u: np.where(u > 0.5, np.nan, 1.0), 0.0, 1.0)
 
     def test_tiny_integral_hits_absolute_floor(self):
         # values far below the absolute floor converge immediately
-        val = integral(lambda u: np.full_like(np.asarray(u, float), 1e-20), 0.0, 1.0)
-        np.testing.assert_allclose(val, 1e-20, rtol=1e-12)
+        value, pieces, _ = integral(lambda u: np.full_like(u, 1e-20), 0.0, 1.0)
+        np.testing.assert_allclose(value, 1e-20, rtol=1e-12)
+        assert pieces == 1
 
 
-class TestRowwiseDoubling:
-    """Array limits: row r integrates over [a[r], b[r]] with fn(nodes, rows)."""
+class TestRowwiseGaussKronrod:
+    """Rows of break points: row r integrates over [breaks[r, 0], breaks[r, -1]]."""
 
     @staticmethod
     def _smooth(u, rows):
@@ -61,36 +105,40 @@ class TestRowwiseDoubling:
 
     def test_one_nonconverging_row_raises(self):
         freq = np.array([1.0, 2.0, 1e6, 3.0])
-        with pytest.raises(QuadratureNonConvergence):
-            simpson_doubling(
-                lambda u, rows: np.sin(freq[rows, None] * u) ** 2, np.zeros(4), np.ones(4)
-            )
+        with pytest.raises(QuadratureNonConvergence, match=r"^1 integral\(s\)"):
+            gauss_kronrod(lambda u, rows: np.sin(freq[rows, None] * u) ** 2,
+                          np.array([[0.0, 1.0]] * 4))
 
     def test_zero_width_rows_return_zero(self):
-        a = np.array([0.0, 2.0, 1.0, 3.0])
-        b = np.array([1.0, 2.0, 4.0, 2.5])
-        est = simpson_doubling(self._smooth, a, b)
-        assert est[1] == 0.0 and est[3] == 0.0
-        np.testing.assert_allclose(est[0], integral(lambda u: self._smooth(u, None), 0.0, 1.0))
+        breaks = np.array([[0.0, 1.0], [2.0, 2.0], [1.0, 4.0], [3.0, 3.0]])
+        value, pieces, depth = gauss_kronrod(self._smooth, breaks)
+        assert value[1] == 0.0 and value[3] == 0.0
+        assert pieces[1] == pieces[3] == 0 and depth[1] == depth[3] == 0
+        alone, _, _ = integral(lambda u: self._smooth(u, None), 0.0, 1.0)
+        np.testing.assert_allclose(value[0], alone)
 
     def test_row_alone_equals_row_in_batch(self):
-        # frequencies spread the rows over different convergence levels
+        # frequencies and kinks spread the rows over different depths and piece counts
         rng = np.random.default_rng(11)
         a = rng.uniform(0.0, 1.0, 70)
         b = a + rng.uniform(0.0, 5.0, 70)
+        inner = np.sort(rng.uniform(a[:, None], b[:, None], (70, 3)), axis=1)
+        inner[::4, 1] = inner[::4, 0]  # some rows have a zero-width piece
+        breaks = np.column_stack([a, inner, b])
         freq = rng.uniform(0.5, 60.0, 70)
+        kink = rng.uniform(a, b)
 
         def fn(u, rows):
-            return np.exp(-u) * np.sin(freq[rows, None] * u) ** 2
+            return np.exp(-u) * np.sin(freq[rows, None] * u) ** 2 + np.abs(u - kink[rows, None])
 
-        batch = simpson_doubling(fn, a, b)
-        alone = [
-            simpson_doubling(lambda u, rows, r=r: fn(u, rows + r), a[r : r + 1], b[r : r + 1])[0]
-            for r in range(70)
-        ]
-        np.testing.assert_array_equal(batch, alone)
+        batch = gauss_kronrod(fn, breaks)
+        assert len(set(batch[2])) > 3 and len(set(batch[1])) > 3
+        for r in range(70):
+            alone = gauss_kronrod(lambda u, rows, r=r: fn(u, rows + r), breaks[r : r + 1])
+            assert [v[0] for v in alone] == [v[r] for v in batch]
 
-    def test_calls_never_exceed_node_cap(self):
+    def test_calls_never_exceed_node_bound(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_NODES", 15 * 256)
         seen = []
 
         def recording(u, rows):
@@ -98,7 +146,8 @@ class TestRowwiseDoubling:
             seen.append(u.size)
             return np.sin(40.0 * u) ** 2
 
-        # the frequency drives every row to the finest grid before it converges
-        est = simpson_doubling(recording, np.zeros(9), np.full(9, 20.0))
-        np.testing.assert_allclose(est, 10.0 - np.sin(1600.0) / 160.0, rtol=1e-7)
-        assert max(seen) <= MAX_NODES_PER_CALL
+        # the frequency drives every row to the full budget of pieces before it converges
+        value, pieces, depth = gauss_kronrod(recording, np.tile([0.0, 20.0], (9, 1)))
+        np.testing.assert_allclose(value, 10.0 - np.sin(1600.0) / 160.0, rtol=1e-7)
+        assert np.all(pieces == 256) and np.all(depth == 8)
+        assert max(seen) == 15 * 256  # the last pass takes one row per call
