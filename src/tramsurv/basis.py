@@ -84,27 +84,28 @@ def bernstein_vectors(order: int, u) -> tuple[np.ndarray, np.ndarray]:
     return basis, dbasis
 
 
-def monotone_reparam(gamma) -> np.ndarray:
+def monotone_reparam(gamma, tail=None) -> np.ndarray:
     """Map unconstrained gamma to a strictly increasing coefficient vector.
 
     The first entry passes through unchanged; each subsequent entry adds
     softplus of the corresponding gamma, so consecutive gaps are positive.
-    Operates on the last axis.
+    Operates on the last axis.  ``tail`` is ``softplus_tail(gamma[..., 1:])``
+    when already computed; :func:`monotone_reparam_vjp` reads it too.
     """
     gamma = np.asarray(gamma, dtype=float)
     theta = np.empty_like(gamma)
     theta[..., 0] = gamma[..., 0]
-    theta[..., 1:] = gamma[..., :1] + softplus(gamma[..., 1:]).cumsum(axis=-1)
+    np.cumsum(softplus(gamma[..., 1:], tail), axis=-1, out=theta[..., 1:])
+    theta[..., 1:] += gamma[..., :1]
     return theta
 
 
-def monotone_reparam_vjp(gamma, upstream) -> np.ndarray:
+def monotone_reparam_vjp(gamma, upstream, tail=None) -> np.ndarray:
     """Chain a gradient w.r.t. theta back through :func:`monotone_reparam`."""
     gamma = np.asarray(gamma, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
     # reverse cumulative sum: d theta_k / d gamma_j is nonzero only for k >= j
-    tail = upstream[..., ::-1].cumsum(axis=-1)[..., ::-1]
     grad = np.empty_like(gamma)
-    grad[..., 0] = tail[..., 0]
-    grad[..., 1:] = sigmoid(gamma[..., 1:]) * tail[..., 1:]
+    np.cumsum(upstream[..., ::-1], axis=-1, out=grad[..., ::-1])
+    grad[..., 1:] *= sigmoid(gamma[..., 1:], tail)
     return grad

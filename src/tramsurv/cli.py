@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 from pathlib import Path
 import sys
@@ -260,9 +261,19 @@ def load_spec_config(path, overrides: dict) -> dict:
     if unknown:
         raise BadConfig(f"{path}: unknown spec keys {sorted(unknown)}")
     doc.update({k: v for k, v in overrides.items() if v is not None})
+    non_finite = sorted(k for k, v in doc.items() if not _finite(v))
+    if non_finite:
+        raise BadConfig(f"{path}: spec keys {non_finite} have non-finite values")
     if "family" not in doc or "parameterization" not in doc:
         raise BadConfig(f"{path}: spec config needs 'family' and 'parameterization'")
     return doc
+
+
+def _finite(value) -> bool:
+    """Whether every float in a spec value, or in a list of values, is finite."""
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _spec_value(convert, config: dict, key: str, default):
@@ -270,7 +281,7 @@ def _spec_value(convert, config: dict, key: str, default):
     value = config.get(key, default)
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise BadConfig(f"spec key {key!r} has a malformed value {value!r}") from None
 
 

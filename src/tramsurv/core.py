@@ -261,8 +261,9 @@ class ModelSpec:
             object.__setattr__(self, "lr_extractor", lr_ext)
         if self.lr_head is None:
             object.__setattr__(self, "lr_head", lr_head)
-        if not all(isinstance(lr, Real) and lr > 0.0 for lr in (self.lr_extractor, self.lr_head)):
-            raise BadConfig("learning rates must be positive numbers")
+        if not all(isinstance(lr, Real) and math.isfinite(lr) and lr > 0.0
+                   for lr in (self.lr_extractor, self.lr_head)):
+            raise BadConfig("learning rates must be finite positive numbers")
         if self.uses_extractor and self.extractor is None:
             raise DimensionMismatch(
                 f"parameterization {self.parameterization.value} requires an extractor spec"

@@ -12,6 +12,12 @@ one (n, i) @ (i, o) product per member, so a member's numbers do not depend
 on the members stacked with it.  No external autodiff framework is involved,
 so results are bitwise reproducible.
 
+A training loop splits its parameters once into :class:`Layers`, per-layer
+(weights, bias) views checked by :func:`split_params`, and a gradient buffer
+likewise.  :func:`forward` reads the parameter views as they are, and
+:func:`backward` writes each step's gradient through the buffer's views, so
+a step neither splits, checks nor allocates parameter-shaped arrays.
+
 Inference uses :func:`features` instead: one parameter vector, no tape, and
 each layer multiplies every row on its own as a stack of (1, i) @ (i, o)
 products.  A subject's features are then the same bits whether it is
@@ -20,8 +26,11 @@ product does not guarantee (BLAS blocks and vectorizes it differently by n).
 One subject is (p,) -> (d,).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+import math
+from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +61,8 @@ class ExtractorSpec:
             raise BadConfig("hidden layer widths must be positive")
         if self.activation not in _ACTIVATIONS:
             raise BadConfig(f"activation must be one of {_ACTIVATIONS}")
+        if not (isinstance(self.init_scale, Real) and math.isfinite(self.init_scale)):
+            raise BadConfig(f"init_scale must be a finite number, got {self.init_scale!r}")
 
     @cached_property
     def layer_dims(self) -> tuple[tuple[int, int], ...]:
@@ -67,7 +78,20 @@ def param_count(spec: ExtractorSpec) -> int:
     return spec.param_count
 
 
-def split_params(spec: ExtractorSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+class Layers(tuple):
+    """The per-layer (weights, bias) views of a flat parameter array, made by :func:`split_params`.
+
+    ``flat`` is the (P,) or (M, P) array they view and ``spec`` the extractor
+    whose layout they follow.
+    """
+
+    def __new__(cls, spec: ExtractorSpec, flat: np.ndarray, pairs):
+        layers = super().__new__(cls, pairs)
+        layers.spec, layers.flat = spec, flat
+        return layers
+
+
+def split_params(spec: ExtractorSpec, params: np.ndarray) -> Layers:
     """View a flat parameter vector, or a stack (M, P) of them, as per-layer (weights, bias) pairs.
 
     A stack gives (M, i, o) weights and (M, o) biases.
@@ -86,7 +110,16 @@ def split_params(spec: ExtractorSpec, params: np.ndarray) -> list[tuple[np.ndarr
         b = params[..., pos : pos + fan_out]
         pos += fan_out
         layers.append((w, b))
-    return layers
+    return Layers(spec, params, layers)
+
+
+def _bound(spec: ExtractorSpec, params) -> Layers:
+    """``params`` as layer views: views split under this spec as they are, else split now."""
+    if isinstance(params, Layers):
+        if params.spec is spec or params.spec == spec:
+            return params
+        params = params.flat
+    return split_params(spec, params)
 
 
 def flatten_params(layers) -> np.ndarray:
@@ -111,13 +144,12 @@ def identity_params(spec: ExtractorSpec) -> np.ndarray:
     return flatten_params([(np.eye(spec.input_dim), np.zeros(spec.output_dim))])
 
 
-@dataclass
-class Tape:
+class Tape(NamedTuple):
     """Forward-pass record consumed by :func:`backward`."""
 
     spec: ExtractorSpec
-    layers: list  # the (weights, bias) views the forward pass read
-    inputs: list = field(default_factory=list)  # input to each layer, post-activation
+    layers: Layers  # the views the forward pass read
+    inputs: list  # input to each layer, post-activation
 
 
 def _as_batch(spec: ExtractorSpec, x, ndim: int = 2) -> np.ndarray:
@@ -136,25 +168,27 @@ def _activate(spec: ExtractorSpec, z: np.ndarray) -> np.ndarray:
     return np.tanh(z, out=z) if spec.activation == "tanh" else np.maximum(z, 0.0, out=z)
 
 
-def forward(spec: ExtractorSpec, params: np.ndarray, x) -> tuple[np.ndarray, Tape]:
+def forward(spec: ExtractorSpec, params, x) -> tuple[np.ndarray, Tape]:
     """Evaluate a stack of M extractors (M, P) for training on their minibatches (M, n, p).
 
     Covariates (n, p) are every member's minibatch; one parameter vector (P,)
-    takes (n, p) covariates, and a vector (p,) is one row.  Returns the
-    (M, n, d) or (n, d) features and a tape for the backward pass.  A
-    minibatch is one matrix product per layer and member, so a row's last
-    bits may depend on its minibatch, never on the other members.
+    takes (n, p) covariates, and a vector (p,) is one row.  ``params`` may
+    also be their :class:`Layers`, which are read without another split.
+    Returns the (M, n, d) or (n, d) features and a tape for the backward
+    pass.  A minibatch is one matrix product per layer and member, so a
+    row's last bits may depend on its minibatch, never on the other members.
     """
     a = _as_batch(spec, x, ndim=3)
-    layers = split_params(spec, params)
-    tape = Tape(spec=spec, layers=layers)
+    layers = _bound(spec, params)
+    inputs = []
+    last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        tape.inputs.append(a)
+        inputs.append(a)
         a = a @ w
         a += b[..., None, :]
-        if i < len(layers) - 1:
+        if i < last:
             _activate(spec, a)
-    return a, tape
+    return a, Tape(spec, layers, inputs)
 
 
 def features(spec: ExtractorSpec, params: np.ndarray, x) -> np.ndarray:
@@ -175,32 +209,35 @@ def features(spec: ExtractorSpec, params: np.ndarray, x) -> np.ndarray:
     return a[0] if np.ndim(x) == 1 else a
 
 
-def backward(spec: ExtractorSpec, tape: Tape, upstream) -> np.ndarray:
+def backward(spec: ExtractorSpec, tape: Tape, upstream, out: Layers | None = None) -> np.ndarray:
     """Reverse-mode pass: the gradients w.r.t. the parameters the tape's forward pass read.
 
     ``upstream`` is d(loss)/d(features), (M, n, d) or (n, d) like the forward
     output.  Each member's gradient is written layer by layer into one row of
     an (M, P) array (one vector without the member axis) in the parameter
-    layout and is linear in its upstream rows.
+    layout and is linear in its upstream rows.  The array is a new one, or
+    the buffer whose :class:`Layers` ``out`` gives; either is returned.
     """
-    if tape.spec != spec:
+    if tape.spec is not spec and tape.spec != spec:
         raise TapeMismatch("tape was recorded under a different extractor spec")
-    layers = tape.layers
+    layers, inputs = tape.layers, tape.inputs
     delta = np.asarray(upstream, dtype=float)
-    members = layers[0][0].shape[:-2]
-    if delta.shape != members + (tape.inputs[0].shape[-2], spec.output_dim):
+    shape = layers.flat.shape
+    if delta.shape != shape[:-1] + (inputs[0].shape[-2], spec.output_dim):
         raise DimensionMismatch(
             f"upstream shape {delta.shape} does not match the recorded forward pass"
         )
-    grad = np.empty(members + (spec.param_count,))
-    grads = split_params(spec, grad)  # views of grad in the parameter layout
+    if out is None:
+        out = split_params(spec, np.empty(shape))
+    elif out.flat.shape != shape:
+        raise DimensionMismatch(f"gradient buffer of shape {out.flat.shape}, expected {shape}")
     for i in range(len(layers) - 1, -1, -1):
-        (w, _), (grad_w, grad_b) = layers[i], grads[i]
-        np.matmul(tape.inputs[i].mT, delta, out=grad_w)
+        (w, _), (grad_w, grad_b) = layers[i], out[i]
+        np.matmul(inputs[i].mT, delta, out=grad_w)
         delta.sum(axis=-2, out=grad_b)
         if i > 0:
             delta = delta @ w.mT
             # derivative of the hidden activation, reconstructed from its output
-            h = tape.inputs[i]
+            h = inputs[i]
             delta *= (1.0 - h * h) if spec.activation == "tanh" else (h > 0.0)
-    return grad
+    return out.flat

@@ -15,10 +15,15 @@ for interval rows, at the upper times, gathering their coefficient rows; the
 pullbacks run in reverse.
 
 A step makes few numpy calls: one ``target.censored_nll`` call gives every
-row its term and z-derivative, the plan holds the kinds as row masks (none for
-absent kinds), and the extractor, its backward pass and SGD work in place on
-preallocated arrays; the best epoch's parameters are copies.  Each computes
-the same operations in the same order as separate calls, bit for bit.
+row its term and z-derivative, and the plan holds the kinds as row masks
+(none for absent kinds).  The SGD loop binds a stack's parameters and one
+gradient buffer of their shape once, as ``_Views``: the head columns and the
+extractor's ``feature.Layers``.  It binds them again only when a member
+leaves the stack.  A step reads the parameter views, writes its gradient
+through the buffer's views, and updates the parameters in place; the best
+epoch's parameters are copies.  The views are split and checked when bound,
+not per step; the step keeps its finiteness check.  Each computes the same
+operations in the same order as separate calls, bit for bit.
 
 Training is plain minibatch SGD with separate learning rates for the
 transformation head and the feature extractor, gradient clipping at the
@@ -43,6 +48,7 @@ more rows.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 import logging
+import math
 from typing import NamedTuple
 import warnings
 
@@ -103,8 +109,8 @@ class TrainConfig:
             raise BadConfig("validation_fraction must lie in (0, 1)")
         if self.early_stopping_patience < 0:
             raise BadConfig("early_stopping_patience must be >= 0")
-        if self.lr_extractor <= 0.0 or self.lr_head <= 0.0:
-            raise BadConfig("learning rates must be positive")
+        if not all(math.isfinite(lr) and lr > 0.0 for lr in (self.lr_extractor, self.lr_head)):
+            raise BadConfig("learning rates must be finite and positive")
         if self.seed < 0:
             raise BadConfig("seed must be non-negative")
 
@@ -200,34 +206,65 @@ class _Plan(NamedTuple):
         ``(slice(None), s)`` the slice ``s`` of each member's rows.  An index
         array copies; a basic index keeps views.
         """
+        if isinstance(rows, np.ndarray):
+            def gather(column):
+                return column.take(rows, axis=0)
+        else:
+            def gather(column):
+                return column[rows]
 
-        by_index = isinstance(rows, np.ndarray)
-
-        def gather(column):
-            return column.take(rows, axis=0) if by_index else column[rows]
-
-        return _Plan(*(
-            None if c is None else tuple(map(gather, c)) if isinstance(c, tuple) else gather(c)
-            for c in self
-        ))
+        x, exact, left, interval, log_t, basis, upper_log_t, upper_basis = self
+        return _Plan(
+            gather(x), gather(exact),
+            None if left is None else gather(left),
+            None if interval is None else gather(interval),
+            gather(log_t),
+            None if basis is None else (gather(basis[0]), gather(basis[1])),
+            None if upper_log_t is None else gather(upper_log_t),
+            None if upper_basis is None else (gather(upper_basis[0]), gather(upper_basis[1])),
+        )
 
     def shared(self) -> "_Plan":
         """The plan as one batch that every member of a stack scores: a unit member axis."""
         return self.take(None)
 
 
-def _nll_core(spec: ModelSpec, scaler: LogTimeScaler, head, ext, plan: _Plan, want_grad: bool):
+class _Views(NamedTuple):
+    """A stack's (M, P) parameters, or a gradient buffer like them, with the views a step reads.
+
+    ``head`` views the head columns and ``layers`` the extractor's
+    ``feature.Layers`` (None without an extractor).  A training loop binds
+    them once per stack, and again when the stack loses a member.
+    """
+
+    flat: np.ndarray
+    head: np.ndarray
+    layers: feature.Layers | None
+
+    @classmethod
+    def of(cls, spec: ModelSpec, flat: np.ndarray) -> "_Views":
+        n_head = head_size(spec)
+        layers = None
+        if spec.uses_extractor:
+            layers = feature.split_params(spec.extractor, flat[:, n_head:])
+        return cls(flat, flat[:, :n_head], layers)
+
+
+def _nll_core(spec: ModelSpec, scaler: LogTimeScaler, head, ext, plan: _Plan, want_grad: bool,
+              grad: _Views | None = None):
     """Per-row NLL terms of a stack of M models, optionally with the gradients of their sums.
 
-    ``head`` (M, P_h) and ``ext`` (M, P_e) hold one model per row.  The plan
-    columns have a member axis: (M, n, ...) holds one minibatch per member,
-    (1, n, ...) one batch that every member scores.  Returns (M, n) terms and
-    (M, P_h + P_e) gradients.  One transformation call covers every row at
-    its lower time, and one ``target.censored_nll`` call gives every row its
-    term and z-derivative; each member's interval rows take a second
-    transformation call at their upper time, on that member's coefficients
-    of those rows, and overwrite their terms.  Every operation acts per
-    member, so a member's numbers are the bits a stack of one gives.
+    ``head`` (M, P_h) and ``ext`` (M, P_e), or its ``feature.Layers``, hold
+    one model per row.  The plan columns have a member axis: (M, n, ...)
+    holds one minibatch per member, (1, n, ...) one batch that every member
+    scores.  Returns (M, n) terms and the (M, P_h + P_e) gradients, written
+    into the buffer ``grad`` binds (a new one when None) and returned as its
+    ``flat`` array.  One transformation call covers every row at its lower
+    time, and one ``target.censored_nll`` call gives every row its term and
+    z-derivative; each member's interval rows take a second transformation
+    call at their upper time, on that member's coefficients of those rows,
+    and overwrite their terms.  Every operation acts per member, so a
+    member's numbers are the bits a stack of one gives.
     """
     fam = spec.family
     if spec.uses_extractor:
@@ -239,27 +276,28 @@ def _nll_core(spec: ModelSpec, scaler: LogTimeScaler, head, ext, plan: _Plan, wa
     h, dh, pullback = eval_transform(spec, coef, None, log_t, scaler, basis=plan.basis)
     nll_z, up_h = target.censored_nll(fam, h, exact, plan.left)
     # -log f(t) = -(log f_Z(h) + log dh/dlog t - log t) on exact rows
-    log_dh = np.log(dh, out=np.zeros(dh.shape), where=exact)
+    log_dh = np.log(dh, out=np.zeros(h.shape), where=exact)
     terms = np.where(exact, -((log_dh - nll_z) - log_t), nll_z)
     upper = [] if plan.interval is None else _upper_terms(spec, scaler, head, feats, plan, h, terms)
     if not want_grad:
         return terms, None
 
-    up_dh = np.divide(-1.0, dh, out=np.zeros(dh.shape), where=exact)
+    if grad is None:
+        n_ext = spec.extractor.param_count if tape is not None else 0
+        grad = _Views.of(spec, np.empty((head.shape[0], head.shape[1] + n_ext)))
+    up_dh = np.divide(-1.0, dh, out=np.zeros(h.shape), where=exact)
     for m, rows, h_lo, _, inv, _, _ in upper:
         up_h[m, rows] = target.density(fam, h_lo) * inv
-    head_grad, d_feats = coef_pullback(pullback(up_h, up_dh))
+    _, d_feats = coef_pullback(pullback(up_h, up_dh), out=grad.head)
     for m, rows, _, h_hi, inv, member_pullback, pullback_hi in upper:
         d_hi = pullback_hi(-target.density(fam, h_hi) * inv, np.zeros(rows.size))
         grad_hi, d_feats_hi = member_pullback(d_hi, rows)
-        head_grad[m] += grad_hi
+        grad.head[m] += grad_hi
         if d_feats is not None:
             d_feats[m, rows] += d_feats_hi
-    if spec.uses_extractor:
-        ext_grad = feature.backward(spec.extractor, tape, d_feats)
-    else:
-        ext_grad = np.zeros((head_grad.shape[0], 0))
-    return terms, np.concatenate([head_grad, ext_grad], axis=-1)
+    if tape is not None:
+        feature.backward(spec.extractor, tape, d_feats, out=grad.layers)
+    return terms, grad.flat
 
 
 def _upper_terms(spec, scaler, head, feats, plan: _Plan, h, terms) -> list:
@@ -385,7 +423,8 @@ def _run_sgd(
     best_val = np.full(len(members), np.inf)
     wait = np.zeros(len(members), dtype=int)
     active = np.arange(len(members))  # the member of each stack row
-    head, ext = params[:, :n_head], params[:, n_head:]  # views, updated in place
+    # views of the parameters, updated in place, and the buffer every step's gradient fills
+    views, grad = _Views.of(spec, params), _Views.of(spec, np.empty(params.shape))
     for epoch in range(config.epochs):
         # One gather per epoch; each minibatch is then a slice of views.
         order = np.stack([members[i].train[rngs[i].permutation(n_train)] for i in active])
@@ -395,13 +434,13 @@ def _run_sgd(
         for b in range(n_batches):
             start = b * config.batch_size
             batch = shuffled.take((slice(None), slice(start, start + config.batch_size)))
-            terms, g = _nll_core(spec, scaler, head, ext, batch, True)
+            terms, g = _nll_core(spec, scaler, views.head, views.layers, batch, True, grad)
             if not np.isfinite(terms.sum(axis=-1)).all():
                 raise NonFiniteLoss(f"non-finite loss in epoch {epoch}")
             g /= terms.shape[1]
             norms[:, b] = norm = np.sqrt(np.vecdot(g, g))
-            over = norm > GRAD_CLIP
-            if over.any():
+            if norm.max() > GRAD_CLIP:
+                over = norm > GRAD_CLIP
                 g[over] *= (GRAD_CLIP / norm[over])[:, None]
                 clipped += over
             # In place: the best parameters are copies, never views of these.
@@ -433,9 +472,9 @@ def _run_sgd(
                 keep[j] = wait[i] <= config.early_stopping_patience
         if not keep.all():
             active, params = active[keep], params[keep]
-            head, ext = params[:, :n_head], params[:, n_head:]
             if not active.size:
                 break
+            views, grad = _Views.of(spec, params), _Views.of(spec, np.empty(params.shape))
 
     (record_nll,) = _mean_nll(spec, scaler, best, plan, [m.record for m in members])
     return [

@@ -8,10 +8,19 @@ def _as_float(z):
     return z, z.ndim == 0
 
 
-def softplus(z):
-    """log(1 + exp(z)) computed as max(z, 0) + log1p(exp(-|z|))."""
+def softplus_tail(z):
+    """log1p(exp(-|z|)), the term :func:`softplus` and :func:`sigmoid` of z share."""
+    return np.log1p(np.exp(-np.abs(z)))
+
+
+def softplus(z, tail=None):
+    """log(1 + exp(z)) computed as max(z, 0) + log1p(exp(-|z|)).
+
+    ``tail`` is ``softplus_tail(z)``, computed here when not given; :func:`sigmoid`
+    takes the same.
+    """
     z, scalar = _as_float(z)
-    out = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    out = np.maximum(z, 0.0) + (softplus_tail(z) if tail is None else tail)
     return float(out) if scalar else out
 
 
@@ -24,10 +33,13 @@ def softplus_inv(y):
     return float(out) if scalar else out
 
 
-def sigmoid(z):
-    """Logistic function, stable for large |z|."""
+def sigmoid(z, tail=None):
+    """Logistic function, stable for large |z|: exp(-softplus(-z)), as exp(min(z, 0) - tail).
+
+    ``tail`` is ``softplus_tail(z)``, computed here when not given.
+    """
     z, scalar = _as_float(z)
-    out = np.exp(-(np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
+    out = np.exp(np.minimum(z, 0.0) - (softplus_tail(z) if tail is None else tail))
     return float(out) if scalar else out
 
 

@@ -33,7 +33,7 @@ from . import feature, target
 from .basis import LogTimeScaler, bernstein_vectors, monotone_reparam, monotone_reparam_vjp
 from .core import FittedModel, ModelSpec, Parameterization
 from .errors import BisectionNonConvergence, DimensionMismatch
-from .numerics import logsumexp, sigmoid, softplus, softplus_inv
+from .numerics import logsumexp, sigmoid, softplus, softplus_inv, softplus_tail
 
 
 # head length per parameterization as (multiple of k, multiple of d, constant)
@@ -146,10 +146,12 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
     extractor output or one row per subject.  A stack of M heads (M, P_h)
     takes (M, n, d) features, one minibatch per member, and gives stacked
     fields (see :class:`Coefficients`); a member's coefficients are the bits
-    its head alone gives.  ``pullback(d, rows=None)`` maps the
+    its head alone gives.  ``pullback(d, rows=None, out=None)`` maps the
     output of :func:`eval_transform`'s pullback at the coefficient rows
-    ``rows`` (all when None) to the head gradient, shaped like ``head``, and
-    those rows' feature sensitivities (None without an extractor).
+    ``rows`` (all when None) to the head gradient, shaped like ``head`` and
+    written into ``out`` when given, and those rows' feature sensitivities
+    (None without an extractor).  Each softplus shares its
+    ``log1p(exp(-|z|))`` with the sigmoid of its pullback.
     """
     head = np.asarray(head, dtype=float)
     if head.ndim not in (1, 2) or head.shape[-1] != head_size(spec):
@@ -164,26 +166,28 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
 
     # the head gradient joins (..., j) pieces on the last axis; a scalar's piece is (..., 1)
     if p == Parameterization.LINEAR_SHIFT:
-        w = per_row[..., 2:]
+        w, b_raw = per_row[..., 2:], per_row[..., 1]
+        b_tail = softplus_tail(b_raw)
 
-        def pullback(d, rows=None):
-            d_b = sigmoid(head[..., 1:2]) * d.m.sum(axis=-1, keepdims=True)
+        def pullback(d, rows=None, out=None):
+            d_b = sigmoid(b_raw, b_tail) * d.m.sum(axis=-1, keepdims=True)
             d_head = [d.c.sum(axis=-1, keepdims=True), d_b, _rows_dot(_at(f, rows), d.c)]
-            return np.concatenate(d_head, axis=-1), d.c[..., None] * w
+            return np.concatenate(d_head, axis=-1, out=out), d.c[..., None] * w
 
         c = per_row[..., 0] + _rowdot(f, w)
-        return Coefficients(None, 0.0, c, softplus(per_row[..., 1])), pullback
+        return Coefficients(None, 0.0, c, softplus(b_raw, b_tail)), pullback
 
     if p == Parameterization.LINEAR_SCALE:
         w = per_row[..., 1:]
         r = _rowdot(f, w)
+        r_tail = softplus_tail(r)
 
-        def pullback(d, rows=None):
-            d_r = sigmoid(_at(r, rows)) * d.m
+        def pullback(d, rows=None, out=None):
+            d_r = sigmoid(_at(r, rows), _at(r_tail, rows)) * d.m
             d_head = [d.c.sum(axis=-1, keepdims=True), _rows_dot(_at(f, rows), d_r)]
-            return np.concatenate(d_head, axis=-1), d_r[..., None] * w
+            return np.concatenate(d_head, axis=-1, out=out), d_r[..., None] * w
 
-        return Coefficients(None, 0.0, per_row[..., 0], softplus(r)), pullback
+        return Coefficients(None, 0.0, per_row[..., 0], softplus(r, r_tail)), pullback
 
     k = spec.bernstein_order + 1
     if p == Parameterization.BERNSTEIN_FLEXIBLE:
@@ -192,31 +196,38 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
             raise DimensionMismatch(
                 "flexible parameterization needs extractor output of dimension order + 1"
             )
-        return Coefficients(monotone_reparam(f), 1.0, 0.0, None), lambda d, rows=None: (
-            np.zeros(members + (0,)), monotone_reparam_vjp(_at(f, rows), d.theta)
-        )
+        f_tail = softplus_tail(f[..., 1:])
+
+        def pullback(d, rows=None, out=None):
+            d_feats = monotone_reparam_vjp(_at(f, rows), d.theta, _at(f_tail, rows))
+            return np.zeros(members + (0,)) if out is None else out, d_feats
+
+        return Coefficients(monotone_reparam(f, f_tail), 1.0, 0.0, None), pullback
 
     # baseline, bernstein_shift and bernstein_shift_scale share one theta
     d_out = 0 if f is None else spec.extractor.output_dim
     gamma = head[..., :k]
+    gamma_tail = softplus_tail(gamma[..., 1:])
     w, beta = per_row[..., k : k + d_out], per_row[..., k + d_out :]
     r = _rowdot(f, beta) if p == Parameterization.BERNSTEIN_SHIFT_SCALE else None
+    r_tail = None if r is None else softplus_tail(r)
 
-    def pullback(d, rows=None):
-        grads = [monotone_reparam_vjp(gamma, d.theta)]
+    def pullback(d, rows=None, out=None):
+        grads = [monotone_reparam_vjp(gamma, d.theta, gamma_tail)]
         if f is None:
-            return grads[0], None
+            return np.concatenate(grads, axis=-1, out=out), None
         grads.append(_rows_dot(_at(f, rows), d.c))
         d_feats = d.c[..., None] * w
         if r is not None:
-            d_r = sigmoid(_at(r, rows)) * d.s
+            d_r = sigmoid(_at(r, rows), _at(r_tail, rows)) * d.s
             grads.append(_rows_dot(_at(f, rows), d_r))
             d_feats += d_r[..., None] * beta
-        return np.concatenate(grads, axis=-1), d_feats
+        return np.concatenate(grads, axis=-1, out=out), d_feats
 
-    s = 1.0 if r is None else softplus(r)
+    s = 1.0 if r is None else softplus(r, r_tail)
     c = 0.0 if f is None else _rowdot(f, w)
-    return Coefficients(monotone_reparam(per_row[..., :k]), s, c, None), pullback
+    theta = monotone_reparam(per_row[..., :k], gamma_tail[:, None] if members else gamma_tail)
+    return Coefficients(theta, s, c, None), pullback
 
 
 def basis_rows(spec: ModelSpec, log_t, scaler: LogTimeScaler):
@@ -237,8 +248,10 @@ def eval_transform(
     ``pullback(upstream_h, upstream_dh)`` returns :class:`Coefficients`
     sensitivities, one per time of a vector or of a stack's (M, n), except
     that a theta shared by the rows (every parameterization but
-    bernstein_flexible) comes summed over them, (k,) or (M, k).  A linear
-    dh/dlog t is a read-only broadcast of m.
+    bernstein_flexible) comes summed over them, (k,) or (M, k).  dh/dlog t
+    has the axes of h and is not to be written to; a linear model's is m,
+    with length one where m is shared, broadcast to h's shape only when m
+    has fewer axes.
     """
     log_t = np.atleast_1d(np.asarray(log_t, dtype=float))
     if rows is not None:
@@ -251,7 +264,7 @@ def eval_transform(
             return Coefficients(None, None, uh, uh * log_t + ud)
 
         h = c + m * log_t
-        return h, np.broadcast_to(m, h.shape), pullback
+        return h, m if np.ndim(m) == h.ndim else np.broadcast_to(m, h.shape), pullback
 
     # m = 0
     basis_v, deriv_v = basis_rows(spec, log_t, scaler) if basis is None else basis

@@ -312,6 +312,40 @@ def test_out_of_range_config_fails_with_code(
     assert json.loads((out / "error.json").read_text())["error"] == "E_BAD_CONFIG"
 
 
+@pytest.mark.parametrize("command", ["fit", "ensemble"])
+@pytest.mark.parametrize(
+    "flags, spec_text",
+    [
+        ([], '"epochs": Infinity'),
+        ([], '"seed": 1e400'),
+        ([], '"hidden_dims": [Infinity]'),
+        ([], '"init_scale": Infinity'),
+        ([], '"lr_extractor": NaN'),
+        (["--init_scale", "nan"], None),
+        (["--lr_head", "inf"], None),
+    ],
+    ids=["epochs-inf", "seed-overflow", "hidden-dims-inf", "init-scale-inf", "lr-nan",
+         "init-scale-flag-nan", "lr-head-flag-inf"],
+)
+def test_non_finite_config_fails_before_the_manifest(
+    tmp_path, training_csv, spec_json, command, flags, spec_text
+):
+    """Non-finite or overflowing spec values, in the JSON file or as flags, exit with
+    E_BAD_CONFIG and leave no manifest behind."""
+    spec = tmp_path / "config.json"
+    text = Path(spec_json).read_text()
+    if spec_text is not None:
+        text = text.rstrip().rstrip("}") + ", " + spec_text + "}"
+    spec.write_text(text)
+    out = tmp_path / "out"
+    extra = ["--members", "2", "--top", "1"] if command == "ensemble" else []
+    argv = [command, "--data", training_csv, "--spec", str(spec), *extra, *flags,
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert json.loads((out / "error.json").read_text())["error"] == "E_BAD_CONFIG"
+    assert not (out / "manifest.json").exists()
+
+
 class TestEvaluateCommand:
     def test_report_matches_recorded_train_nll(self, tmp_path, training_csv, spec_json):
         run = tmp_path / "run"

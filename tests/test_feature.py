@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tramsurv.errors import DimensionMismatch
+from tramsurv.errors import BadConfig, DimensionMismatch, TapeMismatch
 from tramsurv.feature import (
     ExtractorSpec,
     backward,
@@ -129,6 +129,14 @@ class TestInit:
             np.testing.assert_array_equal(b, np.zeros_like(b))
 
 
+class TestSpec:
+    @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan, "1.0"])
+    def test_init_scale_must_be_a_finite_number(self, scale):
+        with pytest.raises(BadConfig) as info:
+            ExtractorSpec(input_dim=2, init_scale=scale)
+        assert info.value.code == "E_BAD_CONFIG"
+
+
 class TestBackward:
     def test_zero_upstream_zero_gradient(self):
         rng = np.random.default_rng(37)
@@ -191,3 +199,43 @@ class TestBackward:
             _, t_i = forward(spec, params, xs[i : i + 1])
             acc += backward(spec, t_i, us[i : i + 1])
         np.testing.assert_allclose(grad, acc, rtol=1e-12)
+
+    def test_tape_of_another_spec_is_rejected(self):
+        rng = np.random.default_rng(53)
+        spec = ExtractorSpec(input_dim=3, hidden_dims=(4,), output_dim=2)
+        other = ExtractorSpec(input_dim=3, hidden_dims=(4,), output_dim=2, activation="relu")
+        out, tape = forward(spec, rng.normal(size=param_count(spec)), rng.normal(size=(5, 3)))
+        with pytest.raises(TapeMismatch) as info:
+            backward(other, tape, np.ones_like(out))
+        assert info.value.code == "E_TAPE_MISMATCH"
+
+    @pytest.mark.parametrize("shape", [(4, 2), (5, 3), (2, 5, 2), (5,)])
+    def test_upstream_of_another_shape_is_rejected(self, shape):
+        rng = np.random.default_rng(59)
+        spec = ExtractorSpec(input_dim=3, hidden_dims=(4,), output_dim=2)
+        _, tape = forward(spec, rng.normal(size=param_count(spec)), rng.normal(size=(5, 3)))
+        with pytest.raises(DimensionMismatch) as info:
+            backward(spec, tape, np.ones(shape))
+        assert info.value.code == "E_DIMENSION_MISMATCH"
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_bound_views_give_the_same_bits(self, activation):
+        """Layer views split once, and a gradient buffer written through its views,
+        give the bits of flat parameters and a new gradient array."""
+        rng = np.random.default_rng(61)
+        spec = ExtractorSpec(input_dim=3, hidden_dims=(6, 4), output_dim=2,
+                             activation=activation)
+        params = rng.normal(size=(3, param_count(spec)))
+        x = rng.normal(size=(3, 7, 3))
+        upstream = rng.normal(size=(3, 7, 2))
+        out, tape = forward(spec, params, x)
+        grad = backward(spec, tape, upstream)
+        buffer = np.full(params.shape, np.nan)
+        views = split_params(spec, buffer)
+        bound_out, bound_tape = forward(spec, split_params(spec, params), x)
+        written = backward(spec, bound_tape, upstream, out=views)
+        assert written is buffer
+        assert bound_out.tobytes() == out.tobytes()
+        assert buffer.tobytes() == grad.tobytes()
+        with pytest.raises(DimensionMismatch):
+            backward(spec, bound_tape, upstream, out=split_params(spec, buffer[:2]))

@@ -461,6 +461,42 @@ class TestFit:
         ens = fit_ensemble(ds, spec, n_members=2, top_m=1)
         assert np.all(np.isfinite(ens.pool_validation_nlls))
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    @pytest.mark.parametrize("which", ["lr_head", "lr_extractor"])
+    def test_learning_rates_must_be_finite_and_positive(self, which, lr):
+        with pytest.raises(BadConfig) as info:
+            TrainConfig(**{which: lr})
+        assert info.value.code == "E_BAD_CONFIG"
+        with pytest.raises(BadConfig) as info:
+            ModelSpec(family=TargetFamily.LOGISTIC, parameterization=Parameterization.BASELINE,
+                      **{which: lr})
+        assert info.value.code == "E_BAD_CONFIG"
+
+    def test_parameters_are_split_once_per_stack_not_per_step(self, monkeypatch):
+        """The SGD loop binds its layer views once; how often the extractor's parameters
+        are split does not grow with the number of steps."""
+        import tramsurv.feature as feature
+
+        ds = _exponential_dataset(np.random.default_rng(307), 60)
+        spec = ModelSpec(
+            family=TargetFamily.MEV, parameterization=Parameterization.BERNSTEIN_SHIFT_SCALE,
+            bernstein_order=3, extractor=ExtractorSpec(input_dim=2, hidden_dims=(3,), output_dim=2),
+        )
+        calls = Counter()
+        split = feature.split_params
+
+        def counted(*args):
+            calls["split"] += 1
+            return split(*args)
+
+        monkeypatch.setattr(feature, "split_params", counted)
+        counts = []
+        for batch_size in (48, 4):  # 1 and 12 steps per epoch
+            calls.clear()
+            fit(ds, spec, TrainConfig(epochs=3, batch_size=batch_size, early_stopping_patience=3))
+            counts.append(calls["split"])
+        assert counts[0] == counts[1]
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(301)
         ds = _exponential_dataset(rng, 80)
