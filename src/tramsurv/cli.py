@@ -276,6 +276,16 @@ def _finite(value) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
+def _integer(value) -> int:
+    """An integer setting from a spec: an int, an integral float or an integer string.
+
+    A fractional value or a bool raises ``ValueError``; none is truncated.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
 def _spec_value(convert, config: dict, key: str, default):
     """``convert`` applied to ``config[key]``, or to ``default`` when the key is absent."""
     value = config.get(key, default)
@@ -300,10 +310,10 @@ def build_model_spec(config: dict, n_features: int) -> ModelSpec:
             f"unknown parameterization {config['parameterization']!r}; expected one of "
             f"{[p.value for p in Parameterization]}"
         ) from None
-    order = _spec_value(int, config, "bernstein_order", 6)
+    order = _spec_value(_integer, config, "bernstein_order", 6)
     extractor = None
     if parameterization != Parameterization.BASELINE:
-        hidden = _spec_value(lambda dims: tuple(map(int, dims)), config, "hidden_dims", ())
+        hidden = _spec_value(lambda dims: tuple(map(_integer, dims)), config, "hidden_dims", ())
         if parameterization == Parameterization.BERNSTEIN_FLEXIBLE:
             output_dim = order + 1
         else:
@@ -322,16 +332,16 @@ def build_model_spec(config: dict, n_features: int) -> ModelSpec:
         extractor=extractor,
         lr_extractor=config.get("lr_extractor"),
         lr_head=config.get("lr_head"),
-        epochs=_spec_value(int, config, "epochs", 200),
-        early_stopping_patience=_spec_value(int, config, "early_stopping_patience", 10),
-        seed=_spec_value(int, config, "seed", 0),
+        epochs=_spec_value(_integer, config, "epochs", 200),
+        early_stopping_patience=_spec_value(_integer, config, "early_stopping_patience", 10),
+        seed=_spec_value(_integer, config, "seed", 0),
     )
 
 
 def build_train_config(config: dict, spec: ModelSpec) -> TrainConfig:
     overrides = {}
     if "batch_size" in config:
-        overrides["batch_size"] = _spec_value(int, config, "batch_size", None)
+        overrides["batch_size"] = _spec_value(_integer, config, "batch_size", None)
     if "validation_fraction" in config:
         overrides["validation_fraction"] = _spec_value(float, config, "validation_fraction", None)
     return TrainConfig.from_model_spec(spec, **overrides)

@@ -34,6 +34,7 @@ from .errors import (
     NonPositiveTime,
     RaggedCovariates,
     SchemaVersionMismatch,
+    require_int,
 )
 from .feature import ExtractorSpec
 from .target import TargetFamily
@@ -250,12 +251,10 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.bernstein_order < 1:
-            raise BadConfig("bernstein_order must be >= 1")
-        if self.epochs < 1:
-            raise BadConfig("epochs must be >= 1")
-        if self.early_stopping_patience < 0:
-            raise BadConfig("early_stopping_patience must be >= 0")
+        require_int("bernstein_order", self.bernstein_order, 1)
+        require_int("epochs", self.epochs, 1)
+        require_int("early_stopping_patience", self.early_stopping_patience, 0)
+        require_int("seed", self.seed, 0)
         lr_ext, lr_head = default_learning_rates(self.parameterization, self.family)
         if self.lr_extractor is None:
             object.__setattr__(self, "lr_extractor", lr_ext)

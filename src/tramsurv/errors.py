@@ -5,6 +5,8 @@ carries a ``code`` attribute that is stable across releases, so callers (and
 the CLI's ``error.json``) can dispatch on it without parsing messages.
 """
 
+from numbers import Integral
+
 
 class TramsurvError(Exception):
     code = "E_GENERIC"
@@ -124,6 +126,17 @@ class BadConfig(TramsurvError, ValueError):
     """A configuration value out of its range or of the wrong type."""
 
     code = "E_BAD_CONFIG"
+
+
+def require_int(name: str, value, minimum: int):
+    """Raise :class:`BadConfig` unless ``value`` is an integer, not a bool, of at least ``minimum``.
+
+    A float is rejected even when integral: an integer setting is never rounded.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise BadConfig(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise BadConfig(f"{name} must be >= {minimum}, got {value!r}")
 
 
 class DegenerateIntervalWarning(RuntimeWarning):

@@ -18,12 +18,12 @@ likewise.  :func:`forward` reads the parameter views as they are, and
 :func:`backward` writes each step's gradient through the buffer's views, so
 a step neither splits, checks nor allocates parameter-shaped arrays.
 
-Inference uses :func:`features` instead: one parameter vector, no tape, and
-each layer multiplies every row on its own as a stack of (1, i) @ (i, o)
-products.  A subject's features are then the same bits whether it is
-evaluated alone or in a batch of any size or order, which one (n, i) @ (i, o)
-product does not guarantee (BLAS blocks and vectorizes it differently by n).
-One subject is (p,) -> (d,).
+Inference makes the same call, with one parameter vector and the subjects
+(n, p) as a stack of one-row minibatches (n, 1, p): each layer is then a
+stack of (1, i) @ (i, o) products, one per subject.  A subject's features
+are the same bits whether it is evaluated alone or in a batch of any size or
+order, which one (n, i) @ (i, o) product does not guarantee (BLAS blocks and
+vectorizes it differently by n).  Its tape is left unused.
 """
 
 from dataclasses import dataclass
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadConfig, DimensionMismatch, TapeMismatch
+from .errors import BadConfig, DimensionMismatch, TapeMismatch, require_int
 
 _ACTIVATIONS = ("tanh", "relu")
 
@@ -54,11 +54,11 @@ class ExtractorSpec:
     init_scale: float = 1.0
 
     def __post_init__(self):
+        for h in self.hidden_dims:
+            require_int("hidden layer width", h, 1)
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         if self.input_dim < 1 or self.output_dim < 1:
             raise DimensionMismatch("extractor dimensions must be positive")
-        if any(h < 1 for h in self.hidden_dims):
-            raise BadConfig("hidden layer widths must be positive")
         if self.activation not in _ACTIVATIONS:
             raise BadConfig(f"activation must be one of {_ACTIVATIONS}")
         if not (isinstance(self.init_scale, Real) and math.isfinite(self.init_scale)):
@@ -152,11 +152,11 @@ class Tape(NamedTuple):
     inputs: list  # input to each layer, post-activation
 
 
-def _as_batch(spec: ExtractorSpec, x, ndim: int = 2) -> np.ndarray:
-    """Covariates as an (n, input_dim) matrix, or up to ``ndim`` axes; a vector is one row."""
+def _as_batch(spec: ExtractorSpec, x) -> np.ndarray:
+    """Covariates as an (n, input_dim) matrix or an (M, n, input_dim) stack; a vector is one row."""
     x = np.asarray(x, dtype=float)
     a = x[None, :] if x.ndim == 1 else x
-    if not 2 <= a.ndim <= ndim or a.shape[-1] != spec.input_dim:
+    if not 2 <= a.ndim <= 3 or a.shape[-1] != spec.input_dim:
         raise DimensionMismatch(
             f"expected covariates of dimension {spec.input_dim}, got shape {x.shape}"
         )
@@ -172,13 +172,15 @@ def forward(spec: ExtractorSpec, params, x) -> tuple[np.ndarray, Tape]:
     """Evaluate a stack of M extractors (M, P) for training on their minibatches (M, n, p).
 
     Covariates (n, p) are every member's minibatch; one parameter vector (P,)
-    takes (n, p) covariates, and a vector (p,) is one row.  ``params`` may
-    also be their :class:`Layers`, which are read without another split.
-    Returns the (M, n, d) or (n, d) features and a tape for the backward
-    pass.  A minibatch is one matrix product per layer and member, so a
-    row's last bits may depend on its minibatch, never on the other members.
+    takes (n, p) covariates or a stack (B, n, p) of minibatches, and a
+    vector (p,) is one row.  ``params`` may also be their :class:`Layers`,
+    which are read without another split.
+    Returns the features, (M, n, d), (B, n, d) or (n, d), and a tape for the
+    backward pass.  A minibatch is one matrix product per layer and member,
+    so a row's last bits may depend on its minibatch, never on the other
+    members or minibatches.
     """
-    a = _as_batch(spec, x, ndim=3)
+    a = _as_batch(spec, x)
     layers = _bound(spec, params)
     inputs = []
     last = len(layers) - 1
@@ -189,24 +191,6 @@ def forward(spec: ExtractorSpec, params, x) -> tuple[np.ndarray, Tape]:
         if i < last:
             _activate(spec, a)
     return a, Tape(spec, layers, inputs)
-
-
-def features(spec: ExtractorSpec, params: np.ndarray, x) -> np.ndarray:
-    """Extractor output at inference for one vector (p,) or a matrix (n, p); no tape.
-
-    ``params`` is one flat vector.  Every row goes through each layer as its
-    own (1, i) @ (i, o) product, the product ``forward`` makes for a one-row
-    minibatch, so each row's features equal ``forward`` of that row alone, bit
-    for bit, whatever the batch.
-    """
-    a = _as_batch(spec, x)
-    if np.ndim(params) != 1:
-        raise DimensionMismatch(f"expected one parameter vector, got shape {np.shape(params)}")
-    layers = split_params(spec, params)
-    for i, (w, b) in enumerate(layers):
-        z = np.matmul(a[:, None, :], w)[:, 0, :] + b
-        a = _activate(spec, z) if i < len(layers) - 1 else z
-    return a[0] if np.ndim(x) == 1 else a
 
 
 def backward(spec: ExtractorSpec, tape: Tape, upstream, out: Layers | None = None) -> np.ndarray:

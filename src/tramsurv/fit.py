@@ -11,8 +11,9 @@ dataset gives one observation's NLL; the exact-row term equals the
 conditional log-density that scoring reads, bit for bit.  A step composes
 the transform core: extractor features, then the per-row coefficients of
 ``transform.coefficients``, then ``eval_transform`` at the lower times and,
-for interval rows, at the upper times, gathering their coefficient rows; the
-pullbacks run in reverse.
+when the batch holds interval rows, once more on the whole stack at the
+upper times; the pullbacks run in reverse, the two transformation
+sensitivities summed into one coefficient pullback.
 
 A step makes few numpy calls: one ``target.censored_nll`` call gives every
 row its term and z-derivative, and the plan holds the kinds as row masks
@@ -71,8 +72,10 @@ from .errors import (
     EmptyDataset,
     NonFiniteLoss,
     NonPositiveTime,
+    require_int,
 )
 from .transform import (
+    Coefficients,
     EnsembleDistribution,
     basis_rows,
     coefficients,
@@ -101,18 +104,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise BadConfig("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise BadConfig("batch_size must be >= 1")
+        require_int("epochs", self.epochs, 1)
+        require_int("batch_size", self.batch_size, 1)
+        require_int("early_stopping_patience", self.early_stopping_patience, 0)
+        require_int("seed", self.seed, 0)
         if not 0.0 < self.validation_fraction < 1.0:
             raise BadConfig("validation_fraction must lie in (0, 1)")
-        if self.early_stopping_patience < 0:
-            raise BadConfig("early_stopping_patience must be >= 0")
         if not all(math.isfinite(lr) and lr > 0.0 for lr in (self.lr_extractor, self.lr_head)):
             raise BadConfig("learning rates must be finite and positive")
-        if self.seed < 0:
-            raise BadConfig("seed must be non-negative")
 
     @classmethod
     def from_model_spec(cls, spec: ModelSpec, **overrides) -> "TrainConfig":
@@ -261,9 +260,11 @@ def _nll_core(spec: ModelSpec, scaler: LogTimeScaler, head, ext, plan: _Plan, wa
     into the buffer ``grad`` binds (a new one when None) and returned as its
     ``flat`` array.  One transformation call covers every row at its lower
     time, and one ``target.censored_nll`` call gives every row its term and
-    z-derivative; each member's interval rows take a second transformation
-    call at their upper time, on that member's coefficients of those rows,
-    and overwrite their terms.  Every operation acts per member, so a
+    z-derivative.  When the plan has interval rows, a second call covers the
+    whole stack at the plan's upper times (the lower ones outside interval
+    rows), and the interval rows' terms are overwritten through their mask;
+    the sensitivities of both calls are added field by field and go through
+    one coefficient pullback.  Every operation acts per member, so a
     member's numbers are the bits a stack of one gives.
     """
     fam = spec.family
@@ -278,7 +279,25 @@ def _nll_core(spec: ModelSpec, scaler: LogTimeScaler, head, ext, plan: _Plan, wa
     # -log f(t) = -(log f_Z(h) + log dh/dlog t - log t) on exact rows
     log_dh = np.log(dh, out=np.zeros(h.shape), where=exact)
     terms = np.where(exact, -((log_dh - nll_z) - log_t), nll_z)
-    upper = [] if plan.interval is None else _upper_terms(spec, scaler, head, feats, plan, h, terms)
+    interval = plan.interval
+    if interval is not None:
+        # the upper log-times are the lower ones outside interval rows
+        h_hi, _, pullback_hi = eval_transform(spec, coef, None, plan.upper_log_t, scaler,
+                                              basis=plan.upper_basis)
+        interval = np.broadcast_to(interval, h.shape)
+        mass = np.where(interval, _interval_mass(fam, h, h_hi), 1.0)
+        degenerate = mass < INTERVAL_MASS_FLOOR
+        if degenerate.any():
+            warnings.warn(
+                f"{np.sum(degenerate)} interval observation(s) carry no "
+                "probability mass; their likelihood contribution is clamped",
+                DegenerateIntervalWarning,
+                stacklevel=3,
+            )
+        clamped = np.maximum(mass, INTERVAL_MASS_FLOOR)
+        terms = np.where(interval, -np.log(clamped), terms)
+        # 1 / mass on interval rows, 0 where clamped and outside them
+        inv = np.where(interval & ~degenerate, 1.0 / clamped, 0.0)
     if not want_grad:
         return terms, None
 
@@ -286,58 +305,17 @@ def _nll_core(spec: ModelSpec, scaler: LogTimeScaler, head, ext, plan: _Plan, wa
         n_ext = spec.extractor.param_count if tape is not None else 0
         grad = _Views.of(spec, np.empty((head.shape[0], head.shape[1] + n_ext)))
     up_dh = np.divide(-1.0, dh, out=np.zeros(h.shape), where=exact)
-    for m, rows, h_lo, _, inv, _, _ in upper:
-        up_h[m, rows] = target.density(fam, h_lo) * inv
-    _, d_feats = coef_pullback(pullback(up_h, up_dh), out=grad.head)
-    for m, rows, _, h_hi, inv, member_pullback, pullback_hi in upper:
-        d_hi = pullback_hi(-target.density(fam, h_hi) * inv, np.zeros(rows.size))
-        grad_hi, d_feats_hi = member_pullback(d_hi, rows)
-        grad.head[m] += grad_hi
-        if d_feats is not None:
-            d_feats[m, rows] += d_feats_hi
+    if interval is None:
+        d_coef = pullback(up_h, up_dh)
+    else:
+        up_h = np.where(interval, target.density(fam, h) * inv, up_h)
+        d_hi = pullback_hi(-target.density(fam, h_hi) * inv, np.zeros(h.shape))
+        d_coef = Coefficients(*(lo if hi is None else lo + hi
+                                for lo, hi in zip(pullback(up_h, up_dh), d_hi)))
+    _, d_feats = coef_pullback(d_coef, out=grad.head)
     if tape is not None:
         feature.backward(spec.extractor, tape, d_feats, out=grad.layers)
     return terms, grad.flat
-
-
-def _upper_terms(spec, scaler, head, feats, plan: _Plan, h, terms) -> list:
-    """Overwrite the terms of every member's interval rows with -log of their CDF difference.
-
-    Returns, per member with interval rows, what the gradient reads: the
-    member, its rows, h at both ends, 1 / mass (0 where clamped), and the
-    pullbacks of the member's coefficients and of the upper transformation.
-    """
-    shape = terms.shape
-    interval = np.broadcast_to(plan.interval, shape)
-    upper_log_t = np.broadcast_to(plan.upper_log_t, shape)
-    upper_basis = plan.upper_basis and tuple(
-        np.broadcast_to(column, shape + column.shape[-1:]) for column in plan.upper_basis
-    )
-    out, degenerate_rows = [], 0
-    for m in range(shape[0]):
-        rows = np.flatnonzero(interval[m])
-        if not rows.size:
-            continue
-        coef, member_pullback = coefficients(spec, head[m], None if feats is None else feats[m])
-        h_hi, _, pullback_hi = eval_transform(
-            spec, coef, rows, upper_log_t[m, rows], scaler,
-            basis=upper_basis and tuple(column[m, rows] for column in upper_basis),
-        )
-        h_lo = h[m, rows]
-        mass = _interval_mass(spec.family, h_lo, h_hi)
-        degenerate = mass < INTERVAL_MASS_FLOOR
-        degenerate_rows += int(np.sum(degenerate))
-        terms[m, rows] = -np.log(np.maximum(mass, INTERVAL_MASS_FLOOR))
-        inv = np.where(degenerate, 0.0, 1.0 / np.maximum(mass, INTERVAL_MASS_FLOOR))
-        out.append((m, rows, h_lo, h_hi, inv, member_pullback, pullback_hi))
-    if degenerate_rows:
-        warnings.warn(
-            f"{degenerate_rows} interval observation(s) carry no "
-            "probability mass; their likelihood contribution is clamped",
-            DegenerateIntervalWarning,
-            stacklevel=4,
-        )
-    return out
 
 
 def nll_batch(state: ModelState, dataset: SurvivalDataset) -> tuple[float, np.ndarray]:
@@ -608,10 +586,11 @@ def fit_ensemble(
     member's model does not depend on its stack, so neither does the result
     on ``jobs``; selection sorts by (validation NLL, member seed).
     """
-    if not 1 <= top_m <= n_members:
+    require_int("n_members", n_members, 1)
+    require_int("top_m", top_m, 1)
+    require_int("jobs", jobs, 1)
+    if top_m > n_members:
         raise BadConfig("need 1 <= top_m <= n_members")
-    if jobs < 1:
-        raise BadConfig(f"jobs must be >= 1, got {jobs}")
     validate_dataset(dataset, for_fitting=True)
     _check_input_dim(spec, dataset.p)
     if config is None:

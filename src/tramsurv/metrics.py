@@ -24,7 +24,6 @@ from .fit import EnsembleModel
 from .quadrature import gauss_kronrod
 from .transform import ConditionalDistribution, EnsembleDistribution, conditional_distribution
 
-SCORE_SLICE = 64  # subjects per CRPS call in evaluate
 # break points of the CDF integral below log t: its lower limit, the splits, log t itself
 _LOWER_SPLITS = np.array([40.0, 32.0, 16.0, 8.0, 4.0, 2.0, 1.0, 0.0])
 
@@ -240,9 +239,7 @@ def evaluate(model, dataset: SurvivalDataset, t_max: float | None = None) -> Eva
     nll = np.empty(dataset.n)
     nll[events] = -batch.subject(events).log_pdf(times[events])
     nll[~events] = -batch.subject(~events).log_survivor(times[~events])
-    # Slices bound the work done before a subject whose CRPS fails is reached.
-    slices = np.array_split(np.arange(dataset.n), range(SCORE_SLICE, dataset.n, SCORE_SLICE))
-    scores = np.concatenate([crps(batch.subject(r), times[r], events[r], t_max) for r in slices])
+    scores = crps(batch, times, events, t_max)
     risks = -batch.quantile(np.full(dataset.n, 0.5))
 
     numerator, pairs = concordance_counts(times, events, risks)

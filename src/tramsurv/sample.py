@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CensoringKind, FittedModel, SurvivalDataset, validate_dataset
-from .errors import BadConfig, ProbabilityOutOfRange, SchemaMismatch
+from .errors import BadConfig, ProbabilityOutOfRange, SchemaMismatch, require_int
 from .transform import conditional_distribution
 
 
@@ -33,10 +33,10 @@ class SynthConfig:
     censor_at_max: bool = True
 
     def __post_init__(self):
-        if self.replication < 1:
-            raise BadConfig("replication must be >= 1")
-        if not 0 <= self.seed < 2**128:
-            raise BadConfig("seed must be non-negative and below 2**128")
+        require_int("replication", self.replication, 1)
+        require_int("seed", self.seed, 0)
+        if self.seed >= 2**128:
+            raise BadConfig(f"seed must be below 2**128, got {self.seed}")
 
 
 def sample_time(dist, u):

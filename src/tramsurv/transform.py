@@ -17,11 +17,11 @@ in log-time; ``ConditionalDistribution`` and the deep-ensemble mixture
 problem.  h = F_Z^{-1}(p) inverts in closed form for the linear
 parameterizations and on the affine Bernstein tails.
 
-Every number a subject gets at inference depends on its row alone: features
-come from ``feature.features``, which multiplies row by row, and every
-row-wise contraction here is ``_rowdot``, one BLAS dot per row whatever the
-batch size.  A quantile's Newton path, and so its root, is then the same bits
-alone, in a batch, or permuted.  Sums over rows (the pullbacks' gradients)
+Every number a subject gets at inference depends on its row alone: its
+features come from ``feature.forward`` with the subject as a one-row
+minibatch, and every row-wise contraction here is ``_rowdot``, one BLAS dot
+per row whatever the batch size.  A quantile's Newton path, and so its root,
+is then the same bits alone, in a batch, or permuted.  Sums over rows (the pullbacks' gradients)
 stay matrix products.
 """
 
@@ -120,10 +120,6 @@ class Coefficients(NamedTuple):
         return Coefficients(*(v[rows] if r else v for v, r in zip(self, self._per_row())))
 
 
-def _at(v: np.ndarray, rows) -> np.ndarray:
-    return v if rows is None else v[rows]
-
-
 def _rows_dot(f: np.ndarray, d: np.ndarray) -> np.ndarray:
     """f^T d summed over the rows of each member: (..., n, j) and (..., n) give (..., j)."""
     return (f.mT @ d[..., None])[..., 0]
@@ -146,12 +142,11 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
     extractor output or one row per subject.  A stack of M heads (M, P_h)
     takes (M, n, d) features, one minibatch per member, and gives stacked
     fields (see :class:`Coefficients`); a member's coefficients are the bits
-    its head alone gives.  ``pullback(d, rows=None, out=None)`` maps the
-    output of :func:`eval_transform`'s pullback at the coefficient rows
-    ``rows`` (all when None) to the head gradient, shaped like ``head`` and
-    written into ``out`` when given, and those rows' feature sensitivities
-    (None without an extractor).  Each softplus shares its
-    ``log1p(exp(-|z|))`` with the sigmoid of its pullback.
+    its head alone gives.  ``pullback(d, out=None)`` maps the output of
+    :func:`eval_transform`'s pullback, one sensitivity per coefficient row,
+    to the head gradient, shaped like ``head`` and written into ``out`` when
+    given, and the feature sensitivities (None without an extractor).  Each
+    softplus shares its ``log1p(exp(-|z|))`` with the sigmoid of its pullback.
     """
     head = np.asarray(head, dtype=float)
     if head.ndim not in (1, 2) or head.shape[-1] != head_size(spec):
@@ -169,9 +164,9 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
         w, b_raw = per_row[..., 2:], per_row[..., 1]
         b_tail = softplus_tail(b_raw)
 
-        def pullback(d, rows=None, out=None):
+        def pullback(d, out=None):
             d_b = sigmoid(b_raw, b_tail) * d.m.sum(axis=-1, keepdims=True)
-            d_head = [d.c.sum(axis=-1, keepdims=True), d_b, _rows_dot(_at(f, rows), d.c)]
+            d_head = [d.c.sum(axis=-1, keepdims=True), d_b, _rows_dot(f, d.c)]
             return np.concatenate(d_head, axis=-1, out=out), d.c[..., None] * w
 
         c = per_row[..., 0] + _rowdot(f, w)
@@ -182,9 +177,9 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
         r = _rowdot(f, w)
         r_tail = softplus_tail(r)
 
-        def pullback(d, rows=None, out=None):
-            d_r = sigmoid(_at(r, rows), _at(r_tail, rows)) * d.m
-            d_head = [d.c.sum(axis=-1, keepdims=True), _rows_dot(_at(f, rows), d_r)]
+        def pullback(d, out=None):
+            d_r = sigmoid(r, r_tail) * d.m
+            d_head = [d.c.sum(axis=-1, keepdims=True), _rows_dot(f, d_r)]
             return np.concatenate(d_head, axis=-1, out=out), d_r[..., None] * w
 
         return Coefficients(None, 0.0, per_row[..., 0], softplus(r, r_tail)), pullback
@@ -198,8 +193,8 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
             )
         f_tail = softplus_tail(f[..., 1:])
 
-        def pullback(d, rows=None, out=None):
-            d_feats = monotone_reparam_vjp(_at(f, rows), d.theta, _at(f_tail, rows))
+        def pullback(d, out=None):
+            d_feats = monotone_reparam_vjp(f, d.theta, f_tail)
             return np.zeros(members + (0,)) if out is None else out, d_feats
 
         return Coefficients(monotone_reparam(f, f_tail), 1.0, 0.0, None), pullback
@@ -212,15 +207,15 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
     r = _rowdot(f, beta) if p == Parameterization.BERNSTEIN_SHIFT_SCALE else None
     r_tail = None if r is None else softplus_tail(r)
 
-    def pullback(d, rows=None, out=None):
+    def pullback(d, out=None):
         grads = [monotone_reparam_vjp(gamma, d.theta, gamma_tail)]
         if f is None:
             return np.concatenate(grads, axis=-1, out=out), None
-        grads.append(_rows_dot(_at(f, rows), d.c))
+        grads.append(_rows_dot(f, d.c))
         d_feats = d.c[..., None] * w
         if r is not None:
-            d_r = sigmoid(_at(r, rows), _at(r_tail, rows)) * d.s
-            grads.append(_rows_dot(_at(f, rows), d_r))
+            d_r = sigmoid(r, r_tail) * d.s
+            grads.append(_rows_dot(f, d_r))
             d_feats += d_r[..., None] * beta
         return np.concatenate(grads, axis=-1, out=out), d_feats
 
@@ -549,8 +544,9 @@ class EnsembleDistribution(Pointwise):
 def conditional_distribution(model: FittedModel, x) -> ConditionalDistribution:
     """The conditional distribution of one subject, x of shape (p,), or of n, shape (n, p).
 
-    Features come from ``feature.features``, so a subject's numbers do not
-    depend on which other subjects share the batch.
+    Each subject is a one-row minibatch of ``feature.forward``, so its
+    features, and every number it gets, do not depend on which other
+    subjects share the batch.
     """
     spec = model.spec
     x = np.asarray(x, dtype=float)
@@ -558,6 +554,8 @@ def conditional_distribution(model: FittedModel, x) -> ConditionalDistribution:
         raise DimensionMismatch(
             f"expected a covariate vector or an (n, p) matrix, got shape {x.shape}"
         )
-    f = feature.features(spec.extractor, model.extractor_params, x) if spec.uses_extractor else None
+    f = None
+    if spec.uses_extractor:
+        f = feature.forward(spec.extractor, model.extractor_params, x[..., None, :])[0][..., 0, :]
     coef, _ = coefficients(spec, model.head_params, f)
     return ConditionalDistribution(spec, coef, model.scaler)

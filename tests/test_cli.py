@@ -346,6 +346,48 @@ def test_non_finite_config_fails_before_the_manifest(
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "ensemble"])
+@pytest.mark.parametrize(
+    "spec_values",
+    [
+        {"epochs": 2.7},
+        {"batch_size": 40.9},
+        {"seed": 1.5},
+        {"bernstein_order": 2.5},
+        {"early_stopping_patience": 3.5},
+        {"hidden_dims": [32.5]},
+        {"epochs": True},
+    ],
+    ids=["epochs", "batch_size", "seed", "bernstein_order", "patience", "hidden_dims",
+         "epochs-bool"],
+)
+def test_fractional_integer_setting_fails_before_the_manifest(
+    tmp_path, training_csv, spec_json, command, spec_values
+):
+    """An integer setting given a fraction or a bool is rejected, never truncated."""
+    spec = tmp_path / "config.json"
+    spec.write_text(json.dumps({**json.loads(Path(spec_json).read_text()), **spec_values}))
+    out = tmp_path / "out"
+    extra = ["--members", "2", "--top", "1"] if command == "ensemble" else []
+    argv = [command, "--data", training_csv, "--spec", str(spec), *extra, "--out", str(out)]
+    assert main(argv) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "E_BAD_CONFIG"
+    assert repr(next(iter(spec_values))) in record["message"]
+    assert not (out / "manifest.json").exists()
+
+
+def test_integral_float_setting_is_read_as_an_integer(tmp_path, training_csv, spec_json):
+    spec = tmp_path / "config.json"
+    spec.write_text(json.dumps({**json.loads(Path(spec_json).read_text()),
+                                "epochs": 2.0, "batch_size": 40.0}))
+    out = tmp_path / "out"
+    assert main(["fit", "--data", training_csv, "--spec", str(spec), "--out", str(out)]) == 0
+    train = json.loads((out / "manifest.json").read_text())["config"]["train"]
+    assert (train["epochs"], train["batch_size"]) == (2, 40)
+    assert len((out / "training_log.csv").read_text().splitlines()) == 3
+
+
 class TestEvaluateCommand:
     def test_report_matches_recorded_train_nll(self, tmp_path, training_csv, spec_json):
         run = tmp_path / "run"

@@ -5,7 +5,6 @@ from tramsurv.errors import BadConfig, DimensionMismatch, TapeMismatch
 from tramsurv.feature import (
     ExtractorSpec,
     backward,
-    features,
     flatten_params,
     forward,
     identity_params,
@@ -78,6 +77,8 @@ class TestForward:
 
 
 class TestInferenceFeatures:
+    """Subjects as a stack of one-row minibatches (n, 1, p), as inference evaluates them."""
+
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("hidden", [(), (5,), (32,), (32, 32)])
     def test_bitwise_equal_to_rowwise_forward(self, hidden, activation):
@@ -88,13 +89,14 @@ class TestInferenceFeatures:
             params = rng.normal(size=param_count(spec))
             xs = rng.normal(size=(37, input_dim))
             rows = np.array([forward(spec, params, x[None, :])[0][0] for x in xs])
-            np.testing.assert_array_equal(features(spec, params, xs), rows)
-            np.testing.assert_array_equal(features(spec, params, xs[4]), rows[4])
+            np.testing.assert_array_equal(forward(spec, params, xs[:, None, :])[0][:, 0], rows)
+            np.testing.assert_array_equal(forward(spec, params, xs[4:5, None, :])[0][0, 0],
+                                          rows[4])
 
     def test_wrong_input_dim_rejected(self):
         spec = ExtractorSpec(input_dim=3, hidden_dims=(), output_dim=1)
         with pytest.raises(DimensionMismatch):
-            features(spec, np.zeros(param_count(spec)), np.zeros((2, 5)))
+            forward(spec, np.zeros(param_count(spec)), np.zeros((2, 1, 5)))
 
 
 class TestParamLayout:

@@ -333,6 +333,44 @@ class TestStackedMembers:
         assert terms.shape == (members, 1)
         assert grad.shape == (members, head.shape[1] + ext.shape[1])
 
+    @pytest.mark.parametrize("parameterization", list(Parameterization))
+    def test_interval_rows_take_one_call_on_the_whole_stack(self, parameterization, monkeypatch):
+        """Every member's interval rows are scored by one more transformation call on the
+        whole stack, at the upper times, from the one set of coefficients."""
+        fit_module = sys.modules["tramsurv.fit"]
+        rng = np.random.default_rng(990 + list(Parameterization).index(parameterization))
+        spec = _spec_for(parameterization, TargetFamily.LOGISTIC)
+        dataset = SurvivalDataset.from_observations(
+            [obs for _ in range(5) for obs in _random_batch(rng, 2)]
+        )
+        scaler = fit_scaler(dataset)
+        plan = _Plan.of_dataset(dataset, spec, scaler)
+        members = 4
+        head = init_head(spec) + 0.4 * rng.normal(size=(members, head_size(spec)))
+        ext = np.zeros((members, 0))
+        if spec.extractor is not None:
+            ext = np.stack([init_params(spec.extractor, s) for s in range(members)])
+        idx = rng.integers(0, dataset.n, size=(members, 12))
+        idx[:, 0] = np.flatnonzero(dataset.kind == 3)[:members]  # interval rows in every member
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(fit_module, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(fit_module, name, call)
+
+        counted("coefficients")
+        counted("eval_transform")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateIntervalWarning)
+            terms, grad = _nll_core(spec, scaler, head, ext, plan.take(idx), True)
+        assert calls == {"coefficients": 1, "eval_transform": 2}
+        assert np.isfinite(terms).all() and np.isfinite(grad).all()
+
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("parameterization", list(Parameterization))
     @pytest.mark.parametrize("family", list(TargetFamily))
@@ -436,6 +474,11 @@ class TestBestEpochRestore:
         assert model_a == model_b
 
 
+def _baseline_spec(**settings):
+    return ModelSpec(family=TargetFamily.LOGISTIC, parameterization=Parameterization.BASELINE,
+                     **settings)
+
+
 class TestFit:
     def test_all_censored_rejected(self):
         ds = SurvivalDataset.from_observations(
@@ -470,6 +513,29 @@ class TestFit:
         with pytest.raises(BadConfig) as info:
             ModelSpec(family=TargetFamily.LOGISTIC, parameterization=Parameterization.BASELINE,
                       **{which: lr})
+        assert info.value.code == "E_BAD_CONFIG"
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            (TrainConfig, "epochs"),
+            (TrainConfig, "batch_size"),
+            (TrainConfig, "early_stopping_patience"),
+            (TrainConfig, "seed"),
+            (_baseline_spec, "epochs"),
+            (_baseline_spec, "bernstein_order"),
+            (_baseline_spec, "seed"),
+            (lambda width: ExtractorSpec(input_dim=2, hidden_dims=(width,)), "width"),
+        ],
+        ids=["train-epochs", "train-batch_size", "train-patience", "train-seed", "spec-epochs",
+             "spec-order", "spec-seed", "hidden-width"],
+    )
+    def test_integer_settings_reject_floats_and_bools(self, build, key, value):
+        """An integer setting is an integer: a float, integral or not, or a bool is
+        E_BAD_CONFIG rather than a TypeError later or a silent truncation."""
+        with pytest.raises(BadConfig, match="must be an integer") as info:
+            build(**{key: value})
         assert info.value.code == "E_BAD_CONFIG"
 
     def test_parameters_are_split_once_per_stack_not_per_step(self, monkeypatch):
@@ -615,6 +681,15 @@ class TestFitEnsemble:
             with pytest.raises(BadConfig) as info:
                 fit_ensemble(ds, spec, cfg, n_members=2, top_m=1, jobs=jobs)
             assert info.value.code == "E_BAD_CONFIG"
+
+    @pytest.mark.parametrize("key", ["n_members", "top_m", "jobs"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True])
+    def test_fractional_counts_are_bad_config(self, key, value):
+        ds, spec, cfg = self._setup(seed=409, n=40)
+        counts = {"n_members": 2, "top_m": 1, "jobs": 1, key: value}
+        with pytest.raises(BadConfig, match="must be an integer") as info:
+            fit_ensemble(ds, spec, cfg, **counts)
+        assert info.value.code == "E_BAD_CONFIG"
 
     def test_workers_capped_at_the_stacks(self, monkeypatch):
         """Each worker fits one contiguous stack, and no more workers start than stacks."""

@@ -454,9 +454,9 @@ def _per_subject_reference(model, dataset):
 
 
 class TestBatchedScoring:
-    """evaluate's sliced scoring against the per-subject loop."""
+    """evaluate's one batch call per score against the per-subject loop."""
 
-    N_SUBJECTS = 130  # crosses two slice boundaries, the last slice partial
+    N_SUBJECTS = 130  # one batch call per score, against 130 one-subject calls
 
     def _check(self, model, rng):
         x = rng.normal(size=(self.N_SUBJECTS, 3))

@@ -10,7 +10,7 @@ from tramsurv.core import (
     Parameterization,
     SurvivalDataset,
 )
-from tramsurv.errors import ProbabilityOutOfRange, SchemaMismatch
+from tramsurv.errors import BadConfig, ProbabilityOutOfRange, SchemaMismatch
 from tramsurv.feature import ExtractorSpec, identity_params, init_params
 from tramsurv.numerics import softplus_inv
 from tramsurv.sample import (
@@ -116,6 +116,14 @@ def _base_dataset(rng, n, p=1):
         x = rng.uniform(-1.0, 1.0, size=p)
         obs.append(Observation.exact(float(rng.uniform(0.3, 3.0)), x))
     return SurvivalDataset.from_observations(obs)
+
+
+@pytest.mark.parametrize("key", ["replication", "seed"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+def test_synth_config_counts_are_integers(key, value):
+    with pytest.raises(BadConfig, match="must be an integer") as info:
+        SynthConfig(**{key: value})
+    assert info.value.code == "E_BAD_CONFIG"
 
 
 class TestGenerateSemisynthetic:

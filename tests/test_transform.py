@@ -14,7 +14,7 @@ from tramsurv.errors import (
 )
 from tramsurv.feature import (
     ExtractorSpec,
-    features as extractor_features,
+    forward as extractor_forward,
     identity_params,
     init_params,
     param_count,
@@ -840,7 +840,7 @@ class TestBisection:
         if not linear:
             return
         head = _head_fields(model.spec, model.head_params)
-        f = extractor_features(model.spec.extractor, model.extractor_params, x)
+        f = extractor_forward(model.spec.extractor, model.extractor_params, x[:, None, :])[0][:, 0]
         if parameterization == Parameterization.LINEAR_SHIFT:
             c, m = head.a + f @ head.w, softplus(head.b_raw)
         else:
