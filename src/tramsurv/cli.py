@@ -47,6 +47,7 @@ from .errors import (
 )
 from .feature import ExtractorSpec
 from .fit import TrainConfig, fit, fit_ensemble
+from .floatrepr import repr_bytes
 from .metrics import evaluate
 from .sample import SynthConfig, generate_semisynthetic
 from .target import TargetFamily
@@ -58,7 +59,7 @@ RESERVED_COLUMNS = ("time", "time2", "status")
 _STATUS_CODE = {k.value: k.code for k in CensoringKind}
 _RIGHT, _INTERVAL = CensoringKind.RIGHT.code, CensoringKind.INTERVAL.code
 CDF_GRID_POINTS = 200
-CDF_GRID_CHUNK = 64
+CDF_GRID_CHUNK = 16  # subjects per block; the formatter holds ~250 bytes per value
 DATASET_WRITE_CHUNK = 128
 
 
@@ -381,21 +382,31 @@ def write_cdf_grid(dist, dataset: SurvivalDataset, path):
     ``dist`` is the batch distribution of the dataset's subjects, as scored;
     its CDF is evaluated ``CDF_GRID_CHUNK`` subjects at a time, so the grid
     values in memory are bounded by the chunk size rather than by the dataset.
+    Each line is the one csv.writer would write (no field needs quoting),
+    built from four byte fields padded with NULs (subject, time, CDF as
+    :func:`repr_bytes` writes it, and the line end) that are joined per chunk
+    and written without the NULs.
     """
     scaler = dist.scaler
     grid = np.exp(np.linspace(scaler.a_lo, scaler.b_hi, CDF_GRID_POINTS))
-    # The lines csv.writer would write, joined per subject: no field needs quoting.
-    time_fields = [f",{_format_value(t)}," for t in grid]
-    with open(path, "w", newline="") as handle:
-        handle.write("subject,time,cdf\r\n")
+    times = np.array([b",%s," % row.tobytes().translate(None, b"\0") for row in repr_bytes(grid)])
+    times = times.view(np.uint8).reshape(CDF_GRID_POINTS, -1)
+    crlf = np.frombuffer(b"\r\n", dtype=np.uint8)
+    with open(path, "wb") as handle:
+        handle.write(b"subject,time,cdf\r\n")
         for start in range(0, dataset.n, CDF_GRID_CHUNK):
             # baseline models have one distribution for all subjects, so the
             # chunk's size comes from the slice, not from the distribution
             stop = min(start + CDF_GRID_CHUNK, dataset.n)
             chunk = dist.subject(slice(start, stop))
             values = chunk.cdf(np.broadcast_to(grid, (stop - start, CDF_GRID_POINTS)))
-            for i, row in enumerate(values.tolist(), start=start):
-                handle.write("".join([f"{i}{t}{v!r}\r\n" for t, v in zip(time_fields, row)]))
+            subjects = np.array([str(i).encode() for i in range(start, stop)])
+            fields = (subjects.view(np.uint8).reshape(stop - start, 1, -1), times,
+                      repr_bytes(values).reshape(*values.shape, -1), crlf)
+            lines = np.concatenate([np.broadcast_to(field, (*values.shape, field.shape[-1]))
+                                    for field in fields], axis=2)
+            del fields  # before the two copies below
+            handle.write(lines.tobytes().translate(None, b"\0"))
 
 
 # ---------------------------------------------------------------------------

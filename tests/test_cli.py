@@ -178,6 +178,37 @@ class TestWriteCdfGrid:
                     writer.writerows([i, repr(float(t)), repr(float(v))] for t, v in zip(grid, row))
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
+    @pytest.mark.parametrize("n", [1, CDF_GRID_CHUNK - 1, CDF_GRID_CHUNK + 1])
+    def test_extreme_values_match_csv_writer(self, tmp_path, n):
+        spec = ModelSpec(
+            family=TargetFamily.MEV, parameterization=Parameterization.LINEAR_SHIFT,
+            extractor=ExtractorSpec(input_dim=2, hidden_dims=(), output_dim=2),
+        )
+        # h = a + f.w + m log t with m = 160 climbs about 850 over the grid: each
+        # subject's CDF runs from 0.0 through subnormals and exponent notation to 1.0
+        model = FittedModel(
+            spec=spec, scaler=LogTimeScaler(np.log(0.1), np.log(20.0)),
+            head_params=np.array([-432.0, 160.0, 1.0, -1.0]),
+            extractor_params=init_params(spec.extractor, 3), train_nll=0.0, validation_nll=0.0,
+        )
+        x = np.random.default_rng(908).normal(size=(n, 2))
+        dist = conditional_distribution(model, x)
+        write_cdf_grid(dist, SurvivalDataset.from_observations(
+            [Observation.exact(1.0, row) for row in x]), tmp_path / "grid.csv")
+
+        grid = np.exp(np.linspace(model.scaler.a_lo, model.scaler.b_hi, CDF_GRID_POINTS))
+        values = dist.cdf(np.broadcast_to(grid, (n, CDF_GRID_POINTS)))
+        for row in values:
+            assert np.any(row == 0.0) and np.any(row == 1.0)
+            assert np.any((row > 0.0) & (row < np.finfo(float).smallest_normal))
+            assert np.any((row >= np.finfo(float).smallest_normal) & (row < 1e-4))
+        with open(tmp_path / "reference.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["subject", "time", "cdf"])
+            for i, row in enumerate(values):
+                writer.writerows([i, repr(float(t)), repr(float(v))] for t, v in zip(grid, row))
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
 
 @pytest.fixture
 def training_csv(tmp_path):
