@@ -108,21 +108,25 @@ def _tables():
     return tables
 
 
-def _mulhi(a_lo, a_hi, b):
+def _limbs(x):
+    return x & _LOW32, x >> np.uint64(32)
+
+
+def _mulhi(a_lo, a_hi, b_lo, b_hi):
     """High 64-bit words of the 128-bit products a b, in 32-bit limbs as ``sample._mulhilo``.
 
-    With a < 2^63 (given as its limbs) and b < 2^60 the middle sum stays
-    below 2^64, so no carry is lost.
+    With a < 2^63 and b < 2^60 the middle sum stays below 2^64, so no carry
+    is lost.
     """
-    b_lo, b_hi = b & _LOW32, b >> np.uint64(32)
     middle = a_hi * b_lo + a_lo * b_hi + (a_lo * b_lo >> np.uint64(32))
     return a_hi * b_hi + (middle >> np.uint64(32))
 
 
 def _rop(g1, g1_limbs, g0_limbs, cp):
     """Schubfach's r_o': cp g 2^-127 rounded to odd, for g = g1 2^63 + g0."""
-    z = (g1 * cp >> np.uint64(1)) + _mulhi(*g0_limbs, cp)
-    rounded = _mulhi(*g1_limbs, cp) + (z >> np.uint64(63))
+    cp_limbs = _limbs(cp)
+    z = (g1 * cp >> np.uint64(1)) + _mulhi(*g0_limbs, *cp_limbs)
+    rounded = _mulhi(*g1_limbs, *cp_limbs) + (z >> np.uint64(63))
     return rounded | (((z & _MASK63) + _MASK63) >> np.uint64(63))
 
 
@@ -136,7 +140,7 @@ def _shortest(bits):
     k = np.where(regular, _flog10pow2(q), _flog10_three_quarters_pow2(q))
     at = k - _K_MIN
     g1, g0 = g1.take(at), g0.take(at)
-    g = [g1, (g1 & _LOW32, g1 >> np.uint64(32)), (g0 & _LOW32, g0 >> np.uint64(32))]
+    g = [g1, _limbs(g1), _limbs(g0)]
     shift = (q + log2.take(at) + 2).astype(np.uint8)  # 2 to 5
     del biased, q, at, g0
     cb = c << np.uint64(2)
