@@ -207,11 +207,8 @@ def repr_bytes(values) -> np.ndarray:
     bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.uint64)
     biased = (bits >> np.uint64(52)) & np.uint64(0x7FF)
     normal = (biased != 0) & (biased != 0x7FF)
-    if normal.all():
-        f, k = _shortest(bits)
-    else:
-        f, k = np.zeros(bits.size, dtype=np.uint64), np.full(bits.size, -15)  # zero is 0.0
-        f[normal], k[normal] = _shortest(bits[normal])
+    f, k = np.zeros(bits.size, dtype=np.uint64), np.full(bits.size, -15)  # zero is 0.0
+    f[normal], k[normal] = _shortest(bits[normal])
     text = _layout(f, k, bits >> np.uint64(63))
     other = np.flatnonzero(~normal & (bits << np.uint64(1) != 0))  # not zero
     if other.size:  # every row is wider than the 24 bytes of the longest repr

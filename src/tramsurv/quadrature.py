@@ -15,19 +15,18 @@ _WG = [0.0, 0.129484966168869693, 0.0, 0.279705391489276668, 0.0, 0.381830050505
 NODES, KRONROD, GAUSS = (np.concatenate([sign * np.array(v), v[-2::-1]])
                          for sign, v in ((-1.0, _X), (1.0, _WK), (1.0, _WG)))
 MAX_PIECES, MAX_NODES = 256, 2**14  # pieces per integral, nodes per call of the integrand
+assert 15 * MAX_PIECES <= MAX_NODES  # a row's widest pass fits one call
 
 
 def gauss_kronrod(fn, breaks, rel_tol: float = 1e-7):
     """Integrate row r of ``fn`` over [breaks[r, 0], breaks[r, -1]], split at its breaks.
 
     ``breaks`` is (n, q), sorted along each row.  ``fn(nodes, rows)`` gets a
-    ``(k, 15)`` array of nodes, one row per piece, and the integral ``rows``
-    each piece belongs to, which may repeat; at most ``MAX_NODES`` nodes per
-    call.  A piece is bisected while its K15 and G7 estimates differ by more
+    ``(k, m)`` array of nodes of the rows ``rows``, at most ``MAX_NODES`` of
+    them.  A piece is bisected while its K15 and G7 estimates differ by more
     than its width's share of ``rel_tol`` times the row's estimate (with a
-    tiny absolute floor).  Each piece is integrated alone and each row's
-    pieces are summed in order, so a row's estimate does not depend on the
-    rows solved with it.
+    tiny absolute floor).  Each row's pieces are laid out alone and in order,
+    so its estimate does not depend on the rows solved with it.
 
     Returns ``(value, pieces, depth)`` per row: the integral, the pieces it
     took and its deepest bisection.  Raises :class:`QuadratureNonConvergence`
@@ -38,13 +37,21 @@ def gauss_kronrod(fn, breaks, rel_tol: float = 1e-7):
     row, lo, hi = np.nonzero(hi > lo)[0], lo[hi > lo], hi[hi > lo]
     value, pieces, depth = np.zeros(n), np.bincount(row, minlength=n), np.zeros(n, dtype=int)
     while row.size:
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        kronrod, gauss = np.empty(row.size), np.empty(row.size)
-        for part in (slice(s, s + MAX_NODES // 15) for s in range(0, row.size, MAX_NODES // 15)):
-            f = np.asarray(fn(mid[part, None] + half[part, None] * NODES, row[part]), dtype=float)
-            kronrod[part], gauss[part] = (half[part] * np.vecdot(f, w) for w in (KRONROD, GAUSS))
-        del mid, half
-        k, error = kronrod, np.abs(kronrod - gauss)
+        # one grid row per integral, its open pieces first, padded by its first piece
+        start = np.flatnonzero(np.diff(row, prepend=-1))
+        rows, count = row[start], np.diff(start, append=row.size)
+        at = (np.repeat(np.arange(rows.size), count), np.arange(row.size) - np.repeat(start, count))
+        mid = np.tile(((lo + hi) / 2.0)[start, None], count.max())
+        half = np.zeros(mid.shape)
+        mid[at], half[at] = (lo + hi) / 2.0, (hi - lo) / 2.0
+        kronrod, gauss = np.empty(mid.shape), np.empty(mid.shape)
+        per_call = MAX_NODES // (15 * mid.shape[1])
+        for part in (slice(s, s + per_call) for s in range(0, rows.size, per_call)):
+            nodes = mid[part, :, None] + half[part, :, None] * NODES
+            f = np.asarray(fn(nodes.reshape(len(nodes), -1), rows[part]), dtype=float)
+            kronrod[part], gauss[part] = (half[part] * np.vecdot(f.reshape(nodes.shape), w)
+                                          for w in (KRONROD, GAUSS))
+        k, error = kronrod[at], np.abs(kronrod[at] - gauss[at])
         estimate = value + np.bincount(row, k, minlength=n)
         share = np.maximum(rel_tol * np.abs(estimate[row]), 1e-15) * (hi - lo) / width[row]
         split = ~(error <= share)  # a NaN error never converges

