@@ -47,7 +47,6 @@ from .errors import (
 )
 from .feature import ExtractorSpec
 from .fit import TrainConfig, fit, fit_ensemble
-from .floatrepr import repr_bytes
 from .metrics import evaluate
 from .sample import SynthConfig, generate_semisynthetic
 from .target import TargetFamily
@@ -387,6 +386,9 @@ def write_cdf_grid(dist, dataset: SurvivalDataset, path):
     :func:`repr_bytes` writes it, and the line end) that are joined per chunk
     and written without the NULs.
     """
+    # imported here, so the commands that write no grid do not load the kernel
+    from .floatrepr import repr_bytes
+
     scaler = dist.scaler
     grid = np.exp(np.linspace(scaler.a_lo, scaler.b_hi, CDF_GRID_POINTS))
     times = np.array([b",%s," % row.tobytes().translate(None, b"\0") for row in repr_bytes(grid)])
