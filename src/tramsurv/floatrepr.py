@@ -73,18 +73,20 @@ def _tables():
         g0.append(g & ((1 << 63) - 1))
         log2.append(e)
 
-    group = np.arange(10_000)
-    quads = np.zeros((10_000, 8), dtype=np.uint8)  # four digits in every other byte
-    for j, power in enumerate((1000, 100, 10, 1)):
-        quads[:, 2 * j] = group // power % 10 + ord("0")
-    zeros = sum(group % 10**j == 0 for j in range(1, 5)).astype(np.uint8)
-    firsts = np.zeros((10, 8), dtype=np.uint8)
-    firsts[:, _DIGITS] = np.arange(10) + ord("0")
-    exponents = np.zeros((_X_MAX - _X_MIN + 2, 8), dtype=np.uint8)
+    # word rows: the four-digit groups (digits in every other byte), first digits, exponents;
+    # built by broadcasting bytes, without temporaries
+    rows = np.zeros((_NO_EXPONENT + 1, 8), dtype=np.uint8)
+    numerals = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = rows[:_FIRSTS].reshape(10, 10, 10, 10, 8)
+    zeros = np.zeros(10_000, dtype=np.uint8)  # trailing zeros of each group
+    for j in range(4):
+        quads[..., 2 * j] = numerals.reshape((10,) + (1,) * (3 - j))
+        zeros.reshape(10, 10, 10, 10)[(...,) + (0,) * (j + 1)] += 1
+    rows[_FIRSTS:_EXPONENTS, _DIGITS] = numerals
     for x in range(_X_MIN, _X_MAX + 1):
         digits = f"{abs(x):03d}"  # two of them below 100, after a NUL
         text = ("e-" if x < 0 else "e+") + (digits if abs(x) >= 100 else "\0" + digits[1:])
-        exponents[x - _X_MIN, :5] = np.frombuffer(text.encode(), dtype=np.uint8)
+        rows[_EXPONENTS + x - _X_MIN, :5] = np.frombuffer(text.encode(), dtype=np.uint8)
     shown = np.zeros((18, _WIDTH), dtype=np.uint8)
     shown[:, _EXP:] = 0xFF
     for limit in range(18):
@@ -99,7 +101,7 @@ def _tables():
         else:  # the point slot after digit point - 1
             layouts[:, form, _DIGITS + 2 * point - 1] = ord(".")
     layouts[:, _FORMS - 1, _DIGITS + 1] = ord(".")
-    words = np.concatenate([quads, firsts, exponents]).view(np.uint64).ravel()
+    words = rows.view(np.uint64).ravel()
     tables = (np.array(g1, dtype=np.uint64), np.array(g0, dtype=np.uint64),
               np.array(log2, dtype=np.int64), words, zeros, shown.view(np.uint64),
               layouts.reshape(2 * _FORMS, _WIDTH).view(np.uint64))
