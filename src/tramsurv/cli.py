@@ -239,6 +239,7 @@ def write_dataset_csv(dataset: SurvivalDataset, path):
 # Run configuration
 
 
+# The first six keys describe the model, the others (TrainConfig's fields) its training.
 _SPEC_KEYS = (
     "family", "parameterization", "bernstein_order", "hidden_dims", "activation", "init_scale",
     "lr_extractor", "lr_head", "epochs", "batch_size", "early_stopping_patience",
@@ -286,6 +287,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _widths(value) -> tuple:
+    """Hidden layer widths from a spec: a list of integers."""
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return tuple(map(_integer, value))
+
+
 def _spec_value(convert, config: dict, key: str, default):
     """``convert`` applied to ``config[key]``, or to ``default`` when the key is absent."""
     value = config.get(key, default)
@@ -296,6 +304,7 @@ def _spec_value(convert, config: dict, key: str, default):
 
 
 def build_model_spec(config: dict, n_features: int) -> ModelSpec:
+    """The model architecture a spec config's model keys describe."""
     try:
         family = TargetFamily(config["family"])
     except ValueError:
@@ -313,38 +322,34 @@ def build_model_spec(config: dict, n_features: int) -> ModelSpec:
     order = _spec_value(_integer, config, "bernstein_order", 6)
     extractor = None
     if parameterization != Parameterization.BASELINE:
-        hidden = _spec_value(lambda dims: tuple(map(_integer, dims)), config, "hidden_dims", ())
         if parameterization == Parameterization.BERNSTEIN_FLEXIBLE:
             output_dim = order + 1
         else:
             output_dim = n_features
         extractor = ExtractorSpec(
             input_dim=n_features,
-            hidden_dims=hidden,
+            hidden_dims=_spec_value(_widths, config, "hidden_dims", []),
             output_dim=output_dim,
             activation=config.get("activation", "tanh"),
             init_scale=_spec_value(float, config, "init_scale", 1.0),
         )
-    return ModelSpec(
-        family=family,
-        parameterization=parameterization,
-        bernstein_order=order,
-        extractor=extractor,
-        lr_extractor=config.get("lr_extractor"),
-        lr_head=config.get("lr_head"),
-        epochs=_spec_value(_integer, config, "epochs", 200),
-        early_stopping_patience=_spec_value(_integer, config, "early_stopping_patience", 10),
-        seed=_spec_value(_integer, config, "seed", 0),
-    )
+    return ModelSpec(family, parameterization, order, extractor)
+
+
+# How a spec config's training keys are read; TrainConfig checks every value, so
+# the learning rates pass as given.
+_TRAIN_READERS = {"epochs": _integer, "batch_size": _integer, "early_stopping_patience": _integer,
+                  "seed": _integer, "validation_fraction": float}
 
 
 def build_train_config(config: dict, spec: ModelSpec) -> TrainConfig:
-    overrides = {}
-    if "batch_size" in config:
-        overrides["batch_size"] = _spec_value(_integer, config, "batch_size", None)
-    if "validation_fraction" in config:
-        overrides["validation_fraction"] = _spec_value(float, config, "validation_fraction", None)
-    return TrainConfig.from_model_spec(spec, **overrides)
+    """The training settings of a spec config, learning rates resolved for ``spec``."""
+    settings = {
+        field.name: _spec_value(_TRAIN_READERS.get(field.name, lambda value: value),
+                                config, field.name, None)
+        for field in dataclasses.fields(TrainConfig) if field.name in config
+    }
+    return TrainConfig(**settings).resolved(spec)
 
 
 # ---------------------------------------------------------------------------

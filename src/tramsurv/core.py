@@ -17,14 +17,12 @@ from enum import Enum
 from functools import cached_property
 import json
 import math
-from numbers import Real
 
 import numpy as np
 
 from .basis import LogTimeScaler
 from .errors import (
     AllCensored,
-    BadConfig,
     BadStatusValue,
     DimensionMismatch,
     EmptyDataset,
@@ -238,31 +236,15 @@ def default_learning_rates(
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Everything needed to rebuild a model architecture and its training setup."""
+    """The model's architecture; how it is trained is a ``fit.TrainConfig``."""
 
     family: TargetFamily
     parameterization: Parameterization
     bernstein_order: int = 6
     extractor: ExtractorSpec | None = None
-    lr_extractor: float | None = None
-    lr_head: float | None = None
-    epochs: int = 200
-    early_stopping_patience: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         require_int("bernstein_order", self.bernstein_order, 1)
-        require_int("epochs", self.epochs, 1)
-        require_int("early_stopping_patience", self.early_stopping_patience, 0)
-        require_int("seed", self.seed, 0)
-        lr_ext, lr_head = default_learning_rates(self.parameterization, self.family)
-        if self.lr_extractor is None:
-            object.__setattr__(self, "lr_extractor", lr_ext)
-        if self.lr_head is None:
-            object.__setattr__(self, "lr_head", lr_head)
-        if not all(isinstance(lr, Real) and math.isfinite(lr) and lr > 0.0
-                   for lr in (self.lr_extractor, self.lr_head)):
-            raise BadConfig("learning rates must be finite positive numbers")
         if self.uses_extractor and self.extractor is None:
             raise DimensionMismatch(
                 f"parameterization {self.parameterization.value} requires an extractor spec"
@@ -332,11 +314,6 @@ def _spec_to_dict(spec: ModelSpec) -> dict:
         "parameterization": spec.parameterization.value,
         "bernstein_order": spec.bernstein_order,
         "extractor": extractor,
-        "lr_extractor": spec.lr_extractor,
-        "lr_head": spec.lr_head,
-        "epochs": spec.epochs,
-        "early_stopping_patience": spec.early_stopping_patience,
-        "seed": spec.seed,
     }
 
 
@@ -356,11 +333,6 @@ def _spec_from_dict(doc: dict) -> ModelSpec:
         parameterization=Parameterization(doc["parameterization"]),
         bernstein_order=doc["bernstein_order"],
         extractor=extractor,
-        lr_extractor=doc["lr_extractor"],
-        lr_head=doc["lr_head"],
-        epochs=doc["epochs"],
-        early_stopping_patience=doc["early_stopping_patience"],
-        seed=doc["seed"],
     )
 
 

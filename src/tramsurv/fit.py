@@ -47,9 +47,10 @@ more rows.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import logging
 import math
+from numbers import Real
 from typing import NamedTuple
 import warnings
 
@@ -62,6 +63,7 @@ from .core import (
     FittedModel,
     ModelSpec,
     SurvivalDataset,
+    default_learning_rates,
     validate_dataset,
 )
 from .errors import (
@@ -93,12 +95,15 @@ GRAD_CLIP = 10.0  # global norm above which a minibatch gradient is scaled down
 
 @dataclass
 class TrainConfig:
-    """Knobs of the SGD loop; defaults mirror the model spec where sensible."""
+    """Settings of the SGD loop; a learning rate left None takes the model's default.
+
+    :meth:`resolved` fills those in from :func:`core.default_learning_rates`.
+    """
 
     epochs: int = 200
     batch_size: int = 64
-    lr_extractor: float = 0.001
-    lr_head: float = 0.1
+    lr_extractor: float | None = None
+    lr_head: float | None = None
     early_stopping_patience: int = 10
     validation_fraction: float = 0.2
     seed: int = 0
@@ -108,22 +113,28 @@ class TrainConfig:
         require_int("batch_size", self.batch_size, 1)
         require_int("early_stopping_patience", self.early_stopping_patience, 0)
         require_int("seed", self.seed, 0)
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise BadConfig("validation_fraction must lie in (0, 1)")
-        if not all(math.isfinite(lr) and lr > 0.0 for lr in (self.lr_extractor, self.lr_head)):
-            raise BadConfig("learning rates must be finite and positive")
+        if not (_is_real(self.validation_fraction) and 0.0 < self.validation_fraction < 1.0):
+            raise BadConfig(
+                f"validation_fraction must lie in (0, 1), got {self.validation_fraction!r}"
+            )
+        for name in ("lr_extractor", "lr_head"):
+            lr = getattr(self, name)
+            if lr is not None and not (_is_real(lr) and math.isfinite(lr) and lr > 0.0):
+                raise BadConfig(f"{name} must be a finite positive number, got {lr!r}")
 
-    @classmethod
-    def from_model_spec(cls, spec: ModelSpec, **overrides) -> "TrainConfig":
-        base = dict(
-            epochs=spec.epochs,
-            lr_extractor=spec.lr_extractor,
-            lr_head=spec.lr_head,
-            early_stopping_patience=spec.early_stopping_patience,
-            seed=spec.seed,
+    def resolved(self, spec: ModelSpec) -> "TrainConfig":
+        """This config with each learning rate left None set to the spec's default."""
+        lr_extractor, lr_head = default_learning_rates(spec.parameterization, spec.family)
+        return replace(
+            self,
+            lr_extractor=lr_extractor if self.lr_extractor is None else self.lr_extractor,
+            lr_head=lr_head if self.lr_head is None else self.lr_head,
         )
-        base.update(overrides)
-        return cls(**base)
+
+
+def _is_real(value) -> bool:
+    """Whether a setting is a real number; a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -483,9 +494,9 @@ def fit(
     dataset : SurvivalDataset
         Training data; must contain at least one exact observation.
     spec : ModelSpec
-        Architecture and training defaults.
+        The model's architecture.
     config : TrainConfig, optional
-        Training knobs; defaults are derived from ``spec``.
+        Training settings; ``TrainConfig()`` when omitted, learning rates resolved for ``spec``.
     scaler : LogTimeScaler, optional
         Pre-fitted log-time scaler; fitted to ``dataset`` when omitted.
     callback : callable, optional
@@ -493,8 +504,7 @@ def fit(
     """
     validate_dataset(dataset, for_fitting=True)
     _check_input_dim(spec, dataset.p)
-    if config is None:
-        config = TrainConfig.from_model_spec(spec)
+    config = (TrainConfig() if config is None else config).resolved(spec)
     n = dataset.n
     n_val = min(max(int(round(config.validation_fraction * n)), 1), n - 1)
     if n_val == 0:
@@ -593,8 +603,7 @@ def fit_ensemble(
         raise BadConfig("need 1 <= top_m <= n_members")
     validate_dataset(dataset, for_fitting=True)
     _check_input_dim(spec, dataset.p)
-    if config is None:
-        config = TrainConfig.from_model_spec(spec)
+    config = (TrainConfig() if config is None else config).resolved(spec)
     scaler = fit_scaler(dataset)
 
     stacks = np.array_split(np.arange(n_members), min(jobs, n_members))

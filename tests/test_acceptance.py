@@ -279,7 +279,7 @@ def test_heldout_nll_improves_with_flexibility():
         for spec in specs:
             cfg = TrainConfig(
                 epochs=80, batch_size=128, early_stopping_patience=15,
-                lr_extractor=0.01, seed=seed,
+                lr_extractor=0.01, lr_head=0.1, seed=seed,
             )
             nlls.append(_mean_nll(fit(train, spec, cfg), held_out))
         means += np.asarray(nlls) / 10.0
@@ -307,9 +307,9 @@ def test_covariate_free_c_index_is_exactly_half():
     ds = SurvivalDataset.from_observations(obs)
     spec = ModelSpec(
         family=TargetFamily.LOGISTIC, parameterization=Parameterization.BASELINE,
-        bernstein_order=4, epochs=20,
+        bernstein_order=4,
     )
-    model = fit(ds, spec, TrainConfig.from_model_spec(spec))
+    model = fit(ds, spec, TrainConfig(epochs=20))
     report = evaluate(model, ds)
     ok = report.c_index == 0.5 and report.n_comparable_pairs >= 2
     _verdict(5, "uninformative-c-index", ok,
@@ -435,12 +435,12 @@ def test_ensemble_mixture_valid_and_selection_exact():
     ds = _exponential_dataset(np.random.default_rng(811), 100)
     spec = ModelSpec(
         family=TargetFamily.MEV, parameterization=Parameterization.LINEAR_SHIFT,
-        extractor=ExtractorSpec(input_dim=2, output_dim=1), epochs=10,
+        extractor=ExtractorSpec(input_dim=2, output_dim=1),
     )
     selection_ok = True
     for seed in (0, 1, 2):
         ens = fit_ensemble(
-            ds, spec, TrainConfig.from_model_spec(spec, seed=seed), n_members=6, top_m=3
+            ds, spec, TrainConfig(epochs=10, seed=seed), n_members=6, top_m=3
         )
         pool = np.asarray(ens.pool_validation_nlls)
         expect = np.argsort(pool, kind="stable")[:3]

@@ -10,6 +10,9 @@ from tramsurv.cli import (
     CDF_GRID_CHUNK,
     CDF_GRID_POINTS,
     DATASET_WRITE_CHUNK,
+    _SPEC_KEYS,
+    build_model_spec,
+    build_train_config,
     main,
     parse_dataset_csv,
     write_cdf_grid,
@@ -322,10 +325,14 @@ class TestFitCommand:
         ("sample", ["--replication", "0"], {}),
         ("fit", [], {"hidden_dims": [0]}),
         ("sample", ["--seed", str(2**128)], {}),
+        ("fit", [], {"hidden_dims": "16"}),
+        ("fit", [], {"hidden_dims": {"8": 1}}),
+        ("fit", [], {"lr_head": True}),
     ],
     ids=["epochs", "batch_size", "validation_fraction", "bernstein_order", "epochs-text",
-         "lr-text", "negative-seed", "top-above-members", "jobs-zero", "replication", "hidden-dims-zero",
-         "seed-too-large"],
+         "lr-text", "negative-seed", "top-above-members", "jobs-zero", "replication",
+         "hidden-dims-zero", "seed-too-large", "hidden-dims-text", "hidden-dims-object",
+         "lr-bool"],
 )
 def test_out_of_range_config_fails_with_code(
     tmp_path, training_csv, spec_json, command, flags, spec_values
@@ -406,6 +413,27 @@ def test_fractional_integer_setting_fails_before_the_manifest(
     assert record["error"] == "E_BAD_CONFIG"
     assert repr(next(iter(spec_values))) in record["message"]
     assert not (out / "manifest.json").exists()
+
+
+# A value for each spec key that differs from its default.
+_SPEC_VALUES = {
+    "family": "logistic", "parameterization": "bernstein_shift", "bernstein_order": 3,
+    "hidden_dims": [4], "activation": "relu", "init_scale": 0.5, "lr_extractor": 0.05,
+    "lr_head": 0.5, "epochs": 7, "batch_size": 16, "early_stopping_patience": 3,
+    "validation_fraction": 0.3, "seed": 9,
+}
+
+
+@pytest.mark.parametrize("key", _SPEC_KEYS)
+def test_every_spec_key_reaches_the_model_or_its_training(key):
+    """No spec key is dropped: each changes the built ModelSpec or TrainConfig."""
+
+    def built(config):
+        spec = build_model_spec(config, 2)
+        return spec, build_train_config(config, spec)
+
+    base = {"family": "minimum_extreme_value", "parameterization": "linear_shift"}
+    assert built({**base, key: _SPEC_VALUES[key]}) != built(base)
 
 
 def test_integral_float_setting_is_read_as_an_integer(tmp_path, training_csv, spec_json):

@@ -1,3 +1,4 @@
+import json
 import math
 
 from hypothesis import example, given, settings, strategies as st
@@ -289,21 +290,6 @@ class TestModelSpec:
             for family in TargetFamily:
                 assert default_learning_rates(parameterization, family)[0] == 0.001
 
-    def test_spec_resolves_default_head_rate(self):
-        spec = ModelSpec(
-            family=TargetFamily.MEV, parameterization=Parameterization.LINEAR_SHIFT,
-            extractor=ExtractorSpec(input_dim=2, output_dim=1),
-        )
-        assert spec.lr_head == 0.01
-        assert spec.lr_extractor == 0.001
-
-    def test_explicit_rate_kept(self):
-        spec = ModelSpec(
-            family=TargetFamily.MEV, parameterization=Parameterization.LINEAR_SHIFT,
-            extractor=ExtractorSpec(input_dim=2, output_dim=1), lr_head=0.5,
-        )
-        assert spec.lr_head == 0.5
-
     def test_baseline_needs_no_extractor(self):
         spec = ModelSpec(
             family=TargetFamily.LOGISTIC, parameterization=Parameterization.BASELINE
@@ -351,7 +337,6 @@ def _random_model(rng):
         parameterization=parameterization,
         bernstein_order=order,
         extractor=extractor,
-        seed=int(rng.integers(1000)),
     )
     head = init_head(spec)
     head = head + rng.normal(size=head.size)
@@ -390,8 +375,6 @@ class TestSerialization:
             deserialize_model(b"not a model at all")
 
     def test_schema_version_checked(self):
-        import json
-
         blob = serialize_model(_random_model(np.random.default_rng(1)))
         doc = json.loads(blob)
         doc["schema_version"] = 99
@@ -407,8 +390,6 @@ class TestSerialization:
         assert clone.head_params.size == head_size(model.spec)
 
     def test_missing_key_rejected(self):
-        import json
-
         blob = serialize_model(_random_model(np.random.default_rng(2)))
         doc = json.loads(blob)
         del doc["scaler"]
@@ -416,20 +397,39 @@ class TestSerialization:
             deserialize_model(json.dumps(doc).encode())
 
     @pytest.mark.parametrize(
-        "key, value", [("bernstein_order", 0), ("epochs", 0), ("lr_head", "fast")]
+        "key, value", [("bernstein_order", 0), ("bernstein_order", 2.5), ("family", "weibull")]
     )
     def test_out_of_range_spec_is_malformed(self, key, value):
         """A spec value that would be E_BAD_CONFIG on the command line is a malformed artifact."""
-        import json
-
         doc = json.loads(serialize_model(_random_model(np.random.default_rng(3))))
         doc["spec"][key] = value
         with pytest.raises(MalformedArtifact):
             deserialize_model(json.dumps(doc).encode())
 
-    def test_zero_hidden_width_is_malformed(self):
-        import json
+    def test_artifact_with_training_settings_loads_as_without(self):
+        """Artifacts of earlier versions also held five training settings in ``spec``;
+        they load, ignoring those, into the model the current format describes."""
+        old = (
+            b'{"schema_version": 1, "spec": {"family": "logistic", "parameterization": '
+            b'"bernstein_shift", "bernstein_order": 2, "extractor": {"input_dim": 1, '
+            b'"hidden_dims": [2], "output_dim": 1, "activation": "tanh", "init_scale": 1.0}, '
+            b'"lr_extractor": 0.001, "lr_head": 0.3, "epochs": 40, '
+            b'"early_stopping_patience": 10, "seed": 7}, "scaler": {"a_lo": -1.5, '
+            b'"b_hi": 2.25}, "head_params": [0.5, -0.25, 1.0, 0.75], "extractor_params": '
+            b'[0.125, -2.0, 0.5, 0.25, 1.5, -0.5, 0.0], "train_nll": 1.25, '
+            b'"validation_nll": 1.5}'
+        )
+        spec = ModelSpec(TargetFamily.LOGISTIC, Parameterization.BERNSTEIN_SHIFT, 2,
+                         ExtractorSpec(input_dim=1, hidden_dims=(2,), output_dim=1))
+        model = FittedModel(spec, LogTimeScaler(-1.5, 2.25), [0.5, -0.25, 1.0, 0.75],
+                            [0.125, -2.0, 0.5, 0.25, 1.5, -0.5, 0.0], 1.25, 1.5)
+        loaded = deserialize_model(old)
+        assert loaded == model
+        assert serialize_model(loaded) == serialize_model(model)
+        spec_keys = {"family", "parameterization", "bernstein_order", "extractor"}
+        assert set(json.loads(serialize_model(loaded))["spec"]) == spec_keys
 
+    def test_zero_hidden_width_is_malformed(self):
         doc = json.loads(serialize_model(_random_model(np.random.default_rng(3))))
         doc["spec"]["parameterization"] = "linear_shift"
         doc["spec"]["extractor"] = {"input_dim": 2, "hidden_dims": [0], "output_dim": 1,

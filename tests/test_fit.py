@@ -1,4 +1,5 @@
 from collections import Counter
+import json
 import sys
 import warnings
 
@@ -432,8 +433,9 @@ class TestBestEpochRestore:
     SPEC = ModelSpec(
         family=TargetFamily.MEV, parameterization=Parameterization.BERNSTEIN_SHIFT_SCALE,
         bernstein_order=4, extractor=ExtractorSpec(input_dim=2, hidden_dims=(4,), output_dim=2),
-        epochs=40, early_stopping_patience=1, seed=2, lr_head=0.3, lr_extractor=0.05,
     )
+    CONFIG = TrainConfig(epochs=40, batch_size=16, lr_head=0.3, lr_extractor=0.05,
+                         early_stopping_patience=1, seed=2)
 
     def test_rescoring_the_validation_rows_reproduces_validation_nll(self):
         ds = _exponential_dataset(np.random.default_rng(311), 120)
@@ -442,12 +444,11 @@ class TestBestEpochRestore:
         perm = np.random.default_rng(5).permutation(ds.n)
         val_idx, train_idx = perm[:30], perm[30:]
         stats = []
-        config = TrainConfig.from_model_spec(self.SPEC, batch_size=16)
-        member = _Member(config.seed, train_idx, val_idx)
-        (model,) = _run_sgd(self.SPEC, scaler, plan, [member], config, stats.append)
+        member = _Member(self.CONFIG.seed, train_idx, val_idx)
+        (model,) = _run_sgd(self.SPEC, scaler, plan, [member], self.CONFIG, stats.append)
         # patience stopped the run after worse epochs, before the epoch limit
         best = min(range(len(stats)), key=lambda e: stats[e].val_nll)
-        assert best < len(stats) - 1 < self.SPEC.epochs - 1
+        assert best < len(stats) - 1 < self.CONFIG.epochs - 1
         assert stats[-1].val_nll > model.validation_nll == stats[best].val_nll
         params = np.concatenate([model.head_params, model.extractor_params])[None]
         (rescored,) = _mean_nll(self.SPEC, scaler, params, plan, [val_idx])[0]
@@ -474,6 +475,38 @@ class TestBestEpochRestore:
         assert model_a == model_b
 
 
+class TestTrainConfig:
+    """Learning rates left None take the model's defaults; the spec holds no training setting."""
+
+    # the model of the README's Python example
+    SPEC = ModelSpec(
+        family=TargetFamily.MEV, parameterization=Parameterization.LINEAR_SHIFT,
+        extractor=ExtractorSpec(input_dim=2, output_dim=2),
+    )
+
+    def test_rates_default_per_parameterization_and_family(self):
+        config = TrainConfig(epochs=3).resolved(self.SPEC)
+        assert (config.lr_extractor, config.lr_head) == (0.001, 0.01)
+        assert config == TrainConfig(epochs=3, lr_extractor=0.001, lr_head=0.01)
+        baseline = ModelSpec(family=TargetFamily.LOGISTIC,
+                             parameterization=Parameterization.BASELINE)
+        assert TrainConfig().resolved(baseline).lr_head == 0.1
+
+    def test_explicit_rate_kept(self):
+        config = TrainConfig(lr_head=0.5).resolved(self.SPEC)
+        assert (config.lr_extractor, config.lr_head) == (0.001, 0.5)
+
+    def test_fit_trains_at_the_default_rate_and_records_no_training_settings(self):
+        ds = _exponential_dataset(np.random.default_rng(421), 80)
+        model = serialize_model(fit(ds, self.SPEC, TrainConfig(epochs=3)))
+        explicit = TrainConfig(epochs=3, lr_extractor=0.001, lr_head=0.01)
+        assert model == serialize_model(fit(ds, self.SPEC, explicit))
+        faster = TrainConfig(epochs=3, lr_extractor=0.001, lr_head=0.1)
+        assert model != serialize_model(fit(ds, self.SPEC, faster))
+        spec = json.loads(model)["spec"]
+        assert set(spec) == {"family", "parameterization", "bernstein_order", "extractor"}
+
+
 def _baseline_spec(**settings):
     return ModelSpec(family=TargetFamily.LOGISTIC, parameterization=Parameterization.BASELINE,
                      **settings)
@@ -486,33 +519,37 @@ class TestFit:
         )
         spec = ModelSpec(
             family=TargetFamily.LOGISTIC, parameterization=Parameterization.BASELINE,
-            epochs=2,
         )
         with pytest.raises(AllCensored):
-            fit(ds, spec)
+            fit(ds, spec, TrainConfig(epochs=2))
 
     def test_one_row_has_an_empty_validation_split(self):
         ds = SurvivalDataset.from_observations([Observation.exact(1.5, [0.3])])
         spec = ModelSpec(
             family=TargetFamily.LOGISTIC, parameterization=Parameterization.LINEAR_SHIFT,
-            extractor=ExtractorSpec(input_dim=1, output_dim=1), epochs=3,
+            extractor=ExtractorSpec(input_dim=1, output_dim=1),
         )
+        config = TrainConfig(epochs=3)
         with pytest.raises(EmptyDataset, match="validation split") as info:
-            fit(ds, spec)
+            fit(ds, spec, config)
         assert info.value.code == "E_EMPTY_DATASET"
         # a member validates on its out-of-bag rows, or on all rows when there are none
-        ens = fit_ensemble(ds, spec, n_members=2, top_m=1)
+        ens = fit_ensemble(ds, spec, config, n_members=2, top_m=1)
         assert np.all(np.isfinite(ens.pool_validation_nlls))
 
-    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -0.1, "fast", "0.1", True])
     @pytest.mark.parametrize("which", ["lr_head", "lr_extractor"])
     def test_learning_rates_must_be_finite_and_positive(self, which, lr):
+        """A learning rate is a finite positive number; a string or a bool is E_BAD_CONFIG,
+        not a TypeError or a rate of 1.0."""
         with pytest.raises(BadConfig) as info:
             TrainConfig(**{which: lr})
         assert info.value.code == "E_BAD_CONFIG"
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, np.nan, "x", True, None])
+    def test_validation_fraction_must_lie_in_the_unit_interval(self, value):
         with pytest.raises(BadConfig) as info:
-            ModelSpec(family=TargetFamily.LOGISTIC, parameterization=Parameterization.BASELINE,
-                      **{which: lr})
+            TrainConfig(validation_fraction=value)
         assert info.value.code == "E_BAD_CONFIG"
 
     @pytest.mark.parametrize("value", [2.5, 2.0, True])
@@ -523,13 +560,11 @@ class TestFit:
             (TrainConfig, "batch_size"),
             (TrainConfig, "early_stopping_patience"),
             (TrainConfig, "seed"),
-            (_baseline_spec, "epochs"),
             (_baseline_spec, "bernstein_order"),
-            (_baseline_spec, "seed"),
             (lambda width: ExtractorSpec(input_dim=2, hidden_dims=(width,)), "width"),
         ],
-        ids=["train-epochs", "train-batch_size", "train-patience", "train-seed", "spec-epochs",
-             "spec-order", "spec-seed", "hidden-width"],
+        ids=["train-epochs", "train-batch_size", "train-patience", "train-seed", "spec-order",
+             "hidden-width"],
     )
     def test_integer_settings_reject_floats_and_bools(self, build, key, value):
         """An integer setting is an integer: a float, integral or not, or a bool is
@@ -568,9 +603,9 @@ class TestFit:
         ds = _exponential_dataset(rng, 80)
         spec = ModelSpec(
             family=TargetFamily.MEV, parameterization=Parameterization.LINEAR_SHIFT,
-            extractor=ExtractorSpec(input_dim=2, output_dim=1), epochs=10, seed=4,
+            extractor=ExtractorSpec(input_dim=2, output_dim=1),
         )
-        cfg = TrainConfig.from_model_spec(spec)
+        cfg = TrainConfig(epochs=10, seed=4)
         m1 = fit(ds, spec, cfg)
         m2 = fit(ds, spec, cfg)
         assert serialize_model(m1) == serialize_model(m2)
@@ -580,9 +615,9 @@ class TestFit:
         ds = _exponential_dataset(rng, 150)
         spec = ModelSpec(
             family=TargetFamily.MEV, parameterization=Parameterization.LINEAR_SHIFT,
-            extractor=ExtractorSpec(input_dim=2, output_dim=2), epochs=30, seed=0,
+            extractor=ExtractorSpec(input_dim=2, output_dim=2),
         )
-        model = fit(ds, spec)
+        model = fit(ds, spec, TrainConfig(epochs=30, seed=0))
         scaler = model.scaler
         init_state = ModelState(
             spec, scaler, init_head(spec), model.extractor_params * 0.0
@@ -595,10 +630,10 @@ class TestFit:
         ds = _exponential_dataset(rng, 60)
         spec = ModelSpec(
             family=TargetFamily.LOGISTIC, parameterization=Parameterization.BASELINE,
-            bernstein_order=3, epochs=5, early_stopping_patience=5,
+            bernstein_order=3,
         )
         stats = []
-        fit(ds, spec, callback=stats.append)
+        fit(ds, spec, TrainConfig(epochs=5, early_stopping_patience=5), callback=stats.append)
         assert len(stats) >= 1
         assert stats[0].epoch == 0
         assert all(np.isfinite(s.train_nll) and np.isfinite(s.val_nll) for s in stats)
@@ -608,9 +643,9 @@ class TestFit:
         ds = _exponential_dataset(rng, 70)
         spec = ModelSpec(
             family=TargetFamily.MEV, parameterization=Parameterization.LINEAR_SHIFT,
-            extractor=ExtractorSpec(input_dim=2, output_dim=1), epochs=8,
+            extractor=ExtractorSpec(input_dim=2, output_dim=1),
         )
-        model = fit(ds, spec)
+        model = fit(ds, spec, TrainConfig(epochs=8))
         state = ModelState(spec, model.scaler, model.head_params, model.extractor_params)
         full = nll_batch(state, ds)[0] / ds.n
         np.testing.assert_allclose(model.train_nll, full, rtol=1e-12)
@@ -622,7 +657,6 @@ class TestFit:
         spec = ModelSpec(
             family=TargetFamily.MEV, parameterization=Parameterization.LINEAR_SHIFT,
             extractor=ExtractorSpec(input_dim=2, output_dim=1),
-            epochs=200, early_stopping_patience=30, seed=1,
         )
         cfg = TrainConfig(
             epochs=200, batch_size=256, lr_head=0.05, lr_extractor=0.05,
@@ -648,9 +682,9 @@ class TestFitEnsemble:
         ds = _exponential_dataset(rng, n)
         spec = ModelSpec(
             family=TargetFamily.MEV, parameterization=Parameterization.LINEAR_SHIFT,
-            extractor=ExtractorSpec(input_dim=2, output_dim=1), epochs=15, seed=2,
+            extractor=ExtractorSpec(input_dim=2, output_dim=1),
         )
-        return ds, spec, TrainConfig.from_model_spec(spec)
+        return ds, spec, TrainConfig(epochs=15, seed=2)
 
     def test_selection_orders_by_validation_nll(self):
         ds, spec, cfg = self._setup()
@@ -740,9 +774,9 @@ class TestFitEnsemble:
         held_out = _exponential_dataset(rng, 200)
         spec = ModelSpec(
             family=TargetFamily.MEV, parameterization=Parameterization.LINEAR_SHIFT,
-            extractor=ExtractorSpec(input_dim=2, output_dim=1), epochs=25, seed=6,
+            extractor=ExtractorSpec(input_dim=2, output_dim=1),
         )
-        cfg = TrainConfig.from_model_spec(spec)
+        cfg = TrainConfig(epochs=25, seed=6)
         ens = fit_ensemble(train, spec, cfg, n_members=10, top_m=5)
 
         def mean_nll(dist_for):

@@ -20,7 +20,7 @@ from tramsurv.errors import (
     UnsupportedCensoringKind,
 )
 from tramsurv.feature import ExtractorSpec, identity_params, init_params
-from tramsurv.fit import EnsembleModel, ModelState, fit, nll_batch
+from tramsurv.fit import EnsembleModel, ModelState, TrainConfig, fit, nll_batch
 from tramsurv.metrics import (
     EvaluationReport,
     c_index,
@@ -515,13 +515,13 @@ def _train_shaped(rng, n, beta, shape=0.7):
     return SurvivalDataset(x, t, np.where(censored, np.inf, t), kind)
 
 
-def _short_fit_spec(parameterization, family, p, epochs=2, seed=0):
+def _short_fit_spec(parameterization, family, p):
     extractor = None
     if parameterization != Parameterization.BASELINE:
         d = 7 if parameterization == Parameterization.BERNSTEIN_FLEXIBLE else 1
         extractor = ExtractorSpec(input_dim=p, hidden_dims=(8,), output_dim=d)
     return ModelSpec(family=family, parameterization=parameterization, bernstein_order=6,
-                     extractor=extractor, epochs=epochs, seed=seed)
+                     extractor=extractor)
 
 
 class TestScoringTrainedModels:
@@ -533,7 +533,8 @@ class TestScoringTrainedModels:
         rng = np.random.default_rng(211)
         beta = rng.normal(size=6)
         beta /= np.linalg.norm(beta)
-        model = fit(_train_shaped(rng, 400, beta), _short_fit_spec(parameterization, family, 6))
+        spec = _short_fit_spec(parameterization, family, 6)
+        model = fit(_train_shaped(rng, 400, beta), spec, TrainConfig(epochs=2))
         held_out = _train_shaped(rng, 200, beta)
         report = evaluate(model, held_out)
         scores = np.array([s.crps for s in report.per_subject])
@@ -554,9 +555,10 @@ def test_trained_models_score_and_sample_or_fail_with_a_code(
 ):
     rng = np.random.default_rng(seed)
     beta = effect_sd * rng.normal(size=3) / np.sqrt(3.0)
-    spec = _short_fit_spec(parameterization, family, 3, epochs=3, seed=seed % 1000)
+    spec = _short_fit_spec(parameterization, family, 3)
+    config = TrainConfig(epochs=3, seed=seed % 1000)
     try:
-        model = fit(_train_shaped(rng, 120, beta, shape), spec)
+        model = fit(_train_shaped(rng, 120, beta, shape), spec, config)
         held_out = _train_shaped(rng, 80, beta, shape)
         report = evaluate(model, held_out)
         assert np.all(np.isfinite([s.crps for s in report.per_subject]))
