@@ -33,7 +33,7 @@ from .fit import (
     nll_batch,
 )
 from .metrics import EvaluationReport, c_index, crps, evaluate, log_score
-from .sample import SynthConfig, generate_semisynthetic, sample_time
+from .sample import SynthConfig, generate_semisynthetic
 from .target import TargetFamily
 from .transform import ConditionalDistribution, conditional_distribution
 
@@ -65,7 +65,6 @@ __all__ = [
     "generate_semisynthetic",
     "log_score",
     "nll_batch",
-    "sample_time",
     "serialize_model",
     "validate_dataset",
 ]

@@ -33,6 +33,7 @@ from .core import (
     Parameterization,
     SurvivalDataset,
     deserialize_model,
+    member_of,
     serialize_model,
     validate_dataset,
 )
@@ -305,20 +306,7 @@ def _spec_value(convert, config: dict, key: str, default):
 
 def build_model_spec(config: dict, n_features: int) -> ModelSpec:
     """The model architecture a spec config's model keys describe."""
-    try:
-        family = TargetFamily(config["family"])
-    except ValueError:
-        raise BadConfig(
-            f"unknown family {config['family']!r}; expected one of "
-            f"{[f.value for f in TargetFamily]}"
-        ) from None
-    try:
-        parameterization = Parameterization(config["parameterization"])
-    except ValueError:
-        raise BadConfig(
-            f"unknown parameterization {config['parameterization']!r}; expected one of "
-            f"{[p.value for p in Parameterization]}"
-        ) from None
+    parameterization = member_of(Parameterization, "parameterization", config["parameterization"])
     order = _spec_value(_integer, config, "bernstein_order", 6)
     extractor = None
     if parameterization != Parameterization.BASELINE:
@@ -331,9 +319,9 @@ def build_model_spec(config: dict, n_features: int) -> ModelSpec:
             hidden_dims=_spec_value(_widths, config, "hidden_dims", []),
             output_dim=output_dim,
             activation=config.get("activation", "tanh"),
-            init_scale=_spec_value(float, config, "init_scale", 1.0),
+            init_scale=config.get("init_scale", 1.0),
         )
-    return ModelSpec(family, parameterization, order, extractor)
+    return ModelSpec(config["family"], parameterization, order, extractor)
 
 
 # How a spec config's training keys are read; TrainConfig checks every value, so
@@ -465,8 +453,8 @@ def _cmd_evaluate(args) -> int:
     with open(out_dir / "scores.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["subject", "nll", "crps"])
-        for i, score in enumerate(report.per_subject):
-            writer.writerow([i, _format_value(score.nll), _format_value(score.crps)])
+        for i, (nll, crps) in enumerate(zip(report.nll.tolist(), report.crps.tolist())):
+            writer.writerow([i, _format_value(nll), _format_value(crps)])
     write_cdf_grid(dist, dataset, out_dir / "cdf_grid.csv")
     logger.info("evaluate: wrote %s", out_dir / "report.json")
     return 0

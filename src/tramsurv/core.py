@@ -12,7 +12,7 @@ Fitted models serialize to a versioned JSON artifact that round-trips at
 full float precision.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 import json
@@ -23,6 +23,7 @@ import numpy as np
 from .basis import LogTimeScaler
 from .errors import (
     AllCensored,
+    BadConfig,
     BadStatusValue,
     DimensionMismatch,
     EmptyDataset,
@@ -234,6 +235,16 @@ def default_learning_rates(
     return 0.001, _DEFAULT_LR_HEAD[(parameterization, family)]
 
 
+def member_of(enum, name: str, value):
+    """``value`` as a member of ``enum``, given as one or as its value; else :class:`BadConfig`."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise BadConfig(
+            f"unknown {name} {value!r}; expected one of {[m.value for m in enum]}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """The model's architecture; how it is trained is a ``fit.TrainConfig``."""
@@ -244,7 +255,12 @@ class ModelSpec:
     extractor: ExtractorSpec | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "family", member_of(TargetFamily, "family", self.family))
+        object.__setattr__(self, "parameterization",
+                           member_of(Parameterization, "parameterization", self.parameterization))
         require_int("bernstein_order", self.bernstein_order, 1)
+        if not isinstance(self.extractor, (ExtractorSpec, type(None))):
+            raise BadConfig(f"extractor must be an ExtractorSpec or None, got {self.extractor!r}")
         if self.uses_extractor and self.extractor is None:
             raise DimensionMismatch(
                 f"parameterization {self.parameterization.value} requires an extractor spec"
@@ -300,20 +316,12 @@ class FittedModel:
 
 
 def _spec_to_dict(spec: ModelSpec) -> dict:
-    extractor = None
-    if spec.extractor is not None:
-        extractor = {
-            "input_dim": spec.extractor.input_dim,
-            "hidden_dims": list(spec.extractor.hidden_dims),
-            "output_dim": spec.extractor.output_dim,
-            "activation": spec.extractor.activation,
-            "init_scale": spec.extractor.init_scale,
-        }
+    # the extractor's keys are its fields, in their order
     return {
         "family": spec.family.value,
         "parameterization": spec.parameterization.value,
         "bernstein_order": spec.bernstein_order,
-        "extractor": extractor,
+        "extractor": None if spec.extractor is None else asdict(spec.extractor),
     }
 
 
@@ -329,8 +337,8 @@ def _spec_from_dict(doc: dict) -> ModelSpec:
             init_scale=e["init_scale"],
         )
     return ModelSpec(
-        family=TargetFamily(doc["family"]),
-        parameterization=Parameterization(doc["parameterization"]),
+        family=doc["family"],
+        parameterization=doc["parameterization"],
         bernstein_order=doc["bernstein_order"],
         extractor=extractor,
     )

@@ -5,7 +5,8 @@ carries a ``code`` attribute that is stable across releases, so callers (and
 the CLI's ``error.json``) can dispatch on it without parsing messages.
 """
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class TramsurvError(Exception):
@@ -62,10 +63,6 @@ class ProbabilityOutOfRange(TramsurvError):
 
 class DimensionMismatch(TramsurvError):
     code = "E_DIMENSION_MISMATCH"
-
-
-class TapeMismatch(TramsurvError):
-    code = "E_TAPE_MISMATCH"
 
 
 # -- training -----------------------------------------------------------------
@@ -126,6 +123,14 @@ class BadConfig(TramsurvError, ValueError):
     """A configuration value out of its range or of the wrong type."""
 
     code = "E_BAD_CONFIG"
+
+
+def is_finite_real(value) -> bool:
+    """Whether a setting is a real number, not a bool, that is finite as a float."""
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def require_int(name: str, value, minimum: int):

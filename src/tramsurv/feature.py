@@ -29,12 +29,11 @@ vectorizes it differently by n).  Its tape is left unused.
 from dataclasses import dataclass
 from functools import cached_property
 import math
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadConfig, DimensionMismatch, TapeMismatch, require_int
+from .errors import BadConfig, DimensionMismatch, is_finite_real, require_int
 
 _ACTIVATIONS = ("tanh", "relu")
 
@@ -54,15 +53,21 @@ class ExtractorSpec:
     init_scale: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.hidden_dims, (tuple, list)):
+            raise BadConfig(f"hidden_dims must be a sequence of widths, got {self.hidden_dims!r}")
         for h in self.hidden_dims:
             require_int("hidden layer width", h, 1)
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        for name in ("input_dim", "output_dim"):
+            # the type here; a dimension below 1 is a mismatch, not a bad setting
+            require_int(name, getattr(self, name), -math.inf)
         if self.input_dim < 1 or self.output_dim < 1:
             raise DimensionMismatch("extractor dimensions must be positive")
         if self.activation not in _ACTIVATIONS:
             raise BadConfig(f"activation must be one of {_ACTIVATIONS}")
-        if not (isinstance(self.init_scale, Real) and math.isfinite(self.init_scale)):
+        if not is_finite_real(self.init_scale):
             raise BadConfig(f"init_scale must be a finite number, got {self.init_scale!r}")
+        object.__setattr__(self, "init_scale", float(self.init_scale))
 
     @cached_property
     def layer_dims(self) -> tuple[tuple[int, int], ...]:
@@ -72,10 +77,6 @@ class ExtractorSpec:
     @cached_property
     def param_count(self) -> int:
         return sum(fan_in * fan_out + fan_out for fan_in, fan_out in self.layer_dims)
-
-
-def param_count(spec: ExtractorSpec) -> int:
-    return spec.param_count
 
 
 class Layers(tuple):
@@ -193,7 +194,7 @@ def forward(spec: ExtractorSpec, params, x) -> tuple[np.ndarray, Tape]:
     return a, Tape(spec, layers, inputs)
 
 
-def backward(spec: ExtractorSpec, tape: Tape, upstream, out: Layers | None = None) -> np.ndarray:
+def backward(tape: Tape, upstream, out: Layers | None = None) -> np.ndarray:
     """Reverse-mode pass: the gradients w.r.t. the parameters the tape's forward pass read.
 
     ``upstream`` is d(loss)/d(features), (M, n, d) or (n, d) like the forward
@@ -202,9 +203,7 @@ def backward(spec: ExtractorSpec, tape: Tape, upstream, out: Layers | None = Non
     layout and is linear in its upstream rows.  The array is a new one, or
     the buffer whose :class:`Layers` ``out`` gives; either is returned.
     """
-    if tape.spec is not spec and tape.spec != spec:
-        raise TapeMismatch("tape was recorded under a different extractor spec")
-    layers, inputs = tape.layers, tape.inputs
+    spec, layers, inputs = tape
     delta = np.asarray(upstream, dtype=float)
     shape = layers.flat.shape
     if delta.shape != shape[:-1] + (inputs[0].shape[-2], spec.output_dim):

@@ -49,8 +49,6 @@ more rows.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 import logging
-import math
-from numbers import Real
 from typing import NamedTuple
 import warnings
 
@@ -74,6 +72,7 @@ from .errors import (
     EmptyDataset,
     NonFiniteLoss,
     NonPositiveTime,
+    is_finite_real,
     require_int,
 )
 from .transform import (
@@ -113,13 +112,13 @@ class TrainConfig:
         require_int("batch_size", self.batch_size, 1)
         require_int("early_stopping_patience", self.early_stopping_patience, 0)
         require_int("seed", self.seed, 0)
-        if not (_is_real(self.validation_fraction) and 0.0 < self.validation_fraction < 1.0):
+        if not (is_finite_real(self.validation_fraction) and 0.0 < self.validation_fraction < 1.0):
             raise BadConfig(
                 f"validation_fraction must lie in (0, 1), got {self.validation_fraction!r}"
             )
         for name in ("lr_extractor", "lr_head"):
             lr = getattr(self, name)
-            if lr is not None and not (_is_real(lr) and math.isfinite(lr) and lr > 0.0):
+            if lr is not None and not (is_finite_real(lr) and lr > 0.0):
                 raise BadConfig(f"{name} must be a finite positive number, got {lr!r}")
 
     def resolved(self, spec: ModelSpec) -> "TrainConfig":
@@ -130,11 +129,6 @@ class TrainConfig:
             lr_extractor=lr_extractor if self.lr_extractor is None else self.lr_extractor,
             lr_head=lr_head if self.lr_head is None else self.lr_head,
         )
-
-
-def _is_real(value) -> bool:
-    """Whether a setting is a real number; a bool is not one."""
-    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -325,7 +319,7 @@ def _nll_core(spec: ModelSpec, scaler: LogTimeScaler, head, ext, plan: _Plan, wa
                                 for lo, hi in zip(pullback(up_h, up_dh), d_hi)))
     _, d_feats = coef_pullback(d_coef, out=grad.head)
     if tape is not None:
-        feature.backward(spec.extractor, tape, d_feats, out=grad.layers)
+        feature.backward(tape, d_feats, out=grad.layers)
     return terms, grad.flat
 
 

@@ -15,10 +15,13 @@ import numpy as np
 
 from .core import KINDS, CensoringKind, FittedModel, SurvivalDataset, validate_dataset
 from .errors import (
+    BadConfig,
+    DimensionMismatch,
     InvertedInterval,
     NoComparablePairs,
     NonPositiveTime,
     UnsupportedCensoringKind,
+    is_finite_real,
 )
 from .fit import EnsembleModel
 from .quadrature import gauss_kronrod
@@ -40,13 +43,18 @@ def concordance_counts(times, events, risks) -> tuple[float, int]:
     rank by one ``searchsorted`` over the keys ``block * n + rank``.  Later
     rows of equal time have no lower rank, and those of equal rank too are
     subtracted from the ties.  A NaN compares as numpy compares it: a NaN
-    time is in no pair, and a NaN risk is neither higher nor tied.
+    time is in no pair, and a NaN risk is neither higher nor tied.  Raises
+    :class:`BadConfig` for values that are not numbers and
+    :class:`DimensionMismatch` unless all three are vectors of one length.
     """
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=bool)
-    risks = np.asarray(risks, dtype=float)
+    try:
+        times = np.asarray(times, dtype=float)
+        events = np.asarray(events, dtype=bool)
+        risks = np.asarray(risks, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadConfig(f"times, events, and risks must be vectors of numbers: {exc}") from None
     if not times.shape == events.shape == risks.shape or times.ndim != 1:
-        raise ValueError("times, events, and risks must be equal-length vectors")
+        raise DimensionMismatch("times, events, and risks must be equal-length vectors")
     times, events, risks = (v[~np.isnan(times)] for v in (times, events, risks))
     later = np.searchsorted(np.sort(times), times[events], side="right")
     pairs = int(np.sum(times.size - later))
@@ -123,6 +131,11 @@ def _squared_in_log_time(of):
     return fn
 
 
+def _require_limit(t_max):
+    if not is_finite_real(t_max):
+        raise BadConfig(f"t_max must be a finite number, got {t_max!r}")
+
+
 def crps(dist, t, event, t_max: float):
     """Censoring-adjusted continuous ranked probability score.
 
@@ -140,8 +153,7 @@ def crps(dist, t, event, t_max: float):
     dist
         Predicted distribution exposing vectorized ``cdf`` and ``survivor``;
         for arrays ``t`` and ``event``, a batch with one subject per entry
-        whose ``cdf(u, rows)`` and ``survivor(u, rows)`` read the subjects
-        ``rows``.
+        whose ``subject(rows)`` is the distribution of the subjects ``rows``.
     t : float or array
         Observed (or censoring) times; none may exceed ``t_max``.  A scalar
         gives a float, an array one score per entry.
@@ -150,10 +162,12 @@ def crps(dist, t, event, t_max: float):
     t_max : float
         Upper integration limit.
 
-    Raises :class:`NonPositiveTime` for a time that is not positive, and
+    Raises :class:`BadConfig` for a ``t_max`` that is not a finite number,
+    :class:`NonPositiveTime` for a time that is not positive, and
     :class:`InvertedInterval` for a time above ``t_max``, whose survivor range
     (t, t_max] is inverted.
     """
+    _require_limit(t_max)
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(times > 0.0):
         raise NonPositiveTime("CRPS requires a positive observation time")
@@ -161,10 +175,9 @@ def crps(dist, t, event, t_max: float):
         raise InvertedInterval(
             f"observation time {times.max()} exceeds the integration limit {t_max}"
         )
-    if np.ndim(t) == 0:
-        cdf, survivor = (lambda u, rows: dist.cdf(u)), (lambda u, rows: dist.survivor(u))
-    else:
-        cdf, survivor = dist.cdf, dist.survivor
+    # the quadrature's rows are a batch's subjects; one time has one distribution
+    at = dist.subject if np.ndim(t) else (lambda rows: dist)
+    cdf, survivor = (lambda u, rows: at(rows).cdf(u)), (lambda u, rows: at(rows).survivor(u))
 
     knots = np.array(_knots(dist))
     below = np.log(np.nextafter(times, 0.0))[:, None]
@@ -178,15 +191,12 @@ def crps(dist, t, event, t_max: float):
     return float(score[0]) if np.ndim(t) == 0 else score
 
 
-@dataclass
-class SubjectScore:
-    nll: float
-    crps: float
-
-
-@dataclass
+@dataclass(eq=False)
 class EvaluationReport:
-    per_subject: list
+    """Scores of a dataset: ``nll`` and ``crps`` hold one value per subject, in row order."""
+
+    nll: np.ndarray
+    crps: np.ndarray
     mean_nll: float
     mean_crps: float
     c_index: float | None
@@ -195,9 +205,10 @@ class EvaluationReport:
     t_max: float
 
     def to_json(self) -> str:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["per_subject"] = [{"nll": s.nll, "crps": s.crps} for s in self.per_subject]
-        return json.dumps(doc, indent=2, allow_nan=False)
+        """The report as JSON, its per-subject scores a ``per_subject`` list of {nll, crps}."""
+        per_subject = [{"nll": a, "crps": b} for a, b in zip(self.nll.tolist(), self.crps.tolist())]
+        doc = {f.name: getattr(self, f.name) for f in fields(self)[2:]}
+        return json.dumps({"per_subject": per_subject, **doc}, indent=2, allow_nan=False)
 
 
 def evaluate(model, dataset: SurvivalDataset, t_max: float | None = None) -> EvaluationReport:
@@ -213,8 +224,10 @@ def evaluate(model, dataset: SurvivalDataset, t_max: float | None = None) -> Eva
 
     ``t_max`` defaults to the maximum observed time seen at training time
     (the scaler's upper endpoint), extended if the evaluation data reaches
-    further.
+    further; one given must be a finite number, else :class:`BadConfig`.
     """
+    if t_max is not None:
+        _require_limit(t_max)
     validate_dataset(dataset)
     events = dataset.kind == CensoringKind.EXACT.code
     unsupported = ~events & (dataset.kind != CensoringKind.RIGHT.code)
@@ -244,7 +257,8 @@ def evaluate(model, dataset: SurvivalDataset, t_max: float | None = None) -> Eva
 
     numerator, pairs = concordance_counts(times, events, risks)
     return EvaluationReport(
-        per_subject=list(map(SubjectScore, nll.tolist(), scores.tolist())),
+        nll=nll,
+        crps=scores,
         mean_nll=float(np.mean(nll)),
         mean_crps=float(np.mean(scores)),
         c_index=numerator / pairs if pairs else None,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CensoringKind, FittedModel, SurvivalDataset, validate_dataset
-from .errors import BadConfig, ProbabilityOutOfRange, SchemaMismatch, require_int
+from .errors import BadConfig, SchemaMismatch, require_int
 from .transform import conditional_distribution
 
 
@@ -37,14 +37,8 @@ class SynthConfig:
         require_int("seed", self.seed, 0)
         if self.seed >= 2**128:
             raise BadConfig(f"seed must be below 2**128, got {self.seed}")
-
-
-def sample_time(dist, u):
-    """Map uniform variates through the inverse conditional CDF."""
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(~((u_arr > 0.0) & (u_arr < 1.0))):
-        raise ProbabilityOutOfRange("uniform variates must lie strictly in (0, 1)")
-    return dist.quantile(u)
+        if not isinstance(self.censor_at_max, (bool, np.bool_)):
+            raise BadConfig(f"censor_at_max must be a bool, got {self.censor_at_max!r}")
 
 
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
@@ -143,7 +137,7 @@ def generate_semisynthetic(
     dist = conditional_distribution(model, dataset.x)
     u = philox_uniforms(config.seed, np.arange(dataset.n), config.replication)
     # random() lives in [0, 1); lift an exact zero to the smallest draw
-    times = sample_time(dist, np.maximum(u, 2.0**-53)).ravel()
+    times = dist.quantile(np.maximum(u, 2.0**-53)).ravel()
     censored = config.censor_at_max & (times > t_cap)
     return SurvivalDataset(
         x=np.repeat(dataset.x, config.replication, axis=0),

@@ -32,7 +32,7 @@ import numpy as np
 from . import feature, target
 from .basis import LogTimeScaler, bernstein_vectors, monotone_reparam, monotone_reparam_vjp
 from .core import FittedModel, ModelSpec, Parameterization
-from .errors import BisectionNonConvergence, DimensionMismatch
+from .errors import BisectionNonConvergence, DimensionMismatch, NonFiniteCovariate
 from .numerics import logsumexp, sigmoid, softplus, softplus_inv, softplus_tail
 
 
@@ -348,30 +348,29 @@ def _of_h(fn):
 class Pointwise:
     """``cdf``, ``survivor``, ``pdf``, their logs and ``quantile``, written once.
 
-    A subclass supplies ``at_log_time(of_transform, log_t, log, rows)`` and
+    A subclass supplies ``at_log_time(of_transform, log_t, log)`` and
     ``newton_problem(p, subjects)``.  One ``np.log`` of the whole time array:
     times t <= 0 and t = +inf, only when present, are replaced by 1.0 first
-    and get their limits afterwards.  ``cdf`` and ``survivor`` of a batch
-    take ``rows``, the subjects (an index array) of the first axis of ``t``,
-    so a quadrature reads its rows without slicing the batch first.
+    and get their limits afterwards.  A batch's values for some of its
+    subjects come from the distribution ``subject(rows)`` selects.
     """
 
-    def _apply(self, t, of_transform, at_zero: float, at_inf: float, log: bool = False, rows=None):
+    def _apply(self, t, of_transform, at_zero: float, at_inf: float, log: bool = False):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         zero, infinite = t_arr <= 0.0, np.isposinf(t_arr)
         special = zero | infinite
         present = special.any()
         log_t = np.log(np.where(special, 1.0, t_arr) if present else t_arr)
-        out = self.at_log_time(of_transform, log_t, log, rows)
+        out = self.at_log_time(of_transform, log_t, log)
         if present:
             out[zero], out[infinite] = at_zero, at_inf
         return float(out[0]) if np.ndim(t) == 0 else out
 
-    def cdf(self, t, rows=None):
-        return self._apply(t, _of_h(target.cdf), 0.0, 1.0, rows=rows)
+    def cdf(self, t):
+        return self._apply(t, _of_h(target.cdf), 0.0, 1.0)
 
-    def survivor(self, t, rows=None):
-        return self._apply(t, _of_h(target.survivor), 1.0, 0.0, rows=rows)
+    def survivor(self, t):
+        return self._apply(t, _of_h(target.survivor), 1.0, 0.0)
 
     def log_cdf(self, t):
         return self._apply(t, _of_h(target.log_cdf), -np.inf, 0.0, log=True)
@@ -425,11 +424,9 @@ class ConditionalDistribution(Pointwise):
         """Row ``i`` of a batch, or the batch of the rows an index array ``i`` selects."""
         return ConditionalDistribution(self.spec, self.coef.take(i), self.scaler)
 
-    def check_subjects(self, values: np.ndarray, rows=None):
-        """For a batch, require the leading axis of ``values`` to index its subjects (or ``rows``)."""
+    def check_subjects(self, values: np.ndarray):
+        """For a batch, require the leading axis of ``values`` to index its subjects."""
         n = self.n_subjects
-        if n is not None and rows is not None:
-            n = len(rows)
         if n is not None and values.shape[:1] != (n,):
             raise DimensionMismatch(
                 f"expected a leading axis of {n} subjects, got shape {values.shape}"
@@ -474,14 +471,11 @@ class ConditionalDistribution(Pointwise):
             )
         return z, lo, hi
 
-    def at_log_time(self, of_transform, log_t, log: bool = False, rows=None):
-        """``of_transform`` at finite log-times of the subjects ``rows`` (all when None).
-
-        ``log`` only matters to a mixture.
-        """
-        self.check_subjects(log_t, rows)
-        # one gather of the rows, with unit axes to broadcast over log_t's trailing axes
-        index = (slice(None) if rows is None else rows,) + (None,) * (log_t.ndim - 1)
+    def at_log_time(self, of_transform, log_t, log: bool = False):
+        """``of_transform`` at finite log-times; ``log`` only matters to a mixture."""
+        self.check_subjects(log_t)
+        # unit axes broadcast each subject's coefficients over log_t's trailing axes
+        index = (slice(None),) + (None,) * (log_t.ndim - 1)
         h, dh, _ = eval_transform(self.spec, self.coef.take(index), None, log_t, self.scaler)
         return of_transform(self.spec.family, h, dh, log_t)
 
@@ -511,14 +505,14 @@ class EnsembleDistribution(Pointwise):
         """Mixture of row ``i`` of a batch, or of the rows an index array ``i`` selects."""
         return EnsembleDistribution([m.subject(i) for m in self.members])
 
-    def at_log_time(self, of_transform, log_t, log: bool = False, rows=None):
-        """The members' values at finite log-times of the subjects ``rows``, combined."""
+    def at_log_time(self, of_transform, log_t, log: bool = False):
+        """The members' values at finite log-times, combined."""
         if log:
-            values = np.array([m.at_log_time(of_transform, log_t, rows=rows) for m in self.members])
+            values = np.array([m.at_log_time(of_transform, log_t) for m in self.members])
             return logsumexp(values, axis=0) - np.log(len(self.members))
-        total = self.members[0].at_log_time(of_transform, log_t, rows=rows)
+        total = self.members[0].at_log_time(of_transform, log_t)
         for m in self.members[1:]:
-            total += m.at_log_time(of_transform, log_t, rows=rows)
+            total += m.at_log_time(of_transform, log_t)
         return total / len(self.members)
 
     def newton_problem(self, p, subjects):
@@ -554,6 +548,8 @@ def conditional_distribution(model: FittedModel, x) -> ConditionalDistribution:
         raise DimensionMismatch(
             f"expected a covariate vector or an (n, p) matrix, got shape {x.shape}"
         )
+    if not np.isfinite(x).all():
+        raise NonFiniteCovariate("covariates must be finite")
     f = None
     if spec.uses_extractor:
         f = feature.forward(spec.extractor, model.extractor_params, x[..., None, :])[0][..., 0, :]

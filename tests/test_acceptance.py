@@ -22,11 +22,11 @@ from tramsurv.core import (
     Parameterization,
     SurvivalDataset,
 )
-from tramsurv.feature import ExtractorSpec, identity_params, init_params, param_count, split_params
+from tramsurv.feature import ExtractorSpec, identity_params, init_params, split_params
 from tramsurv.fit import EnsembleModel, ModelState, TrainConfig, fit, fit_ensemble, nll_batch
 from tramsurv.metrics import crps, evaluate
 from tramsurv.numerics import softplus, softplus_inv
-from tramsurv.sample import SynthConfig, generate_semisynthetic, max_observed_time, sample_time
+from tramsurv.sample import SynthConfig, generate_semisynthetic, max_observed_time
 from tramsurv.target import TargetFamily
 from tramsurv.transform import conditional_distribution, head_size, init_head
 
@@ -125,7 +125,7 @@ def _gradient_max_rel_err(spec, rng, draws):
             head = init_head(spec) + 0.4 * rng.normal(size=head_size(spec))
             ext = (
                 init_params(spec.extractor, int(rng.integers(1 << 32)))
-                + 0.3 * rng.normal(size=param_count(spec.extractor))
+                + 0.3 * rng.normal(size=spec.extractor.param_count)
                 if spec.extractor is not None
                 else np.zeros(0)
             )
@@ -362,7 +362,7 @@ def test_sampling_tracks_model_distribution():
     dist = conditional_distribution(model, np.array([0.7]))
     rng = np.random.default_rng(717)
     u = np.maximum(rng.random(10000), 2.0**-53)
-    draws = np.sort(np.asarray(sample_time(dist, u), dtype=float))
+    draws = np.sort(np.asarray(dist.quantile(u), dtype=float))
     probs = dist.cdf(draws)
     ranks = np.arange(1, draws.size + 1) / draws.size
     ks = float(max(np.max(np.abs(ranks - probs)), np.max(np.abs(ranks - 1.0 / draws.size - probs))))
@@ -411,7 +411,7 @@ def test_ensemble_mixture_valid_and_selection_exact():
             head = init_head(spec) + 0.5 * rng.normal(size=head_size(spec))
             ext = (
                 init_params(spec.extractor, int(rng.integers(1 << 32)))
-                + 0.4 * rng.normal(size=param_count(spec.extractor))
+                + 0.4 * rng.normal(size=spec.extractor.param_count)
                 if spec.extractor is not None
                 else np.zeros(0)
             )

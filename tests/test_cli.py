@@ -328,11 +328,12 @@ class TestFitCommand:
         ("fit", [], {"hidden_dims": "16"}),
         ("fit", [], {"hidden_dims": {"8": 1}}),
         ("fit", [], {"lr_head": True}),
+        ("fit", [], {"init_scale": True}),
     ],
     ids=["epochs", "batch_size", "validation_fraction", "bernstein_order", "epochs-text",
          "lr-text", "negative-seed", "top-above-members", "jobs-zero", "replication",
          "hidden-dims-zero", "seed-too-large", "hidden-dims-text", "hidden-dims-object",
-         "lr-bool"],
+         "lr-bool", "init-scale-bool"],
 )
 def test_out_of_range_config_fails_with_code(
     tmp_path, training_csv, spec_json, command, flags, spec_values

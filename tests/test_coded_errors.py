@@ -1,0 +1,149 @@
+"""Public constructors and scorers fail only with a coded ``TramsurvError``.
+
+Each entry point gets drawn junk for its arguments (strings, bools, None, NaN,
+infinities, floats, integers beyond the float range, lists), mixed with valid
+values so that the later checks are reached too.  A call either succeeds,
+giving a result that later steps can use, or raises a ``TramsurvError``.
+"""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+import numpy as np
+import pytest
+
+from tramsurv import (
+    ModelSpec,
+    Parameterization,
+    SurvivalDataset,
+    SynthConfig,
+    TargetFamily,
+    TrainConfig,
+    c_index,
+    evaluate,
+)
+from tramsurv.basis import LogTimeScaler
+from tramsurv.core import FittedModel
+from tramsurv.errors import TramsurvError
+from tramsurv.feature import ExtractorSpec, identity_params
+from tramsurv.numerics import softplus_inv
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-2, max_value=9),
+    st.just(10**400),
+    st.lists(st.one_of(st.integers(-2, 9), st.floats(), st.text(max_size=2)), max_size=3),
+)
+
+
+def _or_junk(*valid) -> st.SearchStrategy:
+    return st.one_of(*valid, _JUNK)
+
+
+def _is_count(value, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _is_rate(value) -> bool:
+    return value is None or (not isinstance(value, bool) and 0.0 < float(value) < math.inf)
+
+
+def _exponential_model() -> FittedModel:
+    """S(t | x) = exp(-t * e^x): the MEV linear-shift model with an identity extractor."""
+    spec = ModelSpec(TargetFamily.MEV, Parameterization.LINEAR_SHIFT,
+                     extractor=ExtractorSpec(input_dim=1))
+    return FittedModel(spec, LogTimeScaler(0.0, 1.0), [0.0, softplus_inv(1.0), 1.0],
+                       identity_params(spec.extractor), train_nll=0.0, validation_nll=0.0)
+
+
+_MODEL = _exponential_model()
+_DATASET = SurvivalDataset(x=[[0.0], [0.5], [-0.5], [1.0]], t_lower=[0.5, 1.0, 2.0, 3.0],
+                           t_upper=[0.5, 1.0, 2.0, np.inf], kind=[0, 0, 0, 1])
+_VALUES = st.lists(st.one_of(st.floats(), st.integers(0, 5), st.none(), st.text(max_size=1)),
+                   max_size=5)
+
+# entry point: (call, strategy of each argument, what a successful result must satisfy)
+_ENTRY_POINTS = {
+    "ModelSpec": (
+        ModelSpec,
+        {
+            "family": _or_junk(st.sampled_from(["logistic", "minimum_extreme_value",
+                                                TargetFamily.MEV])),
+            "parameterization": _or_junk(st.sampled_from(
+                [p.value for p in Parameterization] + [Parameterization.BASELINE])),
+            "bernstein_order": _or_junk(st.integers(1, 8)),
+            "extractor": _or_junk(st.builds(ExtractorSpec, input_dim=st.just(2),
+                                            output_dim=st.integers(1, 9))),
+        },
+        lambda spec: (isinstance(spec.family, TargetFamily)
+                      and isinstance(spec.parameterization, Parameterization)
+                      and _is_count(spec.bernstein_order, 1)
+                      and isinstance(spec.extractor, (ExtractorSpec, type(None)))),
+    ),
+    "ExtractorSpec": (
+        ExtractorSpec,
+        {
+            "input_dim": _or_junk(st.integers(1, 4)),
+            "hidden_dims": _or_junk(st.lists(st.integers(1, 4), max_size=2).map(tuple)),
+            "output_dim": _or_junk(st.integers(1, 4)),
+            "activation": _or_junk(st.sampled_from(["tanh", "relu"])),
+            "init_scale": _or_junk(st.floats(0.1, 2.0)),
+        },
+        lambda e: (_is_count(e.input_dim, 1) and _is_count(e.output_dim, 1)
+                   and all(_is_count(h, 1) for h in e.hidden_dims)
+                   and e.activation in ("tanh", "relu")
+                   and type(e.init_scale) is float and math.isfinite(e.init_scale)),
+    ),
+    "TrainConfig": (
+        TrainConfig,
+        {
+            "epochs": _or_junk(st.integers(1, 9)),
+            "batch_size": _or_junk(st.integers(1, 9)),
+            "lr_extractor": _or_junk(st.floats(1e-4, 1.0)),
+            "lr_head": _or_junk(st.floats(1e-4, 1.0)),
+            "early_stopping_patience": _or_junk(st.integers(0, 9)),
+            "validation_fraction": _or_junk(st.floats(0.1, 0.9)),
+            "seed": _or_junk(st.integers(0, 9)),
+        },
+        lambda c: (_is_count(c.epochs, 1) and _is_count(c.batch_size, 1)
+                   and _is_count(c.early_stopping_patience, 0) and _is_count(c.seed, 0)
+                   and _is_rate(c.lr_extractor) and _is_rate(c.lr_head)
+                   and 0.0 < c.validation_fraction < 1.0),
+    ),
+    "SynthConfig": (
+        SynthConfig,
+        {
+            "replication": _or_junk(st.integers(1, 9)),
+            "seed": _or_junk(st.integers(0, 9)),
+            "censor_at_max": _or_junk(st.booleans()),
+        },
+        lambda c: (_is_count(c.replication, 1) and _is_count(c.seed, 0)
+                   and isinstance(c.censor_at_max, bool)),
+    ),
+    "c_index": (
+        c_index,
+        {"times": _or_junk(_VALUES), "events": _or_junk(_VALUES), "risks": _or_junk(_VALUES)},
+        lambda value: 0.0 <= value <= 1.0,
+    ),
+    "evaluate": (
+        lambda t_max: evaluate(_MODEL, _DATASET, t_max=t_max),
+        {"t_max": _or_junk(st.floats(3.0, 1e3))},
+        lambda report: report.to_json() and math.isfinite(report.mean_crps),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_only_coded_errors_escape(entry, data):
+    call, arguments, usable = _ENTRY_POINTS[entry]
+    kwargs = {name: data.draw(strategy, label=name) for name, strategy in arguments.items()}
+    try:
+        result = call(**kwargs)
+    except TramsurvError:
+        return
+    assert usable(result)

@@ -20,6 +20,7 @@ from tramsurv.core import (
 )
 from tramsurv.errors import (
     AllCensored,
+    BadConfig,
     BadStatusValue,
     DimensionMismatch,
     EmptyDataset,
@@ -31,7 +32,7 @@ from tramsurv.errors import (
     SchemaVersionMismatch,
     TramsurvError,
 )
-from tramsurv.feature import ExtractorSpec, init_params, param_count
+from tramsurv.feature import ExtractorSpec, init_params
 from tramsurv.target import TargetFamily
 from tramsurv.transform import head_size, init_head
 
@@ -313,6 +314,29 @@ class TestModelSpec:
         assert spec(4).uses_extractor
         with pytest.raises(DimensionMismatch):
             spec(3)
+
+    def test_family_and_parameterization_may_be_given_as_strings(self):
+        extractor = ExtractorSpec(input_dim=1)
+        spec = ModelSpec("logistic", "linear_shift", 6, extractor)
+        assert spec == ModelSpec(TargetFamily.LOGISTIC, Parameterization.LINEAR_SHIFT, 6, extractor)
+        model = FittedModel(spec, LogTimeScaler(0.0, 1.0), init_head(spec),
+                            init_params(extractor, 0), train_nll=1.0, validation_nll=1.0)
+        assert deserialize_model(serialize_model(model)) == model
+
+    @pytest.mark.parametrize(
+        "family, parameterization, extractor, message",
+        [
+            ("nope", "linear_shift", ExtractorSpec(input_dim=1), "unknown family 'nope'"),
+            ("logistic", "nope", ExtractorSpec(input_dim=1), "unknown parameterization 'nope'"),
+            (None, "baseline", None, "unknown family None"),
+            ("logistic", "linear_shift", "relu", "extractor must be an ExtractorSpec"),
+        ],
+        ids=["family", "parameterization", "family-none", "extractor"],
+    )
+    def test_unknown_choice_is_a_bad_config(self, family, parameterization, extractor, message):
+        with pytest.raises(BadConfig, match=message) as info:
+            ModelSpec(family, parameterization, 6, extractor)
+        assert info.value.code == "E_BAD_CONFIG"
 
 
 def _random_model(rng):

@@ -23,7 +23,7 @@ from tramsurv.errors import (
     NonFiniteLoss,
     NonPositiveTime,
 )
-from tramsurv.feature import ExtractorSpec, identity_params, init_params, param_count
+from tramsurv.feature import ExtractorSpec, identity_params, init_params
 from tramsurv.fit import (
     EnsembleModel,
     ModelState,
@@ -208,7 +208,7 @@ def _gradient_max_rel_err(spec, rng, draws=3):
         head = init_head(spec) + 0.4 * rng.normal(size=head_size(spec))
         ext = (
             init_params(spec.extractor, int(rng.integers(1 << 32)))
-            + 0.3 * rng.normal(size=param_count(spec.extractor))
+            + 0.3 * rng.normal(size=spec.extractor.param_count)
             if spec.extractor is not None
             else np.zeros(0)
         )
@@ -496,6 +496,13 @@ class TestTrainConfig:
         config = TrainConfig(lr_head=0.5).resolved(self.SPEC)
         assert (config.lr_extractor, config.lr_head) == (0.001, 0.5)
 
+    @pytest.mark.parametrize("number", [np.float32(0.25), np.float16(0.25), np.float64(0.25)])
+    def test_numpy_numbers_are_settings(self, number):
+        """A numpy float of any width is a number, checked without a cast that warns."""
+        config = TrainConfig(lr_head=number, validation_fraction=number)
+        assert (config.lr_head, config.validation_fraction) == (0.25, 0.25)
+        assert ExtractorSpec(input_dim=1, init_scale=number).init_scale == 0.25
+
     def test_fit_trains_at_the_default_rate_and_records_no_training_settings(self):
         ds = _exponential_dataset(np.random.default_rng(421), 80)
         model = serialize_model(fit(ds, self.SPEC, TrainConfig(epochs=3)))
@@ -537,7 +544,8 @@ class TestFit:
         ens = fit_ensemble(ds, spec, config, n_members=2, top_m=1)
         assert np.all(np.isfinite(ens.pool_validation_nlls))
 
-    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -0.1, "fast", "0.1", True])
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -0.1, "fast", "0.1", True,
+                                    pytest.param(10**400, id="int-beyond-float")])
     @pytest.mark.parametrize("which", ["lr_head", "lr_extractor"])
     def test_learning_rates_must_be_finite_and_positive(self, which, lr):
         """A learning rate is a finite positive number; a string or a bool is E_BAD_CONFIG,

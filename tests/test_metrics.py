@@ -12,6 +12,8 @@ from tramsurv.core import (
     SurvivalDataset,
 )
 from tramsurv.errors import (
+    BadConfig,
+    DimensionMismatch,
     InvertedInterval,
     NoComparablePairs,
     NonPositiveTime,
@@ -58,6 +60,27 @@ class TestCIndex:
         base = c_index(times, events, risks)
         assert c_index(times, events, np.exp(risks)) == base
         assert c_index(times, events, 3.0 * risks + 7.0) == base
+
+    @pytest.mark.parametrize(
+        "times, events, risks",
+        [([1, 2, 3], [1, 1], [3, 2, 1]), ([1, 2], [1, 1], [3, 2, 1]), (1.0, 1, 0.5),
+         ([[1, 2], [3, 4]], [[1, 1], [1, 1]], [[1, 2], [3, 4]])],
+        ids=["events-short", "times-short", "scalars", "matrices"],
+    )
+    def test_ragged_inputs_are_a_dimension_mismatch(self, times, events, risks):
+        with pytest.raises(DimensionMismatch) as info:
+            c_index(times, events, risks)
+        assert info.value.code == "E_DIMENSION_MISMATCH"
+
+    @pytest.mark.parametrize(
+        "times, events, risks",
+        [(["a", "b"], [1, 1], [1, 2]), ([1, 2], [1, 1], [{}, 2]), ([[1, 2], [3]], [1, 1], [1, 2])],
+        ids=["text-times", "object-risk", "nested-ragged"],
+    )
+    def test_values_that_are_not_numbers_are_a_bad_config(self, times, events, risks):
+        with pytest.raises(BadConfig) as info:
+            c_index(times, events, risks)
+        assert info.value.code == "E_BAD_CONFIG"
 
     def test_reversal_complement(self):
         rng = np.random.default_rng(503)
@@ -328,9 +351,9 @@ class TestEvaluate:
         assert report.c_index is None
         assert report.n_comparable_pairs == 0
         assert report.n_subjects == 1
-        assert len(report.per_subject) == 1
-        assert np.isfinite(report.per_subject[0].nll)
-        assert np.isfinite(report.per_subject[0].crps)
+        assert report.nll.shape == report.crps.shape == (1,)
+        assert np.isfinite(report.nll[0])
+        assert np.isfinite(report.crps[0])
 
     def test_permutation_invariant_aggregates(self):
         rng = np.random.default_rng(603)
@@ -349,10 +372,10 @@ class TestEvaluate:
         ds = _scored_dataset(rng, 15)
         report = evaluate(_exponential_model(), ds)
         np.testing.assert_allclose(
-            report.mean_nll, np.mean([s.nll for s in report.per_subject]), rtol=1e-12
+            report.mean_nll, np.mean(report.nll), rtol=1e-12
         )
         np.testing.assert_allclose(
-            report.mean_crps, np.mean([s.crps for s in report.per_subject]), rtol=1e-12
+            report.mean_crps, np.mean(report.crps), rtol=1e-12
         )
 
     def test_t_max_below_an_observed_time_has_code(self):
@@ -361,6 +384,18 @@ class TestEvaluate:
         )
         with pytest.raises(InvertedInterval, match="time 2.0 exceeds the integration limit 1.5"):
             evaluate(_exponential_model(), ds, t_max=1.5)
+
+    @pytest.mark.parametrize("t_max", [float("nan"), float("inf"), "9", True, [9.0]],
+                             ids=["nan", "inf", "text", "bool", "list"])
+    def test_t_max_must_be_a_finite_number(self, t_max):
+        """A limit that is not a finite number fails before any scoring; a NaN one would
+        drop the survivor integral silently."""
+        ds = _scored_dataset(np.random.default_rng(611), 6)
+        with pytest.raises(BadConfig, match="t_max must be a finite number") as info:
+            evaluate(_exponential_model(), ds, t_max=t_max)
+        assert info.value.code == "E_BAD_CONFIG"
+        with pytest.raises(BadConfig):
+            crps(_ExponentialCdf(), 1.0, True, t_max)
 
     def test_non_positive_time_has_code(self):
         ds = SurvivalDataset(x=[[0.0], [0.0]], t_lower=[1.0, 0.0], t_upper=[1.0, 0.0], kind=[0, 0])
@@ -375,7 +410,6 @@ class TestEvaluate:
             evaluate(_exponential_model(), ds)
 
     def test_report_serializes(self):
-        from dataclasses import asdict
         import json
 
         rng = np.random.default_rng(607)
@@ -385,8 +419,18 @@ class TestEvaluate:
         assert doc["n_subjects"] == 8
         assert len(doc["per_subject"]) == 8
         assert doc["t_max"] >= max(o.time_lower for o in ds.observations)
-        # the document is built field by field; dataclasses.asdict is the reference
-        assert report.to_json() == json.dumps(asdict(report), indent=2, allow_nan=False)
+        # the keys, their order and the per-subject layout of every report.json so far
+        reference = {
+            "per_subject": [{"nll": float(a), "crps": float(b)}
+                            for a, b in zip(report.nll, report.crps)],
+            "mean_nll": report.mean_nll,
+            "mean_crps": report.mean_crps,
+            "c_index": report.c_index,
+            "n_subjects": report.n_subjects,
+            "n_comparable_pairs": report.n_comparable_pairs,
+            "t_max": report.t_max,
+        }
+        assert report.to_json() == json.dumps(reference, indent=2, allow_nan=False)
 
 
 class TestPropriety:
@@ -468,8 +512,8 @@ class TestBatchedScoring:
         ])
         report = evaluate(model, dataset)
         nll, scores, (numerator, pairs) = _per_subject_reference(model, dataset)
-        np.testing.assert_allclose([s.nll for s in report.per_subject], nll, rtol=1e-14)
-        np.testing.assert_allclose([s.crps for s in report.per_subject], scores, rtol=1e-12)
+        np.testing.assert_allclose(report.nll, nll, rtol=1e-14)
+        np.testing.assert_allclose(report.crps, scores, rtol=1e-12)
         assert report.c_index == numerator / pairs
         assert report.n_comparable_pairs == pairs
 
@@ -537,7 +581,7 @@ class TestScoringTrainedModels:
         model = fit(_train_shaped(rng, 400, beta), spec, TrainConfig(epochs=2))
         held_out = _train_shaped(rng, 200, beta)
         report = evaluate(model, held_out)
-        scores = np.array([s.crps for s in report.per_subject])
+        scores = report.crps
         assert report.n_subjects == 200 and np.all(np.isfinite(scores)) and np.all(scores >= 0)
         assert report.c_index is not None and np.isfinite(report.mean_nll)
 
@@ -561,7 +605,7 @@ def test_trained_models_score_and_sample_or_fail_with_a_code(
         model = fit(_train_shaped(rng, 120, beta, shape), spec, config)
         held_out = _train_shaped(rng, 80, beta, shape)
         report = evaluate(model, held_out)
-        assert np.all(np.isfinite([s.crps for s in report.per_subject]))
+        assert np.all(np.isfinite(report.crps))
         synthetic = generate_semisynthetic(model, held_out, SynthConfig(replication=2, seed=seed))
         assert synthetic.n == 160 and np.all(synthetic.t_lower > 0.0)
     except QuadratureNonConvergence:

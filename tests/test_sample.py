@@ -18,7 +18,6 @@ from tramsurv.sample import (
     generate_semisynthetic,
     max_observed_time,
     philox_uniforms,
-    sample_time,
 )
 from tramsurv.target import TargetFamily
 from tramsurv.transform import conditional_distribution
@@ -55,38 +54,38 @@ def _flexible_model():
 class TestSampleTime:
     def test_exponential_median(self):
         dist = conditional_distribution(_exponential_model(), np.zeros(1))
-        np.testing.assert_allclose(sample_time(dist, 0.5), np.log(2.0), rtol=1e-10)
+        np.testing.assert_allclose(dist.quantile(0.5), np.log(2.0), rtol=1e-10)
 
     def test_exponential_low_quantile(self):
         dist = conditional_distribution(_exponential_model(), np.zeros(1))
-        np.testing.assert_allclose(sample_time(dist, 0.01), -np.log(0.99), rtol=1e-8)
+        np.testing.assert_allclose(dist.quantile(0.01), -np.log(0.99), rtol=1e-8)
 
     def test_inversion_round_trip(self):
         dist = conditional_distribution(_exponential_model(w=(0.7,)), np.array([0.4]))
         rng = np.random.default_rng(801)
         u = rng.uniform(0.001, 0.999, size=40)
-        t = sample_time(dist, u)
+        t = dist.quantile(u)
         np.testing.assert_allclose(dist.cdf(t), u, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.1])
     def test_rejects_boundary_probabilities(self, u):
         dist = conditional_distribution(_exponential_model(), np.zeros(1))
         with pytest.raises(ProbabilityOutOfRange):
-            sample_time(dist, u)
+            dist.quantile(u)
 
     def test_monte_carlo_mean(self):
         """10,000 standard-exponential draws average within 3 standard errors."""
         dist = conditional_distribution(_exponential_model(), np.zeros(1))
         u = np.random.default_rng(803).random(10000)
         u = np.clip(u, 1e-12, 1.0 - 1e-12)
-        times = sample_time(dist, u)
+        times = dist.quantile(u)
         assert 0.97 <= float(np.mean(times)) <= 1.03
 
     def test_ks_distance_small(self):
         dist = conditional_distribution(_exponential_model(), np.zeros(1))
         u = np.random.default_rng(805).random(10000)
         u = np.clip(u, 1e-12, 1.0 - 1e-12)
-        times = np.sort(sample_time(dist, u))
+        times = np.sort(dist.quantile(u))
         ecdf_hi = np.arange(1, times.size + 1) / times.size
         ecdf_lo = np.arange(0, times.size) / times.size
         model = dist.cdf(times)
@@ -123,6 +122,13 @@ def _base_dataset(rng, n, p=1):
 def test_synth_config_counts_are_integers(key, value):
     with pytest.raises(BadConfig, match="must be an integer") as info:
         SynthConfig(**{key: value})
+    assert info.value.code == "E_BAD_CONFIG"
+
+
+@pytest.mark.parametrize("value", ["no", 0, None])
+def test_synth_config_censor_at_max_is_a_bool(value):
+    with pytest.raises(BadConfig, match="censor_at_max must be a bool") as info:
+        SynthConfig(censor_at_max=value)
     assert info.value.code == "E_BAD_CONFIG"
 
 

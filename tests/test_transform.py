@@ -10,6 +10,7 @@ from tramsurv.core import FittedModel, ModelSpec, Parameterization
 from tramsurv.errors import (
     BisectionNonConvergence,
     DimensionMismatch,
+    NonFiniteCovariate,
     ProbabilityOutOfRange,
 )
 from tramsurv.feature import (
@@ -17,7 +18,6 @@ from tramsurv.feature import (
     forward as extractor_forward,
     identity_params,
     init_params,
-    param_count,
 )
 from tramsurv.numerics import logsumexp, softplus, softplus_inv
 from tramsurv.target import TargetFamily
@@ -475,6 +475,17 @@ class TestBatchedDistribution:
         with pytest.raises(DimensionMismatch) as info:
             conditional_distribution(model, np.zeros(shape))
         assert info.value.code == "E_DIMENSION_MISMATCH"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(3,), (4, 3)])
+    def test_non_finite_covariate_rejected(self, shape, bad):
+        model = _random_model(Parameterization.LINEAR_SHIFT, TargetFamily.LOGISTIC,
+                              np.random.default_rng(142))
+        x = np.zeros(shape)
+        x[..., -1] = bad
+        with pytest.raises(NonFiniteCovariate) as info:
+            conditional_distribution(model, x)
+        assert info.value.code == "E_NON_FINITE_COVARIATE"
 
     def test_times_must_match_subjects(self):
         model = _random_model(Parameterization.LINEAR_SHIFT, TargetFamily.LOGISTIC,
