@@ -60,7 +60,9 @@ _STATUS_CODE = {k.value: k.code for k in CensoringKind}
 _RIGHT, _INTERVAL = CensoringKind.RIGHT.code, CensoringKind.INTERVAL.code
 CDF_GRID_POINTS = 200
 CDF_GRID_CHUNK = 16  # subjects per block; the formatter holds ~250 bytes per value
-DATASET_WRITE_CHUNK = 128
+DATASET_WRITE_CHUNK = 2048  # values formatted per block of rows
+# ",time2,status" of a dataset line by censoring-kind code; interval lines fill in time2
+_MIDDLES = np.array([b",,%s" % kind.value.encode() for kind in KINDS], dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -206,34 +208,97 @@ def _format_value(x: float) -> str:
     return repr(float(x))
 
 
+def _strip(*fields) -> bytes:
+    """Lines of fields side by side, as bytes with their NUL padding deleted.
+
+    A field is a uint8 matrix with a row per line, padded with NULs as
+    :func:`repr_bytes` and numpy's ``S`` arrays pad their text, or a byte
+    string that every line repeats.  The NULs go in one ``translate``.
+    """
+    lines = next(len(field) for field in fields if not isinstance(field, bytes))
+    columns = [np.frombuffer(field, dtype=np.uint8) if isinstance(field, bytes) else field
+               for field in fields]
+    cells = np.concatenate([np.broadcast_to(c, (lines, c.shape[-1])) for c in columns], axis=1)
+    return cells.tobytes().translate(None, b"\0")
+
+
 def write_dataset_csv(dataset: SurvivalDataset, path):
     """Write a dataset CSV that :func:`parse_dataset_csv` reads back unchanged.
 
     The body holds the lines csv.writer would write (no number or status
-    needs quoting), joined ``DATASET_WRITE_CHUNK`` rows at a time.  A row's
-    covariate cells are formatted only when its bits differ from the previous
-    row's: synthetic data repeats each subject ``replication`` times.
+    needs quoting), in blocks of rows that format about
+    ``DATASET_WRITE_CHUNK`` values in one :func:`repr_bytes` call: the
+    times, the upper times of interval rows, and the covariates of the rows
+    whose bits differ from the previous row's.  Synthetic data repeats each
+    subject ``replication`` times, so a repeated row takes the covariate text
+    of its run, gathered through the run index.  Only one block is held at a
+    time, so the writer's memory does not grow with the dataset.
     """
     x = np.ascontiguousarray(dataset.x, dtype=float)
+    with open(path, "w", newline="") as text_handle:
+        csv.writer(text_handle).writerow(["time", "time2", "status", *dataset.feature_names])
+        text_handle.flush()  # the body goes to the byte stream below
+        run = b""
+        for rows, fresh in _dataset_blocks(dataset, x):
+            run = _write_dataset_block(text_handle.buffer, dataset, x, rows, fresh, run)
+
+
+def _dataset_blocks(dataset: SurvivalDataset, x):
+    """The blocks of :func:`write_dataset_csv`: a slice of rows and their ``fresh`` mask each.
+
+    ``fresh`` marks the rows whose covariate bits differ from the previous
+    row's.  Rows are compared in a window twice the last block's length, so
+    each is compared about twice, and a block that fills its window widens
+    the next one.
+    """
+    p = x.shape[1]
     bits = x.view(np.int64)
-    repeated = np.zeros(dataset.n, dtype=bool)
-    repeated[1:] = np.all(bits[1:] == bits[:-1], axis=1)
-    status = [kind.value for kind in KINDS]
-    cells = ""
-    with open(path, "w", newline="") as handle:
-        csv.writer(handle).writerow(["time", "time2", "status", *dataset.feature_names])
-        for start in range(0, dataset.n, DATASET_WRITE_CHUNK):
-            rows = slice(start, start + DATASET_WRITE_CHUNK)
-            lines = []
-            for t, t2, code, row, same in zip(
-                dataset.t_lower[rows].tolist(), dataset.t_upper[rows].tolist(),
-                dataset.kind[rows].tolist(), x[rows], repeated[rows].tolist(),
-            ):
-                if not same:
-                    cells = "".join([f",{v!r}" for v in row.tolist()])
-                time2 = repr(t2) if code == _INTERVAL else ""
-                lines.append(f"{t!r},{time2},{status[code]}{cells}\r\n")
-            handle.write("".join(lines))
+    # a block formats each row's time, so it has at most DATASET_WRITE_CHUNK rows
+    start, window = 0, DATASET_WRITE_CHUNK
+    while start < dataset.n:
+        candidates = bits[start : start + window]
+        fresh = np.ones(len(candidates), dtype=bool)
+        fresh[1:] = np.any(candidates[1:] != candidates[:-1], axis=1)
+        fresh[0] = start == 0 or np.any(candidates[0] != bits[start - 1])
+        interval = dataset.kind[start : start + len(candidates)] == _INTERVAL
+        values = np.cumsum(1 + interval + p * fresh)
+        m = max(int(np.searchsorted(values, DATASET_WRITE_CHUNK, "right")), 1)
+        yield slice(start, start + m), fresh[:m]
+        start += m
+        window = min(2 * m, DATASET_WRITE_CHUNK)
+
+
+def _write_dataset_block(handle, dataset: SurvivalDataset, x, rows, fresh, run: bytes) -> bytes:
+    """Write the lines of a block; ``run`` is the covariate text of the row before it.
+
+    Each line is three texts: its time, its ``,time2,status`` and its run's
+    covariates with the line end.  Returns the block's last run.
+    """
+    # imported here, so the commands that write no dataset do not load the kernel
+    from .floatrepr import repr_bytes
+
+    p, kind = x.shape[1], dataset.kind[rows]
+    m, upper = len(kind), np.flatnonzero(kind == _INTERVAL)
+    covariates = x[rows][fresh]
+    cells = repr_bytes(np.concatenate(
+        [dataset.t_lower[rows], dataset.t_upper[rows][upper], covariates.ravel()]))
+    f, width = len(covariates), cells.shape[1]
+    middles = _MIDDLES.take(kind)
+    if upper.size:
+        middles[upper] = _strip(b",", cells[m : m + upper.size], b",interval\n").splitlines()
+    # ",value" for each covariate of a fresh row
+    commas = np.full((f, p, 1), ord(","), dtype=np.uint8)
+    values = np.concatenate([commas, cells[m + upper.size :].reshape(f, p, width)], axis=2)
+    runs = _strip(values.reshape(f, p * (width + 1)), b"\r\n").splitlines(keepends=True)
+    lines = [b""] * (3 * m)
+    lines[0::3] = _strip(cells[:m], b"\n").splitlines()
+    lines[1::3] = middles.tolist()
+    lines[2::3] = np.array([run, *runs], dtype=object).take(np.cumsum(fresh)).tolist()
+    # joined a slice at a time, since a join holds an 80-byte buffer record per item
+    step = DATASET_WRITE_CHUNK // 4
+    for i in range(0, 3 * m, step):
+        handle.write(b"".join(lines[i : i + step]))
+    return lines[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +469,25 @@ def write_cdf_grid(dist, dataset: SurvivalDataset, path):
             handle.write(lines.tobytes().translate(None, b"\0"))
 
 
+def write_scores(report, path):
+    """Per-subject scores, a line ``subject,nll,crps`` each, as csv.writer writes them.
+
+    Formatted ``DATASET_WRITE_CHUNK`` values at a time by :func:`repr_bytes`.
+    """
+    from .floatrepr import repr_bytes
+
+    step = DATASET_WRITE_CHUNK // 2
+    with open(path, "wb") as handle:
+        handle.write(b"subject,nll,crps\r\n")
+        for start in range(0, len(report.nll), step):
+            scores = np.stack([report.nll[start : start + step],
+                               report.crps[start : start + step]], axis=1)
+            cells = repr_bytes(scores).reshape(len(scores), 2, -1)
+            subjects = np.arange(start, start + len(scores)).astype(bytes)
+            handle.write(_strip(subjects.view(np.uint8).reshape(len(scores), -1), b",",
+                                cells[:, 0], b",", cells[:, 1], b"\r\n"))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -450,11 +534,7 @@ def _cmd_evaluate(args) -> int:
     dist = conditional_distribution(model, validate_dataset(dataset).x)  # data errors first
     report = evaluate(dist, dataset)
     (out_dir / "report.json").write_text(report.to_json() + "\n")
-    with open(out_dir / "scores.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["subject", "nll", "crps"])
-        for i, (nll, crps) in enumerate(zip(report.nll.tolist(), report.crps.tolist())):
-            writer.writerow([i, _format_value(nll), _format_value(crps)])
+    write_scores(report, out_dir / "scores.csv")
     write_cdf_grid(dist, dataset, out_dir / "cdf_grid.csv")
     logger.info("evaluate: wrote %s", out_dir / "report.json")
     return 0

@@ -179,6 +179,8 @@ def validate_dataset(dataset: SurvivalDataset, for_fitting: bool = False) -> Sur
     In fitting mode the dataset must contain at least one exact observation,
     since censored kinds contribute no density term to the likelihood.
     """
+    if not isinstance(dataset, SurvivalDataset):
+        raise BadConfig(f"expected a SurvivalDataset, got {type(dataset).__name__}")
     if dataset.n == 0:
         raise EmptyDataset("dataset contains no observations")
     lo, hi, kind = dataset.t_lower, dataset.t_upper, dataset.kind

@@ -334,11 +334,18 @@ def nll_batch(state: ModelState, dataset: SurvivalDataset) -> tuple[float, np.nd
     return float(np.sum(terms[0])), grad[0]
 
 
-def _check_input_dim(spec: ModelSpec, p: int):
-    if spec.uses_extractor and spec.extractor.input_dim != p:
+def _training_config(dataset: SurvivalDataset, spec: ModelSpec, config) -> TrainConfig:
+    """Check the arguments of a fit; returns ``config`` (or the default) resolved for ``spec``."""
+    validate_dataset(dataset, for_fitting=True)
+    if not isinstance(spec, ModelSpec):
+        raise BadConfig(f"spec must be a ModelSpec, got {type(spec).__name__}")
+    if config is not None and not isinstance(config, TrainConfig):
+        raise BadConfig(f"config must be a TrainConfig or None, got {type(config).__name__}")
+    if spec.uses_extractor and spec.extractor.input_dim != dataset.p:
         raise DimensionMismatch(
-            f"extractor expects {spec.extractor.input_dim} covariates, dataset has {p}"
+            f"extractor expects {spec.extractor.input_dim} covariates, dataset has {dataset.p}"
         )
+    return (TrainConfig() if config is None else config).resolved(spec)
 
 
 def _mean_nll(spec: ModelSpec, scaler: LogTimeScaler, params, plan: _Plan, *row_sets) -> list:
@@ -496,9 +503,7 @@ def fit(
     callback : callable, optional
         Called with an :class:`EpochStats` after every epoch.
     """
-    validate_dataset(dataset, for_fitting=True)
-    _check_input_dim(spec, dataset.p)
-    config = (TrainConfig() if config is None else config).resolved(spec)
+    config = _training_config(dataset, spec, config)
     n = dataset.n
     n_val = min(max(int(round(config.validation_fraction * n)), 1), n - 1)
     if n_val == 0:
@@ -595,9 +600,7 @@ def fit_ensemble(
     require_int("jobs", jobs, 1)
     if top_m > n_members:
         raise BadConfig("need 1 <= top_m <= n_members")
-    validate_dataset(dataset, for_fitting=True)
-    _check_input_dim(spec, dataset.p)
-    config = (TrainConfig() if config is None else config).resolved(spec)
+    config = _training_config(dataset, spec, config)
     scaler = fit_scaler(dataset)
 
     stacks = np.array_split(np.arange(n_members), min(jobs, n_members))

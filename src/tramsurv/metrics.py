@@ -224,10 +224,17 @@ def evaluate(model, dataset: SurvivalDataset, t_max: float | None = None) -> Eva
 
     ``t_max`` defaults to the maximum observed time seen at training time
     (the scaler's upper endpoint), extended if the evaluation data reaches
-    further; one given must be a finite number, else :class:`BadConfig`.
+    further; one given must be a finite number, else :class:`BadConfig`.  The
+    report keeps a numpy scalar as the Python number it holds (50 stays 50).
     """
     if t_max is not None:
         _require_limit(t_max)
+        if isinstance(t_max, np.generic):
+            t_max = t_max.item()  # a Python number, as the report's JSON needs
+    if not isinstance(model, (FittedModel, EnsembleModel, ConditionalDistribution,
+                              EnsembleDistribution)):
+        raise BadConfig(f"expected a fitted model, ensemble or distribution, got "
+                        f"{type(model).__name__}")
     validate_dataset(dataset)
     events = dataset.kind == CensoringKind.EXACT.code
     unsupported = ~events & (dataset.kind != CensoringKind.RIGHT.code)

@@ -32,7 +32,13 @@ import numpy as np
 from . import feature, target
 from .basis import LogTimeScaler, bernstein_vectors, monotone_reparam, monotone_reparam_vjp
 from .core import FittedModel, ModelSpec, Parameterization
-from .errors import BisectionNonConvergence, DimensionMismatch, NonFiniteCovariate
+from .errors import (
+    BadConfig,
+    BisectionNonConvergence,
+    DimensionMismatch,
+    NonFiniteCovariate,
+    NonNumericCovariate,
+)
 from .numerics import logsumexp, sigmoid, softplus, softplus_inv, softplus_tail
 
 
@@ -542,8 +548,15 @@ def conditional_distribution(model: FittedModel, x) -> ConditionalDistribution:
     features, and every number it gets, do not depend on which other
     subjects share the batch.
     """
+    if not isinstance(model, FittedModel):
+        raise BadConfig(f"expected a FittedModel, got {type(model).__name__}")
     spec = model.spec
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except OverflowError:
+        raise NonFiniteCovariate("covariates must be finite") from None
+    except (TypeError, ValueError):
+        raise NonNumericCovariate("covariates must be numbers") from None
     if x.ndim not in (1, 2):
         raise DimensionMismatch(
             f"expected a covariate vector or an (n, p) matrix, got shape {x.shape}"

@@ -1,7 +1,9 @@
 import csv
 import json
 from pathlib import Path
+import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from tramsurv.cli import (
     parse_dataset_csv,
     write_cdf_grid,
     write_dataset_csv,
+    write_scores,
 )
 from tramsurv.core import (
     CensoringKind,
@@ -35,6 +38,7 @@ from tramsurv.errors import (
     NonNumericCovariate,
 )
 from tramsurv.feature import ExtractorSpec, init_params
+from tramsurv.metrics import EvaluationReport
 from tramsurv.target import TargetFamily
 from tramsurv.transform import conditional_distribution, head_size, init_head
 
@@ -146,6 +150,95 @@ def test_dataset_csv_bytes_match_csv_writer(tmp_path):
             time2 = repr(float(t2)) if kind_ == CensoringKind.INTERVAL else ""
             writer.writerow([repr(float(t)), time2, kind_.value, *(repr(float(v)) for v in row)])
     assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def _reference_csv(dataset, path):
+    """The dataset as csv.writer writes it, every float through ``repr``."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["time", "time2", "status", *dataset.feature_names])
+        for t, t2, code, row in zip(dataset.t_lower.tolist(), dataset.t_upper.tolist(),
+                                    dataset.kind.tolist(), dataset.x.tolist()):
+            kind = list(CensoringKind)[code]
+            time2 = repr(t2) if kind == CensoringKind.INTERVAL else ""
+            writer.writerow([repr(t), time2, kind.value, *map(repr, row)])
+    return Path(path).read_bytes()
+
+
+# subnormals, signed zeros, both sides of the 1e-4 and 1e16 notation switches, the extremes
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                9.999999999999999e-05, 0.0001, 0.00010000000000000002, 9999999999999998.0,
+                1e16, 1.0000000000000002e16, 1e-300, 1e300, 1.7976931348623157e308, 1e22]
+_CELLS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS),
+                   st.sampled_from(_EDGE_FLOATS).map(lambda v: -v))
+
+
+@st.composite
+def _written_datasets(draw):
+    """Subjects repeated in runs long enough to straddle blocks; times and kinds cycled."""
+    p = draw(st.integers(0, 4))
+    subjects = draw(st.lists(st.lists(_CELLS, min_size=p, max_size=p), min_size=1, max_size=6))
+    runs = draw(st.lists(st.integers(1, 2 * DATASET_WRITE_CHUNK), min_size=len(subjects),
+                         max_size=len(subjects)))
+    x = np.repeat(np.array(subjects, dtype=float).reshape(len(subjects), p), runs, axis=0)
+    n = len(x)
+    kind = np.resize(draw(st.lists(st.integers(0, 3), min_size=1, max_size=7)), n)
+    t_lower = np.resize(draw(st.lists(_CELLS, min_size=1, max_size=11)), n)
+    t_upper = np.resize(draw(st.lists(_CELLS, min_size=1, max_size=5)), n)
+    t_upper = np.where(kind == CensoringKind.RIGHT.code, np.inf,
+                       np.where(kind == CensoringKind.INTERVAL.code, t_upper, t_lower))
+    return SurvivalDataset(x, t_lower, t_upper, kind.astype(np.int8))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dataset=_written_datasets())
+def test_dataset_csv_bytes_match_csv_writer_on_drawn_datasets(tmp_path_factory, dataset):
+    path = tmp_path_factory.mktemp("written") / "data.csv"
+    write_dataset_csv(dataset, path)
+    assert path.read_bytes() == _reference_csv(dataset, path.with_name("reference.csv"))
+
+
+def _replicated(rng, subjects, replication, p):
+    x = np.repeat(rng.normal(size=(subjects, p)), replication, axis=0)
+    kind = rng.integers(0, 4, size=len(x)).astype(np.int8)
+    t_lower = rng.uniform(0.1, 5.0, size=len(x))
+    t_upper = np.where(kind == CensoringKind.RIGHT.code, np.inf, t_lower)
+    t_upper = np.where(kind == CensoringKind.INTERVAL.code, 2.0 * t_lower, t_upper)
+    return SurvivalDataset(x, t_lower, t_upper, kind)
+
+
+@pytest.mark.parametrize("replication, p", [(10, 8), (1, 16)])
+def test_dataset_writer_memory_does_not_grow_with_the_rows(tmp_path, replication, p):
+    """The writer's traced peak grows by less than 64 KiB from 4k to 32k rows: it holds blocks."""
+    rng = np.random.default_rng(907)
+    peaks = []
+    for n in (4_000, 32_000):
+        dataset = _replicated(rng, n // replication, replication, p)
+        write_dataset_csv(dataset, tmp_path / "warm.csv")  # the kernel's tables are built once
+        tracemalloc.start()
+        write_dataset_csv(dataset, tmp_path / "data.csv")
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * 1024, peaks
+
+
+def test_scores_csv_bytes_match_csv_writer(tmp_path):
+    """Subjects past a block boundary, signed zeros, specials and both notations."""
+    rng = np.random.default_rng(909)
+    n = DATASET_WRITE_CHUNK + 7
+    nll = rng.normal(scale=3.0, size=n)
+    crps = rng.exponential(size=n) * 10.0 ** rng.integers(-8, 20, size=n)
+    nll[:6] = [0.0, -0.0, np.inf, -np.inf, 5e-324, 1e16]
+    crps[-3:] = [np.nan, 1e-05, 0.0001]
+    report = EvaluationReport(nll, crps, mean_nll=0.0, mean_crps=0.0, c_index=None,
+                              n_subjects=n, n_comparable_pairs=0, t_max=1.0)
+    write_scores(report, tmp_path / "scores.csv")
+    with open(tmp_path / "reference.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["subject", "nll", "crps"])
+        for i, (a, b) in enumerate(zip(nll.tolist(), crps.tolist())):
+            writer.writerow([i, repr(a), repr(b)])
+    assert (tmp_path / "scores.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestWriteCdfGrid:

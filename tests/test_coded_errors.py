@@ -1,8 +1,9 @@
 """Public constructors and scorers fail only with a coded ``TramsurvError``.
 
 Each entry point gets drawn junk for its arguments (strings, bools, None, NaN,
-infinities, floats, integers beyond the float range, lists), mixed with valid
-values so that the later checks are reached too.  A call either succeeds,
+infinities, floats, integers beyond the float range, lists) in place of its
+settings, covariates, models and datasets, mixed with valid values so that
+the later checks are reached too.  A call either succeeds,
 giving a result that later steps can use, or raises a ``TramsurvError``.
 """
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from tramsurv import (
+    ConditionalDistribution,
     ModelSpec,
     Parameterization,
     SurvivalDataset,
@@ -20,7 +22,9 @@ from tramsurv import (
     TargetFamily,
     TrainConfig,
     c_index,
+    conditional_distribution,
     evaluate,
+    fit,
 )
 from tramsurv.basis import LogTimeScaler
 from tramsurv.core import FittedModel
@@ -60,6 +64,7 @@ def _exponential_model() -> FittedModel:
 
 
 _MODEL = _exponential_model()
+_SPEC = _MODEL.spec
 _DATASET = SurvivalDataset(x=[[0.0], [0.5], [-0.5], [1.0]], t_lower=[0.5, 1.0, 2.0, 3.0],
                            t_upper=[0.5, 1.0, 2.0, np.inf], kind=[0, 0, 0, 1])
 _VALUES = st.lists(st.one_of(st.floats(), st.integers(0, 5), st.none(), st.text(max_size=1)),
@@ -129,9 +134,33 @@ _ENTRY_POINTS = {
         lambda value: 0.0 <= value <= 1.0,
     ),
     "evaluate": (
-        lambda t_max: evaluate(_MODEL, _DATASET, t_max=t_max),
-        {"t_max": _or_junk(st.floats(3.0, 1e3))},
+        lambda model, dataset, t_max: evaluate(model, dataset, t_max=t_max),
+        {
+            "model": _or_junk(st.just(_MODEL)),
+            "dataset": _or_junk(st.just(_DATASET)),
+            "t_max": _or_junk(st.floats(3.0, 1e3), st.integers(3, 1000),
+                              st.floats(3.0, 1e3).map(np.float32)),
+        },
         lambda report: report.to_json() and math.isfinite(report.mean_crps),
+    ),
+    "conditional_distribution": (
+        conditional_distribution,
+        {
+            "model": _or_junk(st.just(_MODEL)),
+            "x": _or_junk(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=1),
+                          st.lists(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=1),
+                                   min_size=1, max_size=3)),
+        },
+        lambda dist: isinstance(dist, ConditionalDistribution),
+    ),
+    "fit": (
+        fit,
+        {
+            "dataset": _or_junk(st.just(_DATASET)),
+            "spec": _or_junk(st.just(_SPEC)),
+            "config": _or_junk(st.builds(TrainConfig, epochs=st.integers(1, 3))),
+        },
+        lambda model: isinstance(model, FittedModel) and math.isfinite(model.train_nll),
     ),
 }
 

@@ -397,6 +397,16 @@ class TestEvaluate:
         with pytest.raises(BadConfig):
             crps(_ExponentialCdf(), 1.0, True, t_max)
 
+    @pytest.mark.parametrize("t_max, written", [(np.float32(50.0), "50.0"), (np.int64(50), "50"),
+                                                 (50, "50"), (50.0, "50.0")],
+                             ids=["float32", "int64", "int", "float"])
+    def test_report_holds_t_max_as_a_python_number(self, t_max, written):
+        """A numpy limit is written as the number it holds; an integer one stays an integer."""
+        report = evaluate(_exponential_model(), _scored_dataset(np.random.default_rng(613), 6),
+                          t_max=t_max)
+        assert type(report.t_max) is type(t_max.item() if isinstance(t_max, np.generic) else t_max)
+        assert f'"t_max": {written}\n' in report.to_json()
+
     def test_non_positive_time_has_code(self):
         ds = SurvivalDataset(x=[[0.0], [0.0]], t_lower=[1.0, 0.0], t_upper=[1.0, 0.0], kind=[0, 0])
         with pytest.raises(NonPositiveTime):
