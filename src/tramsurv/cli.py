@@ -59,8 +59,9 @@ RESERVED_COLUMNS = ("time", "time2", "status")
 _STATUS_CODE = {k.value: k.code for k in CensoringKind}
 _RIGHT, _INTERVAL = CensoringKind.RIGHT.code, CensoringKind.INTERVAL.code
 CDF_GRID_POINTS = 200
-CDF_GRID_CHUNK = 16  # subjects per block; the formatter holds ~250 bytes per value
-DATASET_WRITE_CHUNK = 2048  # values formatted per block of rows
+# numbers per repr_bytes call of the writers, which holds ~250 bytes per number; its
+# fixed cost per call (~0.25 ms) outweighs the formatting below about 1000 numbers
+WRITE_VALUES = 3200
 # ",time2,status" of a dataset line by censoring-kind code; interval lines fill in time2
 _MIDDLES = np.array([b",,%s" % kind.value.encode() for kind in KINDS], dtype=object)
 
@@ -204,31 +205,46 @@ def _number(path, line, name, cell) -> float:
         raise NonNumericCovariate(message) from None
 
 
-def _format_value(x: float) -> str:
-    return repr(float(x))
-
-
-def _strip(*fields) -> bytes:
+def _strip(fields: list) -> bytes:
     """Lines of fields side by side, as bytes with their NUL padding deleted.
 
-    A field is a uint8 matrix with a row per line, padded with NULs as
+    A field is a uint8 array with text on its last axis, padded with NULs as
     :func:`repr_bytes` and numpy's ``S`` arrays pad their text, or a byte
-    string that every line repeats.  The NULs go in one ``translate``.
+    string that every line repeats.  The leading axes of the arrays
+    broadcast against each other, and each element of the broadcast shape
+    is a line.  ``fields`` is emptied once the fields are joined, so that a
+    caller's temporaries are freed before ``tobytes`` and the ``translate``
+    that deletes the NULs copy the lines.
     """
-    lines = next(len(field) for field in fields if not isinstance(field, bytes))
-    columns = [np.frombuffer(field, dtype=np.uint8) if isinstance(field, bytes) else field
-               for field in fields]
-    cells = np.concatenate([np.broadcast_to(c, (lines, c.shape[-1])) for c in columns], axis=1)
+    arrays = [np.frombuffer(f, dtype=np.uint8) if isinstance(f, bytes) else f for f in fields]
+    fields.clear()
+    shape = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
+    cells = np.concatenate([np.broadcast_to(a, (*shape, a.shape[-1])) for a in arrays], axis=-1)
+    del arrays
     return cells.tobytes().translate(None, b"\0")
+
+
+def _index_text(rows: slice) -> np.ndarray:
+    """The decimal text of the indices ``rows`` selects, a NUL-padded uint8 row each."""
+    width = len(str(rows.stop - 1))
+    return np.arange(rows.start, rows.stop).astype(f"S{width}").view(np.uint8).reshape(-1, width)
+
+
+def _repr_text(values: np.ndarray) -> np.ndarray:
+    """:func:`repr_bytes` of ``values``, a NUL-padded text per value on a new last axis."""
+    # imported here, so the commands that write no CSV do not load the kernel
+    from .floatrepr import repr_bytes
+
+    return repr_bytes(values).reshape(*values.shape, -1)
 
 
 def write_dataset_csv(dataset: SurvivalDataset, path):
     """Write a dataset CSV that :func:`parse_dataset_csv` reads back unchanged.
 
     The body holds the lines csv.writer would write (no number or status
-    needs quoting), in blocks of rows that format about
-    ``DATASET_WRITE_CHUNK`` values in one :func:`repr_bytes` call: the
-    times, the upper times of interval rows, and the covariates of the rows
+    needs quoting), in blocks of rows that format about ``WRITE_VALUES``
+    values in one :func:`repr_bytes` call: the times, the upper times of
+    interval rows, and the covariates of a block's first row and of the rows
     whose bits differ from the previous row's.  Synthetic data repeats each
     subject ``replication`` times, so a repeated row takes the covariate text
     of its run, gathered through the run index.  Only one block is held at a
@@ -238,67 +254,57 @@ def write_dataset_csv(dataset: SurvivalDataset, path):
     with open(path, "w", newline="") as text_handle:
         csv.writer(text_handle).writerow(["time", "time2", "status", *dataset.feature_names])
         text_handle.flush()  # the body goes to the byte stream below
-        run = b""
         for rows, fresh in _dataset_blocks(dataset, x):
-            run = _write_dataset_block(text_handle.buffer, dataset, x, rows, fresh, run)
+            _write_dataset_block(text_handle.buffer, dataset, x, rows, fresh)
 
 
 def _dataset_blocks(dataset: SurvivalDataset, x):
     """The blocks of :func:`write_dataset_csv`: a slice of rows and their ``fresh`` mask each.
 
-    ``fresh`` marks the rows whose covariate bits differ from the previous
-    row's.  Rows are compared in a window twice the last block's length, so
-    each is compared about twice, and a block that fills its window widens
-    the next one.
+    ``fresh`` marks a block's first row and the rows whose covariate bits
+    differ from the previous row's.  Rows are compared in a window twice the
+    last block's length, so each is compared about twice, and a block that
+    fills its window widens the next one.
     """
     p = x.shape[1]
     bits = x.view(np.int64)
-    # a block formats each row's time, so it has at most DATASET_WRITE_CHUNK rows
-    start, window = 0, DATASET_WRITE_CHUNK
+    # a block formats each row's time, so it has at most WRITE_VALUES rows
+    start, window = 0, WRITE_VALUES
     while start < dataset.n:
         candidates = bits[start : start + window]
         fresh = np.ones(len(candidates), dtype=bool)
         fresh[1:] = np.any(candidates[1:] != candidates[:-1], axis=1)
-        fresh[0] = start == 0 or np.any(candidates[0] != bits[start - 1])
         interval = dataset.kind[start : start + len(candidates)] == _INTERVAL
         values = np.cumsum(1 + interval + p * fresh)
-        m = max(int(np.searchsorted(values, DATASET_WRITE_CHUNK, "right")), 1)
+        m = max(int(np.searchsorted(values, WRITE_VALUES, "right")), 1)
         yield slice(start, start + m), fresh[:m]
         start += m
-        window = min(2 * m, DATASET_WRITE_CHUNK)
+        window = min(2 * m, WRITE_VALUES)
 
 
-def _write_dataset_block(handle, dataset: SurvivalDataset, x, rows, fresh, run: bytes) -> bytes:
-    """Write the lines of a block; ``run`` is the covariate text of the row before it.
-
-    Each line is three texts: its time, its ``,time2,status`` and its run's
-    covariates with the line end.  Returns the block's last run.
-    """
-    # imported here, so the commands that write no dataset do not load the kernel
-    from .floatrepr import repr_bytes
-
+def _write_dataset_block(handle, dataset: SurvivalDataset, x, rows, fresh):
+    """Write a block's lines, each its time, ``,time2,status`` and its run's covariates."""
     p, kind = x.shape[1], dataset.kind[rows]
     m, upper = len(kind), np.flatnonzero(kind == _INTERVAL)
     covariates = x[rows][fresh]
-    cells = repr_bytes(np.concatenate(
+    cells = _repr_text(np.concatenate(
         [dataset.t_lower[rows], dataset.t_upper[rows][upper], covariates.ravel()]))
     f, width = len(covariates), cells.shape[1]
     middles = _MIDDLES.take(kind)
     if upper.size:
-        middles[upper] = _strip(b",", cells[m : m + upper.size], b",interval\n").splitlines()
+        middles[upper] = _strip([b",", cells[m : m + upper.size], b",interval\n"]).splitlines()
     # ",value" for each covariate of a fresh row
     commas = np.full((f, p, 1), ord(","), dtype=np.uint8)
     values = np.concatenate([commas, cells[m + upper.size :].reshape(f, p, width)], axis=2)
-    runs = _strip(values.reshape(f, p * (width + 1)), b"\r\n").splitlines(keepends=True)
+    runs = _strip([values.reshape(f, p * (width + 1)), b"\r\n"]).splitlines(keepends=True)
     lines = [b""] * (3 * m)
-    lines[0::3] = _strip(cells[:m], b"\n").splitlines()
+    lines[0::3] = _strip([cells[:m], b"\n"]).splitlines()
     lines[1::3] = middles.tolist()
-    lines[2::3] = np.array([run, *runs], dtype=object).take(np.cumsum(fresh)).tolist()
+    lines[2::3] = np.array(runs, dtype=object).take(np.cumsum(fresh) - 1).tolist()
     # joined a slice at a time, since a join holds an 80-byte buffer record per item
-    step = DATASET_WRITE_CHUNK // 4
+    step = WRITE_VALUES // 4
     for i in range(0, 3 * m, step):
         handle.write(b"".join(lines[i : i + step]))
-    return lines[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -436,56 +442,42 @@ def _load_model(path):
 def write_cdf_grid(dist, dataset: SurvivalDataset, path):
     """Per-subject conditional CDF on a fixed grid spanning the training range.
 
-    ``dist`` is the batch distribution of the dataset's subjects, as scored;
-    its CDF is evaluated ``CDF_GRID_CHUNK`` subjects at a time, so the grid
-    values in memory are bounded by the chunk size rather than by the dataset.
-    Each line is the one csv.writer would write (no field needs quoting),
-    built from four byte fields padded with NULs (subject, time, CDF as
-    :func:`repr_bytes` writes it, and the line end) that are joined per chunk
-    and written without the NULs.
+    ``dist`` is the batch distribution of the dataset's subjects, as scored.
+    Its CDF is evaluated for blocks of subjects at the grid times, which every
+    subject of a block shares (one basis per block), so that a block has
+    ``WRITE_VALUES`` values and the values in memory do not grow with the
+    dataset.  Each line is the one csv.writer would write (no field needs
+    quoting): the subject, ``,time,`` and the CDF value, joined by
+    :func:`_strip` per block.
     """
-    # imported here, so the commands that write no grid do not load the kernel
-    from .floatrepr import repr_bytes
-
     scaler = dist.scaler
     grid = np.exp(np.linspace(scaler.a_lo, scaler.b_hi, CDF_GRID_POINTS))
-    times = np.array([b",%s," % row.tobytes().translate(None, b"\0") for row in repr_bytes(grid)])
-    times = times.view(np.uint8).reshape(CDF_GRID_POINTS, -1)
-    crlf = np.frombuffer(b"\r\n", dtype=np.uint8)
+    times = _strip([b",", _repr_text(grid), b",\n"]).splitlines()
+    times = np.array(times).view(np.uint8).reshape(CDF_GRID_POINTS, -1)
+    step = WRITE_VALUES // CDF_GRID_POINTS
     with open(path, "wb") as handle:
         handle.write(b"subject,time,cdf\r\n")
-        for start in range(0, dataset.n, CDF_GRID_CHUNK):
+        for start in range(0, dataset.n, step):
             # baseline models have one distribution for all subjects, so the
-            # chunk's size comes from the slice, not from the distribution
-            stop = min(start + CDF_GRID_CHUNK, dataset.n)
-            chunk = dist.subject(slice(start, stop))
-            values = chunk.cdf(np.broadcast_to(grid, (stop - start, CDF_GRID_POINTS)))
-            subjects = np.array([str(i).encode() for i in range(start, stop)])
-            fields = (subjects.view(np.uint8).reshape(stop - start, 1, -1), times,
-                      repr_bytes(values).reshape(*values.shape, -1), crlf)
-            lines = np.concatenate([np.broadcast_to(field, (*values.shape, field.shape[-1]))
-                                    for field in fields], axis=2)
-            del fields  # before the two copies below
-            handle.write(lines.tobytes().translate(None, b"\0"))
+            # block's subjects come from the slice, not from the distribution
+            rows = slice(start, min(start + step, dataset.n))
+            handle.write(_strip([_index_text(rows)[:, None], times,
+                                 _repr_text(dist.subject(rows).cdf(grid[None])), b"\r\n"]))
 
 
 def write_scores(report, path):
     """Per-subject scores, a line ``subject,nll,crps`` each, as csv.writer writes them.
 
-    Formatted ``DATASET_WRITE_CHUNK`` values at a time by :func:`repr_bytes`.
+    Formatted ``WRITE_VALUES`` values at a time by :func:`repr_bytes`.
     """
-    from .floatrepr import repr_bytes
-
-    step = DATASET_WRITE_CHUNK // 2
+    step = WRITE_VALUES // 2
     with open(path, "wb") as handle:
         handle.write(b"subject,nll,crps\r\n")
         for start in range(0, len(report.nll), step):
-            scores = np.stack([report.nll[start : start + step],
-                               report.crps[start : start + step]], axis=1)
-            cells = repr_bytes(scores).reshape(len(scores), 2, -1)
-            subjects = np.arange(start, start + len(scores)).astype(bytes)
-            handle.write(_strip(subjects.view(np.uint8).reshape(len(scores), -1), b",",
-                                cells[:, 0], b",", cells[:, 1], b"\r\n"))
+            rows = slice(start, min(start + step, len(report.nll)))
+            cells = _repr_text(np.stack([report.nll[rows], report.crps[rows]], axis=1))
+            handle.write(_strip([_index_text(rows), b",", cells[:, 0], b",", cells[:, 1],
+                                 b"\r\n"]))
 
 
 # ---------------------------------------------------------------------------
@@ -502,32 +494,22 @@ def _fit_inputs(args):
     return dataset, spec, config, resolved
 
 
-def _cmd_fit(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_fit(args, out_dir: Path) -> int:
     dataset, spec, config, resolved = _fit_inputs(args)
     write_manifest(out_dir, "fit", resolved)
     log_path = out_dir / "training_log.csv"
     with open(log_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["epoch", "train_nll", "val_nll", "grad_norm", "clipped"])
-        model = fit(
-            dataset,
-            spec,
-            config,
-            callback=lambda s: writer.writerow(
-                [s.epoch, _format_value(s.train_nll), _format_value(s.val_nll),
-                 _format_value(s.grad_norm), s.clipped]
-            ),
-        )
+        # EpochStats holds Python floats, which csv.writer writes through repr
+        model = fit(dataset, spec, config,
+                    callback=lambda stats: writer.writerow(dataclasses.astuple(stats)))
     (out_dir / "model.json").write_bytes(serialize_model(model))
     logger.info("fit: wrote %s", out_dir / "model.json")
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_evaluate(args, out_dir: Path) -> int:
     dataset = parse_dataset_csv(args.data)
     model = _load_model(args.model)
     write_manifest(out_dir, "evaluate", {"data": str(args.data), "model": str(args.model)})
@@ -540,36 +522,22 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_sample(args, out_dir: Path) -> int:
     dataset = parse_dataset_csv(args.data)
     model = _load_model(args.model)
     config = SynthConfig(replication=args.replication, seed=args.seed)
-    write_manifest(
-        out_dir,
-        "sample",
-        {
-            "data": str(args.data),
-            "model": str(args.model),
-            "synth": dataclasses.asdict(config),
-        },
-    )
+    write_manifest(out_dir, "sample", {"data": str(args.data), "model": str(args.model),
+                                       "synth": dataclasses.asdict(config)})
     synthetic = generate_semisynthetic(model, dataset, config)
     write_dataset_csv(synthetic, out_dir / "synthetic.csv")
     logger.info("sample: wrote %s", out_dir / "synthetic.csv")
     return 0
 
 
-def _cmd_ensemble(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_ensemble(args, out_dir: Path) -> int:
     dataset, spec, config, resolved = _fit_inputs(args)
-    write_manifest(
-        out_dir,
-        "ensemble",
-        {**resolved, "members": args.members, "top": args.top, "jobs": args.jobs},
-    )
+    write_manifest(out_dir, "ensemble",
+                   {**resolved, "members": args.members, "top": args.top, "jobs": args.jobs})
     ensemble = fit_ensemble(
         dataset, spec, config, n_members=args.members, top_m=args.top, jobs=args.jobs
     )
@@ -658,23 +626,18 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     args = build_parser().parse_args(argv)
+    out_dir = Path(args.out)  # every subcommand writes to --out
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        status = args.handler(args)
-        out = getattr(args, "out", None)
-        if out is not None:
-            stale = Path(out) / "error.json"
-            if stale.exists():
-                stale.unlink()
+        status = args.handler(args, out_dir)
+        (out_dir / "error.json").unlink(missing_ok=True)
         return status
     except TramsurvError as exc:
         record = {"error": exc.code, "message": str(exc)}
-        out = getattr(args, "out", None)
-        if out is not None:
-            try:
-                Path(out).mkdir(parents=True, exist_ok=True)
-                _write_json(Path(out) / "error.json", record)
-            except OSError:
-                pass
+        try:
+            _write_json(out_dir / "error.json", record)
+        except OSError:
+            pass
         print(json.dumps(record), file=sys.stderr)
         return 1
 

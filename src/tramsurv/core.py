@@ -30,10 +30,12 @@ from .errors import (
     InvertedInterval,
     MalformedArtifact,
     NonFiniteCovariate,
+    NonNumericCovariate,
     NonPositiveTime,
     RaggedCovariates,
     SchemaVersionMismatch,
     require_int,
+    require_type,
 )
 from .feature import ExtractorSpec
 from .target import TargetFamily
@@ -67,6 +69,31 @@ class Parameterization(str, Enum):
     BERNSTEIN_FLEXIBLE = "bernstein_flexible"
 
 
+def float_array(values, name: str, ragged=DimensionMismatch) -> np.ndarray:
+    """``values`` as a float array; text, objects, an integer beyond the float
+    range and rows of unequal length (``ragged``) raise coded errors."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise NonFiniteCovariate(f"{name} must be finite numbers") from None
+    except (TypeError, ValueError) as exc:
+        # numpy's message for rows of unequal length
+        error = ragged if "with a sequence" in str(exc) else NonNumericCovariate
+        raise error(f"{name} must be numbers in rows of one length") from None
+
+
+def _kind_codes(kind) -> np.ndarray:
+    """Censoring-kind codes as int8; a code that is not an int8 integer raises BadStatusValue."""
+    try:
+        codes = np.asarray(kind)
+        valid = codes.dtype.kind in "biuf" and np.isin(codes, np.arange(-128, 128)).all()
+    except ValueError:  # rows of unequal length
+        valid = False
+    if not valid:
+        raise BadStatusValue("censoring-kind codes must be integers from -128 to 127")
+    return codes.astype(np.int8, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class Observation:
     """One subject: times, censoring kind, and a covariate vector."""
@@ -77,25 +104,29 @@ class Observation:
     covariates: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "covariates", np.asarray(self.covariates, dtype=float)
-        )
+        try:
+            times = float(self.time_lower), float(self.time_upper)
+        except (TypeError, ValueError, OverflowError):
+            raise NonNumericCovariate("an observation's times must be numbers") from None
+        object.__setattr__(self, "time_lower", times[0])
+        object.__setattr__(self, "time_upper", times[1])
+        object.__setattr__(self, "covariates", float_array(self.covariates, "covariates"))
 
     @classmethod
     def exact(cls, t, covariates):
-        return cls(float(t), float(t), CensoringKind.EXACT, covariates)
+        return cls(t, t, CensoringKind.EXACT, covariates)
 
     @classmethod
     def right_censored(cls, t, covariates):
-        return cls(float(t), math.inf, CensoringKind.RIGHT, covariates)
+        return cls(t, math.inf, CensoringKind.RIGHT, covariates)
 
     @classmethod
     def left_censored(cls, t, covariates):
-        return cls(float(t), float(t), CensoringKind.LEFT, covariates)
+        return cls(t, t, CensoringKind.LEFT, covariates)
 
     @classmethod
     def interval(cls, t_lower, t_upper, covariates):
-        return cls(float(t_lower), float(t_upper), CensoringKind.INTERVAL, covariates)
+        return cls(t_lower, t_upper, CensoringKind.INTERVAL, covariates)
 
     @property
     def event(self) -> bool:
@@ -117,12 +148,13 @@ class SurvivalDataset:
     feature_names: list = field(default_factory=list)
 
     def __post_init__(self):
-        for name in ("x", "t_lower", "t_upper", "kind"):
-            dtype = np.int8 if name == "kind" else float
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        object.__setattr__(self, "x", float_array(self.x, "covariates", ragged=RaggedCovariates))
+        for name in ("t_lower", "t_upper"):
+            object.__setattr__(self, name, float_array(getattr(self, name), "times"))
+        object.__setattr__(self, "kind", _kind_codes(self.kind))
         shapes = {column.shape for column in (self.t_lower, self.t_upper, self.kind)}
         if self.x.ndim != 2 or shapes != {(self.n,)}:
-            raise ValueError("columns need shapes x (n, p) and t_lower, t_upper, kind (n,)")
+            raise DimensionMismatch("columns need shapes x (n, p) and t_lower, t_upper, kind (n,)")
         if not self.feature_names:
             object.__setattr__(self, "feature_names", [f"x{i}" for i in range(self.p)])
         elif len(self.feature_names) != self.p:
@@ -179,8 +211,7 @@ def validate_dataset(dataset: SurvivalDataset, for_fitting: bool = False) -> Sur
     In fitting mode the dataset must contain at least one exact observation,
     since censored kinds contribute no density term to the likelihood.
     """
-    if not isinstance(dataset, SurvivalDataset):
-        raise BadConfig(f"expected a SurvivalDataset, got {type(dataset).__name__}")
+    require_type("dataset", dataset, SurvivalDataset)
     if dataset.n == 0:
         raise EmptyDataset("dataset contains no observations")
     lo, hi, kind = dataset.t_lower, dataset.t_upper, dataset.kind

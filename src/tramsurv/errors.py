@@ -144,6 +144,12 @@ def require_int(name: str, value, minimum: int):
         raise BadConfig(f"{name} must be >= {minimum}, got {value!r}")
 
 
+def require_type(name: str, value, cls: type):
+    """Raise :class:`BadConfig` unless ``value`` is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise BadConfig(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 class DegenerateIntervalWarning(RuntimeWarning):
     """Interval observation whose CDF difference rounds to zero or below.
 

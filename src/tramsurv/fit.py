@@ -74,6 +74,7 @@ from .errors import (
     NonPositiveTime,
     is_finite_real,
     require_int,
+    require_type,
 )
 from .transform import (
     Coefficients,
@@ -328,6 +329,8 @@ def nll_batch(state: ModelState, dataset: SurvivalDataset) -> tuple[float, np.nd
 
     A one-row dataset gives the NLL of one observation.
     """
+    require_type("state", state, ModelState)
+    require_type("dataset", dataset, SurvivalDataset)
     plan = _Plan.of_dataset(dataset, state.spec, state.scaler).shared()
     terms, grad = _nll_core(state.spec, state.scaler, state.head_params[None],
                             state.extractor_params[None], plan, want_grad=True)
@@ -337,10 +340,9 @@ def nll_batch(state: ModelState, dataset: SurvivalDataset) -> tuple[float, np.nd
 def _training_config(dataset: SurvivalDataset, spec: ModelSpec, config) -> TrainConfig:
     """Check the arguments of a fit; returns ``config`` (or the default) resolved for ``spec``."""
     validate_dataset(dataset, for_fitting=True)
-    if not isinstance(spec, ModelSpec):
-        raise BadConfig(f"spec must be a ModelSpec, got {type(spec).__name__}")
-    if config is not None and not isinstance(config, TrainConfig):
-        raise BadConfig(f"config must be a TrainConfig or None, got {type(config).__name__}")
+    require_type("spec", spec, ModelSpec)
+    if config is not None:
+        require_type("config", config, TrainConfig)
     if spec.uses_extractor and spec.extractor.input_dim != dataset.p:
         raise DimensionMismatch(
             f"extractor expects {spec.extractor.input_dim} covariates, dataset has {dataset.p}"
@@ -485,7 +487,6 @@ def fit(
     spec: ModelSpec,
     config: TrainConfig | None = None,
     *,
-    scaler: LogTimeScaler | None = None,
     callback=None,
 ) -> FittedModel:
     """Fit a model by SGD with an internal validation split and early stopping.
@@ -498,8 +499,6 @@ def fit(
         The model's architecture.
     config : TrainConfig, optional
         Training settings; ``TrainConfig()`` when omitted, learning rates resolved for ``spec``.
-    scaler : LogTimeScaler, optional
-        Pre-fitted log-time scaler; fitted to ``dataset`` when omitted.
     callback : callable, optional
         Called with an :class:`EpochStats` after every epoch.
     """
@@ -508,8 +507,7 @@ def fit(
     n_val = min(max(int(round(config.validation_fraction * n)), 1), n - 1)
     if n_val == 0:
         raise EmptyDataset(f"the validation split is empty: fit needs at least 2 rows, got {n}")
-    if scaler is None:
-        scaler = fit_scaler(dataset)
+    scaler = fit_scaler(dataset)
 
     perm = np.random.default_rng([config.seed, 0]).permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CensoringKind, FittedModel, SurvivalDataset, validate_dataset
-from .errors import BadConfig, SchemaMismatch, require_int
+from .errors import BadConfig, SchemaMismatch, require_int, require_type
 from .transform import conditional_distribution
 
 
@@ -125,8 +125,10 @@ def generate_semisynthetic(
         ``replication * n`` observations, ordered subject-major, with
         covariates copied from the corresponding real subject.
     """
+    require_type("model", model, FittedModel)
     if config is None:
         config = SynthConfig()
+    require_type("config", config, SynthConfig)
     validate_dataset(dataset)
     if model.spec.uses_extractor and model.spec.extractor.input_dim != dataset.p:
         raise SchemaMismatch(

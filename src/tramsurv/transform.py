@@ -31,14 +31,8 @@ import numpy as np
 
 from . import feature, target
 from .basis import LogTimeScaler, bernstein_vectors, monotone_reparam, monotone_reparam_vjp
-from .core import FittedModel, ModelSpec, Parameterization
-from .errors import (
-    BadConfig,
-    BisectionNonConvergence,
-    DimensionMismatch,
-    NonFiniteCovariate,
-    NonNumericCovariate,
-)
+from .core import FittedModel, ModelSpec, Parameterization, float_array
+from .errors import BisectionNonConvergence, DimensionMismatch, NonFiniteCovariate, require_type
 from .numerics import logsumexp, sigmoid, softplus, softplus_inv, softplus_tail
 
 
@@ -357,8 +351,10 @@ class Pointwise:
     A subclass supplies ``at_log_time(of_transform, log_t, log)`` and
     ``newton_problem(p, subjects)``.  One ``np.log`` of the whole time array:
     times t <= 0 and t = +inf, only when present, are replaced by 1.0 first
-    and get their limits afterwards.  A batch's values for some of its
-    subjects come from the distribution ``subject(rows)`` selects.
+    and get their limits afterwards, through masks that broadcast against
+    the values (times shared by a batch's subjects give a value per subject).
+    A batch's values for some of its subjects come from the distribution
+    ``subject(rows)`` selects.
     """
 
     def _apply(self, t, of_transform, at_zero: float, at_inf: float, log: bool = False):
@@ -369,7 +365,8 @@ class Pointwise:
         log_t = np.log(np.where(special, 1.0, t_arr) if present else t_arr)
         out = self.at_log_time(of_transform, log_t, log)
         if present:
-            out[zero], out[infinite] = at_zero, at_inf
+            np.copyto(out, at_zero, where=zero)
+            np.copyto(out, at_inf, where=infinite)
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def cdf(self, t):
@@ -412,8 +409,11 @@ class ConditionalDistribution(Pointwise):
     It holds the subjects' :class:`Coefficients`.  When they have rows, the
     first axis of the times, and of the probabilities given to
     :meth:`quantile`, indexes subjects: shape (n,) holds one value per
-    subject, shape (n, m) m values per subject.  Otherwise times may have
-    any shape.  t = 0 and t = +inf map to the exact distribution limits.
+    subject, shape (n, m) m values per subject.  Times of two or more axes
+    whose first is 1, such as (1, m), are shared by every subject and give
+    (n, m) values; scalar and 1-D times still need n values.  Otherwise
+    times may have any shape.  t = 0 and t = +inf map to the exact
+    distribution limits.
     """
 
     def __init__(self, spec: ModelSpec, coef: Coefficients, scaler: LogTimeScaler):
@@ -478,8 +478,13 @@ class ConditionalDistribution(Pointwise):
         return z, lo, hi
 
     def at_log_time(self, of_transform, log_t, log: bool = False):
-        """``of_transform`` at finite log-times; ``log`` only matters to a mixture."""
-        self.check_subjects(log_t)
+        """``of_transform`` at finite log-times; ``log`` only matters to a mixture.
+
+        Log-times (1, ...) of two or more axes are shared by every subject: one
+        basis for them broadcasts against each subject's coefficients.
+        """
+        if log_t.ndim < 2 or len(log_t) != 1:
+            self.check_subjects(log_t)
         # unit axes broadcast each subject's coefficients over log_t's trailing axes
         index = (slice(None),) + (None,) * (log_t.ndim - 1)
         h, dh, _ = eval_transform(self.spec, self.coef.take(index), None, log_t, self.scaler)
@@ -548,15 +553,9 @@ def conditional_distribution(model: FittedModel, x) -> ConditionalDistribution:
     features, and every number it gets, do not depend on which other
     subjects share the batch.
     """
-    if not isinstance(model, FittedModel):
-        raise BadConfig(f"expected a FittedModel, got {type(model).__name__}")
+    require_type("model", model, FittedModel)
     spec = model.spec
-    try:
-        x = np.asarray(x, dtype=float)
-    except OverflowError:
-        raise NonFiniteCovariate("covariates must be finite") from None
-    except (TypeError, ValueError):
-        raise NonNumericCovariate("covariates must be numbers") from None
+    x = float_array(x, "covariates")
     if x.ndim not in (1, 2):
         raise DimensionMismatch(
             f"expected a covariate vector or an (n, p) matrix, got shape {x.shape}"

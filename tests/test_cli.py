@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from pathlib import Path
 import tracemalloc
 
@@ -9,9 +10,8 @@ import pytest
 
 from tramsurv.basis import LogTimeScaler
 from tramsurv.cli import (
-    CDF_GRID_CHUNK,
     CDF_GRID_POINTS,
-    DATASET_WRITE_CHUNK,
+    WRITE_VALUES,
     _SPEC_KEYS,
     build_model_spec,
     build_train_config,
@@ -127,13 +127,13 @@ class TestParseDatasetCsv:
 
 
 def test_dataset_csv_bytes_match_csv_writer(tmp_path):
-    """Repeated rows, interval rows, signed zeros, a chunk boundary and a quoted name."""
+    """Repeated rows, interval rows, signed zeros, a block boundary and a quoted name."""
     rng = np.random.default_rng(905)
-    n = DATASET_WRITE_CHUNK + 13
+    n = WRITE_VALUES + 13  # a block formats at least each row's time
     subjects = rng.normal(size=(n // 10 + 2, 3))
     subjects[::7, 1] = 0.0
     subjects[1::7, 1] = -0.0
-    x = np.repeat(subjects, 10, axis=0)[3 : n + 3]  # repeats straddle the chunk boundary
+    x = np.repeat(subjects, 10, axis=0)[3 : n + 3]  # repeats straddle the block boundary
     x[-2:, 0] = [0.0, -0.0]
     kind = rng.integers(0, 4, size=n).astype(np.int8)
     t_lower = rng.uniform(0.1, 5.0, size=n)
@@ -178,7 +178,7 @@ def _written_datasets(draw):
     """Subjects repeated in runs long enough to straddle blocks; times and kinds cycled."""
     p = draw(st.integers(0, 4))
     subjects = draw(st.lists(st.lists(_CELLS, min_size=p, max_size=p), min_size=1, max_size=6))
-    runs = draw(st.lists(st.integers(1, 2 * DATASET_WRITE_CHUNK), min_size=len(subjects),
+    runs = draw(st.lists(st.integers(1, 2 * WRITE_VALUES), min_size=len(subjects),
                          max_size=len(subjects)))
     x = np.repeat(np.array(subjects, dtype=float).reshape(len(subjects), p), runs, axis=0)
     n = len(x)
@@ -225,7 +225,7 @@ def test_dataset_writer_memory_does_not_grow_with_the_rows(tmp_path, replication
 def test_scores_csv_bytes_match_csv_writer(tmp_path):
     """Subjects past a block boundary, signed zeros, specials and both notations."""
     rng = np.random.default_rng(909)
-    n = DATASET_WRITE_CHUNK + 7
+    n = WRITE_VALUES + 7
     nll = rng.normal(scale=3.0, size=n)
     crps = rng.exponential(size=n) * 10.0 ** rng.integers(-8, 20, size=n)
     nll[:6] = [0.0, -0.0, np.inf, -np.inf, 5e-324, 1e16]
@@ -241,21 +241,34 @@ def test_scores_csv_bytes_match_csv_writer(tmp_path):
     assert (tmp_path / "scores.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+_GRID_BLOCK = WRITE_VALUES // CDF_GRID_POINTS  # subjects per block of the grid writer
+
+
+def _bernstein_model(rng) -> FittedModel:
+    spec = ModelSpec(
+        family=TargetFamily.LOGISTIC, parameterization=Parameterization.BERNSTEIN_SHIFT,
+        bernstein_order=4, extractor=ExtractorSpec(input_dim=2, hidden_dims=(4,), output_dim=2),
+    )
+    return FittedModel(
+        spec=spec, scaler=LogTimeScaler(np.log(0.1), np.log(20.0)),
+        head_params=init_head(spec) + 0.3 * rng.normal(size=head_size(spec)),
+        extractor_params=init_params(spec.extractor, 5),
+        train_nll=0.0, validation_nll=0.0,
+    )
+
+
+def _grid_inputs(model, x):
+    """The batch distribution and the dataset of subjects ``x`` that write_cdf_grid takes."""
+    dataset = SurvivalDataset(x, np.ones(len(x)), np.ones(len(x)), np.zeros(len(x), np.int8))
+    return conditional_distribution(model, x), dataset
+
+
 class TestWriteCdfGrid:
     def test_bytes_match_csv_writer(self, tmp_path):
         rng = np.random.default_rng(907)
-        spec = ModelSpec(
-            family=TargetFamily.LOGISTIC, parameterization=Parameterization.BERNSTEIN_SHIFT,
-            bernstein_order=4, extractor=ExtractorSpec(input_dim=2, hidden_dims=(4,), output_dim=2),
-        )
-        model = FittedModel(
-            spec=spec, scaler=LogTimeScaler(np.log(0.1), np.log(20.0)),
-            head_params=init_head(spec) + 0.3 * rng.normal(size=head_size(spec)),
-            extractor_params=init_params(spec.extractor, 5),
-            train_nll=0.0, validation_nll=0.0,
-        )
+        model = _bernstein_model(rng)
         n = 130
-        assert n % CDF_GRID_CHUNK  # the last chunk is partial
+        assert n % _GRID_BLOCK  # the last block is partial
         x = rng.normal(size=(n, 2))
         rows = [Observation.exact(1.0, row) for row in x]
         write_cdf_grid(conditional_distribution(model, x), SurvivalDataset.from_observations(rows),
@@ -265,8 +278,8 @@ class TestWriteCdfGrid:
         with open(tmp_path / "reference.csv", "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["subject", "time", "cdf"])
-            for start in range(0, n, CDF_GRID_CHUNK):
-                chunk = x[start : start + CDF_GRID_CHUNK]
+            for start in range(0, n, _GRID_BLOCK):
+                chunk = x[start : start + _GRID_BLOCK]
                 values = conditional_distribution(model, chunk).cdf(
                     np.broadcast_to(grid, (chunk.shape[0], CDF_GRID_POINTS))
                 )
@@ -274,7 +287,7 @@ class TestWriteCdfGrid:
                     writer.writerows([i, repr(float(t)), repr(float(v))] for t, v in zip(grid, row))
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-    @pytest.mark.parametrize("n", [1, CDF_GRID_CHUNK - 1, CDF_GRID_CHUNK + 1])
+    @pytest.mark.parametrize("n", [1, _GRID_BLOCK - 1, _GRID_BLOCK + 1])
     def test_extreme_values_match_csv_writer(self, tmp_path, n):
         spec = ModelSpec(
             family=TargetFamily.MEV, parameterization=Parameterization.LINEAR_SHIFT,
@@ -304,6 +317,39 @@ class TestWriteCdfGrid:
             for i, row in enumerate(values):
                 writer.writerows([i, repr(float(t)), repr(float(v))] for t, v in zip(grid, row))
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_a_block_builds_one_basis_for_the_grid(self, tmp_path, monkeypatch):
+        """The subjects of a block share the grid times, so its basis has one row per time."""
+        from tramsurv import transform
+
+        rows_per_call = []
+        bernstein_vectors = transform.bernstein_vectors
+
+        def counting(order, u):
+            rows_per_call.append(np.size(u))
+            return bernstein_vectors(order, u)
+
+        monkeypatch.setattr(transform, "bernstein_vectors", counting)
+        rng = np.random.default_rng(910)
+        n = 2 * _GRID_BLOCK + 3
+        write_cdf_grid(*_grid_inputs(_bernstein_model(rng), rng.normal(size=(n, 2))),
+                       tmp_path / "grid.csv")
+        assert len(rows_per_call) == 3
+        assert max(rows_per_call) <= CDF_GRID_POINTS, rows_per_call
+
+    def test_memory_does_not_grow_with_the_subjects(self):
+        """The writer's traced peak grows by less than 64 KiB from 4k to 32k subjects."""
+        rng = np.random.default_rng(911)
+        model = _bernstein_model(rng)
+        peaks = []
+        for n in (4_000, 32_000):
+            dist, dataset = _grid_inputs(model, rng.normal(size=(n, 2)))
+            write_cdf_grid(dist, dataset.take(np.arange(1)), os.devnull)  # builds the kernel tables
+            tracemalloc.start()
+            write_cdf_grid(dist, dataset, os.devnull)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 64 * 1024, peaks
 
 
 @pytest.fixture

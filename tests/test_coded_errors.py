@@ -16,6 +16,8 @@ import pytest
 from tramsurv import (
     ConditionalDistribution,
     ModelSpec,
+    ModelState,
+    Observation,
     Parameterization,
     SurvivalDataset,
     SynthConfig,
@@ -25,6 +27,8 @@ from tramsurv import (
     conditional_distribution,
     evaluate,
     fit,
+    generate_semisynthetic,
+    nll_batch,
 )
 from tramsurv.basis import LogTimeScaler
 from tramsurv.core import FittedModel
@@ -69,6 +73,19 @@ _DATASET = SurvivalDataset(x=[[0.0], [0.5], [-0.5], [1.0]], t_lower=[0.5, 1.0, 2
                            t_upper=[0.5, 1.0, 2.0, np.inf], kind=[0, 0, 0, 1])
 _VALUES = st.lists(st.one_of(st.floats(), st.integers(0, 5), st.none(), st.text(max_size=1)),
                    max_size=5)
+# a cell of a dataset column: a number, text, an integer beyond the float range, or a row
+_CELL = st.one_of(st.floats(0.1, 9.0), st.text(max_size=1), st.just(10**400),
+                  st.lists(st.floats(0.1, 9.0), min_size=1, max_size=2))
+# two rows of one or two cells each: equal or ragged
+_ROWS = st.lists(st.lists(_CELL, min_size=1, max_size=2), min_size=2, max_size=2)
+_COLUMN = st.lists(_CELL, min_size=2, max_size=2)
+
+
+def _dataset(x, t_lower, t_upper, kind) -> SurvivalDataset:
+    """A dataset that holds the codes it was given: none is rounded or wrapped."""
+    dataset = SurvivalDataset(x, t_lower, t_upper, kind)
+    np.testing.assert_array_equal(dataset.kind, kind)
+    return dataset
 
 # entry point: (call, strategy of each argument, what a successful result must satisfy)
 _ENTRY_POINTS = {
@@ -161,6 +178,42 @@ _ENTRY_POINTS = {
             "config": _or_junk(st.builds(TrainConfig, epochs=st.integers(1, 3))),
         },
         lambda model: isinstance(model, FittedModel) and math.isfinite(model.train_nll),
+    ),
+    "SurvivalDataset": (
+        _dataset,
+        {
+            "x": _or_junk(st.just([[0.0], [1.0]]), _ROWS),
+            "t_lower": _or_junk(st.just([1.0, 2.0]), _COLUMN),
+            "t_upper": _or_junk(st.just([1.0, np.inf]), _COLUMN),
+            "kind": _or_junk(st.just([0, 1]), st.lists(st.sampled_from([0, 3, 2.5, 300, -129]),
+                                                       min_size=2, max_size=2)),
+        },
+        lambda ds: (ds.x.dtype == float and ds.x.shape == (ds.n, ds.p)
+                    and ds.t_lower.shape == ds.t_upper.shape == ds.kind.shape == (ds.n,)),
+    ),
+    "Observation.exact": (
+        Observation.exact,
+        {"t": _or_junk(st.floats(0.1, 9.0)), "covariates": _or_junk(_COLUMN)},
+        lambda obs: (type(obs.time_lower) is float and type(obs.time_upper) is float
+                     and obs.covariates.dtype == float),
+    ),
+    "generate_semisynthetic": (
+        generate_semisynthetic,
+        {
+            "model": _or_junk(st.just(_MODEL)),
+            "dataset": _or_junk(st.just(_DATASET)),
+            "config": _or_junk(st.builds(SynthConfig, replication=st.integers(1, 3))),
+        },
+        lambda ds: isinstance(ds, SurvivalDataset) and ds.n % _DATASET.n == 0,
+    ),
+    "nll_batch": (
+        nll_batch,
+        {
+            "state": _or_junk(st.just(ModelState(_SPEC, _MODEL.scaler, _MODEL.head_params,
+                                                 _MODEL.extractor_params))),
+            "dataset": _or_junk(st.just(_DATASET)),
+        },
+        lambda result: math.isfinite(result[0]),
     ),
 }
 

@@ -166,7 +166,7 @@ class TestDatasetColumns:
         assert (ds.n, ds.p) == (0, 2)
 
     def test_mismatched_column_lengths(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             SurvivalDataset(np.zeros((2, 1)), [1.0], [1.0], [0])
 
     def test_feature_name_count_must_match(self):

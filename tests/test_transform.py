@@ -496,6 +496,18 @@ class TestBatchedDistribution:
         with pytest.raises(DimensionMismatch):
             batch.quantile(0.5)
 
+    def test_only_times_with_two_axes_are_shared(self):
+        """Scalar and 1-D times are not shared by a batch, nor are a quantile's probabilities."""
+        model = _random_model(Parameterization.BERNSTEIN_SHIFT, TargetFamily.LOGISTIC,
+                              np.random.default_rng(144))
+        batch = conditional_distribution(model, np.zeros((4, 3)))
+        for t in (1.0, np.array([1.0])):
+            with pytest.raises(DimensionMismatch):
+                batch.cdf(t)
+        with pytest.raises(DimensionMismatch):
+            batch.quantile(np.full((1, 5), 0.5))
+        assert batch.cdf(np.ones((1, 5))).shape == (4, 5)
+
 
 class TestBatchInvariance:
     """A subject's numbers are the same bits alone, in a batch of any size, and permuted."""
@@ -646,6 +658,38 @@ class TestBroadcastEvaluation:
             with np.errstate(all="ignore"):
                 expected = _gathered(dist, t, name)
             _assert_same_bits(getattr(dist, name)(t), expected, name)
+
+    @staticmethod
+    def _assert_shared_times_match_repeated_times(dist, rng):
+        """Times (1, m) give the bits of the same row repeated for each subject.
+
+        A baseline batch gives one row, which every subject shares.
+        """
+        t = _times_with_limits(rng, (1, 40))
+        repeated = np.broadcast_to(t, (TestBroadcastEvaluation.N_SUBJECTS, 40))
+        for name in ("cdf", "survivor", "log_cdf", "log_pdf"):
+            with np.errstate(all="ignore"):
+                shared, expected = getattr(dist, name)(t), getattr(dist, name)(repeated)
+            _assert_same_bits(np.broadcast_to(shared, expected.shape), expected, name)
+
+    @pytest.mark.parametrize("parameterization", list(Parameterization))
+    def test_shared_times_match_repeated_times(self, parameterization):
+        rng = np.random.default_rng(193)
+        model = _random_model(parameterization, TargetFamily.MEV, rng, order=8)
+        dist = conditional_distribution(model, rng.normal(size=(self.N_SUBJECTS, 3)))
+        self._assert_shared_times_match_repeated_times(dist, rng)
+
+    def test_shared_times_of_an_ensemble_match_repeated_times(self):
+        from tramsurv.fit import EnsembleDistribution
+
+        rng = np.random.default_rng(197)
+        x = rng.normal(size=(self.N_SUBJECTS, 3))
+        mixture = EnsembleDistribution([
+            conditional_distribution(_random_model(p, TargetFamily.LOGISTIC, rng, order=8), x)
+            for p in (Parameterization.BERNSTEIN_SHIFT_SCALE, Parameterization.BERNSTEIN_FLEXIBLE,
+                      Parameterization.LINEAR_SCALE)
+        ])
+        self._assert_shared_times_match_repeated_times(mixture, rng)
 
     @pytest.mark.parametrize("n_members", [1, 2, 3, 5])
     def test_ensemble_mixture_matches_stacked_members(self, n_members):
