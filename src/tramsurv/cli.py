@@ -205,25 +205,6 @@ def _number(path, line, name, cell) -> float:
         raise NonNumericCovariate(message) from None
 
 
-def _strip(fields: list) -> bytes:
-    """Lines of fields side by side, as bytes with their NUL padding deleted.
-
-    A field is a uint8 array with text on its last axis, padded with NULs as
-    :func:`repr_bytes` and numpy's ``S`` arrays pad their text, or a byte
-    string that every line repeats.  The leading axes of the arrays
-    broadcast against each other, and each element of the broadcast shape
-    is a line.  ``fields`` is emptied once the fields are joined, so that a
-    caller's temporaries are freed before ``tobytes`` and the ``translate``
-    that deletes the NULs copy the lines.
-    """
-    arrays = [np.frombuffer(f, dtype=np.uint8) if isinstance(f, bytes) else f for f in fields]
-    fields.clear()
-    shape = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
-    cells = np.concatenate([np.broadcast_to(a, (*shape, a.shape[-1])) for a in arrays], axis=-1)
-    del arrays
-    return cells.tobytes().translate(None, b"\0")
-
-
 def _index_text(rows: slice) -> np.ndarray:
     """The decimal text of the indices ``rows`` selects, a NUL-padded uint8 row each."""
     width = len(str(rows.stop - 1))
@@ -236,6 +217,13 @@ def _repr_text(values: np.ndarray) -> np.ndarray:
     from .floatrepr import repr_bytes
 
     return repr_bytes(values).reshape(*values.shape, -1)
+
+
+def _line_buffer():
+    """A :class:`LineBuffer`, which a writer call reuses for the lines of all its blocks."""
+    from .floatrepr import LineBuffer
+
+    return LineBuffer()
 
 
 def write_dataset_csv(dataset: SurvivalDataset, path):
@@ -254,8 +242,9 @@ def write_dataset_csv(dataset: SurvivalDataset, path):
     with open(path, "w", newline="") as text_handle:
         csv.writer(text_handle).writerow(["time", "time2", "status", *dataset.feature_names])
         text_handle.flush()  # the body goes to the byte stream below
+        lines = _line_buffer()
         for rows, fresh in _dataset_blocks(dataset, x):
-            _write_dataset_block(text_handle.buffer, dataset, x, rows, fresh)
+            _write_dataset_block(text_handle.buffer, lines, dataset, x, rows, fresh)
 
 
 def _dataset_blocks(dataset: SurvivalDataset, x):
@@ -282,7 +271,7 @@ def _dataset_blocks(dataset: SurvivalDataset, x):
         window = min(2 * m, WRITE_VALUES)
 
 
-def _write_dataset_block(handle, dataset: SurvivalDataset, x, rows, fresh):
+def _write_dataset_block(handle, lines, dataset: SurvivalDataset, x, rows, fresh):
     """Write a block's lines, each its time, ``,time2,status`` and its run's covariates."""
     p, kind = x.shape[1], dataset.kind[rows]
     m, upper = len(kind), np.flatnonzero(kind == _INTERVAL)
@@ -292,19 +281,19 @@ def _write_dataset_block(handle, dataset: SurvivalDataset, x, rows, fresh):
     f, width = len(covariates), cells.shape[1]
     middles = _MIDDLES.take(kind)
     if upper.size:
-        middles[upper] = _strip([b",", cells[m : m + upper.size], b",interval\n"]).splitlines()
+        middles[upper] = lines.join([b",", cells[m : m + upper.size], b",interval\n"]).splitlines()
     # ",value" for each covariate of a fresh row
     commas = np.full((f, p, 1), ord(","), dtype=np.uint8)
     values = np.concatenate([commas, cells[m + upper.size :].reshape(f, p, width)], axis=2)
-    runs = _strip([values.reshape(f, p * (width + 1)), b"\r\n"]).splitlines(keepends=True)
-    lines = [b""] * (3 * m)
-    lines[0::3] = _strip([cells[:m], b"\n"]).splitlines()
-    lines[1::3] = middles.tolist()
-    lines[2::3] = np.array(runs, dtype=object).take(np.cumsum(fresh) - 1).tolist()
+    runs = lines.join([values.reshape(f, p * (width + 1)), b"\r\n"]).splitlines(keepends=True)
+    parts = [b""] * (3 * m)
+    parts[0::3] = lines.join([cells[:m], b"\n"]).splitlines()
+    parts[1::3] = middles.tolist()
+    parts[2::3] = np.array(runs, dtype=object).take(np.cumsum(fresh) - 1).tolist()
     # joined a slice at a time, since a join holds an 80-byte buffer record per item
     step = WRITE_VALUES // 4
     for i in range(0, 3 * m, step):
-        handle.write(b"".join(lines[i : i + step]))
+        handle.write(b"".join(parts[i : i + step]))
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +436,13 @@ def write_cdf_grid(dist, dataset: SurvivalDataset, path):
     subject of a block shares (one basis per block), so that a block has
     ``WRITE_VALUES`` values and the values in memory do not grow with the
     dataset.  Each line is the one csv.writer would write (no field needs
-    quoting): the subject, ``,time,`` and the CDF value, joined by
-    :func:`_strip` per block.
+    quoting): the subject, ``,time,`` and the CDF value, joined in one
+    :class:`LineBuffer` for the whole call.
     """
     scaler = dist.scaler
     grid = np.exp(np.linspace(scaler.a_lo, scaler.b_hi, CDF_GRID_POINTS))
-    times = _strip([b",", _repr_text(grid), b",\n"]).splitlines()
+    lines = _line_buffer()
+    times = lines.join([b",", _repr_text(grid), b",\n"]).splitlines()
     times = np.array(times).view(np.uint8).reshape(CDF_GRID_POINTS, -1)
     step = WRITE_VALUES // CDF_GRID_POINTS
     with open(path, "wb") as handle:
@@ -461,8 +451,8 @@ def write_cdf_grid(dist, dataset: SurvivalDataset, path):
             # baseline models have one distribution for all subjects, so the
             # block's subjects come from the slice, not from the distribution
             rows = slice(start, min(start + step, dataset.n))
-            handle.write(_strip([_index_text(rows)[:, None], times,
-                                 _repr_text(dist.subject(rows).cdf(grid[None])), b"\r\n"]))
+            handle.write(lines.join([_index_text(rows)[:, None], times,
+                                     _repr_text(dist.subject(rows).cdf(grid[None])), b"\r\n"]))
 
 
 def write_scores(report, path):
@@ -471,13 +461,14 @@ def write_scores(report, path):
     Formatted ``WRITE_VALUES`` values at a time by :func:`repr_bytes`.
     """
     step = WRITE_VALUES // 2
+    lines = _line_buffer()
     with open(path, "wb") as handle:
         handle.write(b"subject,nll,crps\r\n")
         for start in range(0, len(report.nll), step):
             rows = slice(start, min(start + step, len(report.nll)))
             cells = _repr_text(np.stack([report.nll[rows], report.crps[rows]], axis=1))
-            handle.write(_strip([_index_text(rows), b",", cells[:, 0], b",", cells[:, 1],
-                                 b"\r\n"]))
+            handle.write(lines.join([_index_text(rows), b",", cells[:, 0], b",", cells[:, 1],
+                                     b"\r\n"]))
 
 
 # ---------------------------------------------------------------------------

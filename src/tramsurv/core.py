@@ -94,6 +94,13 @@ def _kind_codes(kind) -> np.ndarray:
     return codes.astype(np.int8, copy=False)
 
 
+def _feature_names(names) -> list:
+    """``names`` as a list; anything but a list or tuple of str raises BadConfig."""
+    if not isinstance(names, (list, tuple)) or not all(isinstance(name, str) for name in names):
+        raise BadConfig(f"feature names must be a list or tuple of str, got {type(names).__name__}")
+    return list(names)
+
+
 @dataclass(frozen=True, eq=False)
 class Observation:
     """One subject: times, censoring kind, and a covariate vector."""
@@ -108,6 +115,8 @@ class Observation:
             times = float(self.time_lower), float(self.time_upper)
         except (TypeError, ValueError, OverflowError):
             raise NonNumericCovariate("an observation's times must be numbers") from None
+        object.__setattr__(self, "censoring", member_of(CensoringKind, "censoring kind",
+                                                        self.censoring, BadStatusValue))
         object.__setattr__(self, "time_lower", times[0])
         object.__setattr__(self, "time_upper", times[1])
         object.__setattr__(self, "covariates", float_array(self.covariates, "covariates"))
@@ -155,18 +164,19 @@ class SurvivalDataset:
         shapes = {column.shape for column in (self.t_lower, self.t_upper, self.kind)}
         if self.x.ndim != 2 or shapes != {(self.n,)}:
             raise DimensionMismatch("columns need shapes x (n, p) and t_lower, t_upper, kind (n,)")
-        if not self.feature_names:
-            object.__setattr__(self, "feature_names", [f"x{i}" for i in range(self.p)])
-        elif len(self.feature_names) != self.p:
-            raise RaggedCovariates(
-                f"{len(self.feature_names)} feature names for {self.p} covariates"
-            )
+        names = _feature_names(self.feature_names) or [f"x{i}" for i in range(self.p)]
+        if len(names) != self.p:
+            raise RaggedCovariates(f"{len(names)} feature names for {self.p} covariates")
+        object.__setattr__(self, "feature_names", names)
 
     @classmethod
     def from_observations(cls, rows, feature_names=None) -> "SurvivalDataset":
         """Stack :class:`Observation` rows; every row needs the same covariate count."""
-        rows = list(rows)
-        p = rows[0].covariates.size if rows else len(feature_names or ())
+        rows = list(rows) if np.iterable(rows) else [rows]
+        if not all(isinstance(obs, Observation) for obs in rows):
+            raise BadConfig("rows must be an iterable of Observation objects")
+        feature_names = _feature_names([] if feature_names is None else feature_names)
+        p = rows[0].covariates.size if rows else len(feature_names)
         for i, obs in enumerate(rows):
             if obs.covariates.shape != (p,):
                 raise RaggedCovariates(
@@ -177,7 +187,7 @@ class SurvivalDataset:
             t_lower=[obs.time_lower for obs in rows],
             t_upper=[obs.time_upper for obs in rows],
             kind=[obs.censoring.code for obs in rows],
-            feature_names=list(feature_names or ()),
+            feature_names=feature_names,
         )
 
     @property
@@ -198,9 +208,15 @@ class SurvivalDataset:
         return self.t_lower
 
     def take(self, idx) -> "SurvivalDataset":
-        """The rows an index array (or boolean mask) selects, in its order."""
-        columns = (self.x, self.t_lower, self.t_upper, self.kind)
-        return SurvivalDataset(*(column[idx] for column in columns), list(self.feature_names))
+        """The rows an index array (or boolean mask) selects, in its order.
+
+        An index that numpy rejects for the rows raises :class:`BadConfig`.
+        """
+        try:
+            columns = [column[idx] for column in (self.x, self.t_lower, self.t_upper, self.kind)]
+        except IndexError as exc:
+            raise BadConfig(f"rows to take must index the {self.n} rows: {exc}") from None
+        return SurvivalDataset(*columns, list(self.feature_names))
 
 
 def validate_dataset(dataset: SurvivalDataset, for_fitting: bool = False) -> SurvivalDataset:
@@ -268,12 +284,12 @@ def default_learning_rates(
     return 0.001, _DEFAULT_LR_HEAD[(parameterization, family)]
 
 
-def member_of(enum, name: str, value):
-    """``value`` as a member of ``enum``, given as one or as its value; else :class:`BadConfig`."""
+def member_of(enum, name: str, value, error=BadConfig):
+    """``value`` as a member of ``enum``, given as one or as its value; else ``error``."""
     try:
         return enum(value)
     except ValueError:
-        raise BadConfig(
+        raise error(
             f"unknown {name} {value!r}; expected one of {[m.value for m in enum]}"
         ) from None
 

@@ -16,9 +16,13 @@ as ``float.__repr__`` does: fixed notation when the shortest decimal is at
 least 1e-4 and below 1e16 (``0.000123``, ``12.5``, ``1000.0``), otherwise
 ``d.ddde±XX`` with at least two exponent digits (``1e-05``, ``1e+16``).
 Zeros are laid out here too; subnormals, infinities and NaN keep ``repr``.
+
+``LineBuffer`` joins such NUL-padded fields side by side into lines and
+deletes the NULs, in one buffer that a writer reuses from block to block.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -188,16 +192,21 @@ def _layout(f, k, neg):
     n = 17 - np.where(low_end == 8, 8 + top_end, low_end).astype(np.intp)  # significant digits
     del f, top, low, ends, top_end, low_end
     fixed = (point >= _FIXED[0]) & (point <= _FIXED[-1])
+    # leave out the sign and exponent columns when no row uses them
+    columns = slice(0 if neg.any() else 1, _EXP if fixed.all() else _EXP + 5)
     # fixed notation keeps the zeros before the point and one after it
     limit = np.where(fixed & (point >= 1), np.maximum(n, point + 1), n)
-    form = np.where(fixed, point - _FIXED[0], _FORMS - 2 + (n > 1))
+    form = np.where(fixed, point - _FIXED[0], _FORMS - 2 + (n > 1)) + neg.astype(np.intp) * _FORMS
     exponent = np.where(fixed, _NO_EXPONENT, point - 1 - _X_MIN + _EXPONENTS)
-
-    text = words.take(np.stack([first + _FIRSTS, *groups, exponent], axis=1))
+    # the (n, 6) arrays below are the kernel's largest: free what they do not need first
+    index = np.stack([first + _FIRSTS, *groups, exponent], axis=1)
+    del point, n, fixed, first, groups, exponent
+    text = words.take(index)
+    del index
     text &= shown.take(limit, axis=0)
-    text |= layouts.take(neg.astype(np.intp) * _FORMS + form, axis=0)
-    # leave out the sign and exponent columns when no row uses them
-    return text.view(np.uint8)[:, 0 if neg.any() else 1 : _EXP if fixed.all() else _EXP + 5]
+    del limit
+    text |= layouts.take(form, axis=0)
+    return text.view(np.uint8)[:, columns]
 
 
 def repr_bytes(values) -> np.ndarray:
@@ -209,8 +218,11 @@ def repr_bytes(values) -> np.ndarray:
     bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.uint64)
     biased = (bits >> np.uint64(52)) & np.uint64(0x7FF)
     normal = (biased != 0) & (biased != 0x7FF)
+    del biased
+    shortest = _shortest(bits[normal])  # before f and k, which would sit beside its temporaries
     f, k = np.zeros(bits.size, dtype=np.uint64), np.full(bits.size, -15)  # zero is 0.0
-    f[normal], k[normal] = _shortest(bits[normal])
+    f[normal], k[normal] = shortest
+    del shortest
     text = _layout(f, k, bits >> np.uint64(63))
     other = np.flatnonzero(~normal & (bits << np.uint64(1) != 0))  # not zero
     if other.size:  # every row is wider than the 24 bytes of the longest repr
@@ -218,3 +230,37 @@ def repr_bytes(values) -> np.ndarray:
         width = text.shape[1]
         text[other] = np.array(special, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     return text
+
+
+class LineBuffer:
+    """Lines of NUL-padded fields, laid out in one ``uint8`` buffer that is kept for every block.
+
+    A field is a uint8 array with text on its last axis, padded with NULs as
+    :func:`repr_bytes` and numpy's ``S`` arrays pad their text, or a byte
+    string that every line repeats.  The leading axes of the arrays
+    broadcast against each other, and each element of the broadcast shape
+    is a line.  The buffer grows to the largest block's lines, so a writer
+    that makes one per call faults in no fresh pages for them.
+    """
+
+    def __init__(self):
+        self._buffer = np.empty(0, dtype=np.uint8)
+
+    def join(self, fields: list) -> bytes:
+        """The lines of ``fields`` as bytes, NULs deleted.
+
+        ``fields`` is emptied, so a caller's temporaries are freed before
+        ``tobytes`` and ``translate`` copy the lines.
+        """
+        arrays = [np.frombuffer(f, dtype=np.uint8) if isinstance(f, bytes) else f for f in fields]
+        fields.clear()
+        shape = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
+        width = sum(a.shape[-1] for a in arrays)
+        size = math.prod(shape) * width
+        if self._buffer.size < size:
+            self._buffer = np.empty(size, dtype=np.uint8)
+        lines = self._buffer[:size].reshape(*shape, width)
+        np.concatenate([np.broadcast_to(a, (*shape, a.shape[-1])) for a in arrays], axis=-1,
+                       out=lines)
+        del arrays
+        return lines.tobytes().translate(None, b"\0")

@@ -205,10 +205,26 @@ class EvaluationReport:
     t_max: float
 
     def to_json(self) -> str:
-        """The report as JSON, its per-subject scores a ``per_subject`` list of {nll, crps}."""
-        per_subject = [{"nll": a, "crps": b} for a, b in zip(self.nll.tolist(), self.crps.tolist())]
+        """The report as JSON, its per-subject scores a ``per_subject`` list of {nll, crps}.
+
+        The text, and the ``ValueError`` of a non-finite score, of ``json.dumps(...,
+        indent=2, allow_nan=False)``; the list's floats are ``repr`` text, as there.
+        """
+        # imported here, so that importing tramsurv does not load the kernel
+        from .floatrepr import LineBuffer, repr_bytes
+
+        scores = np.stack([self.nll, self.crps], axis=1, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:  # json's error, as it raises it for the first such score
+            json.dumps(scores.flat[bad[0]].item(), indent=2, allow_nan=False)
         doc = {f.name: getattr(self, f.name) for f in fields(self)[2:]}
-        return json.dumps({"per_subject": per_subject, **doc}, indent=2, allow_nan=False)
+        head, tail = json.dumps({"per_subject": [], **doc}, indent=2, allow_nan=False).split("[]", 1)
+        if not len(scores):
+            return head + "[]" + tail
+        cells = repr_bytes(scores).reshape(len(scores), 2, -1)
+        body = LineBuffer().join([b'    {\n      "nll": ', cells[:, 0], b',\n      "crps": ',
+                                  cells[:, 1], b"\n    },\n"])
+        return head + "[\n" + body[:-2].decode() + "\n  ]" + tail
 
 
 def evaluate(model, dataset: SurvivalDataset, t_max: float | None = None) -> EvaluationReport:

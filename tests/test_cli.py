@@ -241,6 +241,65 @@ def test_scores_csv_bytes_match_csv_writer(tmp_path):
     assert (tmp_path / "scores.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+# subject counts of one subject, of index widths crossing 10, 100 and 10,000, and of
+# a writer block (WRITE_VALUES // 2 subjects) and a half
+_SUBJECTS = st.sampled_from([1, 2, 11, 101, WRITE_VALUES // 2, WRITE_VALUES // 2 + 1,
+                             3 * WRITE_VALUES // 4, 10_007])
+
+
+@st.composite
+def _reports(draw):
+    """A report of ``n`` subjects whose scores cycle through drawn values."""
+    n = draw(_SUBJECTS)
+    nll = np.resize(np.array(draw(st.lists(_CELLS, min_size=1, max_size=9))), n)
+    crps = np.resize(np.array(draw(st.lists(_CELLS, min_size=1, max_size=7))), n)
+    return EvaluationReport(nll, crps, mean_nll=0.5, mean_crps=0.25, c_index=None,
+                            n_subjects=n, n_comparable_pairs=0, t_max=7.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(report=_reports())
+def test_scores_csv_bytes_match_csv_writer_on_drawn_reports(tmp_path_factory, report):
+    path = tmp_path_factory.mktemp("scores") / "scores.csv"
+    write_scores(report, path)
+    with open(path.with_name("reference.csv"), "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["subject", "nll", "crps"])
+        writer.writerows([i, repr(a), repr(b)]
+                         for i, (a, b) in enumerate(zip(report.nll.tolist(), report.crps.tolist())))
+    assert path.read_bytes() == path.with_name("reference.csv").read_bytes()
+
+
+def _json_reference(report) -> str:
+    """``report.json`` as json.dumps writes the document of every report so far."""
+    doc = {"per_subject": [{"nll": a, "crps": b}
+                           for a, b in zip(report.nll.tolist(), report.crps.tolist())]}
+    doc.update(mean_nll=report.mean_nll, mean_crps=report.mean_crps, c_index=report.c_index,
+               n_subjects=report.n_subjects, n_comparable_pairs=report.n_comparable_pairs,
+               t_max=report.t_max)
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(report=_reports())
+def test_report_json_matches_json_dumps_on_drawn_reports(report):
+    """The same text, or the same ValueError for a NaN or infinite score."""
+    try:
+        expected = _json_reference(report)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            report.to_json()
+        assert str(info.value) == str(exc)
+    else:
+        assert report.to_json() == expected
+
+
+def test_report_json_of_no_subjects():
+    report = EvaluationReport(np.empty(0), np.empty(0), mean_nll=0.0, mean_crps=0.0,
+                              c_index=None, n_subjects=0, n_comparable_pairs=0, t_max=1)
+    assert report.to_json() == _json_reference(report)
+
+
 _GRID_BLOCK = WRITE_VALUES // CDF_GRID_POINTS  # subjects per block of the grid writer
 
 
@@ -254,6 +313,17 @@ def _bernstein_model(rng) -> FittedModel:
         head_params=init_head(spec) + 0.3 * rng.normal(size=head_size(spec)),
         extractor_params=init_params(spec.extractor, 5),
         train_nll=0.0, validation_nll=0.0,
+    )
+
+
+def _baseline_model(rng) -> FittedModel:
+    """A model without covariates: one CDF, which a batch returns as a single row."""
+    spec = ModelSpec(family=TargetFamily.LOGISTIC, parameterization=Parameterization.BASELINE,
+                     bernstein_order=4)
+    return FittedModel(
+        spec=spec, scaler=LogTimeScaler(np.log(0.1), np.log(20.0)),
+        head_params=init_head(spec) + 0.3 * rng.normal(size=head_size(spec)),
+        extractor_params=np.zeros(0), train_nll=0.0, validation_nll=0.0,
     )
 
 
@@ -316,6 +386,25 @@ class TestWriteCdfGrid:
             writer.writerow(["subject", "time", "cdf"])
             for i, row in enumerate(values):
                 writer.writerows([i, repr(float(t)), repr(float(v))] for t, v in zip(grid, row))
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("baseline", [False, True], ids=["bernstein", "baseline"])
+    @pytest.mark.parametrize("n", [1, _GRID_BLOCK + 1, 113])
+    def test_bytes_match_csv_writer_across_index_widths(self, tmp_path, baseline, n):
+        """Partial blocks, indices past 10 and 100, and a baseline's one (1, 200) row."""
+        rng = np.random.default_rng(912)
+        model = _baseline_model(rng) if baseline else _bernstein_model(rng)
+        x = rng.normal(size=(n, 0 if baseline else 2))
+        dist, dataset = _grid_inputs(model, x)
+        write_cdf_grid(dist, dataset, tmp_path / "grid.csv")
+
+        grid = np.exp(np.linspace(model.scaler.a_lo, model.scaler.b_hi, CDF_GRID_POINTS))
+        values = dist.cdf(np.broadcast_to(grid, (n, CDF_GRID_POINTS)))
+        with open(tmp_path / "reference.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["subject", "time", "cdf"])
+            for i, row in enumerate(values.tolist()):
+                writer.writerows([i, repr(t), repr(v)] for t, v in zip(grid.tolist(), row))
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_a_block_builds_one_basis_for_the_grid(self, tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from tramsurv import (
+    CensoringKind,
     ConditionalDistribution,
     ModelSpec,
     ModelState,
@@ -79,13 +80,27 @@ _CELL = st.one_of(st.floats(0.1, 9.0), st.text(max_size=1), st.just(10**400),
 # two rows of one or two cells each: equal or ragged
 _ROWS = st.lists(st.lists(_CELL, min_size=1, max_size=2), min_size=2, max_size=2)
 _COLUMN = st.lists(_CELL, min_size=2, max_size=2)
+# feature names: lists and tuples of text of any length, and a str (a sequence, but not of names)
+_NAMES = st.one_of(st.lists(st.text(max_size=2), max_size=3),
+                   st.lists(st.text(max_size=2), max_size=3).map(tuple), st.text(max_size=3))
+_OBSERVATIONS = st.lists(st.one_of(st.builds(Observation.exact, st.floats(0.1, 9.0),
+                                             st.lists(st.floats(-2.0, 2.0), min_size=1,
+                                                      max_size=1)),
+                                   _JUNK), max_size=3)
 
 
-def _dataset(x, t_lower, t_upper, kind) -> SurvivalDataset:
+def _dataset(x, t_lower, t_upper, kind, feature_names) -> SurvivalDataset:
     """A dataset that holds the codes it was given: none is rounded or wrapped."""
-    dataset = SurvivalDataset(x, t_lower, t_upper, kind)
+    dataset = SurvivalDataset(x, t_lower, t_upper, kind, feature_names)
     np.testing.assert_array_equal(dataset.kind, kind)
     return dataset
+
+
+def _has_names(dataset) -> bool:
+    names = dataset.feature_names
+    return (isinstance(dataset, SurvivalDataset) and isinstance(names, list)
+            and len(names) == dataset.p and all(isinstance(name, str) for name in names))
+
 
 # entry point: (call, strategy of each argument, what a successful result must satisfy)
 _ENTRY_POINTS = {
@@ -187,9 +202,39 @@ _ENTRY_POINTS = {
             "t_upper": _or_junk(st.just([1.0, np.inf]), _COLUMN),
             "kind": _or_junk(st.just([0, 1]), st.lists(st.sampled_from([0, 3, 2.5, 300, -129]),
                                                        min_size=2, max_size=2)),
+            "feature_names": _or_junk(st.just([]), st.just(["age"]), _NAMES),
         },
         lambda ds: (ds.x.dtype == float and ds.x.shape == (ds.n, ds.p)
-                    and ds.t_lower.shape == ds.t_upper.shape == ds.kind.shape == (ds.n,)),
+                    and ds.t_lower.shape == ds.t_upper.shape == ds.kind.shape == (ds.n,)
+                    and _has_names(ds)),
+    ),
+    "SurvivalDataset feature_names": (
+        lambda feature_names: SurvivalDataset([[0.0, 1.0]], [1.0], [1.0], [0], feature_names),
+        {"feature_names": _or_junk(st.just(["age", "dose"]), _NAMES)},
+        _has_names,
+    ),
+    "SurvivalDataset.from_observations": (
+        SurvivalDataset.from_observations,
+        {"rows": _or_junk(_OBSERVATIONS), "feature_names": _or_junk(st.none(), _NAMES)},
+        _has_names,
+    ),
+    "SurvivalDataset.take": (
+        _DATASET.take,
+        {"idx": _or_junk(st.lists(st.integers(-4, 3), max_size=5).map(np.array),
+                         st.lists(st.booleans(), min_size=4, max_size=4).map(np.array))},
+        lambda ds: _has_names(ds) and ds.x.shape == (ds.n, 1),
+    ),
+    "Observation": (
+        Observation,
+        {
+            "time_lower": _or_junk(st.floats(0.1, 9.0)),
+            "time_upper": _or_junk(st.floats(0.1, 9.0)),
+            "censoring": _or_junk(st.sampled_from(list(CensoringKind)),
+                                  st.sampled_from([k.value for k in CensoringKind])),
+            "covariates": _or_junk(_COLUMN),
+        },
+        lambda obs: (isinstance(obs.censoring, CensoringKind) and type(obs.time_lower) is float
+                     and obs.covariates.dtype == float),
     ),
     "Observation.exact": (
         Observation.exact,
