@@ -16,6 +16,12 @@ as ``float.__repr__`` does: fixed notation when the shortest decimal is at
 least 1e-4 and below 1e16 (``0.000123``, ``12.5``, ``1000.0``), otherwise
 ``d.ddde±XX`` with at least two exponent digits (``1e-05``, ``1e+16``).
 Zeros are laid out here too; subnormals, infinities and NaN keep ``repr``.
+The digits come from a table of four-digit groups, whose trailing zeros are
+blanked after the last non-zero group, and fixed notation's zeros up to one
+digit after the point from a table of forms, so no digit count is taken.
+A decimal point after the second digit or later needs a slot after every
+digit; an array without one (all values below 10, exponents of two digits)
+gets rows without the slots: 23 bytes for a value below 1, not 39.
 
 ``LineBuffer`` joins such NUL-padded fields side by side into lines and
 deletes the NULs, in one buffer that a writer reuses from block to block.
@@ -32,181 +38,208 @@ _LOW32, _MASK63 = np.uint64(0xFFFFFFFF), np.uint64((1 << 63) - 1)
 _FIXED = range(-3, 17)  # decimal point places, after the first digit, of fixed notation
 _FORMS = len(_FIXED) + 2  # then exponent notation without and with a decimal point
 
-# The columns of a row, built as six 8-byte words: the sign, "0." and up to
-# three zeros (fixed notation below 1), 17 digits each followed by a slot for
-# the decimal point, then "e", the exponent's sign and three exponent digits.
-_SIGN, _POINT_ZERO, _DIGITS, _EXP, _WIDTH = 0, 1, 6, 40, 48
-# where the words of a first digit and of an exponent start in the word table,
-# after the 10,000 four-digit groups
-_FIRSTS, _EXPONENTS = 10_000, 10_010
+# where the words of the four-digit groups with their trailing zeros blanked, of
+# a first digit and of an exponent start in a word table, after the 10,000 groups
+_BLANKED, _FIRSTS, _EXPONENTS = 10_000, 20_000, 20_010
 _NO_EXPONENT = _EXPONENTS + _X_MAX - _X_MIN + 1  # the empty word of fixed notation
-
-
-def _flog10pow2(q):
-    """floor(q log10 2) for int64 arrays, exact for |q| < 5e6 (Java's ``MathUtils``)."""
-    return (q * 661_971_961_083) >> 41
-
-
-def _flog10_three_quarters_pow2(q):
-    """floor(log10(3/4 2^q)) for int64 arrays."""
-    return (q * 661_971_961_083 - 274_743_187_321) >> 41
-
-
-def _flog2pow10(e: int) -> int:
-    """floor(e log2 10)."""
-    return (e * 913_124_641_741) >> 38
+# added to 4 c: the lower end of a double's interval (one less again where the spacing
+# is regular), the double and the upper end, in quarter ulps
+_BOUNDS = np.array([[(1 << 64) - 1], [0], [2]], dtype=np.uint64)
 
 
 @functools.cache
 def _tables():
-    """Schubfach's scaled powers of ten and the layout tables, built on first use.
+    """Schubfach's scaled powers of ten and the two row layouts, built on first use.
 
     For k in [_K_MIN, _K_MAX], g = floor(10^-k 2^-r) + 1, with r chosen so
-    that 2^125 <= g < 2^126, is split into two 63-bit words; ``log2`` is
-    floor(log2 10^-k).  The layout tables are the text of each four-digit
-    group and its trailing zeros, the digit masks by the number of digits
-    shown, the sign, prefix and point bytes by (sign, notation), and the
-    exponent bytes by exponent (the last row is empty, for fixed notation).
+    that 2^125 <= g < 2^126, is g1 2^63 + g0 with 63-bit words.  Column k of
+    the first table holds g1, the 32-bit limbs of g1 and of g0, and
+    floor(log2 10^-k) + 2 - 1075, to which a double's biased exponent adds to
+    give its shift (in wrapping uint64 arithmetic); the columns run in the
+    order of k modulo their count, so that ``take(k)`` reads a negative k as
+    Python indexing does.  Then come the slotted and the packed row layout.
     """
-    g1, g0, log2 = [], [], []
-    for k in range(_K_MIN, _K_MAX + 1):
-        e = _flog2pow10(-k)
+    g = []
+    for k in [*range(_K_MAX + 1), *range(_K_MIN, 0)]:
+        e = (-k * 913_124_641_741) >> 38  # floor(log2 10^-k)
         r = e - 125
-        g = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
-        g1.append(g >> 63)
-        g0.append(g & ((1 << 63) - 1))
-        log2.append(e)
+        gk = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
+        g1, g0 = gk >> 63, gk & ((1 << 63) - 1)
+        g.append([g1, g1 & 0xFFFFFFFF, g1 >> 32, g0 & 0xFFFFFFFF, g0 >> 32,
+                  (e + 2 - 1075) % (1 << 64)])
+    g = np.array(g, dtype=np.uint64).T.copy()
+    g.flags.writeable = False
+    return g, _row_layout(False), _row_layout(True)
 
-    # word rows: the four-digit groups (digits in every other byte), first digits, exponents;
-    # built by broadcasting bytes, without temporaries
-    rows = np.zeros((_NO_EXPONENT + 1, 8), dtype=np.uint8)
+
+def _row_layout(packed: bool):
+    """The tables of a row layout: its words, its forms and where their columns go.
+
+    A row holds the sign, "0." and up to three zeros (fixed notation below 1),
+    the first digit and a slot for a point after it, 16 digits, then "e", the
+    exponent's sign and its digits.  The slotted layout has six 8-byte words,
+    each of the 16 digits followed by a slot, and three exponent digits; the
+    packed one has seven 4-byte words and two exponent digits.  The word table
+    holds the text of each four-digit group, then of each group with its
+    trailing zeros blanked, the first digits, and the exponents (the last row
+    is empty, for fixed notation); a row's first digit, groups and exponent go
+    to its words from ``first_word`` on.  The form table holds the sign,
+    prefix and point bytes by (sign, notation), and fixed notation's zeros up
+    to one digit after the point, which OR into the digits.  The digits end
+    at column ``digits_end`` and the exponent at ``width``.
+    """
+    size, step = (4, 1) if packed else (8, 2)
+    words = np.zeros((_NO_EXPONENT + 1, size), dtype=np.uint8)
     numerals = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    quads = rows[:_FIRSTS].reshape(10, 10, 10, 10, 8)
-    zeros = np.zeros(10_000, dtype=np.uint8)  # trailing zeros of each group
+    quads = words[:_FIRSTS].reshape(2, 10, 10, 10, 10, size)  # built by broadcasting bytes
     for j in range(4):
-        quads[..., 2 * j] = numerals.reshape((10,) + (1,) * (3 - j))
-        zeros.reshape(10, 10, 10, 10)[(...,) + (0,) * (j + 1)] += 1
-    rows[_FIRSTS:_EXPONENTS, _DIGITS] = numerals
-    for x in range(_X_MIN, _X_MAX + 1):
-        digits = f"{abs(x):03d}"  # two of them below 100, after a NUL
-        text = ("e-" if x < 0 else "e+") + (digits if abs(x) >= 100 else "\0" + digits[1:])
-        rows[_EXPONENTS + x - _X_MIN, :5] = np.frombuffer(text.encode(), dtype=np.uint8)
-    shown = np.zeros((18, _WIDTH), dtype=np.uint8)
-    shown[:, _EXP:] = 0xFF
-    for limit in range(18):
-        shown[limit, _DIGITS : _DIGITS + 2 * limit : 2] = 0xFF
+        quads[..., step * j] = numerals.reshape((10,) + (1,) * (3 - j))
+        # digit j is a trailing zero of the group when it and the digits after it are 0
+        quads[(1,) + (slice(None),) * j + (0,) * (4 - j) + (step * j,)] = 0
+    words[_FIRSTS:_EXPONENTS, 6 % size] = numerals
+    texts = [f"e{x:+03d}".encode() for x in range(_X_MIN, _X_MAX + 1)]  # e-05, e+16, e-100
+    words[_EXPONENTS:_NO_EXPONENT] = np.array(
+        [t * (len(t) <= size) for t in texts], dtype=f"S{size}").view(np.uint8).reshape(-1, size)
 
-    layouts = np.zeros((2, _FORMS, _WIDTH), dtype=np.uint8)
-    layouts[1, :, _SIGN] = ord("-")
+    places = np.r_[6, 8:24] if packed else np.arange(6, 40, 2)  # the digits' columns
+    digits_end = places[-1] + 1 + (not packed)
+    forms = np.zeros((2, _FORMS, digits_end + size), dtype=np.uint8)
+    forms[1, :, 0] = ord("-")
     for form, point in enumerate(_FIXED):
         if point <= 0:
-            layouts[:, form, _POINT_ZERO : _POINT_ZERO + 2 - point] = np.frombuffer(
-                b"0." + b"0" * -point, dtype=np.uint8)
-        else:  # the point slot after digit point - 1
-            layouts[:, form, _DIGITS + 2 * point - 1] = ord(".")
-    layouts[:, _FORMS - 1, _DIGITS + 1] = ord(".")
-    words = rows.view(np.uint64).ravel()
-    tables = (np.array(g1, dtype=np.uint64), np.array(g0, dtype=np.uint64),
-              np.array(log2, dtype=np.int64), words, zeros, shown.view(np.uint64),
-              layouts.reshape(2 * _FORMS, _WIDTH).view(np.uint64))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+            forms[:, form, 1 : 3 - point] = np.frombuffer(b"0." + b"0" * -point, dtype=np.uint8)
+        elif point == 1 or not packed:  # the point in the slot after digit point - 1
+            forms[:, form, places[: point + 1]] = ord("0")
+            forms[:, form, places[point - 1] + 1] = ord(".")
+    forms[:, _FORMS - 1, 7] = ord(".")
+    dtype = np.uint32 if packed else np.uint64
+    words, forms = words.view(dtype).ravel(), forms.reshape(2 * _FORMS, -1).view(dtype)
+    words.flags.writeable = forms.flags.writeable = False
+    return words, forms, int(packed), digits_end, digits_end + 5 - packed
 
 
-def _limbs(x):
-    return x & _LOW32, x >> np.uint64(32)
-
-
-def _mulhi(a_lo, a_hi, b_lo, b_hi):
+def _mulhi(a_limbs, k, b_lo, b_hi):
     """High 64-bit words of the 128-bit products a b, in 32-bit limbs as ``sample._mulhilo``.
 
-    With a < 2^63 and b < 2^60 the middle sum stays below 2^64, so no carry
-    is lost.
+    a's low and high limbs are the rows of ``a_limbs`` at the columns k, each
+    gathered when it is used, and b's limbs are (3, n).  With a < 2^63 and
+    b < 2^60 the middle sum stays below 2^64, so no carry is lost.
     """
-    middle = a_hi * b_lo + a_lo * b_hi + (a_lo * b_lo >> np.uint64(32))
-    return a_hi * b_hi + (middle >> np.uint64(32))
+    middle, product = np.empty_like(b_lo), np.empty_like(b_lo)
+    a = a_limbs[0].take(k)
+    for i in range(3):  # row by row, since numpy would copy a broadcast a in buffers
+        np.multiply(a, b_lo[i], out=middle[i])
+        np.multiply(a, b_hi[i], out=product[i])
+    middle >>= np.uint64(32)
+    middle += product
+    del a
+    a = a_limbs[1].take(k)
+    for i in range(3):
+        np.multiply(a, b_lo[i], out=product[i])
+    middle += product
+    middle >>= np.uint64(32)
+    for i in range(3):
+        np.multiply(a, b_hi[i], out=product[i])
+    product += middle
+    return product
 
 
-def _rop(g1, g1_limbs, g0_limbs, cp):
-    """Schubfach's r_o': cp g 2^-127 rounded to odd, for g = g1 2^63 + g0."""
-    cp_limbs = _limbs(cp)
-    z = (g1 * cp >> np.uint64(1)) + _mulhi(*g0_limbs, *cp_limbs)
-    rounded = _mulhi(*g1_limbs, *cp_limbs) + (z >> np.uint64(63))
-    return rounded | (((z & _MASK63) + _MASK63) >> np.uint64(63))
+def _shortest(bits, biased):
+    """Shortest round-trip decimals f 10^k of normal doubles; f has 16 or 17 digits.
 
-
-def _shortest(bits):
-    """Shortest round-trip decimals f 10^k of normal doubles; f has 16 or 17 digits."""
-    g1, g0, log2 = _tables()[:3]
-    biased = (bits >> np.uint64(52)) & np.uint64(0x7FF)
+    ``biased`` holds their biased exponents.  Schubfach's three products, of
+    the lower end of a double's interval, the double and the upper end, run
+    as one over a (3, n) operand.
+    """
+    g = _tables()[0]
     c = (bits & np.uint64((1 << 52) - 1)) | np.uint64(1 << 52)
-    q = biased.astype(np.int64) - 1075
     regular = (c != np.uint64(1 << 52)) | (biased == 1)  # the lower neighbour is a full ulp away
-    k = np.where(regular, _flog10pow2(q), _flog10_three_quarters_pow2(q))
-    at = k - _K_MIN
-    g1, g0 = g1.take(at), g0.take(at)
-    g = [g1, _limbs(g1), _limbs(g0)]
-    shift = (q + log2.take(at) + 2).astype(np.uint8)  # 2 to 5
-    del biased, q, at, g0
-    cb = c << np.uint64(2)
-    # 4 10^-k times the lower end of the double's interval, the double and the upper end
-    vbl = _rop(*g, cb - np.uint64(1) - regular << shift)
-    vb = _rop(*g, cb << shift)
-    vbr = _rop(*g, cb + np.uint64(2) << shift)
-    del regular, g1, g, shift, cb
+    # k = floor(log10 2^q), or floor(log10(3/4 2^q)) where the spacing is not regular
+    # (Java's MathUtils, exact for |q| < 5e6)
+    k = (biased.astype(np.int64) - 1075) * 661_971_961_083
+    k -= np.where(regular, 0, 274_743_187_321)
+    k >>= 41
+    cp = (c << np.uint64(2)) + _BOUNDS
+    del c
+    cp[0] -= regular
+    cp <<= g[5].take(k) + biased  # 2 to 5
+    del regular
+    # Schubfach's r_o': cp g 2^-127 rounded to odd, for g = g1 2^63 + g0
+    z = g[0].take(k) * cp
+    z >>= np.uint64(1)
+    hi = cp >> np.uint64(32)
+    cp &= _LOW32
+    z += _mulhi(g[3:5], k, cp, hi)
+    rounded = _mulhi(g[1:3], k, cp, hi)
+    del cp, hi
+    rounded += z >> np.uint64(63)
+    z &= _MASK63
+    z += _MASK63
+    z >>= np.uint64(63)
+    rounded |= z
+    del z
     # An odd significand's interval excludes its ends (reading rounds half to even).
-    odd = c & np.uint64(1)
-    lo, hi = vbl + odd, vbr - odd
+    lo, vb, hi = rounded
+    odd = bits & np.uint64(1)
+    lo += odd
+    hi -= odd
+    del odd
     s = vb >> np.uint64(2)
     sp10 = s // np.uint64(10) * np.uint64(10)  # s with its last digit cut
     upin, wpin = lo <= sp10 << np.uint64(2), (sp10 << np.uint64(2)) + np.uint64(40) <= hi
     uin, win = lo <= s << np.uint64(2), (s << np.uint64(2)) + np.uint64(4) <= hi
-    nearest = (vb + np.uint64(1) + (s & np.uint64(1))) >> np.uint64(2)  # a tie goes to even
-    f = np.where(win, np.where(uin, nearest, s + np.uint64(1)), s)  # one of them reads back
-    f = np.where(upin != wpin, np.where(upin, sp10, sp10 + np.uint64(10)), f)
+    # s, s + 1 or the nearer of them to the double (a tie to the even one): one reads back
+    nearer_up = (vb & np.uint64(3)) + (s & np.uint64(1)) > 2
+    f = s + (win & (~uin | nearer_up))
+    f = np.where(upin != wpin, sp10 + np.uint64(10) * wpin, f)
     return f, k
 
 
 def _layout(f, k, neg):
-    """Rows of the text of the decimals f 10^k, NUL where unused; negative where ``neg``.
+    """Rows of the text of the decimals f 10^k, NUL where unused; negative where ``neg`` is 1.
 
     f has 16 or 17 digits, or is 0 with k = -15 for a zero.
     """
-    words, zeros, shown, layouts = _tables()[3:]
     short = f < np.uint64(10**16)
     f = np.where(short, f * np.uint64(10), f)  # 17 digits
     point = k + 17 - short  # the decimal point's place after the first digit
+    # no point after the second digit or later, and exponents of two digits
+    packed = point.max(initial=1) <= 1 and point.min(initial=1) >= -98
+    words, forms, first_word, digits_end, width = _tables()[1 + packed]
     # the first digit, then four groups of four
     top = f // np.uint64(10**8)
     low = (f - top * np.uint64(10**8)).astype(np.uint32)
+    del f
     top = top.astype(np.uint32)
-    first = top // np.uint32(10**8)
-    top -= first * np.uint32(10**8)
-    groups = []
-    for part in (top, low):
-        high = part // np.uint32(10**4)
-        groups += [high, part - high * np.uint32(10**4)]
-    ends = [zeros.take(group) for group in groups]  # trailing zeros, 4 for 0000
-    top_end, low_end = (np.where(b == 4, 4 + a, b) for a, b in (ends[:2], ends[2:]))
-    n = 17 - np.where(low_end == 8, 8 + top_end, low_end).astype(np.intp)  # significant digits
-    del f, top, low, ends, top_end, low_end
+    index = np.empty((6, len(top)), dtype=np.intp)  # the words of the rows
+    np.floor_divide(top, np.uint32(10**8), out=index[0])
+    top -= (index[0] * 10**8).astype(np.uint32)
     fixed = (point >= _FIXED[0]) & (point <= _FIXED[-1])
     # leave out the sign and exponent columns when no row uses them
-    columns = slice(0 if neg.any() else 1, _EXP if fixed.all() else _EXP + 5)
-    # fixed notation keeps the zeros before the point and one after it
-    limit = np.where(fixed & (point >= 1), np.maximum(n, point + 1), n)
-    form = np.where(fixed, point - _FIXED[0], _FORMS - 2 + (n > 1)) + neg.astype(np.intp) * _FORMS
-    exponent = np.where(fixed, _NO_EXPONENT, point - 1 - _X_MIN + _EXPONENTS)
-    # the (n, 6) arrays below are the kernel's largest: free what they do not need first
-    index = np.stack([first + _FIRSTS, *groups, exponent], axis=1)
-    del point, n, fixed, first, groups, exponent
+    columns = slice(0 if neg.any() else 1, digits_end if fixed.all() else width)
+    # exponent notation has a point when a digit after the first is not 0
+    form = np.where(fixed, point - _FIXED[0], _FORMS - 2 + ((top | low) != 0)) + neg * _FORMS
+    index[5] = np.where(fixed, _NO_EXPONENT, point + (_EXPONENTS - 1 - _X_MIN))
+    del point, fixed
+    index[0] += _FIRSTS
+    for row, part in ((1, top), (3, low)):
+        np.floor_divide(part, np.uint32(10**4), out=index[row])
+        np.subtract(part, index[row] * 10**4, out=index[row + 1])
+    del top, low
+    # a group shows its trailing zeros only when a later group is not 0
+    later = index[2:5] == 0
+    later[1] &= later[2]
+    later[0] &= later[1]
+    index[1:4] += later * _BLANKED
+    index[4] += _BLANKED
+    del later
     text = words.take(index)
     del index
-    text &= shown.take(limit, axis=0)
-    del limit
-    text |= layouts.take(form, axis=0)
-    return text.view(np.uint8)[:, columns]
+    rows = forms.take(form, axis=0)
+    del form
+    for column, word in enumerate(text, first_word):
+        rows[:, column] |= word
+    return rows.view(np.uint8)[:, columns]
 
 
 def repr_bytes(values) -> np.ndarray:
@@ -217,15 +250,22 @@ def repr_bytes(values) -> np.ndarray:
     """
     bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.uint64)
     biased = (bits >> np.uint64(52)) & np.uint64(0x7FF)
-    normal = (biased != 0) & (biased != 0x7FF)
+    normal = biased - np.uint64(1) < np.uint64(0x7FE)  # not zero, subnormal, infinite or NaN
+    every = normal.all()
+    rows = slice(None) if every else normal  # a view of all rows, or a copy of the normal ones
+    biased = biased[rows]
+    shortest = _shortest(bits[rows], biased)
     del biased
-    shortest = _shortest(bits[normal])  # before f and k, which would sit beside its temporaries
-    f, k = np.zeros(bits.size, dtype=np.uint64), np.full(bits.size, -15)  # zero is 0.0
-    f[normal], k[normal] = shortest
+    if every:
+        f, k = shortest
+    else:  # made after, so that they do not sit beside the temporaries of _shortest
+        f, k = np.zeros(bits.size, dtype=np.uint64), np.full(bits.size, -15)  # zero is 0.0
+        f[normal], k[normal] = shortest
     del shortest
-    text = _layout(f, k, bits >> np.uint64(63))
-    other = np.flatnonzero(~normal & (bits << np.uint64(1) != 0))  # not zero
-    if other.size:  # every row is wider than the 24 bytes of the longest repr
+    text = _layout(f, k, (bits >> np.uint64(63)).view(np.int64))
+    if not every:
+        other = np.flatnonzero(~normal & (bits << np.uint64(1) != 0))  # not zero
+        # the rows hold their longest repr: 23 bytes, 24 with a sign (a subnormal's)
         special = [repr(v).encode() for v in bits[other].view(np.float64).tolist()]
         width = text.shape[1]
         text[other] = np.array(special, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
@@ -240,11 +280,16 @@ class LineBuffer:
     string that every line repeats.  The leading axes of the arrays
     broadcast against each other, and each element of the broadcast shape
     is a line.  The buffer grows to the largest block's lines, so a writer
-    that makes one per call faults in no fresh pages for them.
+    that makes one per call faults in no fresh pages for them.  A field that
+    comes back at the same place in a block of the same layout, as the same
+    byte string or the same read-only array, keeps the columns it left in the
+    buffer; a writeable array is copied every time.
     """
 
     def __init__(self):
         self._buffer = np.empty(0, dtype=np.uint8)
+        self._layout = None  # the shape and field widths of the last block
+        self._kept = []  # its fields that cannot change, None for the others
 
     def join(self, fields: list) -> bytes:
         """The lines of ``fields`` as bytes, NULs deleted.
@@ -253,14 +298,20 @@ class LineBuffer:
         ``tobytes`` and ``translate`` copy the lines.
         """
         arrays = [np.frombuffer(f, dtype=np.uint8) if isinstance(f, bytes) else f for f in fields]
-        fields.clear()
-        shape = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
-        width = sum(a.shape[-1] for a in arrays)
-        size = math.prod(shape) * width
+        shape = np.broadcast_shapes(*[a.shape[:-1] for a in arrays])  # see Coefficients.take
+        widths = [a.shape[-1] for a in arrays]
+        size = math.prod(shape) * sum(widths)
         if self._buffer.size < size:
-            self._buffer = np.empty(size, dtype=np.uint8)
-        lines = self._buffer[:size].reshape(*shape, width)
-        np.concatenate([np.broadcast_to(a, (*shape, a.shape[-1])) for a in arrays], axis=-1,
-                       out=lines)
+            self._buffer, self._layout = np.empty(size, dtype=np.uint8), None
+        lines = self._buffer[:size].reshape(*shape, sum(widths))
+        kept = self._kept if self._layout == (shape, widths) else [None] * len(fields)
+        self._layout, self._kept = (shape, widths), [
+            f if isinstance(f, bytes) or not f.flags.writeable else None for f in fields]
+        fields.clear()
+        start = 0
+        for field, array, width, old in zip(self._kept, arrays, widths, kept):
+            if field is None or field is not old:
+                lines[..., start : start + width] = array
+            start += width
         del arrays
         return lines.tobytes().translate(None, b"\0")

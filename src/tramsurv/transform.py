@@ -117,7 +117,9 @@ class Coefficients(NamedTuple):
 
     def take(self, rows) -> "Coefficients":
         """The rows an index, a mask, a slice or an index array selects (any numpy index)."""
-        return Coefficients(*(v[rows] if r else v for v, r in zip(self, self._per_row())))
+        # a list: unpacking a generator resizes a new tuple per call, and CPython keeps
+        # such tuples in its free list, so a writer's traced memory grew with its blocks
+        return Coefficients(*[v[rows] if r else v for v, r in zip(self, self._per_row())])
 
 
 def _rows_dot(f: np.ndarray, d: np.ndarray) -> np.ndarray:
