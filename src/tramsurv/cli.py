@@ -607,7 +607,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_flags(p_ens)
     p_ens.add_argument("--members", type=int, default=10)
     p_ens.add_argument("--top", type=int, default=5)
-    p_ens.add_argument("--jobs", type=int, default=1)
+    p_ens.add_argument("--jobs", type=int, default=1,
+                       help="at most this many worker processes; below the bound (members "
+                            "x rows x epochs under fit.POOL_MIN_WORK) the stack runs in "
+                            "this process")
     p_ens.add_argument("--out", required=True)
     p_ens.set_defaults(handler=_cmd_ensemble)
     return parser

@@ -35,15 +35,16 @@ deterministic given the seed.  One SGD loop trains a stack of M models (see
 axis, and every operation acts per member (stacked matrix products, dots
 and sums along the last axis), so a member's numbers do not depend on the
 members stacked with it.  ``fit`` is a stack of one; ``fit_ensemble`` fits
-its bootstrap members as contiguous stacks, one per worker process.  The
-likelihood reads a plan of the dataset, built once after the scaler is
-frozen (see ``_Plan``); each epoch gathers every member's shuffled training
-rows once and feeds the minibatches as contiguous slices of that gather.
-The basis is elementwise in the rows, so a slice scores bitwise as the same
-rows computed alone.  The epoch NLLs come from one pass over the plan's rows,
-whose terms each member gathers in the order of its rows, so every sum keeps
-its order; a matrix product gives a row the same bits in any batch of two or
-more rows.
+its bootstrap members as contiguous stacks, one per worker process, with
+at most ``jobs`` workers; below ``POOL_MIN_WORK`` the one stack runs in this
+process.  The likelihood reads a plan of the dataset, built once after the
+scaler is frozen (see ``_Plan``); each epoch gathers every member's
+shuffled training rows once and feeds the minibatches as contiguous slices
+of that gather.  The basis is elementwise in the rows, so a slice scores
+bitwise as the same rows computed alone.  The epoch NLLs come from one pass
+over the plan's rows, whose terms each member gathers in the order of its
+rows, so every sum keeps its order; a matrix product gives a row the same
+bits in any batch of two or more rows.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -91,6 +92,12 @@ logger = logging.getLogger(__name__)
 
 INTERVAL_MASS_FLOOR = 1e-12
 GRAD_CLIP = 10.0  # global norm above which a minibatch gradient is scaled down
+# fit_ensemble fits one stack in this process below this many members x rows x epochs.
+# A stacked step costs about the same for 3 members as for 6, so each worker repeats
+# it, plus ~9 ms for the pool and a cold first fit.  10 members, 2 epochs, 2 vCPUs,
+# medians of 6: jobs 2 lost 5-35% to jobs 1 up to 7.5k rows (150k), was even at 10k
+# (200k), and won from 15k rows (300k) up: 2-17% to 25k, 20-45% from 30k.
+POOL_MIN_WORK = 250_000
 
 
 @dataclass
@@ -316,8 +323,8 @@ def _nll_core(spec: ModelSpec, scaler: LogTimeScaler, head, ext, plan: _Plan, wa
     else:
         up_h = np.where(interval, target.density(fam, h) * inv, up_h)
         d_hi = pullback_hi(-target.density(fam, h_hi) * inv, np.zeros(h.shape))
-        d_coef = Coefficients(*(lo if hi is None else lo + hi
-                                for lo, hi in zip(pullback(up_h, up_dh), d_hi)))
+        d_coef = Coefficients(*[lo if hi is None else lo + hi
+                                for lo, hi in zip(pullback(up_h, up_dh), d_hi)])
     _, d_feats = coef_pullback(d_coef, out=grad.head)
     if tape is not None:
         feature.backward(tape, d_feats, out=grad.layers)
@@ -574,6 +581,13 @@ def _fit_stack(args) -> list:
     return [(member, m.seed, model) for member, m, model in zip(members, stack, models)]
 
 
+def _workers(jobs: int, n_members: int, n_rows: int, epochs: int) -> int:
+    """How many stacks ``fit_ensemble`` fits, each in its own worker; 1 fits in this process."""
+    if n_members * n_rows * epochs < POOL_MIN_WORK:
+        return 1
+    return min(jobs, n_members)
+
+
 def fit_ensemble(
     dataset: SurvivalDataset,
     spec: ModelSpec,
@@ -587,10 +601,12 @@ def fit_ensemble(
 
     Each member trains on a bootstrap resample (n draws with replacement) and
     validates on its out-of-bag observations; all members share the scaler
-    fitted to the full dataset.  The members are split into
-    ``min(jobs, n_members)`` contiguous stacks, each fitted by one SGD loop:
-    in this process for one stack, else one stack per worker process.  A
-    member's model does not depend on its stack, so neither does the result
+    fitted to the full dataset.  ``jobs`` is at most this many workers:
+    below ``POOL_MIN_WORK`` (members x rows x epochs) the members run as one
+    stack in this process, since a stacked step costs about the same for
+    every member count; above it they are split into ``min(jobs, n_members)``
+    contiguous stacks, one per worker process, each fitted by one SGD loop.
+    A member's model does not depend on its stack, so neither does the result
     on ``jobs``; selection sorts by (validation NLL, member seed).
     """
     require_int("n_members", n_members, 1)
@@ -601,7 +617,8 @@ def fit_ensemble(
     config = _training_config(dataset, spec, config)
     scaler = fit_scaler(dataset)
 
-    stacks = np.array_split(np.arange(n_members), min(jobs, n_members))
+    workers = _workers(jobs, n_members, dataset.n, config.epochs)
+    stacks = np.array_split(np.arange(n_members), workers)
     tasks = [(dataset, spec, config, scaler, stack.tolist()) for stack in stacks]
     if len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:

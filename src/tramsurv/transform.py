@@ -535,7 +535,7 @@ class EnsembleDistribution(Pointwise):
         the root: every member CDF is at most p at its lower end and at least
         p at its upper end.  The slope is the mean of f_Z(h_m) * dh_m/dlog t.
         """
-        _, lo, hi = zip(*(m.log_time_bracket(p, subjects) for m in self.members))
+        _, lo, hi = zip(*[m.log_time_bracket(p, subjects) for m in self.members])
 
         def mean_cdf_at_log_time(u, rows):
             values, slopes = [], []

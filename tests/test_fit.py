@@ -34,6 +34,7 @@ from tramsurv.fit import (
     _Plan,
     _bootstrap_member,
     _run_sgd,
+    _workers,
     fit,
     fit_ensemble,
     nll_batch,
@@ -375,9 +376,12 @@ class TestStackedMembers:
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("parameterization", list(Parameterization))
     @pytest.mark.parametrize("family", list(TargetFamily))
-    def test_member_model_does_not_depend_on_its_stack(self, family, parameterization, activation):
+    def test_member_model_does_not_depend_on_its_stack(self, family, parameterization, activation,
+                                                       monkeypatch):
         """A member's model is the same bytes in a stack of 1, 3 or 6, with jobs 1 or 2,
         and while other members of its stack stop early."""
+        # a bound of 0 splits even this small ensemble across workers at jobs 2
+        monkeypatch.setattr(sys.modules["tramsurv.fit"], "POOL_MIN_WORK", 0)
         seed = 950 + 10 * list(Parameterization).index(parameterization)
         rng = np.random.default_rng(seed + list(TargetFamily).index(family))
         spec = _spec_for(parameterization, family, activation=activation)
@@ -709,7 +713,8 @@ class TestFitEnsemble:
         assert len(ens.members) == 1
         assert ens.selected_indices == [0]
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["tramsurv.fit"], "POOL_MIN_WORK", 0)
         ds, spec, cfg = self._setup(seed=405, n=80)
         serial = fit_ensemble(ds, spec, cfg, n_members=4, top_m=2, jobs=1)
         parallel = fit_ensemble(ds, spec, cfg, n_members=4, top_m=2, jobs=2)
@@ -754,6 +759,7 @@ class TestFitEnsemble:
 
         # the module, not the package's ``fit`` function of the same name
         monkeypatch.setattr(sys.modules["tramsurv.fit"], "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sys.modules["tramsurv.fit"], "POOL_MIN_WORK", 0)
         ds, spec, cfg = self._setup(seed=411, n=40)
         capped = fit_ensemble(ds, spec, cfg, n_members=3, top_m=3, jobs=64)
         split = fit_ensemble(ds, spec, cfg, n_members=5, top_m=3, jobs=2)
@@ -765,6 +771,35 @@ class TestFitEnsemble:
         assert split.pool_validation_nlls[:3].tolist() == serial.pool_validation_nlls.tolist()
         for a, b in zip(capped.members, serial.members):
             assert serialize_model(a) == serialize_model(b)
+
+    def test_small_ensemble_starts_no_pool(self, monkeypatch):
+        """Below the bound, jobs 2 fits the one stack in this process, with jobs 1's bytes."""
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a small ensemble started a worker pool")
+
+        ds, spec, cfg = self._setup(seed=413, n=60)
+        serial = fit_ensemble(ds, spec, cfg, n_members=4, top_m=4, jobs=1)
+        monkeypatch.setattr(sys.modules["tramsurv.fit"], "ProcessPoolExecutor", NoPool)
+        pooled = fit_ensemble(ds, spec, cfg, n_members=4, top_m=4, jobs=2)
+        assert pooled.selected_indices == serial.selected_indices
+        assert pooled.pool_validation_nlls.tolist() == serial.pool_validation_nlls.tolist()
+        assert [serialize_model(m) for m in pooled.members] == [
+            serialize_model(m) for m in serial.members
+        ]
+
+    @pytest.mark.parametrize("jobs, n_members, n_rows, epochs, workers", [
+        (2, 6, 200, 80, 1),  # the bench ensemble workload: 96k
+        (2, 10, 5_000, 2, 1),  # 100k
+        (2, 10, 20_000, 2, 2),  # the 20k probe: 400k
+        (2, 10, 100_000, 2, 2),  # the 100k probe: 2M
+        (1, 10, 100_000, 2, 1),
+        (2, 1, 100_000, 20, 1),  # one member is one stack at any size
+        (64, 10, 100_000, 2, 10),  # no more workers than members
+        (64, 10, 5_000, 2, 1),
+    ])
+    def test_workers_start_only_above_the_bound(self, jobs, n_members, n_rows, epochs, workers):
+        assert _workers(jobs, n_members, n_rows, epochs) == workers
 
     def test_members_share_scaler(self):
         ds, spec, cfg = self._setup(seed=407)
