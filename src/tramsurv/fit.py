@@ -47,7 +47,6 @@ rows, so every sum keeps its order; a matrix product gives a row the same
 bits in any batch of two or more rows.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 import logging
 from typing import NamedTuple
@@ -169,8 +168,10 @@ def _interval_mass(family, h_lower, h_upper):
 class _Plan(NamedTuple):
     """The rows of a dataset as the likelihood reads them; none of it depends on the parameters.
 
-    The covariates, the censoring kinds as row masks, the log-times and the
-    basis and derivative rows at them (None for the linear
+    The covariates, the censoring kinds as row masks, the log-times and
+    ``transform.basis_rows`` at them: the two basis tables, b_K for h and
+    K b_{K-1} for dh/du, and the excess beyond the scaler's range, None when
+    no row has one (the whole entry is None for the linear
     parameterizations).  ``left`` and ``interval`` are None when the dataset
     has no such rows, and every other row is right-censored.  With interval
     rows, ``upper_log_t`` and ``upper_basis`` give every row an upper
@@ -209,7 +210,8 @@ class _Plan(NamedTuple):
             for column, upper in zip(upper_basis, basis_rows(spec, upper_log_t[rows], scaler)):
                 column[rows] = upper
         return cls(dataset.x, kind == CensoringKind.EXACT.code, left if left.any() else None,
-                   interval if rows.size else None, log_t, basis, upper_log_t, upper_basis)
+                   interval if rows.size else None, log_t, _in_range(basis), upper_log_t,
+                   _in_range(upper_basis))
 
     def take(self, rows) -> "_Plan":
         """The rows an index array selects, in its order, or a basic numpy index of the columns.
@@ -220,25 +222,27 @@ class _Plan(NamedTuple):
         """
         if isinstance(rows, np.ndarray):
             def gather(column):
-                return column.take(rows, axis=0)
+                return None if column is None else column.take(rows, axis=0)
         else:
             def gather(column):
-                return column[rows]
+                return None if column is None else column[rows]
 
         x, exact, left, interval, log_t, basis, upper_log_t, upper_basis = self
         return _Plan(
-            gather(x), gather(exact),
-            None if left is None else gather(left),
-            None if interval is None else gather(interval),
-            gather(log_t),
-            None if basis is None else (gather(basis[0]), gather(basis[1])),
-            None if upper_log_t is None else gather(upper_log_t),
-            None if upper_basis is None else (gather(upper_basis[0]), gather(upper_basis[1])),
+            gather(x), gather(exact), gather(left), gather(interval), gather(log_t),
+            None if basis is None else tuple(map(gather, basis)),
+            gather(upper_log_t),
+            None if upper_basis is None else tuple(map(gather, upper_basis)),
         )
 
     def shared(self) -> "_Plan":
         """The plan as one batch that every member of a stack scores: a unit member axis."""
         return self.take(None)
+
+
+def _in_range(rows):
+    """``basis_rows`` with the excess None where it is all zero, so a step skips the tails."""
+    return rows if rows is None or rows[2].any() else (rows[0], rows[1], None)
 
 
 class _Views(NamedTuple):
@@ -621,6 +625,9 @@ def fit_ensemble(
     stacks = np.array_split(np.arange(n_members), workers)
     tasks = [(dataset, spec, config, scaler, stack.tolist()) for stack in stacks]
     if len(tasks) > 1:
+        # imported here: it loads multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             results = [r for stack in pool.map(_fit_stack, tasks) for r in stack]
     else:

@@ -6,8 +6,10 @@ Every parameterization is one form, strictly increasing in t,
 
 with b the Bernstein basis at the scaled log-time u, extended linearly
 outside the training range, and F(t | x) = F_Z(h(t | x)).  ``coefficients``
-maps the head and each subject's features to (theta, s, c, m);
-``eval_transform`` evaluates the form and dh/dlog t at log-times.  Each has a
+maps the head and each subject's features to (theta, increments, s, c, m),
+the increments being theta's positive steps; ``eval_transform`` evaluates
+the form and dh/dlog t = s K b_{K-1}(u)^T increments / span, a sum of
+positive terms, at log-times.  Each has a
 hand-written pullback, and training composes the two.  A distribution holds
 its subjects' coefficients, computed once, and broadcasts them over a
 subject's row of times: no per-node gather remains.  ``Pointwise`` writes
@@ -92,20 +94,24 @@ def _rowdot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 class Coefficients(NamedTuple):
     """The coefficients of h(t | x) = s * b(u)^T theta + c + m * log t.
 
-    A field holds one value for every row, or one per row on a leading axis:
-    ``theta`` is (k,) or (n, k); ``s``, ``c`` and ``m`` are scalars or (n,).
-    A stack of M models adds a member axis first, and a member's value shared
-    by its rows keeps a unit row axis: ``theta`` is (M, 1, k) or (M, n, k),
-    the others (M, 1) or (M, n).  ``theta`` is None for the linear
+    ``increments`` are theta's steps theta[j + 1] - theta[j], all positive,
+    as the reparameterization gives them, unrounded by theta's sums; dh/dlog t
+    reads them.  A field holds one value for every row, or one per row on a
+    leading axis: ``theta`` is (k,) or (n, k), ``increments`` (k - 1,) or
+    (n, k - 1); ``s``, ``c`` and ``m`` are scalars or (n,).  A stack of M
+    models adds a member axis first, and a member's value shared by its rows
+    keeps a unit row axis: ``theta`` is (M, 1, k) or (M, n, k), the scalars
+    (M, 1) or (M, n).  ``theta`` and ``increments`` are None for the linear
     parameterizations (s = 0), ``m`` for the Bernstein ones (m = 0).
     """
 
     theta: np.ndarray | None
+    increments: np.ndarray | None
     s: np.ndarray | float
     c: np.ndarray | float
     m: np.ndarray | float | None
 
-    _shared_ndim = (1, 0, 0, 0)  # ndim of each field when one value serves every row
+    _shared_ndim = (1, 1, 0, 0, 0)  # ndim of each field when one value serves every row
 
     def _per_row(self) -> list[bool]:
         return [getattr(v, "ndim", 0) > nd for v, nd in zip(self, self._shared_ndim)]
@@ -172,7 +178,7 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
             return np.concatenate(d_head, axis=-1, out=out), d.c[..., None] * w
 
         c = per_row[..., 0] + _rowdot(f, w)
-        return Coefficients(None, 0.0, c, softplus(b_raw, b_tail)), pullback
+        return Coefficients(None, None, 0.0, c, softplus(b_raw, b_tail)), pullback
 
     if p == Parameterization.LINEAR_SCALE:
         w = per_row[..., 1:]
@@ -184,7 +190,7 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
             d_head = [d.c.sum(axis=-1, keepdims=True), _rows_dot(f, d_r)]
             return np.concatenate(d_head, axis=-1, out=out), d_r[..., None] * w
 
-        return Coefficients(None, 0.0, per_row[..., 0], softplus(r, r_tail)), pullback
+        return Coefficients(None, None, 0.0, per_row[..., 0], softplus(r, r_tail)), pullback
 
     k = spec.bernstein_order + 1
     if p == Parameterization.BERNSTEIN_FLEXIBLE:
@@ -196,10 +202,10 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
         f_tail = softplus_tail(f[..., 1:])
 
         def pullback(d, out=None):
-            d_feats = monotone_reparam_vjp(f, d.theta, f_tail)
+            d_feats = monotone_reparam_vjp(f, d.theta, d.increments, f_tail)
             return np.zeros(members + (0,)) if out is None else out, d_feats
 
-        return Coefficients(monotone_reparam(f, f_tail), 1.0, 0.0, None), pullback
+        return Coefficients(*monotone_reparam(f, f_tail), 1.0, 0.0, None), pullback
 
     # baseline, bernstein_shift and bernstein_shift_scale share one theta
     d_out = 0 if f is None else spec.extractor.output_dim
@@ -210,7 +216,7 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
     r_tail = None if r is None else softplus_tail(r)
 
     def pullback(d, out=None):
-        grads = [monotone_reparam_vjp(gamma, d.theta, gamma_tail)]
+        grads = [monotone_reparam_vjp(gamma, d.theta, d.increments, gamma_tail)]
         if f is None:
             return np.concatenate(grads, axis=-1, out=out), None
         grads.append(_rows_dot(f, d.c))
@@ -223,13 +229,23 @@ def coefficients(spec: ModelSpec, head: np.ndarray, features):
 
     s = 1.0 if r is None else softplus(r, r_tail)
     c = 0.0 if f is None else _rowdot(f, w)
-    theta = monotone_reparam(per_row[..., :k], gamma_tail[:, None] if members else gamma_tail)
-    return Coefficients(theta, s, c, None), pullback
+    theta, increments = monotone_reparam(per_row[..., :k],
+                                         gamma_tail[:, None] if members else gamma_tail)
+    return Coefficients(theta, increments, s, c, None), pullback
 
 
 def basis_rows(spec: ModelSpec, log_t, scaler: LogTimeScaler):
-    """Basis and derivative rows ``eval_transform`` reads at ``log_t``; None if linear."""
-    return bernstein_vectors(spec.bernstein_order, scaler.scale(log_t)) if spec.uses_basis else None
+    """What ``eval_transform`` reads at ``log_t``: ``(basis, lower, excess)``; None if linear.
+
+    ``basis`` and ``lower`` are :func:`bernstein_vectors` at the log-times
+    clipped to [a_lo, b_hi], and ``excess`` is ``log_t`` minus the clipped
+    log-times; ``eval_transform`` also takes None for an excess of zeros.
+    """
+    if not spec.uses_basis:
+        return None
+    clipped = np.minimum(np.maximum(log_t, scaler.a_lo), scaler.b_hi)
+    basis, lower = bernstein_vectors(spec.bernstein_order, scaler.scale(clipped))
+    return basis, lower, log_t - clipped
 
 
 def eval_transform(
@@ -237,15 +253,21 @@ def eval_transform(
 ):
     """h = s * b(u)^T theta + c + m * log t and dh/dlog t at ``log_t``, with their pullback.
 
+    dh/dlog t is s K b_{K-1}(u)^T increments / span, or m.  Beyond the
+    scaler's range [a_lo, b_hi] h goes on linearly: h = h(e) + (log t - e)
+    dh/dlog t (e), e the nearer end, the line whose inverse
+    :meth:`ConditionalDistribution.log_time_bracket` writes in closed form.
+
     ``rows`` is the coefficient row each log-time of a vector reads (an index
     array); with None the fields broadcast against ``log_t`` as numpy
     broadcasts them: per-row ones over a vector, shared ones over any shape,
     and a stack's (M, ...) fields over its (M, n) log-times.  ``basis`` takes
-    rows :func:`basis_rows` precomputed at ``log_t``.
+    what :func:`basis_rows` gives at ``log_t``, precomputed.
     ``pullback(upstream_h, upstream_dh)`` returns :class:`Coefficients`
     sensitivities, one per time of a vector or of a stack's (M, n), except
-    that a theta shared by the rows (every parameterization but
-    bernstein_flexible) comes summed over them, (k,) or (M, k).  dh/dlog t
+    that a theta and increments shared by the rows (every parameterization
+    but bernstein_flexible) come summed over them, (k,) and (k - 1,), or
+    with a member axis first.  dh/dlog t
     has the axes of h and is not to be written to; a linear model's is m,
     with length one where m is shared, broadcast to h's shape only when m
     has fewer axes.
@@ -253,30 +275,35 @@ def eval_transform(
     log_t = np.atleast_1d(np.asarray(log_t, dtype=float))
     if rows is not None:
         coef = coef.take(rows)
-    theta, s, c, m = coef
+    theta, increments, s, c, m = coef
 
     if theta is None:  # s = 0: h is affine in log t
 
         def pullback(uh, ud):
-            return Coefficients(None, None, uh, uh * log_t + ud)
+            return Coefficients(None, None, None, uh, uh * log_t + ud)
 
         h = c + m * log_t
         return h, m if np.ndim(m) == h.ndim else np.broadcast_to(m, h.shape), pullback
 
     # m = 0
-    basis_v, deriv_v = basis_rows(spec, log_t, scaler) if basis is None else basis
+    basis_v, lower_v, excess = basis_rows(spec, log_t, scaler) if basis is None else basis
     span = scaler.span
-    base, base_d = _rowdot(basis_v, theta), _rowdot(deriv_v, theta) / span
+    base, base_d = _rowdot(basis_v, theta), _rowdot(lower_v, increments) / span
+    h, dh = s * base + c, s * base_d
+    if excess is not None:
+        h += excess * dh
 
     def pullback(uh, ud):
+        if excess is not None:
+            ud = ud + uh * excess
         us, uds = uh * s, ud * s / span
         if spec.parameterization != Parameterization.BERNSTEIN_FLEXIBLE:
-            d_theta = _rows_dot(basis_v, us) + _rows_dot(deriv_v, uds)
+            d_theta, d_increments = _rows_dot(basis_v, us), _rows_dot(lower_v, uds)
         else:
-            d_theta = basis_v * us[..., None] + deriv_v * uds[..., None]
-        return Coefficients(d_theta, uh * base + ud * base_d, uh, None)
+            d_theta, d_increments = basis_v * us[..., None], lower_v * uds[..., None]
+        return Coefficients(d_theta, d_increments, uh * base + ud * base_d, uh, None)
 
-    return s * base + c, s * base_d, pullback
+    return h, dh, pullback
 
 
 def transformed_log_pdf(family, h, dh_dlog_t, log_t):
@@ -450,25 +477,27 @@ class ConditionalDistribution(Pointwise):
         Returns ``(z, lo, hi)``.  Linear models invert in closed form, log t =
         (z - c) / m, and so does a Bernstein target outside [h(a_lo), h(b_hi)]
         = [s theta_0 + c, s theta_K + c] on its affine tail, of slope s K
-        (theta_1 - theta_0) / span or s K (theta_K - theta_{K-1}) / span; these
-        get lo == hi, the others [a_lo, b_hi].  A target beyond a zero slope
+        increments_0 / span or s K increments_{K-1} / span; these get lo == hi,
+        the others [a_lo, b_hi].  A target beyond a zero slope
         (softplus underflow) raises :class:`BisectionNonConvergence`.
         """
         self.check_subjects(p)
         z = target.quantile(self.spec.family, p).ravel()
-        theta, s, c, m = self.coef.take(subjects)
+        theta, increments, s, c, m = self.coef.take(subjects)
         a_lo, b_hi, span = self.scaler.a_lo, self.scaler.b_hi, self.scaler.span
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if theta is None:
                 lo = hi = (z - c) / m
             else:
-                order = theta.shape[-1] - 1
+                # h and the slope at the ends with eval_transform's operations, so
+                # that these lines are the ones it evaluates beyond the range
+                order = increments.shape[-1]
                 h_lo, h_hi = s * theta[..., 0] + c, s * theta[..., -1] + c
                 below = z < h_lo
                 tail = np.where(
                     below,
-                    a_lo + (z - h_lo) / (s * order * (theta[..., 1] - theta[..., 0]) / span),
-                    b_hi + (z - h_hi) / (s * order * (theta[..., -1] - theta[..., -2]) / span),
+                    a_lo + (z - h_lo) / (s * (order * increments[..., 0] / span)),
+                    b_hi + (z - h_hi) / (s * (order * increments[..., -1] / span)),
                 )
                 outside = below | (z > h_hi)
                 lo, hi = np.where(outside, tail, a_lo), np.where(outside, tail, b_hi)

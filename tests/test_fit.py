@@ -1,5 +1,8 @@
 from collections import Counter
+import concurrent.futures
 import json
+from pathlib import Path
+import subprocess
 import sys
 import warnings
 
@@ -757,8 +760,9 @@ class TestFitEnsemble:
                 self.stacks = [task[-1] for task in tasks]
                 return map(fn, tasks)
 
+        # fit_ensemble imports the pool when it starts workers
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         # the module, not the package's ``fit`` function of the same name
-        monkeypatch.setattr(sys.modules["tramsurv.fit"], "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sys.modules["tramsurv.fit"], "POOL_MIN_WORK", 0)
         ds, spec, cfg = self._setup(seed=411, n=40)
         capped = fit_ensemble(ds, spec, cfg, n_members=3, top_m=3, jobs=64)
@@ -780,13 +784,25 @@ class TestFitEnsemble:
 
         ds, spec, cfg = self._setup(seed=413, n=60)
         serial = fit_ensemble(ds, spec, cfg, n_members=4, top_m=4, jobs=1)
-        monkeypatch.setattr(sys.modules["tramsurv.fit"], "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         pooled = fit_ensemble(ds, spec, cfg, n_members=4, top_m=4, jobs=2)
         assert pooled.selected_indices == serial.selected_indices
         assert pooled.pool_validation_nlls.tolist() == serial.pool_validation_nlls.tolist()
         assert [serialize_model(m) for m in pooled.members] == [
             serialize_model(m) for m in serial.members
         ]
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        """Only ``fit_ensemble`` starting workers imports the pool, and with it multiprocessing."""
+        import tramsurv
+
+        src = str(Path(tramsurv.__file__).resolve().parent.parent)
+        probe = (f"import sys; sys.path.insert(0, {src!r}); import tramsurv.cli; "
+                 "print(sorted(m for m in sys.modules if 'multiprocessing' in m))")
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("jobs, n_members, n_rows, epochs, workers", [
         (2, 6, 200, 80, 1),  # the bench ensemble workload: 96k

@@ -331,6 +331,30 @@ class TestConditionalDistribution:
                     err_msg=f"{parameterization}/{family}",
                 )
 
+    @pytest.mark.parametrize("family", list(TargetFamily))
+    def test_tail_quantiles_round_trip(self, family):
+        """Below h(a_lo) and above h(b_hi), quantile(cdf(t)) = t to 1e-12 at a theta offset of 1e6.
+
+        There theta's spacing is 1.2e-10, so its differences hold increments of
+        1e-3 to seven digits: the tails' closed-form inverse and h beyond the
+        range both read the increments, not theta's differences.
+        """
+        order = 6
+        increments = np.full(order, 1e-3)
+        theta = 1e6 + np.concatenate([[0.0], np.cumsum(increments)])
+        c = -1e6 + np.array([[-0.5], [0.0], [0.25]])
+        coef = transform.Coefficients(theta, increments, 1.0, c[:, 0], None)
+        scaler = LogTimeScaler(np.log(0.5), np.log(4.0))
+        dist = ConditionalDistribution(_spec(Parameterization.BASELINE, family, order), coef,
+                                       scaler)
+        steps = np.geomspace(1e-3, 30.0, 6)
+        log_t = np.concatenate([scaler.a_lo - steps, scaler.b_hi + steps])
+        t = np.exp(np.broadcast_to(log_t, (3, log_t.size)))
+        h_ends = theta[[0, -1]] + c  # h(a_lo) and h(b_hi) of each subject
+        assert np.all(dist.cdf(t[:, :6]) < target.cdf(family, h_ends[:, :1]))
+        assert np.all(dist.cdf(t[:, 6:]) > target.cdf(family, h_ends[:, 1:]))
+        np.testing.assert_allclose(dist.quantile(dist.cdf(t)), t, rtol=1e-12)
+
     def test_quantile_rejects_boundaries(self):
         dist = conditional_distribution(_exponential_model(), np.zeros(1))
         for p in (0.0, 1.0):
