@@ -15,6 +15,7 @@ import argparse
 from array import array
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -558,6 +559,7 @@ def _cmd_ensemble(args, out_dir: Path) -> int:
 # Entry point
 
 
+@functools.cache  # one tree per process: parse_args keeps no state in the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tramsurv",

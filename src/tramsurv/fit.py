@@ -42,12 +42,16 @@ scaler is frozen (see ``_Plan``); each epoch gathers every member's
 shuffled training rows once and feeds the minibatches as contiguous slices
 of that gather.  The basis is elementwise in the rows, so a slice scores
 bitwise as the same rows computed alone.  The epoch NLLs come from one pass
-over the plan's rows, whose terms each member gathers in the order of its
-rows, so every sum keeps its order; a matrix product gives a row the same
-bits in any batch of two or more rows.
+over the plan's rows, with one finiteness check of all its terms, whose
+terms each member gathers in the order of its rows, so every sum keeps its
+order; a matrix product gives a row the same bits in any batch of two or
+more rows.  The best parameters, patience and stops are array ops over the
+stack.  The train NLLs and the ``EpochStats`` are computed only when a
+callback or INFO logging reads them; otherwise an epoch end computes the
+terms, their check and the validation NLLs.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 import logging
 from typing import NamedTuple
 import warnings
@@ -93,9 +97,11 @@ INTERVAL_MASS_FLOOR = 1e-12
 GRAD_CLIP = 10.0  # global norm above which a minibatch gradient is scaled down
 # fit_ensemble fits one stack in this process below this many members x rows x epochs.
 # A stacked step costs about the same for 3 members as for 6, so each worker repeats
-# it, plus ~9 ms for the pool and a cold first fit.  10 members, 2 epochs, 2 vCPUs,
+# it, plus ~9 ms for the pool and a cold first fit.  10 members, 2 epochs, nproc 2,
 # medians of 6: jobs 2 lost 5-35% to jobs 1 up to 7.5k rows (150k), was even at 10k
-# (200k), and won from 15k rows (300k) up: 2-17% to 25k, 20-45% from 30k.
+# (200k), and won from 15k rows (300k) up: 2-17% to 25k, 20-45% from 30k.  nproc 2 is
+# not two free cores: a pure-Python loop ran at half speed in each of two processes at
+# once in some tries and at full speed in others (BENCH_member_axis.json, "machine").
 POOL_MIN_WORK = 250_000
 
 
@@ -361,20 +367,22 @@ def _training_config(dataset: SurvivalDataset, spec: ModelSpec, config) -> Train
     return (TrainConfig() if config is None else config).resolved(spec)
 
 
-def _mean_nll(spec: ModelSpec, scaler: LogTimeScaler, params, plan: _Plan, *row_sets) -> list:
-    """Mean NLLs of a stack of models (M, P) on rows of a plan, from one pass over its rows.
-
-    Each of ``row_sets`` gives every model its plan rows (an index array, or
-    None for all of them); its result is an (M,) array.  A mean sums the
-    model's terms of its rows gathered in their order.
-    """
+def _plan_terms(spec: ModelSpec, scaler: LogTimeScaler, params, plan: _Plan) -> np.ndarray:
+    """Per-row NLL terms (M, n) of a stack of models (M, P) on every row of a plan, in one pass."""
     n_head = head_size(spec)
-    terms = _nll_core(spec, scaler, params[:, :n_head], params[:, n_head:], plan.shared(), False)[0]
-    return [
-        np.array([np.sum(t if r is None else t.take(r)) / (t.size if r is None else r.size)
-                  for t, r in zip(terms, rows)])
-        for rows in row_sets
-    ]
+    return _nll_core(spec, scaler, params[:, :n_head], params[:, n_head:], plan.shared(), False)[0]
+
+
+def _row_means(terms: np.ndarray, rows) -> np.ndarray:
+    """Mean (M,) of each model's plan terms over its rows: an index array each, or None for all.
+
+    Each model's terms of its rows are gathered in their order and summed by
+    one ``np.sum``, so its sum has the order, and the pairwise tree, of its
+    rows alone: rows padded to one length, or ``np.add.reduceat``, sum them
+    in another tree.
+    """
+    return np.array([np.sum(t if r is None else t.take(r)) / (t.size if r is None else r.size)
+                     for t, r in zip(terms, rows)])
 
 
 class _Member(NamedTuple):
@@ -409,7 +417,9 @@ def _run_sgd(
     stopping on its validation rows; ``config`` gives the rest.  A member that
     stops leaves the stack.  A member's numbers do not depend on the other
     members.  ``callback`` gets each member's :class:`EpochStats`, in stack
-    order, after every epoch.  A model records the mean NLL of its member's
+    order, after every epoch, and INFO logging a line per stats; with
+    neither, an epoch end computes the plan's terms, their finiteness and the
+    validation means only.  A model records the mean NLL of its member's
     record rows at its parameters.
     """
     n_train = members[0].train.size
@@ -428,6 +438,7 @@ def _run_sgd(
     active = np.arange(len(members))  # the member of each stack row
     # views of the parameters, updated in place, and the buffer every step's gradient fills
     views, grad = _Views.of(spec, params), _Views.of(spec, np.empty(params.shape))
+    want_stats = callback is not None or logger.isEnabledFor(logging.INFO)
     for epoch in range(config.epochs):
         # One gather per epoch; each minibatch is then a slice of views.
         order = np.stack([members[i].train[rngs[i].permutation(n_train)] for i in active])
@@ -451,35 +462,33 @@ def _run_sgd(
             params -= g
         # Free the shuffled rows before the epoch NLLs score the plan.
         del shuffled, batch
-        train_nll, val_nll = _mean_nll(spec, scaler, params, plan,
-                                       [members[i].train for i in active],
-                                       [members[i].val for i in active])
-        if not np.all(np.isfinite(train_nll) & np.isfinite(val_nll)):
+        terms = _plan_terms(spec, scaler, params, plan)
+        val_nll = _row_means(terms, [members[i].val for i in active])
+        # a member's train and validation rows cover the plan: a non-finite term of
+        # either makes one of its epoch means non-finite
+        if not (np.isfinite(terms).all() and np.isfinite(val_nll).all()):
             raise NonFiniteLoss(f"non-finite loss in epoch {epoch}")
-        keep = np.ones(active.size, dtype=bool)
-        for j, i in enumerate(active):
-            stats = EpochStats(epoch, float(train_nll[j]), float(val_nll[j]),
-                               float(np.mean(norms[j])), int(clipped[j]))
-            logger.info(
-                "epoch %d, train_nll %.6f, val_nll %.6f, grad_norm %.4f, clipped %d",
-                stats.epoch, stats.train_nll, stats.val_nll, stats.grad_norm, stats.clipped,
-            )
-            if callback is not None:
-                callback(stats)
-            if val_nll[j] < best_val[i]:
-                best_val[i] = val_nll[j]
-                best[i] = params[j]
-                wait[i] = 0
-            else:
-                wait[i] += 1
-                keep[j] = wait[i] <= config.early_stopping_patience
+        if want_stats:
+            train_nll = _row_means(terms, [members[i].train for i in active])
+            for row in zip(train_nll.tolist(), val_nll.tolist(), norms.mean(axis=1).tolist(),
+                           clipped.tolist()):
+                stats = EpochStats(epoch, *row)
+                logger.info("epoch %d, train_nll %.6f, val_nll %.6f, grad_norm %.4f, clipped %d",
+                            *astuple(stats))
+                if callback is not None:
+                    callback(stats)
+        improved = val_nll < best_val[active]
+        best_val[active[improved]] = val_nll[improved]
+        best[active[improved]] = params[improved]
+        wait[active] = np.where(improved, 0, wait[active] + 1)
+        keep = wait[active] <= config.early_stopping_patience
         if not keep.all():
             active, params = active[keep], params[keep]
             if not active.size:
                 break
             views, grad = _Views.of(spec, params), _Views.of(spec, np.empty(params.shape))
 
-    (record_nll,) = _mean_nll(spec, scaler, best, plan, [m.record for m in members])
+    record_nll = _row_means(_plan_terms(spec, scaler, best, plan), [m.record for m in members])
     return [
         FittedModel(
             spec=spec,

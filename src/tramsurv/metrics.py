@@ -114,12 +114,11 @@ def log_score(dist, obs) -> float:
 def _knots(dist) -> list:
     """Log-times where a Bernstein transformation turns affine; oracle CDFs have none.
 
-    An ensemble's members share one scaler, fitted to the full dataset, so the
-    first member's knots are every member's.
+    An ensemble's members share one scaler, fitted to the full dataset, and so
+    their knots.
     """
-    first = dist.members[0] if isinstance(dist, EnsembleDistribution) else dist
-    if isinstance(first, ConditionalDistribution) and first.spec.uses_basis:
-        return [first.scaler.a_lo, first.scaler.b_hi]
+    if isinstance(dist, (ConditionalDistribution, EnsembleDistribution)) and dist.spec.uses_basis:
+        return [dist.scaler.a_lo, dist.scaler.b_hi]
     return []
 
 
@@ -186,8 +185,10 @@ def crps(dist, t, event, t_max: float):
     top = np.where(np.reshape(event, (-1, 1)), np.maximum(math.log(t_max), above), above)
     lower = np.hstack([below - _LOWER_SPLITS, np.clip(knots, below - _LOWER_SPLITS[0], below)])
     upper = np.hstack([above, np.clip(knots, above, top), top])
-    score = gauss_kronrod(_squared_in_log_time(cdf), np.sort(lower, axis=1))[0]
-    score += gauss_kronrod(_squared_in_log_time(survivor), np.sort(upper, axis=1))[0]
+    members = getattr(dist, "n_members", 1)  # a mixture computes each node once per member
+    score = gauss_kronrod(_squared_in_log_time(cdf), np.sort(lower, axis=1), members=members)[0]
+    score += gauss_kronrod(_squared_in_log_time(survivor), np.sort(upper, axis=1),
+                           members=members)[0]
     return float(score[0]) if np.ndim(t) == 0 else score
 
 
@@ -260,8 +261,7 @@ def evaluate(model, dataset: SurvivalDataset, t_max: float | None = None) -> Eva
             f"observation {i} is {KINDS[dataset.kind[i]].value}-censored; scoring supports "
             "exact and right-censored data only"
         )
-    ensemble = isinstance(model, (EnsembleModel, EnsembleDistribution))
-    scaler = model.members[0].scaler if ensemble else model.scaler
+    scaler = model.members[0].scaler if isinstance(model, EnsembleModel) else model.scaler
     times = dataset.t_lower
     if t_max is None:
         t_max = max(math.exp(scaler.b_hi), float(np.max(times)))

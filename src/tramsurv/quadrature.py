@@ -18,15 +18,17 @@ MAX_PIECES, MAX_NODES = 256, 2**14  # pieces per integral, nodes per call of the
 assert 15 * MAX_PIECES <= MAX_NODES  # a row's widest pass fits one call
 
 
-def gauss_kronrod(fn, breaks, rel_tol: float = 1e-7):
+def gauss_kronrod(fn, breaks, rel_tol: float = 1e-7, *, members: int = 1):
     """Integrate row r of ``fn`` over [breaks[r, 0], breaks[r, -1]], split at its breaks.
 
     ``breaks`` is (n, q), sorted along each row.  ``fn(nodes, rows)`` gets a
-    ``(k, m)`` array of nodes of the rows ``rows``, at most ``MAX_NODES`` of
-    them.  A piece is bisected while its K15 and G7 estimates differ by more
-    than its width's share of ``rel_tol`` times the row's estimate (with a
-    tiny absolute floor).  Each row's pieces are laid out alone and in order,
-    so its estimate does not depend on the rows solved with it.
+    ``(k, m)`` array of nodes of the rows ``rows``: at most ``MAX_NODES`` over
+    ``members``, the values it computes per node (a mixture's members), but
+    always one row's.  A piece is bisected while its K15 and G7 estimates
+    differ by more than its width's share of ``rel_tol`` times the row's
+    estimate (with a tiny absolute floor).  Each row's pieces are laid out
+    alone and in order, so its estimate does not depend on the rows solved
+    with it.
 
     Returns ``(value, pieces, depth)`` per row: the integral, the pieces it
     took and its deepest bisection.  Raises :class:`QuadratureNonConvergence`
@@ -45,7 +47,7 @@ def gauss_kronrod(fn, breaks, rel_tol: float = 1e-7):
         half = np.zeros(mid.shape)
         mid[at], half[at] = (lo + hi) / 2.0, (hi - lo) / 2.0
         kronrod, gauss = np.empty(mid.shape), np.empty(mid.shape)
-        per_call = MAX_NODES // (15 * mid.shape[1])
+        per_call = max(MAX_NODES // (15 * mid.shape[1] * members), 1)
         for part in (slice(s, s + per_call) for s in range(0, rows.size, per_call)):
             nodes = mid[part, :, None] + half[part, :, None] * NODES
             f = np.asarray(fn(nodes.reshape(len(nodes), -1), rows[part]), dtype=float)

@@ -9,24 +9,28 @@ outside the training range, and F(t | x) = F_Z(h(t | x)).  ``coefficients``
 maps the head and each subject's features to (theta, increments, s, c, m),
 the increments being theta's positive steps; ``eval_transform`` evaluates
 the form and dh/dlog t = s K b_{K-1}(u)^T increments / span, a sum of
-positive terms, at log-times.  Each has a
-hand-written pullback, and training composes the two.  A distribution holds
-its subjects' coefficients, computed once, and broadcasts them over a
-subject's row of times: no per-node gather remains.  ``Pointwise`` writes
-each distribution operation once, ``quantile`` as one bracketed Newton solve
-in log-time; ``ConditionalDistribution`` and the deep-ensemble mixture
-``EnsembleDistribution`` supply their values at log-times and their Newton
-problem.  h = F_Z^{-1}(p) inverts in closed form for the linear
-parameterizations and on the affine Bernstein tails.
+positive terms, at log-times.  Each has a hand-written pullback, and
+training composes the two.  A distribution holds its subjects' coefficients,
+computed once, and broadcasts them over a subject's row of times: no
+per-node gather remains.  ``Pointwise`` writes each distribution operation
+once, ``quantile`` as one bracketed Newton solve in log-time;
+``ConditionalDistribution`` and the deep-ensemble mixture
+``EnsembleDistribution``, one distribution of its members' ``Stacked``
+coefficients, supply their values at log-times and their Newton problem.
+h = F_Z^{-1}(p) inverts in closed form for the linear parameterizations and
+on the affine Bernstein tails.
 
 Every number a subject gets at inference depends on its row alone: its
 features come from ``feature.forward`` with the subject as a one-row
 minibatch, and every row-wise contraction here is ``_rowdot``, one BLAS dot
 per row whatever the batch size.  A quantile's Newton path, and so its root,
-is then the same bits alone, in a batch, or permuted.  Sums over rows (the pullbacks' gradients)
+is then the same bits alone, in a batch, or permuted, and a mixture member's
+values the bits it gives alone.  Sums over rows (the pullbacks' gradients)
 stay matrix products.
 """
 
+import copy
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +38,13 @@ import numpy as np
 from . import feature, target
 from .basis import LogTimeScaler, bernstein_vectors, monotone_reparam, monotone_reparam_vjp
 from .core import FittedModel, ModelSpec, Parameterization, float_array
-from .errors import BisectionNonConvergence, DimensionMismatch, NonFiniteCovariate, require_type
+from .errors import (
+    BadConfig,
+    BisectionNonConvergence,
+    DimensionMismatch,
+    NonFiniteCovariate,
+    require_type,
+)
 from .numerics import logsumexp, sigmoid, softplus, softplus_inv, softplus_tail
 
 
@@ -98,11 +108,12 @@ class Coefficients(NamedTuple):
     as the reparameterization gives them, unrounded by theta's sums; dh/dlog t
     reads them.  A field holds one value for every row, or one per row on a
     leading axis: ``theta`` is (k,) or (n, k), ``increments`` (k - 1,) or
-    (n, k - 1); ``s``, ``c`` and ``m`` are scalars or (n,).  A stack of M
-    models adds a member axis first, and a member's value shared by its rows
-    keeps a unit row axis: ``theta`` is (M, 1, k) or (M, n, k), the scalars
-    (M, 1) or (M, n).  ``theta`` and ``increments`` are None for the linear
-    parameterizations (s = 0), ``m`` for the Bernstein ones (m = 0).
+    (n, k - 1); ``s``, ``c`` and ``m`` are scalars or (n,).  A training stack
+    of M models adds a member axis first, and a member's value shared by its
+    rows keeps a unit row axis: ``theta`` is (M, 1, k) or (M, n, k), the
+    scalars (M, 1) or (M, n); a distribution's stack is :class:`Stacked`.
+    ``theta`` and ``increments`` are None for the linear parameterizations
+    (s = 0), ``m`` for the Bernstein ones (m = 0).
     """
 
     theta: np.ndarray | None
@@ -112,6 +123,7 @@ class Coefficients(NamedTuple):
     m: np.ndarray | float | None
 
     _shared_ndim = (1, 1, 0, 0, 0)  # ndim of each field when one value serves every row
+    _member_axis = ()  # the index that gives times a unit axis for a stack's member axis
 
     def _per_row(self) -> list[bool]:
         return [getattr(v, "ndim", 0) > nd for v, nd in zip(self, self._shared_ndim)]
@@ -125,7 +137,28 @@ class Coefficients(NamedTuple):
         """The rows an index, a mask, a slice or an index array selects (any numpy index)."""
         # a list: unpacking a generator resizes a new tuple per call, and CPython keeps
         # such tuples in its free list, so a writer's traced memory grew with its blocks
-        return Coefficients(*[v[rows] if r else v for v, r in zip(self, self._per_row())])
+        return type(self)(*[v[rows] if r else v for v, r in zip(self, self._per_row())])
+
+
+class Stacked(Coefficients):
+    """The :class:`Coefficients` of M models, a member axis after the row axis.
+
+    ``theta`` is (M, k) or (n, M, k), ``s``, ``c`` and ``m`` (M,) or (n, M),
+    so that rows stay first: an index array takes rows, and ``n_rows`` counts
+    them, as for one model.  A distribution gives its times a unit axis after
+    their first (``_member_axis``), against which every model broadcasts, so
+    that its values come out (n, M, ...) with the times' last axis innermost;
+    a basic index of the times' axes puts its unit axes after the member axis.
+    """
+
+    _shared_ndim = (2, 2, 1, 1, 1)
+    _member_axis = (slice(None), None)
+
+    def take(self, rows) -> "Stacked":
+        if not isinstance(rows, tuple):
+            return super().take(rows)
+        return Stacked(*[None if v is None else v[(slice(None),) * (1 + per_row) + rows[1:]]
+                         for v, per_row in zip(self, self._per_row())])
 
 
 def _rows_dot(f: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -469,6 +502,7 @@ class ConditionalDistribution(Pointwise):
 
     def h_at_log_time(self, u, subjects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """h and dh/dlog t at log-times ``u`` of the rows ``subjects`` (ignored for one subject)."""
+        u = u[self.coef._member_axis]
         return eval_transform(self.spec, self.coef, subjects, u, self.scaler)[:2]
 
     def log_time_bracket(self, p: np.ndarray, subjects: np.ndarray):
@@ -482,7 +516,7 @@ class ConditionalDistribution(Pointwise):
         (softplus underflow) raises :class:`BisectionNonConvergence`.
         """
         self.check_subjects(p)
-        z = target.quantile(self.spec.family, p).ravel()
+        z = target.quantile(self.spec.family, p).ravel()[self.coef._member_axis]
         theta, increments, s, c, m = self.coef.take(subjects)
         a_lo, b_hi, span = self.scaler.a_lo, self.scaler.b_hi, self.scaler.span
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -518,6 +552,7 @@ class ConditionalDistribution(Pointwise):
             self.check_subjects(log_t)
         # unit axes broadcast each subject's coefficients over log_t's trailing axes
         index = (slice(None),) + (None,) * (log_t.ndim - 1)
+        log_t = log_t[self.coef._member_axis]
         h, dh, _ = eval_transform(self.spec, self.coef.take(index), None, log_t, self.scaler)
         return of_transform(self.spec.family, h, dh, log_t)
 
@@ -527,35 +562,49 @@ class ConditionalDistribution(Pointwise):
         return (lambda u, rows: self.h_at_log_time(u, subjects[rows])), z, lo, hi
 
 
+def _members_first(values: np.ndarray) -> np.ndarray:
+    """Values (n, M, ...) as the C-ordered (M, n, ...) array of the members' values: a sum
+    over the members then takes the order it takes over a list of them."""
+    return np.ascontiguousarray(np.moveaxis(values, 1, 0))
+
+
 class EnsembleDistribution(Pointwise):
     """Pointwise mixture (equal weights) of member conditional distributions.
 
-    Members describe the same subject, or the same batch of subjects, and the
-    mixture follows their shape rules (see :class:`ConditionalDistribution`).
-    Members share one pass of log-times.  ``cdf``, ``survivor`` and ``pdf`` add
-    member values in member order and divide by M, as ``np.mean`` over stacked
-    members does (bitwise, but for one time with nine or more members, which
-    numpy sums pairwise); the logs take logsumexp over the members minus log M.
+    Members describe the same subject, or the same batch of subjects, and
+    share one spec and scaler, as ``fit_ensemble`` gives them (else
+    :class:`BadConfig`); the mixture follows their shape rules.  ``stack`` is
+    their distribution of :class:`Stacked` coefficients: each pass builds one
+    basis and makes one :func:`eval_transform` call for every member.  ``cdf``,
+    ``survivor`` and ``pdf`` add the members' values in member order and
+    divide by M (``np.add.reduce`` sums nine or more members pairwise where
+    the member axis is its inner loop); the logs take logsumexp over them
+    minus log M, and the Newton problem the mean of their CDFs and slopes.
     """
 
     def __init__(self, members: list):
         if not members:
             raise ValueError("ensemble distribution needs at least one member")
-        self.members = members
+        self.spec, self.scaler, self.n_members = members[0].spec, members[0].scaler, len(members)
+        if any(m.spec != self.spec or m.scaler != self.scaler for m in members):
+            raise BadConfig("the members of an ensemble distribution need one spec and scaler")
+        # the member axis goes before the last axis of theta and the increments (j < 2)
+        coef = Stacked(*[None if v is None else np.stack([m.coef[j] for m in members], -1 - (j < 2))
+                         for j, v in enumerate(members[0].coef)])
+        self.stack = ConditionalDistribution(self.spec, coef, self.scaler)
 
     def subject(self, i) -> "EnsembleDistribution":
         """Mixture of row ``i`` of a batch, or of the rows an index array ``i`` selects."""
-        return EnsembleDistribution([m.subject(i) for m in self.members])
+        mixture = copy.copy(self)
+        mixture.stack = self.stack.subject(i)
+        return mixture
 
     def at_log_time(self, of_transform, log_t, log: bool = False):
         """The members' values at finite log-times, combined."""
+        values = self.stack.at_log_time(of_transform, log_t)
         if log:
-            values = np.array([m.at_log_time(of_transform, log_t) for m in self.members])
-            return logsumexp(values, axis=0) - np.log(len(self.members))
-        total = self.members[0].at_log_time(of_transform, log_t)
-        for m in self.members[1:]:
-            total += m.at_log_time(of_transform, log_t)
-        return total / len(self.members)
+            return logsumexp(_members_first(values), axis=0) - np.log(self.n_members)
+        return functools.reduce(np.add, np.moveaxis(values, 1, 0)) / self.n_members
 
     def newton_problem(self, p, subjects):
         """The averaged CDF equal to p in log-time u.
@@ -564,17 +613,15 @@ class EnsembleDistribution(Pointwise):
         the root: every member CDF is at most p at its lower end and at least
         p at its upper end.  The slope is the mean of f_Z(h_m) * dh_m/dlog t.
         """
-        _, lo, hi = zip(*[m.log_time_bracket(p, subjects) for m in self.members])
+        _, lo, hi = self.stack.log_time_bracket(p, subjects)
+        fam = self.spec.family
 
         def mean_cdf_at_log_time(u, rows):
-            values, slopes = [], []
-            for m in self.members:
-                h, dh = m.h_at_log_time(u, subjects[rows])
-                values.append(target.cdf(m.spec.family, h))
-                slopes.append(target.density(m.spec.family, h) * dh)
-            return np.mean(values, axis=0), np.mean(slopes, axis=0)
+            h, dh = self.stack.h_at_log_time(u, subjects[rows])
+            return (np.mean(_members_first(target.cdf(fam, h)), axis=0),
+                    np.mean(_members_first(target.density(fam, h) * dh), axis=0))
 
-        return mean_cdf_at_log_time, p.ravel(), np.min(lo, axis=0), np.max(hi, axis=0)
+        return mean_cdf_at_log_time, p.ravel(), np.min(lo, axis=1), np.max(hi, axis=1)
 
 
 def conditional_distribution(model: FittedModel, x) -> ConditionalDistribution:

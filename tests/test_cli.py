@@ -805,3 +805,49 @@ class TestEnsembleCommand:
         assert members == ["member_000.json", "member_001.json"]
         report = json.loads((out / "report.json").read_text())
         assert report["n_subjects"] == 120
+
+
+def test_one_process_matches_fresh_processes(tmp_path, training_csv, spec_json, monkeypatch):
+    """``main`` reuses one argparse tree per process: commands with different flags write the
+    bytes fresh processes write, and a bad flag still exits with code 2."""
+    import subprocess
+    import sys
+
+    import tramsurv
+
+    src = str(Path(tramsurv.__file__).resolve().parent.parent)
+    runs = [
+        ["fit", "--data", "train.csv", "--spec", "spec.json", "--epochs", "4", "--out", "fit"],
+        ["sample", "--data", "train.csv", "--model", "model.json", "--replication", "2",
+         "--seed", "5", "--out", "sample"],
+        ["evaluate", "--data", "train.csv", "--model", "model.json", "--out", "eval"],
+        ["ensemble", "--data", "train.csv", "--spec", "spec.json", "--members", "3", "--top",
+         "2", "--family", "logistic", "--epochs", "3", "--out", "ens"],
+        ["fit", "--data", "train.csv", "--spec", "spec.json", "--parameterization",
+         "bernstein_shift", "--bernstein_order", "3", "--epochs", "2", "--out", "bernstein"],
+    ]
+    monkeypatch.chdir(tmp_path)
+    main(["fit", "--data", "train.csv", "--spec", "spec.json", "--epochs", "2", "--out", "m"])
+    Path("model.json").write_bytes(Path("m/model.json").read_bytes())
+
+    def outputs(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+    for argv in runs:
+        fresh = argv[:-1] + ["fresh/" + argv[-1]]
+        run = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; sys.path.insert(0, {src!r}); from tramsurv.cli import main; "
+             f"sys.exit(main({fresh!r}))"],
+            capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert main(argv[:-1] + ["same/" + argv[-1]]) == 0
+    assert outputs("same") == outputs("fresh")
+    assert len(outputs("same")) > 10
+    with pytest.raises(SystemExit) as info:
+        main(["fit", "--data", "train.csv", "--spec", "spec.json", "--no_such_flag", "1",
+              "--out", "bad"])
+    assert info.value.code == 2
+    assert main(runs[2][:-1] + ["again"]) == 0
+    assert outputs("again") == outputs("fresh/eval")

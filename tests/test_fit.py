@@ -1,6 +1,7 @@
 from collections import Counter
 import concurrent.futures
 import json
+import logging
 from pathlib import Path
 import subprocess
 import sys
@@ -31,7 +32,8 @@ from tramsurv.fit import (
     EnsembleModel,
     ModelState,
     TrainConfig,
-    _mean_nll,
+    _plan_terms,
+    _row_means,
     _nll_core,
     _Member,
     _Plan,
@@ -458,7 +460,7 @@ class TestBestEpochRestore:
         assert best < len(stats) - 1 < self.CONFIG.epochs - 1
         assert stats[-1].val_nll > model.validation_nll == stats[best].val_nll
         params = np.concatenate([model.head_params, model.extractor_params])[None]
-        (rescored,) = _mean_nll(self.SPEC, scaler, params, plan, [val_idx])[0]
+        (rescored,) = _row_means(_plan_terms(self.SPEC, scaler, params, plan), [val_idx])
         assert np.float64(rescored).tobytes() == np.float64(model.validation_nll).tobytes()
 
     def test_two_fits_in_one_process_write_identical_models(self, tmp_path):
@@ -860,3 +862,80 @@ class TestFitEnsemble:
         )
         dist = ens.conditional_distribution(x)
         np.testing.assert_allclose(dist.cdf(t), member_cdfs.mean(axis=0), rtol=1e-12)
+
+
+class TestEpochStatsOnDemand:
+    """The epoch statistics are computed only when a callback or INFO logging reads them,
+    and reading them changes no fitted number."""
+
+    SPEC = ModelSpec(
+        family=TargetFamily.MEV, parameterization=Parameterization.BERNSTEIN_SHIFT_SCALE,
+        bernstein_order=4, extractor=ExtractorSpec(input_dim=2, hidden_dims=(4,), output_dim=2),
+    )
+
+    def test_ensemble_is_the_same_with_info_logging(self, caplog):
+        ds = _exponential_dataset(np.random.default_rng(331), 80)
+        config = TrainConfig(epochs=6, batch_size=16, early_stopping_patience=1, seed=3)
+
+        def result():
+            ens = fit_ensemble(ds, self.SPEC, config, n_members=4, top_m=2)
+            return ([serialize_model(m) for m in ens.members], ens.selected_indices,
+                    ens.pool_validation_nlls.tobytes(), ens.member_validation_nlls.tobytes())
+
+        quiet = result()
+        assert not caplog.records
+        with caplog.at_level(logging.INFO, logger="tramsurv.fit"):
+            logged = result()
+        assert logged == quiet
+        assert len([r for r in caplog.records if r.getMessage().startswith("epoch ")]) > 4
+
+    def test_fit_epoch_stats_are_the_same_with_info_logging(self, caplog):
+        ds = _exponential_dataset(np.random.default_rng(337), 80)
+        config = TrainConfig(epochs=8, batch_size=16, early_stopping_patience=8, seed=4)
+        quiet = []
+        model = fit(ds, self.SPEC, config, callback=quiet.append)
+        assert not caplog.records
+        logged = []
+        with caplog.at_level(logging.INFO, logger="tramsurv.fit"):
+            logged_model = fit(ds, self.SPEC, config, callback=logged.append)
+        assert len(quiet) == config.epochs
+        for a, b in zip(quiet, logged, strict=True):
+            assert [np.float64(getattr(a, f)).tobytes() for f in vars(a)] == \
+                [np.float64(getattr(b, f)).tobytes() for f in vars(b)]
+        assert serialize_model(logged_model) == serialize_model(model)
+        lines = [r.getMessage() for r in caplog.records]
+        assert lines == [
+            f"epoch {s.epoch}, train_nll {s.train_nll:.6f}, val_nll {s.val_nll:.6f}, "
+            f"grad_norm {s.grad_norm:.4f}, clipped {s.clipped}" for s in quiet
+        ]
+
+    @pytest.mark.parametrize("with_callback", [False, True])
+    def test_non_finite_train_row_term_stops_in_its_epoch(self, with_callback, monkeypatch):
+        """Only a training row's term turns infinite, after the steps of epoch 2: the
+        epoch-end check raises in that epoch whether or not the train NLL is read."""
+        fit_module = sys.modules["tramsurv.fit"]
+        ds = _exponential_dataset(np.random.default_rng(347), 60)
+        scaler = fit_scaler(ds)
+        plan = _Plan.of_dataset(ds, self.SPEC, scaler)
+        perm = np.random.default_rng(9).permutation(ds.n)
+        members = [_Member(5, perm[15:], perm[:15]), _Member(6, perm[:45], perm[45:])]
+        config = TrainConfig(epochs=6, batch_size=16, early_stopping_patience=6,
+                             seed=5).resolved(self.SPEC)
+        core = fit_module._nll_core
+        epoch_ends = []
+
+        def poisoned(spec, scaler, head, ext, plan, want_grad, grad=None):
+            terms, g = core(spec, scaler, head, ext, plan, want_grad, grad)
+            if not want_grad:
+                if len(epoch_ends) == 2:
+                    terms[1, perm[0]] = np.inf  # a train row of the second member only
+                epoch_ends.append(len(epoch_ends))
+            return terms, g
+
+        monkeypatch.setattr(fit_module, "_nll_core", poisoned)
+        stats = []
+        with pytest.raises(NonFiniteLoss, match="in epoch 2$"):
+            _run_sgd(self.SPEC, scaler, plan, members, config,
+                     stats.append if with_callback else None)
+        assert epoch_ends == [0, 1, 2]
+        assert [s.epoch for s in stats] == ([0, 0, 1, 1] if with_callback else [])

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import comb
 from types import SimpleNamespace
 
@@ -6,7 +7,7 @@ import pytest
 
 from tramsurv import target, transform
 from tramsurv.basis import LogTimeScaler
-from tramsurv.core import FittedModel, ModelSpec, Parameterization
+from tramsurv.core import FittedModel, ModelSpec, Observation, Parameterization, SurvivalDataset
 from tramsurv.errors import (
     BisectionNonConvergence,
     DimensionMismatch,
@@ -703,15 +704,18 @@ class TestBroadcastEvaluation:
         dist = conditional_distribution(model, rng.normal(size=(self.N_SUBJECTS, 3)))
         self._assert_shared_times_match_repeated_times(dist, rng)
 
-    def test_shared_times_of_an_ensemble_match_repeated_times(self):
+    @pytest.mark.parametrize("parameterization", [
+        Parameterization.BERNSTEIN_SHIFT_SCALE, Parameterization.BERNSTEIN_FLEXIBLE,
+        Parameterization.LINEAR_SCALE])
+    def test_shared_times_of_an_ensemble_match_repeated_times(self, parameterization):
         from tramsurv.fit import EnsembleDistribution
 
         rng = np.random.default_rng(197)
         x = rng.normal(size=(self.N_SUBJECTS, 3))
         mixture = EnsembleDistribution([
-            conditional_distribution(_random_model(p, TargetFamily.LOGISTIC, rng, order=8), x)
-            for p in (Parameterization.BERNSTEIN_SHIFT_SCALE, Parameterization.BERNSTEIN_FLEXIBLE,
-                      Parameterization.LINEAR_SCALE)
+            conditional_distribution(
+                _random_model(parameterization, TargetFamily.LOGISTIC, rng, order=8), x)
+            for _ in range(3)
         ])
         self._assert_shared_times_match_repeated_times(mixture, rng)
 
@@ -813,8 +817,7 @@ class TestBisection:
         flat = FittedModel(spec=scale, scaler=SCALER01, head_params=np.array([0.3, 800.0]),
                            extractor_params=identity_params(scale.extractor),
                            train_nll=0.0, validation_nll=0.0)
-        healthy = _random_model(Parameterization.LINEAR_SHIFT, TargetFamily.LOGISTIC,
-                                np.random.default_rng(167), p=1)
+        healthy = replace(flat, head_params=np.array([0.3, 0.5]))
         mixture = EnsembleModel(members=[healthy, flat], member_validation_nlls=np.zeros(2))
         x = np.array([-1.0])  # f . w = -800 for the linear_scale model
         assert conditional_distribution(flat, x).coef.m == 0.0
@@ -928,20 +931,145 @@ class TestBisection:
         np.testing.assert_allclose(quantiles, np.exp((z - np.c_[c]) / np.c_[m]),
                                    rtol=1e-14)
 
-    def test_mixture_quantile_inverts_the_mean_cdf(self):
+    @pytest.mark.parametrize("parameterization, family", [
+        (Parameterization.BERNSTEIN_SHIFT_SCALE, TargetFamily.MEV),
+        (Parameterization.LINEAR_SCALE, TargetFamily.LOGISTIC),
+        (Parameterization.BERNSTEIN_FLEXIBLE, TargetFamily.MEV),
+    ])
+    def test_mixture_quantile_inverts_the_mean_cdf(self, parameterization, family):
         from tramsurv.fit import EnsembleModel
 
         rng = np.random.default_rng(151)
-        members = [
-            _random_model(parameterization, family, rng)
-            for parameterization, family in [
-                (Parameterization.BERNSTEIN_SHIFT_SCALE, TargetFamily.MEV),
-                (Parameterization.LINEAR_SCALE, TargetFamily.LOGISTIC),
-                (Parameterization.BERNSTEIN_FLEXIBLE, TargetFamily.MEV),
-            ]
-        ]
+        members = [_random_model(parameterization, family, rng) for _ in range(3)]
         ensemble = EnsembleModel(members=members, member_validation_nlls=np.zeros(3))
         n = 11
         dist = ensemble.conditional_distribution(rng.normal(size=(n, 3)))
         p = np.column_stack([rng.uniform(0.001, 0.999, size=(n, 5)), np.full(n, 1e-6)])
         np.testing.assert_allclose(dist.cdf(dist.quantile(p)), p, rtol=0, atol=1e-12)
+
+
+def _mixture_reference(members, name, t):
+    """The mixture member by member: values added in member order and divided by M, or
+    logsumexp over the stacked members minus log M for the logs."""
+    values = [np.atleast_1d(getattr(m, name)(t)) for m in members]
+    if name.startswith("log"):
+        out = logsumexp(np.array(values), axis=0) - np.log(len(members))
+    else:
+        out = values[0].copy()
+        for v in values[1:]:
+            out += v
+        out /= len(members)
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def _mixture_quantile_reference(members, p):
+    """The mixture's quantile with a Newton problem that evaluates one member at a time."""
+    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+    subjects = np.nonzero(np.ones(p_arr.shape, dtype=bool))[0]
+    _, lo, hi = zip(*[m.log_time_bracket(p_arr, subjects) for m in members])
+
+    def mean_cdf(u, rows):
+        values, slopes = [], []
+        for m in members:
+            h, dh = m.h_at_log_time(u, subjects[rows])
+            values.append(target.cdf(m.spec.family, h))
+            slopes.append(target.density(m.spec.family, h) * dh)
+        return np.mean(values, axis=0), np.mean(slopes, axis=0)
+
+    u = _solve_increasing(mean_cdf, p_arr.ravel(), np.min(lo, axis=0), np.max(hi, axis=0))
+    t = np.exp(u).reshape(p_arr.shape)
+    return float(t[0]) if np.ndim(p) == 0 else t
+
+
+class TestStackedMixture:
+    """A mixture of members of one spec and scaler evaluates them on one member axis."""
+
+    N_SUBJECTS = 13
+
+    def _members(self, parameterization, n_members, rng, x):
+        family = (TargetFamily.LOGISTIC if parameterization == Parameterization.LINEAR_SHIFT
+                  else TargetFamily.MEV)
+        return [conditional_distribution(_random_model(parameterization, family, rng), x)
+                for _ in range(n_members)]
+
+    @pytest.mark.parametrize("n_members", [1, 3, 9, 10])
+    @pytest.mark.parametrize("parameterization", list(Parameterization))
+    def test_bitwise_equal_to_the_member_loop(self, parameterization, n_members):
+        """Nine or more members at one time is where a pairwise sum would differ."""
+        from tramsurv.fit import EnsembleDistribution
+
+        rng = np.random.default_rng(211 + n_members)
+        x = rng.normal(size=(self.N_SUBJECTS, 3))
+        single = rng.normal(size=3)
+        # the single subject's distribution is its own construction, not a batch's row
+        cases = [(self._members(parameterization, n_members, np.random.default_rng(5), single),
+                  2.5, 0.3),
+                 (self._members(parameterization, n_members, np.random.default_rng(5), x),
+                  None, None)]
+        n = self.N_SUBJECTS
+        for members, scalar_t, scalar_p in cases:
+            mixture = EnsembleDistribution(members)
+            if scalar_t is not None:
+                times, probabilities = [scalar_t], [scalar_p, np.array([0.01, 0.5, 0.99])]
+            else:
+                times = [np.exp(rng.uniform(np.log(0.01), np.log(100.0), size=shape))
+                         for shape in [(n,), (1, 6), (n, 6)]]
+                probabilities = [rng.uniform(0.001, 0.999, size=shape) for shape in [(n,), (n, 4)]]
+            for t in times:
+                for name in ("cdf", "survivor", "log_pdf", "log_survivor", "pdf", "log_cdf"):
+                    _assert_same_bits(getattr(mixture, name)(t),
+                                      _mixture_reference(members, name, t),
+                                      f"{name} at {np.shape(t)}")
+            for p in probabilities:
+                _assert_same_bits(mixture.quantile(p), _mixture_quantile_reference(members, p),
+                                  f"quantile at {np.shape(p)}")
+
+    @pytest.mark.parametrize("n_members", [2, 5])
+    def test_one_basis_per_quadrature_pass(self, monkeypatch, n_members):
+        """Every integrand call of a Bernstein mixture's CRPS builds the basis once."""
+        from tramsurv import metrics
+        from tramsurv.fit import EnsembleDistribution
+
+        rng = np.random.default_rng(223)
+        x = rng.normal(size=(40, 3))
+        mixture = EnsembleDistribution(
+            self._members(Parameterization.BERNSTEIN_SHIFT_SCALE, n_members, rng, x))
+        calls = {"basis": 0, "integrand": 0}
+        basis_rows, gauss_kronrod = transform.basis_rows, metrics.gauss_kronrod
+
+        def counting_basis_rows(*args):
+            calls["basis"] += 1
+            return basis_rows(*args)
+
+        def counting_gauss_kronrod(fn, breaks, *args, **kwargs):
+            def integrand(nodes, rows):
+                calls["integrand"] += 1
+                return fn(nodes, rows)
+            return gauss_kronrod(integrand, breaks, *args, **kwargs)
+
+        monkeypatch.setattr(transform, "basis_rows", counting_basis_rows)
+        monkeypatch.setattr(metrics, "gauss_kronrod", counting_gauss_kronrod)
+        times = np.exp(rng.uniform(np.log(0.3), np.log(10.0), size=40))
+        assert np.all(np.isfinite(metrics.crps(mixture, times, rng.random(40) < 0.7, 12.0)))
+        assert calls["integrand"] > 0 and calls["basis"] == calls["integrand"]
+
+    def test_members_of_several_specs_or_scalers_fail_with_a_code(self):
+        """A hand-built mixture whose members differ in spec or scaler raises BadConfig."""
+        from tramsurv.errors import BadConfig
+        from tramsurv.fit import EnsembleModel
+        from tramsurv.metrics import evaluate
+
+        rng = np.random.default_rng(227)
+        model = _random_model(Parameterization.BERNSTEIN_SHIFT_SCALE, TargetFamily.MEV, rng)
+        for other in [_random_model(Parameterization.LINEAR_SHIFT, TargetFamily.MEV, rng),
+                      replace(model, spec=replace(model.spec, family=TargetFamily.LOGISTIC)),
+                      replace(model, scaler=LogTimeScaler(np.log(0.5), np.log(30.0)))]:
+            ensemble = EnsembleModel(members=[model, model, other],
+                                     member_validation_nlls=np.zeros(3))
+            dataset = SurvivalDataset.from_observations(
+                [Observation.exact(1.5, rng.normal(size=3))])
+            for call in (lambda: ensemble.conditional_distribution(rng.normal(size=(4, 3))),
+                         lambda: evaluate(ensemble, dataset)):
+                with pytest.raises(BadConfig, match="one spec and scaler") as info:
+                    call()
+                assert info.value.code == "E_BAD_CONFIG"
