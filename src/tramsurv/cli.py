@@ -47,7 +47,7 @@ from .errors import (
     NonNumericCovariate,
     TramsurvError,
 )
-from .feature import ExtractorSpec
+from .feature import ACTIVATIONS, ExtractorSpec
 from .fit import TrainConfig, fit, fit_ensemble
 from .metrics import evaluate
 from .sample import SynthConfig, generate_semisynthetic
@@ -302,12 +302,11 @@ def _write_dataset_block(handle, lines, dataset: SurvivalDataset, x, rows, fresh
 # Run configuration
 
 
-# The first six keys describe the model, the others (TrainConfig's fields) its training.
-_SPEC_KEYS = (
-    "family", "parameterization", "bernstein_order", "hidden_dims", "activation", "init_scale",
-    "lr_extractor", "lr_head", "epochs", "batch_size", "early_stopping_patience",
-    "validation_fraction", "seed",
-)
+# TrainConfig's fields: a spec key and a flag each, of the field's type
+_TRAIN_FIELDS = dataclasses.fields(TrainConfig)
+# The first six keys describe the model, the others its training.
+_SPEC_KEYS = ("family", "parameterization", "bernstein_order", "hidden_dims", "activation",
+              "init_scale", *(field.name for field in _TRAIN_FIELDS))
 
 
 def load_spec_config(path, overrides: dict) -> dict:
@@ -351,8 +350,8 @@ def _integer(value) -> int:
 
 
 def _widths(value) -> tuple:
-    """Hidden layer widths from a spec: a list of integers."""
-    if not isinstance(value, list):
+    """Hidden layer widths from a spec: a list (or the default tuple) of integers."""
+    if not isinstance(value, (list, tuple)):
         raise TypeError(value)
     return tuple(map(_integer, value))
 
@@ -369,7 +368,7 @@ def _spec_value(convert, config: dict, key: str, default):
 def build_model_spec(config: dict, n_features: int) -> ModelSpec:
     """The model architecture a spec config's model keys describe."""
     parameterization = member_of(Parameterization, "parameterization", config["parameterization"])
-    order = _spec_value(_integer, config, "bernstein_order", 6)
+    order = _spec_value(_integer, config, "bernstein_order", ModelSpec.bernstein_order)
     extractor = None
     if parameterization != Parameterization.BASELINE:
         if parameterization == Parameterization.BERNSTEIN_FLEXIBLE:
@@ -378,27 +377,22 @@ def build_model_spec(config: dict, n_features: int) -> ModelSpec:
             output_dim = n_features
         extractor = ExtractorSpec(
             input_dim=n_features,
-            hidden_dims=_spec_value(_widths, config, "hidden_dims", []),
+            hidden_dims=_spec_value(_widths, config, "hidden_dims", ExtractorSpec.hidden_dims),
             output_dim=output_dim,
-            activation=config.get("activation", "tanh"),
-            init_scale=config.get("init_scale", 1.0),
+            activation=config.get("activation", ExtractorSpec.activation),
+            init_scale=config.get("init_scale", ExtractorSpec.init_scale),
         )
     return ModelSpec(config["family"], parameterization, order, extractor)
 
 
-# How a spec config's training keys are read; TrainConfig checks every value, so
-# the learning rates pass as given.
-_TRAIN_READERS = {"epochs": _integer, "batch_size": _integer, "early_stopping_patience": _integer,
-                  "seed": _integer, "validation_fraction": float}
-
-
 def build_train_config(config: dict, spec: ModelSpec) -> TrainConfig:
     """The training settings of a spec config, learning rates resolved for ``spec``."""
-    settings = {
-        field.name: _spec_value(_TRAIN_READERS.get(field.name, lambda value: value),
-                                config, field.name, None)
-        for field in dataclasses.fields(TrainConfig) if field.name in config
-    }
+    # an int field reads as an integer, a float one as a float; a learning rate (float |
+    # None) passes as given, since TrainConfig checks every value
+    readers = {int: _integer, float: float}
+    settings = {field.name: _spec_value(readers.get(field.type, lambda value: value),
+                                        config, field.name, None)
+                for field in _TRAIN_FIELDS if field.name in config}
     return TrainConfig(**settings).resolved(spec)
 
 
@@ -574,15 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--parameterization", choices=[p.value for p in Parameterization]
         )
         p.add_argument("--bernstein_order", type=int)
-        p.add_argument("--activation", choices=["tanh", "relu"])
+        p.add_argument("--activation", choices=ACTIVATIONS)
         p.add_argument("--init_scale", type=float)
-        p.add_argument("--lr_extractor", type=float)
-        p.add_argument("--lr_head", type=float)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch_size", type=int)
-        p.add_argument("--early_stopping_patience", type=int)
-        p.add_argument("--validation_fraction", type=float)
-        p.add_argument("--seed", type=int)
+        for field in _TRAIN_FIELDS:
+            p.add_argument(f"--{field.name}", type=int if field.type is int else float)
 
     p_fit = sub.add_parser("fit", help="fit a model and write its artifact")
     p_fit.add_argument("--data", required=True)
@@ -599,8 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="generate semi-synthetic data from a model")
     p_sample.add_argument("--data", required=True)
     p_sample.add_argument("--model", required=True)
-    p_sample.add_argument("--replication", type=int, default=10)
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--replication", type=int, default=SynthConfig.replication)
+    p_sample.add_argument("--seed", type=int, default=SynthConfig.seed)
     p_sample.add_argument("--out", required=True)
     p_sample.set_defaults(handler=_cmd_sample)
 

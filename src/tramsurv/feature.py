@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import BadConfig, DimensionMismatch, is_finite_real, require_int
 
-_ACTIVATIONS = ("tanh", "relu")
+ACTIVATIONS = ("tanh", "relu")
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class ExtractorSpec:
             require_int(name, getattr(self, name), -math.inf)
         if self.input_dim < 1 or self.output_dim < 1:
             raise DimensionMismatch("extractor dimensions must be positive")
-        if self.activation not in _ACTIVATIONS:
-            raise BadConfig(f"activation must be one of {_ACTIVATIONS}")
+        if self.activation not in ACTIVATIONS:
+            raise BadConfig(f"activation must be one of {ACTIVATIONS}")
         if not is_finite_real(self.init_scale):
             raise BadConfig(f"init_scale must be a finite number, got {self.init_scale!r}")
         object.__setattr__(self, "init_scale", float(self.init_scale))

@@ -554,9 +554,13 @@ class EnsembleModel:
     """Top-M members of a bootstrap ensemble, plus the selection record."""
 
     members: list
-    member_validation_nlls: np.ndarray
     selected_indices: list = field(default_factory=list)
     pool_validation_nlls: np.ndarray | None = None
+
+    @property
+    def member_validation_nlls(self) -> np.ndarray:
+        """The validation NLL each member recorded, in member order."""
+        return np.array([m.validation_nll for m in self.members])
 
     def conditional_distribution(self, x) -> "EnsembleDistribution":
         """Mixture for one covariate vector (p,) or for n subjects (n, p)."""
@@ -646,7 +650,6 @@ def fit_ensemble(
     selected = order[:top_m]
     return EnsembleModel(
         members=[results[m][2] for m in selected],
-        member_validation_nlls=np.array([results[m][2].validation_nll for m in selected]),
         selected_indices=selected,
         pool_validation_nlls=np.array([r[2].validation_nll for r in results]),
     )

@@ -261,17 +261,15 @@ def evaluate(model, dataset: SurvivalDataset, t_max: float | None = None) -> Eva
             f"observation {i} is {KINDS[dataset.kind[i]].value}-censored; scoring supports "
             "exact and right-censored data only"
         )
-    scaler = model.members[0].scaler if isinstance(model, EnsembleModel) else model.scaler
-    times = dataset.t_lower
-    if t_max is None:
-        t_max = max(math.exp(scaler.b_hi), float(np.max(times)))
-
     if isinstance(model, EnsembleModel):
         batch = model.conditional_distribution(dataset.x)
     elif isinstance(model, FittedModel):
         batch = conditional_distribution(model, dataset.x)
     else:
         batch = model
+    times = dataset.t_lower
+    if t_max is None:
+        t_max = max(math.exp(batch.scaler.b_hi), float(np.max(times)))
     nll = np.empty(dataset.n)
     nll[events] = -batch.subject(events).log_pdf(times[events])
     nll[~events] = -batch.subject(~events).log_survivor(times[~events])

@@ -348,6 +348,8 @@ def transformed_log_pdf(family, h, dh_dlog_t, log_t):
 # Conditional distributions
 
 BISECTION_STEPS = 200
+# the log-times whose exp is a positive finite float: from the smallest subnormal to the largest
+_LOG_T_RANGE = np.log([np.finfo(float).smallest_subnormal, np.finfo(float).max])
 
 
 def _solve_increasing(fn, targets: np.ndarray, lo, hi) -> np.ndarray:
@@ -453,14 +455,16 @@ class Pointwise:
         """Inverse CDF: one :func:`_solve_increasing` of ``newton_problem(p, subjects)``.
 
         ``subjects[j]`` is the subject of element j of ``p`` raveled.  A root
-        past the largest float raises :class:`BisectionNonConvergence`.
+        whose time would overflow the largest float, or underflow below the
+        smallest subnormal to 0, raises :class:`BisectionNonConvergence`.
         """
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         subjects = np.nonzero(np.ones(p_arr.shape, dtype=bool))[0]  # first-axis index, C order
         u = _solve_increasing(*self.newton_problem(p_arr, subjects))
-        overflow = int(np.sum(u > np.log(np.finfo(float).max)))
-        if overflow:
-            raise BisectionNonConvergence(f"{overflow} quantile root(s) overflow the largest float")
+        outside = int(np.sum((u < _LOG_T_RANGE[0]) | (u > _LOG_T_RANGE[1])))
+        if outside:
+            raise BisectionNonConvergence(
+                f"{outside} quantile root(s) overflow or underflow the range of positive floats")
         t = np.exp(u).reshape(p_arr.shape)
         return float(t[0]) if np.ndim(p) == 0 else t
 
@@ -571,9 +575,9 @@ def _members_first(values: np.ndarray) -> np.ndarray:
 class EnsembleDistribution(Pointwise):
     """Pointwise mixture (equal weights) of member conditional distributions.
 
-    Members describe the same subject, or the same batch of subjects, and
-    share one spec and scaler, as ``fit_ensemble`` gives them (else
-    :class:`BadConfig`); the mixture follows their shape rules.  ``stack`` is
+    Members, at least one, describe the same subject, or the same batch of
+    subjects, and share one spec and scaler, as ``fit_ensemble`` gives them
+    (else :class:`BadConfig`); the mixture follows their shape rules.  ``stack`` is
     their distribution of :class:`Stacked` coefficients: each pass builds one
     basis and makes one :func:`eval_transform` call for every member.  ``cdf``,
     ``survivor`` and ``pdf`` add the members' values in member order and
@@ -584,7 +588,7 @@ class EnsembleDistribution(Pointwise):
 
     def __init__(self, members: list):
         if not members:
-            raise ValueError("ensemble distribution needs at least one member")
+            raise BadConfig("an ensemble distribution needs at least one member")
         self.spec, self.scaler, self.n_members = members[0].spec, members[0].scaler, len(members)
         if any(m.spec != self.spec or m.scaler != self.scaler for m in members):
             raise BadConfig("the members of an ensemble distribution need one spec and scaler")

@@ -420,7 +420,7 @@ def test_ensemble_mixture_valid_and_selection_exact():
                 head_params=head, extractor_params=ext,
                 train_nll=0.0, validation_nll=0.0,
             ))
-        ens = EnsembleModel(members=members, member_validation_nlls=np.zeros(len(members)))
+        ens = EnsembleModel(members=members)
         mixture = ens.conditional_distribution(rng.normal(size=2))
         t = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 998), [np.inf]])
         f = mixture.cdf(t)

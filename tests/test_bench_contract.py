@@ -13,7 +13,9 @@ import csv
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from tramsurv.fit import TrainConfig
 from tramsurv.target import TargetFamily
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "tramsurv"
 
 
 def _package_imports():
@@ -204,3 +207,65 @@ def test_traced_arguments_keep_their_positions():
     # transform.rows counts the log-times, basis.rows the scaled times
     assert transform_params[3] == "log_t"
     assert basis_params[1] == "u"
+
+
+def test_eval_transform_takes_its_log_times_by_position():
+    """The tracer counts ``transform.rows`` from argument 3, falling back to the keyword
+    ``t``, which is not the parameter's name: a call passing ``log_t`` by keyword would
+    fail inside the wrapper."""
+    calls = [
+        (path.name, node)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "eval_transform"
+    ]
+    assert {name for name, _ in calls} >= {"fit.py", "transform.py"}
+    by_keyword = [f"{name}:{node.lineno}" for name, node in calls if len(node.args) < 4]
+    assert by_keyword == []
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's ``workloads`` and ``spans`` modules, imported as ``run.py`` imports
+    them, with ``bench/`` on the import path for this test only."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    names = ("fixtures", "spans", "workloads")
+    for name in names:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield importlib.import_module("workloads"), importlib.import_module("spans")
+    for name in names:
+        sys.modules.pop(name, None)
+
+
+def test_traced_only_probes_run_at_tiny_sizes(tmp_path, bench):
+    """What only ``--trace 1`` runs call: the commands under the tracer (its argument
+    readers), then the train workload's CRPS failure count and the ensemble's speed-up
+    probe, which calls the three spec builders and ``fit_ensemble``."""
+    workloads, spans = bench
+    train = workloads.Train(tmp_path / "train", 1, True)
+    ensemble = workloads.Ensemble(tmp_path / "ensemble", 1, True)
+    tracer = spans.Tracer()
+    for workload in (train, ensemble):
+        workload.root.mkdir()
+        workload.setup()
+    try:
+        spans.install(tracer)
+        tracer.enabled = True
+        for workload in (train, ensemble):
+            for cmd in workload.commands():
+                assert cli.main(cmd.argv) == 0, cmd.kind
+                assert workload.check(cmd)[0] == [], cmd.kind
+    finally:
+        tracer.enabled = False
+        assert tracer.restore() == []
+    held_out = train.params["heldout_rows"]["n"]
+    assert tracer.counts["fit.epochs_run"] == train.params["epochs"]
+    assert tracer.counts["cli.cdf_grid_rows"] == held_out * cli.CDF_GRID_POINTS
+    assert tracer.counts["feature.rows"] > 0 and tracer.counts["transform.rows"] > 0
+
+    failed, attempted = train.crps_failures()
+    assert attempted == held_out and 0 <= failed <= attempted
+    assert math.isfinite(train.quality()) and math.isfinite(ensemble.quality())
+    one_job, n_jobs, task_bytes = ensemble.speedup()
+    assert one_job > 0.0 and n_jobs > 0.0 and task_bytes > 0

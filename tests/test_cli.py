@@ -1,4 +1,5 @@
 import csv
+from dataclasses import fields
 import json
 import os
 from pathlib import Path
@@ -14,6 +15,7 @@ from tramsurv.cli import (
     WRITE_VALUES,
     _SPEC_KEYS,
     build_model_spec,
+    build_parser,
     build_train_config,
     main,
     parse_dataset_csv,
@@ -37,8 +39,10 @@ from tramsurv.errors import (
     MissingColumn,
     NonNumericCovariate,
 )
-from tramsurv.feature import ExtractorSpec, init_params
+from tramsurv.feature import ACTIVATIONS, ExtractorSpec, init_params
+from tramsurv.fit import TrainConfig
 from tramsurv.metrics import EvaluationReport
+from tramsurv.sample import SynthConfig
 from tramsurv.target import TargetFamily
 from tramsurv.transform import conditional_distribution, head_size, init_head
 
@@ -663,6 +667,33 @@ def test_every_spec_key_reaches_the_model_or_its_training(key):
 
     base = {"family": "minimum_extreme_value", "parameterization": "linear_shift"}
     assert built({**base, key: _SPEC_VALUES[key]}) != built(base)
+
+
+@pytest.mark.parametrize("command", ["fit", "ensemble"])
+def test_training_keys_and_flags_are_train_config_fields(command):
+    """Each TrainConfig field is a spec key and a flag, read as an int or a float as the
+    field is typed; a learning rate (float | None) reads as a float."""
+    names = [field.name for field in fields(TrainConfig)]
+    assert list(_SPEC_KEYS[6:]) == names
+    required = [command, "--data", "d.csv", "--spec", "s.json", "--out", "o"]
+    for field in fields(TrainConfig):
+        args = build_parser().parse_args([*required, f"--{field.name}", "1"])
+        assert type(getattr(args, field.name)) is (int if field.type is int else float)
+    activations = build_parser().parse_args([*required, "--activation", ACTIVATIONS[-1]])
+    assert activations.activation == ACTIVATIONS[-1]
+
+
+def test_unset_settings_take_the_config_classes_defaults():
+    """A spec of family and parameterization only builds the dataclasses' defaults, and
+    ``sample`` without flags draws with SynthConfig's."""
+    config = {"family": "logistic", "parameterization": "bernstein_shift"}
+    spec = build_model_spec(config, 3)
+    assert spec == ModelSpec("logistic", "bernstein_shift",
+                             extractor=ExtractorSpec(input_dim=3, output_dim=3))
+    assert build_train_config(config, spec) == TrainConfig().resolved(spec)
+    args = build_parser().parse_args(["sample", "--data", "d.csv", "--model", "m.json",
+                                      "--out", "o"])
+    assert SynthConfig(replication=args.replication, seed=args.seed) == SynthConfig()
 
 
 def test_integral_float_setting_is_read_as_an_integer(tmp_path, training_csv, spec_json):

@@ -1,5 +1,6 @@
 from collections import Counter
 import concurrent.futures
+from dataclasses import fields
 import json
 import logging
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 from tramsurv.basis import LogTimeScaler, fit_scaler
 from tramsurv.core import (
+    CensoringKind,
     ModelSpec,
     Observation,
     Parameterization,
@@ -615,6 +617,60 @@ class TestFit:
             counts.append(calls["split"])
         assert counts[0] == counts[1]
 
+    def test_validation_split_of_every_exact_row_gives_one_to_training(self, monkeypatch):
+        """When the validation split draws every exact row, the first it drew swaps places
+        with the first training row, so SGD trains on an exact row."""
+        fit_module = sys.modules["tramsurv.fit"]
+        n, config = 10, TrainConfig(epochs=2, seed=3)
+        perm = np.random.default_rng([config.seed, 0]).permutation(n)  # fit's split
+        val, train = perm[:2], perm[2:]
+        kind = np.full(n, CensoringKind.RIGHT.code, dtype=np.int8)
+        kind[val] = CensoringKind.EXACT.code
+        t = np.linspace(1.0, 2.0, n)
+        ds = SurvivalDataset(np.linspace(-1.0, 1.0, n)[:, None], t,
+                             np.where(kind == CensoringKind.RIGHT.code, np.inf, t), kind)
+        spec = ModelSpec(family=TargetFamily.LOGISTIC, parameterization=Parameterization.BASELINE,
+                         bernstein_order=3)
+        stacks = []
+        run_sgd = fit_module._run_sgd
+        monkeypatch.setattr(fit_module, "_run_sgd",
+                            lambda *args: stacks.append(args[3]) or run_sgd(*args))
+        assert np.isfinite(fit(ds, spec, config).validation_nll)
+        (member,) = stacks[0]
+        assert member.train.tolist() == [val[0], *train[1:]]
+        assert member.val.tolist() == [train[0], val[1]]
+
+    def test_extractor_of_another_width_is_a_dimension_mismatch(self):
+        ds = _exponential_dataset(np.random.default_rng(309), 20)  # two covariates
+        spec = ModelSpec(
+            family=TargetFamily.MEV, parameterization=Parameterization.LINEAR_SHIFT,
+            extractor=ExtractorSpec(input_dim=3, output_dim=3),
+        )
+        for call in (fit, fit_ensemble):
+            with pytest.raises(DimensionMismatch, match="expects 3 covariates") as info:
+                call(ds, spec, TrainConfig(epochs=1))
+            assert info.value.code == "E_DIMENSION_MISMATCH"
+
+    def test_non_finite_minibatch_terms_stop_within_the_epoch(self, monkeypatch):
+        """A head rate of 1e300 throws the first step's parameters so far that the second
+        minibatch's terms are not finite: the step's own check raises, before the epoch
+        ends.  numpy's overflow warnings, which such a run gives, are silenced here."""
+        fit_module = sys.modules["tramsurv.fit"]
+        ds = _exponential_dataset(np.random.default_rng(311), 40)
+        spec = ModelSpec(family=TargetFamily.MEV, parameterization=Parameterization.BASELINE,
+                         bernstein_order=4)
+        core, steps = fit_module._nll_core, []
+
+        def counted(*args):
+            steps.append(args[5])  # want_grad: a step, not the epoch end
+            return core(*args)
+
+        monkeypatch.setattr(fit_module, "_nll_core", counted)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss, match="in epoch 0$") as info:
+            fit(ds, spec, TrainConfig(epochs=2, batch_size=8, lr_head=1e300))
+        assert info.value.code == "E_NON_FINITE_LOSS"
+        assert steps == [True, True]
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(301)
         ds = _exponential_dataset(rng, 80)
@@ -711,6 +767,18 @@ class TestFitEnsemble:
         best_two = sorted(np.argsort(pool, kind="stable")[:2].tolist())
         assert chosen == best_two
         assert len(ens.members) == 2
+
+    def test_member_validation_nlls_are_read_from_the_members(self):
+        """The selection record keeps no copy of a member's NLL, so it cannot disagree."""
+        ds, spec, cfg = self._setup(seed=402, n=60)
+        ens = fit_ensemble(ds, spec, cfg, n_members=3, top_m=2)
+        assert [f.name for f in fields(EnsembleModel)] == [
+            "members", "selected_indices", "pool_validation_nlls"]
+        assert ens.member_validation_nlls.tolist() == [m.validation_nll for m in ens.members]
+        assert ens.member_validation_nlls.tolist() == ens.pool_validation_nlls[
+            ens.selected_indices].tolist()
+        assert EnsembleModel(members=ens.members[::-1]).member_validation_nlls.tolist() == \
+            ens.member_validation_nlls[::-1].tolist()
 
     def test_single_member_degenerate(self):
         ds, spec, cfg = self._setup(seed=403)

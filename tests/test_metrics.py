@@ -1,3 +1,5 @@
+import math
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
@@ -34,7 +36,12 @@ from tramsurv.metrics import (
 from tramsurv.numerics import softplus_inv
 from tramsurv.sample import SynthConfig, generate_semisynthetic
 from tramsurv.target import TargetFamily
-from tramsurv.transform import conditional_distribution, head_size, init_head
+from tramsurv.transform import (
+    EnsembleDistribution,
+    conditional_distribution,
+    head_size,
+    init_head,
+)
 
 
 class TestCIndex:
@@ -539,15 +546,14 @@ class TestBatchedScoring:
             _random_model(Parameterization.BERNSTEIN_SHIFT_SCALE, TargetFamily.MEV, rng)
             for _ in range(3)
         ]
-        self._check(EnsembleModel(members=members, member_validation_nlls=np.zeros(3)), rng)
+        self._check(EnsembleModel(members=members), rng)
 
     @pytest.mark.parametrize("ensemble", [False, True])
     def test_a_prebuilt_batch_scores_like_its_model(self, ensemble):
         rng = np.random.default_rng(163)
         members = [_random_model(Parameterization.BERNSTEIN_SHIFT, TargetFamily.LOGISTIC, rng)
                    for _ in range(3 if ensemble else 1)]
-        model = (EnsembleModel(members=members, member_validation_nlls=np.zeros(3))
-                 if ensemble else members[0])
+        model = EnsembleModel(members=members) if ensemble else members[0]
         x = rng.normal(size=(40, 3))
         dataset = SurvivalDataset.from_observations([
             (Observation.exact if e else Observation.right_censored)(float(t), row)
@@ -556,6 +562,21 @@ class TestBatchedScoring:
         batch = (model.conditional_distribution(x) if ensemble
                  else conditional_distribution(model, x))
         assert evaluate(batch, dataset).to_json() == evaluate(model, dataset).to_json()
+        # t_max's default reads the scaler of the distribution scored
+        assert evaluate(model, dataset).t_max == max(math.exp(batch.scaler.b_hi),
+                                                     float(np.max(dataset.t_lower)))
+
+    def test_an_empty_ensemble_has_a_code(self):
+        """With no member, evaluate and the mixture raise E_BAD_CONFIG, not an IndexError
+        or a bare ValueError."""
+        dataset = SurvivalDataset.from_observations([Observation.exact(1.0, [0.0, 0.0, 0.0])])
+        empty = EnsembleModel(members=[])
+        for call in (lambda: evaluate(empty, dataset),
+                     lambda: empty.conditional_distribution(dataset.x),
+                     lambda: EnsembleDistribution([])):
+            with pytest.raises(BadConfig, match="at least one member") as info:
+                call()
+            assert info.value.code == "E_BAD_CONFIG"
 
 
 def _train_shaped(rng, n, beta, shape=0.7):

@@ -476,7 +476,7 @@ class TestBatchedDistribution:
             _random_model(Parameterization.BERNSTEIN_SHIFT_SCALE, TargetFamily.MEV, rng)
             for _ in range(3)
         ]
-        ensemble = EnsembleModel(members=members, member_validation_nlls=np.zeros(3))
+        ensemble = EnsembleModel(members=members)
         x = rng.normal(size=(self.N_SUBJECTS, 3))
         medians = ensemble.conditional_distribution(x).quantile(np.full(self.N_SUBJECTS, 0.5))
         loop = [ensemble.conditional_distribution(row).quantile(0.5) for row in x]
@@ -592,7 +592,7 @@ class TestBatchInvariance:
             _random_model(Parameterization.BERNSTEIN_SHIFT_SCALE, TargetFamily.MEV, rng, order=8)
             for _ in range(3)
         ]
-        ensemble = EnsembleModel(members=members, member_validation_nlls=np.zeros(3))
+        ensemble = EnsembleModel(members=members)
         x = rng.normal(size=(max(self.SIZES), 3))
         alone = [ensemble.conditional_distribution(row).quantile(0.5) for row in x]
         perm = rng.permutation(x.shape[0])
@@ -818,7 +818,7 @@ class TestBisection:
                            extractor_params=identity_params(scale.extractor),
                            train_nll=0.0, validation_nll=0.0)
         healthy = replace(flat, head_params=np.array([0.3, 0.5]))
-        mixture = EnsembleModel(members=[healthy, flat], member_validation_nlls=np.zeros(2))
+        mixture = EnsembleModel(members=[healthy, flat])
         x = np.array([-1.0])  # f . w = -800 for the linear_scale model
         assert conditional_distribution(flat, x).coef.m == 0.0
         for dist, p in [
@@ -849,8 +849,7 @@ class TestBisection:
                             extractor_params=np.zeros(0), train_nll=0.0, validation_nll=0.0)
         x = np.zeros(1)
         dist = conditional_distribution(model, x)
-        mixture = EnsembleModel(members=[model, model],
-                                member_validation_nlls=np.zeros(2)).conditional_distribution(x)
+        mixture = EnsembleModel(members=[model, model]).conditional_distribution(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isfinite(dist.quantile(0.5)) and np.isfinite(mixture.quantile(0.5))
@@ -859,6 +858,51 @@ class TestBisection:
                     with pytest.raises(BisectionNonConvergence, match="overflow") as info:
                         d.quantile(p)
                     assert info.value.code == "E_BISECTION_NON_CONVERGENCE"
+
+    @pytest.mark.parametrize("family", list(TargetFamily))
+    def test_root_below_the_smallest_subnormal_raises(self, family):
+        """A root whose time would underflow to 0 fails with the overflow's code.
+
+        h = s log t for linear_shift models of slope s = 0.5 and 2, a baseline of lower
+        tail slope 0.4 and a mixture of the two linear models, at p over [5e-324, 1e-30].
+        Each call gives a finite positive t or the code (the mixture's solve of a root
+        far below the range runs out of steps first).  For a t, log p lies between
+        the log-CDFs of t's two float neighbours, give or take 1e-8: the solver's
+        tolerance in log-time (1e-12 |log t|) times a slope of at most 2.
+        """
+        from tramsurv.fit import EnsembleModel
+
+        spec = _spec(Parameterization.LINEAR_SHIFT, family, d=1)
+        linear = [FittedModel(spec=spec, scaler=SCALER01,
+                              head_params=np.array([0.0, softplus_inv(slope), 0.0]),
+                              extractor_params=identity_params(spec.extractor),
+                              train_nll=0.0, validation_nll=0.0) for slope in (0.5, 2.0)]
+        baseline = ModelSpec(family=family, parameterization=Parameterization.BASELINE,
+                             bernstein_order=4)
+        head = init_head(baseline)
+        head[1] = softplus_inv(0.1)  # first increment 0.1: slope 4 * 0.1 below a_lo
+        flat_tail = replace(linear[0], spec=baseline, head_params=head,
+                            extractor_params=np.zeros(0))
+        x = np.zeros(1)
+        dists = [conditional_distribution(m, x) for m in (*linear, flat_tail)]
+        dists.append(EnsembleModel(members=linear).conditional_distribution(x))
+        outcomes = []
+        for dist in dists:
+            for p in np.geomspace(5e-324, 1e-30, 30):
+                try:
+                    t = dist.quantile(p)
+                except BisectionNonConvergence as exc:
+                    assert exc.code == "E_BISECTION_NON_CONVERGENCE"
+                    outcomes.append("code")
+                    continue
+                assert np.isfinite(t) and t > 0.0
+                below, above = np.nextafter(t, 0.0), np.nextafter(t, np.inf)
+                assert dist.log_cdf(below) <= np.log(p) + 1e-8 <= dist.log_cdf(above) + 2e-8
+                outcomes.append("t")
+        assert {"code", "t"} <= set(outcomes)
+        with pytest.raises(BisectionNonConvergence, match="underflow"):
+            dists[0].quantile(np.array([0.5, 1e-300]))  # slope 0.5: t near 1e-600
+        assert dists[1].quantile(1e-300) > 0.0  # slope 2: t near 1e-150
 
     def test_unconverged_bracket_raises(self):
         # the reported slope throws every Newton step out of the bracket, so
@@ -941,7 +985,7 @@ class TestBisection:
 
         rng = np.random.default_rng(151)
         members = [_random_model(parameterization, family, rng) for _ in range(3)]
-        ensemble = EnsembleModel(members=members, member_validation_nlls=np.zeros(3))
+        ensemble = EnsembleModel(members=members)
         n = 11
         dist = ensemble.conditional_distribution(rng.normal(size=(n, 3)))
         p = np.column_stack([rng.uniform(0.001, 0.999, size=(n, 5)), np.full(n, 1e-6)])
@@ -1064,8 +1108,7 @@ class TestStackedMixture:
         for other in [_random_model(Parameterization.LINEAR_SHIFT, TargetFamily.MEV, rng),
                       replace(model, spec=replace(model.spec, family=TargetFamily.LOGISTIC)),
                       replace(model, scaler=LogTimeScaler(np.log(0.5), np.log(30.0)))]:
-            ensemble = EnsembleModel(members=[model, model, other],
-                                     member_validation_nlls=np.zeros(3))
+            ensemble = EnsembleModel(members=[model, model, other])
             dataset = SurvivalDataset.from_observations(
                 [Observation.exact(1.5, rng.normal(size=3))])
             for call in (lambda: ensemble.conditional_distribution(rng.normal(size=(4, 3))),
