@@ -214,7 +214,7 @@ class SurvivalDataset:
         """
         try:
             columns = [column[idx] for column in (self.x, self.t_lower, self.t_upper, self.kind)]
-        except IndexError as exc:
+        except (IndexError, ValueError) as exc:  # ValueError: a ragged index
             raise BadConfig(f"rows to take must index the {self.n} rows: {exc}") from None
         return SurvivalDataset(*columns, list(self.feature_names))
 

@@ -14,8 +14,8 @@ so results are bitwise reproducible.
 
 A training loop splits its parameters once into :class:`Layers`, per-layer
 (weights, bias) views checked by :func:`split_params`, and a gradient buffer
-likewise.  :func:`forward` reads the parameter views as they are, and
-:func:`backward` writes each step's gradient through the buffer's views, so
+likewise.  :func:`forward` reads the views as given, and :func:`backward`
+writes each step's gradient through the buffer views its caller binds, so
 a step neither splits, checks nor allocates parameter-shaped arrays.
 
 Inference makes the same call, with one parameter vector and the subjects
@@ -82,13 +82,12 @@ class ExtractorSpec:
 class Layers(tuple):
     """The per-layer (weights, bias) views of a flat parameter array, made by :func:`split_params`.
 
-    ``flat`` is the (P,) or (M, P) array they view and ``spec`` the extractor
-    whose layout they follow.
+    ``flat`` is the (P,) or (M, P) array they view.
     """
 
-    def __new__(cls, spec: ExtractorSpec, flat: np.ndarray, pairs):
+    def __new__(cls, flat: np.ndarray, pairs):
         layers = super().__new__(cls, pairs)
-        layers.spec, layers.flat = spec, flat
+        layers.flat = flat
         return layers
 
 
@@ -111,16 +110,7 @@ def split_params(spec: ExtractorSpec, params: np.ndarray) -> Layers:
         b = params[..., pos : pos + fan_out]
         pos += fan_out
         layers.append((w, b))
-    return Layers(spec, params, layers)
-
-
-def _bound(spec: ExtractorSpec, params) -> Layers:
-    """``params`` as layer views: views split under this spec as they are, else split now."""
-    if isinstance(params, Layers):
-        if params.spec is spec or params.spec == spec:
-            return params
-        params = params.flat
-    return split_params(spec, params)
+    return Layers(params, layers)
 
 
 def flatten_params(layers) -> np.ndarray:
@@ -175,14 +165,14 @@ def forward(spec: ExtractorSpec, params, x) -> tuple[np.ndarray, Tape]:
     Covariates (n, p) are every member's minibatch; one parameter vector (P,)
     takes (n, p) covariates or a stack (B, n, p) of minibatches, and a
     vector (p,) is one row.  ``params`` may also be their :class:`Layers`,
-    which are read without another split.
+    which are read as given; only a flat array is split.
     Returns the features, (M, n, d), (B, n, d) or (n, d), and a tape for the
     backward pass.  A minibatch is one matrix product per layer and member,
     so a row's last bits may depend on its minibatch, never on the other
     members or minibatches.
     """
     a = _as_batch(spec, x)
-    layers = _bound(spec, params)
+    layers = params if isinstance(params, Layers) else split_params(spec, params)
     inputs = []
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
@@ -194,14 +184,14 @@ def forward(spec: ExtractorSpec, params, x) -> tuple[np.ndarray, Tape]:
     return a, Tape(spec, layers, inputs)
 
 
-def backward(tape: Tape, upstream, out: Layers | None = None) -> np.ndarray:
+def backward(tape: Tape, upstream, out: Layers) -> np.ndarray:
     """Reverse-mode pass: the gradients w.r.t. the parameters the tape's forward pass read.
 
     ``upstream`` is d(loss)/d(features), (M, n, d) or (n, d) like the forward
     output.  Each member's gradient is written layer by layer into one row of
-    an (M, P) array (one vector without the member axis) in the parameter
-    layout and is linear in its upstream rows.  The array is a new one, or
-    the buffer whose :class:`Layers` ``out`` gives; either is returned.
+    the (M, P) buffer (one vector without the member axis) that the caller
+    binds as :class:`Layers` ``out``, in the parameter layout, and is linear
+    in its upstream rows.  The buffer's flat array is returned.
     """
     spec, layers, inputs = tape
     delta = np.asarray(upstream, dtype=float)
@@ -210,9 +200,7 @@ def backward(tape: Tape, upstream, out: Layers | None = None) -> np.ndarray:
         raise DimensionMismatch(
             f"upstream shape {delta.shape} does not match the recorded forward pass"
         )
-    if out is None:
-        out = split_params(spec, np.empty(shape))
-    elif out.flat.shape != shape:
+    if out.flat.shape != shape:
         raise DimensionMismatch(f"gradient buffer of shape {out.flat.shape}, expected {shape}")
     for i in range(len(layers) - 1, -1, -1):
         (w, _), (grad_w, grad_b) = layers[i], out[i]

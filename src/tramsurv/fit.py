@@ -17,11 +17,12 @@ sensitivities summed into one coefficient pullback.
 
 A step makes few numpy calls: one ``target.censored_nll`` call gives every
 row its term and z-derivative, and the plan holds the kinds as row masks
-(none for absent kinds).  The SGD loop binds a stack's parameters and one
-gradient buffer of their shape once, as ``_Views``: the head columns and the
-extractor's ``feature.Layers``.  It binds them again only when a member
-leaves the stack.  A step reads the parameter views, writes its gradient
-through the buffer's views, and updates the parameters in place; the best
+(none for absent kinds).  Every caller binds the core's parameters, and a
+gradient buffer when it wants gradients, as ``_Views``: the head columns and
+the extractor's ``feature.Layers``.  The SGD loop binds a stack's once, and
+again only when a member leaves the stack.  A step reads the parameter views,
+writes its gradient through the buffer's views, and updates the parameters in
+place, and the epoch end scores the plan through the same views; the best
 epoch's parameters are copies.  The views are split and checked when bound,
 not per step; the step keeps its finiteness check.  Each computes the same
 operations in the same order as separate calls, bit for bit.
@@ -255,11 +256,12 @@ class _Views(NamedTuple):
     """A stack's (M, P) parameters, or a gradient buffer like them, with the views a step reads.
 
     ``head`` views the head columns and ``layers`` the extractor's
-    ``feature.Layers`` (None without an extractor).  A training loop binds
+    ``feature.Layers`` (None without an extractor), both views of ``flat``
+    (None for a head and an extractor bound apart).  A training loop binds
     them once per stack, and again when the stack loses a member.
     """
 
-    flat: np.ndarray
+    flat: np.ndarray | None
     head: np.ndarray
     layers: feature.Layers | None
 
@@ -272,30 +274,30 @@ class _Views(NamedTuple):
         return cls(flat, flat[:, :n_head], layers)
 
 
-def _nll_core(spec: ModelSpec, scaler: LogTimeScaler, head, ext, plan: _Plan, want_grad: bool,
-              grad: _Views | None = None):
-    """Per-row NLL terms of a stack of M models, optionally with the gradients of their sums.
+def _nll_core(spec: ModelSpec, scaler: LogTimeScaler, params: _Views, plan: _Plan,
+              grad: _Views | None = None) -> np.ndarray:
+    """Per-row NLL terms of a stack of M models; the gradients of their sums when given a buffer.
 
-    ``head`` (M, P_h) and ``ext`` (M, P_e), or its ``feature.Layers``, hold
-    one model per row.  The plan columns have a member axis: (M, n, ...)
-    holds one minibatch per member, (1, n, ...) one batch that every member
-    scores.  Returns (M, n) terms and the (M, P_h + P_e) gradients, written
-    into the buffer ``grad`` binds (a new one when None) and returned as its
-    ``flat`` array.  One transformation call covers every row at its lower
-    time, and one ``target.censored_nll`` call gives every row its term and
-    z-derivative.  When the plan has interval rows, a second call covers the
-    whole stack at the plan's upper times (the lower ones outside interval
-    rows), and the interval rows' terms are overwritten through their mask;
-    the sensitivities of both calls are added field by field and go through
-    one coefficient pullback.  Every operation acts per member, so a
-    member's numbers are the bits a stack of one gives.
+    ``params`` binds the (M, P_h) heads and (M, P_e) extractors, one model per
+    row.  The plan columns have a member axis: (M, n, ...) holds one minibatch
+    per member, (1, n, ...) one batch that every member scores.  Returns the
+    (M, n) terms, and writes the (M, P_h + P_e) gradients through the views
+    of ``grad``, bound like ``params``, exactly when it is given.  One
+    transformation call covers every row at its lower time, and one
+    ``target.censored_nll`` call gives every row its term and z-derivative.
+    When the plan has interval rows, a second call covers the whole stack at
+    the plan's upper times (the lower ones outside interval rows), and the
+    interval rows' terms are overwritten through their mask; the
+    sensitivities of both calls are added field by field and go through one
+    coefficient pullback.  Every operation acts per member, so a member's
+    numbers are the bits a stack of one gives.
     """
     fam = spec.family
     if spec.uses_extractor:
-        feats, tape = feature.forward(spec.extractor, ext, plan.x)
+        feats, tape = feature.forward(spec.extractor, params.layers, plan.x)
     else:
         feats = tape = None
-    coef, coef_pullback = coefficients(spec, head, feats)
+    coef, coef_pullback = coefficients(spec, params.head, feats)
     exact, log_t = plan.exact, plan.log_t
     h, dh, pullback = eval_transform(spec, coef, None, log_t, scaler, basis=plan.basis)
     nll_z, up_h = target.censored_nll(fam, h, exact, plan.left)
@@ -321,12 +323,9 @@ def _nll_core(spec: ModelSpec, scaler: LogTimeScaler, head, ext, plan: _Plan, wa
         terms = np.where(interval, -np.log(clamped), terms)
         # 1 / mass on interval rows, 0 where clamped and outside them
         inv = np.where(interval & ~degenerate, 1.0 / clamped, 0.0)
-    if not want_grad:
-        return terms, None
-
     if grad is None:
-        n_ext = spec.extractor.param_count if tape is not None else 0
-        grad = _Views.of(spec, np.empty((head.shape[0], head.shape[1] + n_ext)))
+        return terms
+
     up_dh = np.divide(-1.0, dh, out=np.zeros(h.shape), where=exact)
     if interval is None:
         d_coef = pullback(up_h, up_dh)
@@ -338,20 +337,25 @@ def _nll_core(spec: ModelSpec, scaler: LogTimeScaler, head, ext, plan: _Plan, wa
     _, d_feats = coef_pullback(d_coef, out=grad.head)
     if tape is not None:
         feature.backward(tape, d_feats, out=grad.layers)
-    return terms, grad.flat
+    return terms
 
 
 def nll_batch(state: ModelState, dataset: SurvivalDataset) -> tuple[float, np.ndarray]:
     """Summed NLL of a dataset's rows and its gradient w.r.t. (head, extractor) parameters.
 
-    A one-row dataset gives the NLL of one observation.
+    A one-row dataset gives the NLL of one observation.  A head or an
+    extractor of another length raises :class:`DimensionMismatch`.
     """
     require_type("state", state, ModelState)
     require_type("dataset", dataset, SurvivalDataset)
-    plan = _Plan.of_dataset(dataset, state.spec, state.scaler).shared()
-    terms, grad = _nll_core(state.spec, state.scaler, state.head_params[None],
-                            state.extractor_params[None], plan, want_grad=True)
-    return float(np.sum(terms[0])), grad[0]
+    spec, layers = state.spec, None
+    plan = _Plan.of_dataset(dataset, spec, state.scaler).shared()
+    if spec.uses_extractor:
+        layers = feature.split_params(spec.extractor, state.extractor_params[None])
+    n_ext = 0 if layers is None else spec.extractor.param_count
+    grad = _Views.of(spec, np.empty((1, head_size(spec) + n_ext)))
+    terms = _nll_core(spec, state.scaler, _Views(None, state.head_params[None], layers), plan, grad)
+    return float(np.sum(terms[0])), grad.flat[0]
 
 
 def _training_config(dataset: SurvivalDataset, spec: ModelSpec, config) -> TrainConfig:
@@ -365,12 +369,6 @@ def _training_config(dataset: SurvivalDataset, spec: ModelSpec, config) -> Train
             f"extractor expects {spec.extractor.input_dim} covariates, dataset has {dataset.p}"
         )
     return (TrainConfig() if config is None else config).resolved(spec)
-
-
-def _plan_terms(spec: ModelSpec, scaler: LogTimeScaler, params, plan: _Plan) -> np.ndarray:
-    """Per-row NLL terms (M, n) of a stack of models (M, P) on every row of a plan, in one pass."""
-    n_head = head_size(spec)
-    return _nll_core(spec, scaler, params[:, :n_head], params[:, n_head:], plan.shared(), False)[0]
 
 
 def _row_means(terms: np.ndarray, rows) -> np.ndarray:
@@ -448,9 +446,10 @@ def _run_sgd(
         for b in range(n_batches):
             start = b * config.batch_size
             batch = shuffled.take((slice(None), slice(start, start + config.batch_size)))
-            terms, g = _nll_core(spec, scaler, views.head, views.layers, batch, True, grad)
+            terms = _nll_core(spec, scaler, views, batch, grad)
             if not np.isfinite(terms.sum(axis=-1)).all():
                 raise NonFiniteLoss(f"non-finite loss in epoch {epoch}")
+            g = grad.flat
             g /= terms.shape[1]
             norms[:, b] = norm = np.sqrt(np.vecdot(g, g))
             if norm.max() > GRAD_CLIP:
@@ -462,7 +461,7 @@ def _run_sgd(
             params -= g
         # Free the shuffled rows before the epoch NLLs score the plan.
         del shuffled, batch
-        terms = _plan_terms(spec, scaler, params, plan)
+        terms = _nll_core(spec, scaler, views, plan.shared())
         val_nll = _row_means(terms, [members[i].val for i in active])
         # a member's train and validation rows cover the plan: a non-finite term of
         # either makes one of its epoch means non-finite
@@ -488,7 +487,8 @@ def _run_sgd(
                 break
             views, grad = _Views.of(spec, params), _Views.of(spec, np.empty(params.shape))
 
-    record_nll = _row_means(_plan_terms(spec, scaler, best, plan), [m.record for m in members])
+    terms = _nll_core(spec, scaler, _Views.of(spec, best), plan.shared())
+    record_nll = _row_means(terms, [m.record for m in members])
     return [
         FittedModel(
             spec=spec,

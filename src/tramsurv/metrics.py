@@ -13,9 +13,10 @@ import math
 
 import numpy as np
 
-from .core import KINDS, CensoringKind, FittedModel, SurvivalDataset, validate_dataset
+from .core import KINDS, CensoringKind, FittedModel, SurvivalDataset, float_array, validate_dataset
 from .errors import (
     BadConfig,
+    BadStatusValue,
     DimensionMismatch,
     InvertedInterval,
     NoComparablePairs,
@@ -155,19 +156,34 @@ def crps(dist, t, event, t_max: float):
         whose ``subject(rows)`` is the distribution of the subjects ``rows``.
     t : float or array
         Observed (or censoring) times; none may exceed ``t_max``.  A scalar
-        gives a float, an array one score per entry.
+        gives a float, a 1-D array one score per entry.  A batch of n
+        subjects takes n times, one per subject.
     event : bool or array
-        True for an exact observation, False for right-censored.
+        True for an exact observation, False for right-censored: one flag
+        per time, or one for every time of a distribution that is not a batch.
     t_max : float
         Upper integration limit.
 
     Raises :class:`BadConfig` for a ``t_max`` that is not a finite number,
+    :class:`NonNumericCovariate` for times or flags that are not numbers,
+    :class:`BadStatusValue` for a flag that is not 0 or 1,
+    :class:`DimensionMismatch` for times or flags of another shape,
     :class:`NonPositiveTime` for a time that is not positive, and
     :class:`InvertedInterval` for a time above ``t_max``, whose survivor range
     (t, t_max] is inverted.
     """
     _require_limit(t_max)
-    times = np.atleast_1d(np.asarray(t, dtype=float))
+    t, event = float_array(t, "times"), float_array(event, "event flags")
+    if not np.isin(event, (0.0, 1.0)).all():
+        raise BadStatusValue("event flags must be True or False (1 or 0)")
+    n = getattr(dist, "n_subjects", None)  # None: one distribution scores every time
+    if n is not None and not t.shape == event.shape == (n,):
+        raise DimensionMismatch(f"a batch of {n} subjects takes {n} times and event flags, "
+                                f"got shapes {t.shape} and {event.shape}")
+    if t.ndim > 1 or event.shape not in ((), t.shape):
+        raise DimensionMismatch(f"expected times of at most one axis and one event flag or "
+                                f"one per time, got shapes {t.shape} and {event.shape}")
+    times = np.atleast_1d(t)
     if not np.all(times > 0.0):
         raise NonPositiveTime("CRPS requires a positive observation time")
     if np.any(times > t_max):
@@ -175,7 +191,7 @@ def crps(dist, t, event, t_max: float):
             f"observation time {times.max()} exceeds the integration limit {t_max}"
         )
     # the quadrature's rows are a batch's subjects; one time has one distribution
-    at = dist.subject if np.ndim(t) else (lambda rows: dist)
+    at = dist.subject if t.ndim else (lambda rows: dist)
     cdf, survivor = (lambda u, rows: at(rows).cdf(u)), (lambda u, rows: at(rows).survivor(u))
 
     knots = np.array(_knots(dist))
@@ -189,7 +205,7 @@ def crps(dist, t, event, t_max: float):
     score = gauss_kronrod(_squared_in_log_time(cdf), np.sort(lower, axis=1), members=members)[0]
     score += gauss_kronrod(_squared_in_log_time(survivor), np.sort(upper, axis=1),
                            members=members)[0]
-    return float(score[0]) if np.ndim(t) == 0 else score
+    return float(score[0]) if t.ndim == 0 else score
 
 
 @dataclass(eq=False)

@@ -15,17 +15,18 @@ _WG = [0.0, 0.129484966168869693, 0.0, 0.279705391489276668, 0.0, 0.381830050505
 NODES, KRONROD, GAUSS = (np.concatenate([sign * np.array(v), v[-2::-1]])
                          for sign, v in ((-1.0, _X), (1.0, _WK), (1.0, _WG)))
 MAX_PIECES, MAX_NODES = 256, 2**14  # pieces per integral, nodes per call of the integrand
+REL_TOL = 1e-7  # a piece's K15 and G7 estimates agree to this share of the row's estimate
 assert 15 * MAX_PIECES <= MAX_NODES  # a row's widest pass fits one call
 
 
-def gauss_kronrod(fn, breaks, rel_tol: float = 1e-7, *, members: int = 1):
+def gauss_kronrod(fn, breaks, *, members: int = 1):
     """Integrate row r of ``fn`` over [breaks[r, 0], breaks[r, -1]], split at its breaks.
 
     ``breaks`` is (n, q), sorted along each row.  ``fn(nodes, rows)`` gets a
     ``(k, m)`` array of nodes of the rows ``rows``: at most ``MAX_NODES`` over
     ``members``, the values it computes per node (a mixture's members), but
     always one row's.  A piece is bisected while its K15 and G7 estimates
-    differ by more than its width's share of ``rel_tol`` times the row's
+    differ by more than its width's share of ``REL_TOL`` times the row's
     estimate (with a tiny absolute floor).  Each row's pieces are laid out
     alone and in order, so its estimate does not depend on the rows solved
     with it.
@@ -55,7 +56,7 @@ def gauss_kronrod(fn, breaks, rel_tol: float = 1e-7, *, members: int = 1):
                                           for w in (KRONROD, GAUSS))
         k, error = kronrod[at], np.abs(kronrod[at] - gauss[at])
         estimate = value + np.bincount(row, k, minlength=n)
-        share = np.maximum(rel_tol * np.abs(estimate[row]), 1e-15) * (hi - lo) / width[row]
+        share = np.maximum(REL_TOL * np.abs(estimate[row]), 1e-15) * (hi - lo) / width[row]
         split = ~(error <= share)  # a NaN error never converges
         value += np.bincount(row[~split], k[~split], minlength=n)
         pieces += np.bincount(row[split], minlength=n)
@@ -65,7 +66,7 @@ def gauss_kronrod(fn, breaks, rel_tol: float = 1e-7, *, members: int = 1):
             raise QuadratureNonConvergence(
                 f"{np.sum(failing)} integral(s) need more than {MAX_PIECES} pieces "
                 f"at depth {depth[failing].max()}: K15 and G7 still disagree beyond relative "
-                f"tolerance {rel_tol}")
+                f"tolerance {REL_TOL}")
         row, lo, hi = (np.repeat(v[split], 2) for v in (row, lo, hi))
         lo[1::2] = hi[::2] = (lo[::2] + hi[::2]) / 2.0
     return value, pieces, depth

@@ -418,11 +418,12 @@ class Pointwise:
     and get their limits afterwards, through masks that broadcast against
     the values (times shared by a batch's subjects give a value per subject).
     A batch's values for some of its subjects come from the distribution
-    ``subject(rows)`` selects.
+    ``subject(rows)`` selects.  Times or probabilities that are not numbers
+    raise :class:`NonNumericCovariate` (see :func:`core.float_array`).
     """
 
     def _apply(self, t, of_transform, at_zero: float, at_inf: float, log: bool = False):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        t_arr = np.atleast_1d(float_array(t, "times"))
         zero, infinite = t_arr <= 0.0, np.isposinf(t_arr)
         special = zero | infinite
         present = special.any()
@@ -458,7 +459,7 @@ class Pointwise:
         whose time would overflow the largest float, or underflow below the
         smallest subnormal to 0, raises :class:`BisectionNonConvergence`.
         """
-        p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+        p_arr = np.atleast_1d(float_array(p, "probabilities"))
         subjects = np.nonzero(np.ones(p_arr.shape, dtype=bool))[0]  # first-axis index, C order
         u = _solve_increasing(*self.newton_problem(p_arr, subjects))
         outside = int(np.sum((u < _LOG_T_RANGE[0]) | (u > _LOG_T_RANGE[1])))
@@ -493,8 +494,15 @@ class ConditionalDistribution(Pointwise):
         return self.coef.n_rows
 
     def subject(self, i) -> "ConditionalDistribution":
-        """Row ``i`` of a batch, or the batch of the rows an index array ``i`` selects."""
-        return ConditionalDistribution(self.spec, self.coef.take(i), self.scaler)
+        """Row ``i`` of a batch, or the batch of the rows an index array ``i`` selects.
+
+        An index that numpy rejects for the rows raises :class:`BadConfig`.
+        """
+        try:
+            coef = self.coef.take(i)
+        except (IndexError, ValueError) as exc:  # ValueError: a ragged index
+            raise BadConfig(f"subjects must index the {self.n_subjects} rows: {exc}") from None
+        return ConditionalDistribution(self.spec, coef, self.scaler)
 
     def check_subjects(self, values: np.ndarray):
         """For a batch, require the leading axis of ``values`` to index its subjects."""
@@ -596,6 +604,11 @@ class EnsembleDistribution(Pointwise):
         coef = Stacked(*[None if v is None else np.stack([m.coef[j] for m in members], -1 - (j < 2))
                          for j, v in enumerate(members[0].coef)])
         self.stack = ConditionalDistribution(self.spec, coef, self.scaler)
+
+    @property
+    def n_subjects(self) -> int | None:
+        """Number of subjects of a batch, as for its members."""
+        return self.stack.n_subjects
 
     def subject(self, i) -> "EnsembleDistribution":
         """Mixture of row ``i`` of a batch, or of the rows an index array ``i`` selects."""

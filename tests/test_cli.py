@@ -96,6 +96,11 @@ class TestParseDatasetCsv:
         with pytest.raises(NonNumericCovariate, match="age"):
             parse_dataset_csv(path)
 
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(MissingColumn) as info:
+            parse_dataset_csv(_write(tmp_path / "empty.csv", ""))
+        assert info.value.code == "E_MISSING_COLUMN"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataNotFound):
             parse_dataset_csv(str(tmp_path / "nope.csv"))
@@ -526,6 +531,29 @@ class TestFitCommand:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "E_BAD_CONFIG"
 
+    @pytest.mark.parametrize("text", [
+        None,  # no file
+        "{not json",
+        "[\"family\", \"parameterization\"]",
+        json.dumps({"family": "logistic"}),
+        json.dumps({"parameterization": "linear_shift"}),
+    ])
+    def test_unreadable_spec_file(self, tmp_path, training_csv, text):
+        spec, out = tmp_path / "spec.json", tmp_path / "run"
+        if text is not None:
+            spec.write_text(text)
+        assert main(["fit", "--data", training_csv, "--spec", str(spec), "--out", str(out)]) == 1
+        assert json.loads((out / "error.json").read_text())["error"] == "E_BAD_CONFIG"
+
+    def test_bernstein_flexible(self, tmp_path, training_csv):
+        """Its extractor gives the order + 1 coefficients of each subject."""
+        spec, out = tmp_path / "spec.json", tmp_path / "run"
+        spec.write_text(json.dumps({"family": "logistic", "parameterization": "bernstein_flexible",
+                                    "bernstein_order": 3, "epochs": 2}))
+        assert main(["fit", "--data", training_csv, "--spec", str(spec), "--out", str(out)]) == 0
+        model = json.loads((out / "model.json").read_text())
+        assert model["spec"]["extractor"]["output_dim"] == 4
+
     def test_one_row_fails_with_empty_validation_split(self, tmp_path, spec_json):
         data = tmp_path / "one.csv"
         data.write_text("time,status,a\n1.5,exact,0.3\n")
@@ -733,6 +761,17 @@ class TestEvaluateCommand:
         )
         assert code == 1
         record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "E_MODEL_NOT_FOUND"
+
+    def test_error_record_that_cannot_be_written(self, tmp_path, training_csv, capsys):
+        """A directory at error.json's path: the command still fails, and says why on stderr."""
+        out = tmp_path / "ev"
+        (out / "error.json").mkdir(parents=True)
+        code = main(["evaluate", "--data", training_csv, "--model", str(tmp_path / "no.json"),
+                     "--out", str(out)])
+        assert code == 1
+        assert (out / "error.json").is_dir()
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert record["error"] == "E_MODEL_NOT_FOUND"
 
     def test_success_clears_stale_error_record(self, tmp_path, training_csv, spec_json):

@@ -16,6 +16,7 @@ import pytest
 from tramsurv import (
     CensoringKind,
     ConditionalDistribution,
+    EnsembleModel,
     ModelSpec,
     ModelState,
     Observation,
@@ -26,6 +27,7 @@ from tramsurv import (
     TrainConfig,
     c_index,
     conditional_distribution,
+    crps,
     evaluate,
     fit,
     generate_semisynthetic,
@@ -33,9 +35,16 @@ from tramsurv import (
 )
 from tramsurv.basis import LogTimeScaler
 from tramsurv.core import FittedModel
-from tramsurv.errors import TramsurvError
-from tramsurv.feature import ExtractorSpec, identity_params
+from tramsurv.errors import (
+    BadConfig,
+    BadStatusValue,
+    DimensionMismatch,
+    NonNumericCovariate,
+    TramsurvError,
+)
+from tramsurv.feature import ExtractorSpec, identity_params, init_params
 from tramsurv.numerics import softplus_inv
+from tramsurv.transform import init_head
 
 _JUNK = st.one_of(
     st.none(),
@@ -68,10 +77,32 @@ def _exponential_model() -> FittedModel:
                        identity_params(spec.extractor), train_nll=0.0, validation_nll=0.0)
 
 
+def _initial_model(parameterization, seed: int) -> FittedModel:
+    """A logistic model of Bernstein order 3 at its initial parameters, on two covariates."""
+    extractor = None
+    if parameterization != Parameterization.BASELINE:
+        extractor = ExtractorSpec(input_dim=2, output_dim=4)
+    spec = ModelSpec(TargetFamily.LOGISTIC, parameterization, bernstein_order=3,
+                     extractor=extractor)
+    ext = np.zeros(0) if extractor is None else init_params(extractor, seed)
+    return FittedModel(spec, LogTimeScaler(np.log(0.5), np.log(5.0)), init_head(spec), ext,
+                       train_nll=0.0, validation_nll=0.0)
+
+
 _MODEL = _exponential_model()
 _SPEC = _MODEL.spec
 _DATASET = SurvivalDataset(x=[[0.0], [0.5], [-0.5], [1.0]], t_lower=[0.5, 1.0, 2.0, 3.0],
                            t_upper=[0.5, 1.0, 2.0, np.inf], kind=[0, 0, 0, 1])
+# three subjects of a bernstein_flexible model, alone and as a two-member mixture, and the
+# three of a baseline model, whose subjects share one distribution
+_X3 = np.array([[0.1, 0.2], [0.5, -0.3], [-1.0, 0.4]])
+_BATCHES = {
+    "batch": conditional_distribution(_initial_model(Parameterization.BERNSTEIN_FLEXIBLE, 0), _X3),
+    "mixture": EnsembleModel([_initial_model(Parameterization.BERNSTEIN_FLEXIBLE, seed)
+                              for seed in (0, 1)]).conditional_distribution(_X3),
+}
+_BASELINE = conditional_distribution(_initial_model(Parameterization.BASELINE, 0), _X3)
+_METHODS = ("cdf", "survivor", "pdf", "log_cdf", "log_survivor", "log_pdf", "quantile")
 _VALUES = st.lists(st.one_of(st.floats(), st.integers(0, 5), st.none(), st.text(max_size=1)),
                    max_size=5)
 # a cell of a dataset column: a number, text, an integer beyond the float range, or a row
@@ -260,6 +291,26 @@ _ENTRY_POINTS = {
         },
         lambda result: math.isfinite(result[0]),
     ),
+    "distribution methods": (
+        lambda dist, method, values: getattr(dist, method)(values),
+        {
+            "dist": st.sampled_from([*_BATCHES.values(), _BASELINE]),
+            "method": st.sampled_from([*_METHODS, "subject"]),
+            "values": _or_junk(st.lists(st.floats(0.1, 0.9), min_size=3, max_size=3),
+                               st.integers(0, 2)),
+        },
+        lambda result: result is not None,
+    ),
+    "crps": (
+        crps,
+        {
+            "dist": st.sampled_from([*_BATCHES.values(), _BASELINE]),
+            "t": _or_junk(st.lists(st.floats(0.5, 5.0), min_size=3, max_size=3)),
+            "event": _or_junk(st.lists(st.booleans(), min_size=3, max_size=3)),
+            "t_max": _or_junk(st.floats(5.0, 50.0)),
+        },
+        lambda scores: np.all(np.isfinite(scores)),
+    ),
 }
 
 
@@ -274,3 +325,60 @@ def test_only_coded_errors_escape(entry, data):
     except TramsurvError:
         return
     assert usable(result)
+
+
+class TestDistributionArguments:
+    """The batched distributions and CRPS reject what they cannot score with a code."""
+
+    @pytest.mark.parametrize("kind", list(_BATCHES))
+    @pytest.mark.parametrize("t, event", [
+        ([1.0, 2.0], [True, False]),  # fewer times than subjects
+        ([1.0, 2.0, 3.0, 1.5], [True] * 4),  # more
+        ([1.0, 2.0, 3.0], [True, False]),
+        ([[1.0], [2.0], [3.0]], [True, False, True]),
+        (1.0, True),
+    ])
+    def test_crps_takes_one_time_and_flag_per_subject_of_a_batch(self, kind, t, event):
+        with pytest.raises(DimensionMismatch) as info:
+            crps(_BATCHES[kind], t, event, 10.0)
+        assert info.value.code == "E_DIMENSION_MISMATCH"
+
+    @pytest.mark.parametrize("count", [2, 5])
+    def test_a_baseline_batch_takes_any_count(self, count):
+        """Its subjects share one distribution: each time is scored as it is alone."""
+        times = np.linspace(1.0, 3.0, count)
+        scores = crps(_BASELINE, times, np.ones(count, dtype=bool), 10.0)
+        alone = [crps(_BASELINE.subject(0), t, True, 10.0) for t in times.tolist()]
+        assert scores.tolist() == alone
+        with pytest.raises(DimensionMismatch) as info:
+            crps(_BASELINE, times, [True] * (count + 1), 10.0)
+        assert info.value.code == "E_DIMENSION_MISMATCH"
+
+    @pytest.mark.parametrize("kind", list(_BATCHES))
+    @pytest.mark.parametrize("event", [[True, None, False], [1, 2, 0], [0.0, np.nan, 1.0]])
+    def test_crps_event_flags_are_true_or_false(self, kind, event):
+        """A flag that is neither was scored as exact or as censored by its truth value."""
+        with pytest.raises(BadStatusValue) as info:
+            crps(_BATCHES[kind], [1.0, 2.0, 3.0], event, 10.0)
+        assert info.value.code == "E_BAD_STATUS_VALUE"
+
+    @pytest.mark.parametrize("kind", list(_BATCHES))
+    @pytest.mark.parametrize("index", [5, -4, 1.5, "a", [0, 3], [[0], [1, 2]]])
+    def test_a_subject_index_outside_the_batch_is_a_bad_config(self, kind, index):
+        with pytest.raises(BadConfig) as info:
+            _BATCHES[kind].subject(index)
+        assert info.value.code == "E_BAD_CONFIG"
+
+    @pytest.mark.parametrize("kind", list(_BATCHES))
+    @pytest.mark.parametrize("method", _METHODS)
+    def test_values_that_are_not_numbers_have_a_code(self, kind, method):
+        with pytest.raises(NonNumericCovariate) as info:
+            getattr(_BATCHES[kind], method)(["a", "b", "c"])
+        assert info.value.code == "E_NON_NUMERIC_COVARIATE"
+
+    @pytest.mark.parametrize("kind", list(_BATCHES))
+    def test_crps_of_times_or_flags_that_are_not_numbers_has_a_code(self, kind):
+        for t, event in (([1.0, "b", 3.0], [True] * 3), ([1.0, 2.0, 3.0], ["a", "b", "c"])):
+            with pytest.raises(NonNumericCovariate) as info:
+                crps(_BATCHES[kind], t, event, 10.0)
+            assert info.value.code == "E_NON_NUMERIC_COVARIATE"

@@ -95,6 +95,11 @@ class TestDatasetValidation:
         with pytest.raises(InvertedInterval):
             validate_dataset(ds)
 
+    def test_ragged_kind_codes(self):
+        with pytest.raises(BadStatusValue) as info:
+            SurvivalDataset(np.zeros((2, 1)), [1.0, 1.0], [1.0, 1.0], [[0], [0, 1]])
+        assert info.value.code == "E_BAD_STATUS_VALUE"
+
     def test_unknown_kind_code(self):
         ds = SurvivalDataset(np.zeros((2, 1)), [1.0, 1.0], [1.0, 1.0], [0, len(CensoringKind)])
         with pytest.raises(BadStatusValue, match="observation 1"):
@@ -160,6 +165,12 @@ class TestDatasetColumns:
         np.testing.assert_array_equal(ds.t_lower, [0.5, 1.0])
         np.testing.assert_array_equal(ds.x, [[0.0, 0.0], [0.5, -0.5]])
         assert ds.feature_names == ["x0", "x1"]
+
+    @pytest.mark.parametrize("idx", [[5], [1.5], [[0], [1, 2]]])
+    def test_take_of_a_bad_index_is_a_bad_config(self, idx):
+        with pytest.raises(BadConfig) as info:
+            _valid_dataset().take(idx)
+        assert info.value.code == "E_BAD_CONFIG"
 
     def test_empty_rows_keep_feature_width(self):
         ds = SurvivalDataset.from_observations([], feature_names=["a", "b"])
@@ -397,6 +408,16 @@ class TestSerialization:
     def test_not_json(self):
         with pytest.raises(MalformedArtifact):
             deserialize_model(b"not a model at all")
+
+    def test_object_without_schema_version(self):
+        with pytest.raises(MalformedArtifact) as info:
+            deserialize_model(b"{}")
+        assert info.value.code == "E_MALFORMED_ARTIFACT"
+
+    def test_a_model_is_not_equal_to_another_type(self):
+        model = _random_model(np.random.default_rng(3))
+        assert (model == 3) is False
+        assert model != 3
 
     def test_schema_version_checked(self):
         blob = serialize_model(_random_model(np.random.default_rng(1)))

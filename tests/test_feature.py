@@ -24,6 +24,11 @@ def _direct_forward(spec, params, x):
     return h
 
 
+def _grad(tape, upstream):
+    """``backward`` into a new buffer shaped like the parameters the tape's forward pass read."""
+    return backward(tape, upstream, out=split_params(tape.spec, np.empty(tape.layers.flat.shape)))
+
+
 class TestForward:
     def test_identity_map(self):
         spec = ExtractorSpec(input_dim=2, hidden_dims=(), output_dim=2)
@@ -108,6 +113,20 @@ class TestParamLayout:
         spec = ExtractorSpec(input_dim=3, hidden_dims=(), output_dim=2)
         assert spec.param_count == 3 * 2 + 2
 
+    @pytest.mark.parametrize("shape", [(57,), (59,), (2, 57), (1, 2, 58)])
+    def test_split_of_another_length_or_rank_is_a_mismatch(self, shape):
+        spec = ExtractorSpec(input_dim=4, hidden_dims=(8,), output_dim=2)
+        with pytest.raises(DimensionMismatch) as info:
+            split_params(spec, np.zeros(shape))
+        assert info.value.code == "E_DIMENSION_MISMATCH"
+
+    @pytest.mark.parametrize("settings", [{"input_dim": 2, "output_dim": 3},
+                                          {"input_dim": 2, "hidden_dims": (2,), "output_dim": 2}])
+    def test_identity_needs_a_square_single_layer(self, settings):
+        with pytest.raises(DimensionMismatch) as info:
+            identity_params(ExtractorSpec(**settings))
+        assert info.value.code == "E_DIMENSION_MISMATCH"
+
     def test_flatten_split_round_trip(self):
         rng = np.random.default_rng(31)
         spec = ExtractorSpec(input_dim=2, hidden_dims=(4, 3), output_dim=2)
@@ -167,7 +186,7 @@ class TestBackward:
         spec = ExtractorSpec(input_dim=3, hidden_dims=(4,), output_dim=2)
         params = rng.normal(size=spec.param_count)
         out, tape = forward(spec, params, rng.normal(size=(1, 3)))
-        grad = backward(tape, np.zeros_like(out))
+        grad = _grad(tape, np.zeros_like(out))
         np.testing.assert_array_equal(grad, np.zeros_like(grad))
 
     def test_linear_extractor_closed_form(self):
@@ -178,7 +197,7 @@ class TestBackward:
         x = rng.normal(size=3)
         u = rng.normal(size=2)
         out, tape = forward(spec, params, x[None, :])
-        grad = backward(tape, u[None, :])
+        grad = _grad(tape, u[None, :])
         gw, gb = split_params(spec, grad)[0]
         np.testing.assert_allclose(gw, np.outer(x, u), rtol=1e-12)
         np.testing.assert_allclose(gb, u, rtol=1e-12)
@@ -193,7 +212,7 @@ class TestBackward:
             x = rng.normal(size=(1, 4))
             u = rng.normal(size=(1, 2))
             _, tape = forward(spec, params, x)
-            grad = backward(tape, u)
+            grad = _grad(tape, u)
 
             def scalar(p, xv):
                 out, _ = forward(spec, p, xv)
@@ -217,11 +236,11 @@ class TestBackward:
         xs = rng.normal(size=(4, 2))
         us = rng.normal(size=(4, 2))
         _, tape = forward(spec, params, xs)
-        grad = backward(tape, us)
+        grad = _grad(tape, us)
         acc = np.zeros_like(params)
         for i in range(4):
             _, t_i = forward(spec, params, xs[i : i + 1])
-            acc += backward(t_i, us[i : i + 1])
+            acc += _grad(t_i, us[i : i + 1])
         np.testing.assert_allclose(grad, acc, rtol=1e-12)
 
     @pytest.mark.parametrize("shape", [(4, 2), (5, 3), (2, 5, 2), (5,)])
@@ -230,7 +249,7 @@ class TestBackward:
         spec = ExtractorSpec(input_dim=3, hidden_dims=(4,), output_dim=2)
         _, tape = forward(spec, rng.normal(size=spec.param_count), rng.normal(size=(5, 3)))
         with pytest.raises(DimensionMismatch) as info:
-            backward(tape, np.ones(shape))
+            _grad(tape, np.ones(shape))
         assert info.value.code == "E_DIMENSION_MISMATCH"
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -244,7 +263,7 @@ class TestBackward:
         x = rng.normal(size=(3, 7, 3))
         upstream = rng.normal(size=(3, 7, 2))
         out, tape = forward(spec, params, x)
-        grad = backward(tape, upstream)
+        grad = _grad(tape, upstream)
         buffer = np.full(params.shape, np.nan)
         views = split_params(spec, buffer)
         bound_out, bound_tape = forward(spec, split_params(spec, params), x)

@@ -34,11 +34,12 @@ from tramsurv.fit import (
     EnsembleModel,
     ModelState,
     TrainConfig,
-    _plan_terms,
     _row_means,
     _nll_core,
     _Member,
     _Plan,
+    _Views,
+    _bootstrap_indices,
     _bootstrap_member,
     _run_sgd,
     _workers,
@@ -65,10 +66,19 @@ def _linear_shift_model(family, a=0.0, b=1.0, w=(0.0,)):
     )
 
 
+def _stack_core(spec, scaler, head, ext, plan, want_grad=True):
+    """``_nll_core`` of a stack of heads (M, P_h) and extractors (M, P_e), bound as a
+    training loop binds them: the terms and, with ``want_grad``, the gradients."""
+    params = np.concatenate([head, ext], axis=1)
+    grad = _Views.of(spec, np.empty(params.shape)) if want_grad else None
+    terms = _nll_core(spec, scaler, _Views.of(spec, params), plan, grad)
+    return terms, None if grad is None else grad.flat
+
+
 def _core(state, plan, want_grad):
     """``_nll_core`` of one model on one (unstacked) plan: its terms and gradient."""
-    terms, grad = _nll_core(state.spec, state.scaler, state.head_params[None],
-                            state.extractor_params[None], plan.shared(), want_grad)
+    terms, grad = _stack_core(state.spec, state.scaler, state.head_params[None],
+                              state.extractor_params[None], plan.shared(), want_grad)
     return terms[0], None if grad is None else grad[0]
 
 
@@ -295,7 +305,7 @@ class TestTrainingPlan:
             for start in range(0, data.n, 16):  # the last batch is short
                 batch = shuffled.take((slice(None), slice(start, start + 16)))
                 rows = _Plan.of_dataset(data.take(order[start : start + 16]), spec, scaler)
-                terms, grad = _nll_core(spec, scaler, head[None], ext[None], batch, True)
+                terms, grad = _stack_core(spec, scaler, head[None], ext[None], batch)
                 ref_terms, ref_grad = _core(state, rows, want_grad=True)
                 assert terms.tobytes() == ref_terms.tobytes()
                 assert grad.tobytes() == ref_grad.tobytes()
@@ -333,10 +343,10 @@ class TestStackedMembers:
             idx = rng.integers(0, dataset.n, size=(members, rows))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegenerateIntervalWarning)
-                terms, grad = _nll_core(spec, scaler, head, ext, plan.take(idx), True)
+                terms, grad = _stack_core(spec, scaler, head, ext, plan.take(idx))
                 for m in range(members):
-                    alone = _nll_core(spec, scaler, head[m : m + 1], ext[m : m + 1],
-                                      plan.take(idx[m : m + 1]), True)
+                    alone = _stack_core(spec, scaler, head[m : m + 1], ext[m : m + 1],
+                                        plan.take(idx[m : m + 1]))
                     assert terms[m].tobytes() == alone[0].tobytes()
                     assert grad[m].tobytes() == alone[1].tobytes()
         assert terms.shape == (members, 1)
@@ -376,7 +386,7 @@ class TestStackedMembers:
         counted("eval_transform")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateIntervalWarning)
-            terms, grad = _nll_core(spec, scaler, head, ext, plan.take(idx), True)
+            terms, grad = _stack_core(spec, scaler, head, ext, plan.take(idx))
         assert calls == {"coefficients": 1, "eval_transform": 2}
         assert np.isfinite(terms).all() and np.isfinite(grad).all()
 
@@ -462,7 +472,8 @@ class TestBestEpochRestore:
         assert best < len(stats) - 1 < self.CONFIG.epochs - 1
         assert stats[-1].val_nll > model.validation_nll == stats[best].val_nll
         params = np.concatenate([model.head_params, model.extractor_params])[None]
-        (rescored,) = _row_means(_plan_terms(self.SPEC, scaler, params, plan), [val_idx])
+        terms = _nll_core(self.SPEC, scaler, _Views.of(self.SPEC, params), plan.shared())
+        (rescored,) = _row_means(terms, [val_idx])
         assert np.float64(rescored).tobytes() == np.float64(model.validation_nll).tobytes()
 
     def test_two_fits_in_one_process_write_identical_models(self, tmp_path):
@@ -540,6 +551,11 @@ class TestFit:
         )
         with pytest.raises(AllCensored):
             fit(ds, spec, TrainConfig(epochs=2))
+
+    def test_bootstrap_without_an_exact_row_has_a_code(self):
+        with pytest.raises(AllCensored) as info:
+            _bootstrap_indices(np.random.default_rng(0), np.zeros(5, dtype=bool), 5)
+        assert info.value.code == "E_ALL_CENSORED"
 
     def test_one_row_has_an_empty_validation_split(self):
         ds = SurvivalDataset.from_observations([Observation.exact(1.5, [0.3])])
@@ -661,9 +677,9 @@ class TestFit:
                          bernstein_order=4)
         core, steps = fit_module._nll_core, []
 
-        def counted(*args):
-            steps.append(args[5])  # want_grad: a step, not the epoch end
-            return core(*args)
+        def counted(spec, scaler, params, plan, grad=None):
+            steps.append(grad is not None)  # a gradient buffer: a step, not the epoch end
+            return core(spec, scaler, params, plan, grad)
 
         monkeypatch.setattr(fit_module, "_nll_core", counted)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss, match="in epoch 0$") as info:
@@ -992,13 +1008,13 @@ class TestEpochStatsOnDemand:
         core = fit_module._nll_core
         epoch_ends = []
 
-        def poisoned(spec, scaler, head, ext, plan, want_grad, grad=None):
-            terms, g = core(spec, scaler, head, ext, plan, want_grad, grad)
-            if not want_grad:
+        def poisoned(spec, scaler, params, plan, grad=None):
+            terms = core(spec, scaler, params, plan, grad)
+            if grad is None:
                 if len(epoch_ends) == 2:
                     terms[1, perm[0]] = np.inf  # a train row of the second member only
                 epoch_ends.append(len(epoch_ends))
-            return terms, g
+            return terms
 
         monkeypatch.setattr(fit_module, "_nll_core", poisoned)
         stats = []

@@ -163,6 +163,13 @@ class TestGenerateSemisynthetic:
             assert oa.time_lower == ob.time_lower
             assert oa.censoring == ob.censoring
 
+    def test_no_config_draws_as_the_default_config(self):
+        ds = _base_dataset(np.random.default_rng(815), 12)
+        a = generate_semisynthetic(_exponential_model(), ds, None)
+        b = generate_semisynthetic(_exponential_model(), ds, SynthConfig())
+        for column in ("x", "t_lower", "t_upper", "kind"):
+            assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
+
     def test_seed_changes_draws(self):
         rng = np.random.default_rng(813)
         ds = _base_dataset(rng, 12)
